@@ -11,7 +11,7 @@ Example::
     forcing.kind = manufactured
     forcing.amplitude = 0.04
     flow.horizon = 30
-    step.cfl_factor = 0.4
+    step.dt_max = 0.05
     rng_seed = 11
 
 Lines starting with '#' are comments.  Unknown keys are rejected so typos
@@ -42,7 +42,7 @@ _KNOWN_KEYS = {
     "forcing.kind", "forcing.value", "forcing.amplitude", "forcing.max_mode",
     "forcing.seed", "forcing.psi_kind",
     "flow.horizon",
-    "step.cfl_factor", "step.dt_min", "step.dt_max", "step.eps_pd", "step.retry_limit",
+    "step.dt_min", "step.dt_max", "step.eps_pd", "step.retry_limit",
     "monitors.emit_dt", "monitors.field_interval", "monitors.A", "monitors.alpha_ly",
     "monitors.shift_eps",
     "holder.alpha", "holder.epsilon", "holder.sample_pairs",
@@ -138,27 +138,41 @@ def config_from_kv(kv: dict) -> RunConfig:
         seed=_get(kv, "forcing.seed", seed, int),
         psi_kind=_get(kv, "forcing.psi_kind", "seeded", str),
     )
-    step = StepControl(
-        cfl_factor=_get(kv, "step.cfl_factor", 0.2, float),
-        dt_min=_get(kv, "step.dt_min", 1e-12, float),
-        dt_max=_get(kv, "step.dt_max", 0.1, float),
-        eps_pd=_get(kv, "step.eps_pd", 1e-6, float),
-        retry_limit=_get(kv, "step.retry_limit", 20, int),
-    )
-    holder = HolderConfig(
-        alpha=_get(kv, "holder.alpha", 0.5, float),
-        epsilon=_get(kv, "holder.epsilon", 0.5, float),
-        sample_pairs=_get(kv, "holder.sample_pairs", 20000, int),
-        rng_seed=seed,
-    )
-    monitors = MonitorSuite(
-        emit_dt=_get(kv, "monitors.emit_dt", 0.1, float),
-        field_interval=_get(kv, "monitors.field_interval", 0.5, float),
-        A=_get(kv, "monitors.A", 2.0, float),
-        alpha_ly=_get(kv, "monitors.alpha_ly", 1.5, float),
-        shift_eps=_get(kv, "monitors.shift_eps", 0.5, float),
-        holder=holder,
-    )
+    n = _get(kv, "grid.n", 1, int)
+    N = _get(kv, "grid.N", 32, int)
+    period = _get(kv, "grid.period", 2.0 * math.pi, float)
+    max_points = _get(kv, "grid.max_points", MAX_POINTS, int)
+    horizon = _get(kv, "flow.horizon", 5.0, float)
+    # the constructors validate their own values; a bad value is a config error
+    try:
+        TorusGrid(n, N, period, max_points=max_points)
+        step = StepControl(
+            dt_min=_get(kv, "step.dt_min", 1e-12, float),
+            dt_max=_get(kv, "step.dt_max", 0.1, float),
+            eps_pd=_get(kv, "step.eps_pd", 1e-6, float),
+            retry_limit=_get(kv, "step.retry_limit", 20, int),
+        )
+        holder = HolderConfig(
+            alpha=_get(kv, "holder.alpha", 0.5, float),
+            epsilon=_get(kv, "holder.epsilon", 0.5, float),
+            sample_pairs=_get(kv, "holder.sample_pairs", 20000, int),
+            rng_seed=seed,
+        )
+        monitors = MonitorSuite(
+            emit_dt=_get(kv, "monitors.emit_dt", 0.1, float),
+            field_interval=_get(kv, "monitors.field_interval", 0.5, float),
+            A=_get(kv, "monitors.A", 2.0, float),
+            alpha_ly=_get(kv, "monitors.alpha_ly", 1.5, float),
+            shift_eps=_get(kv, "monitors.shift_eps", 0.5, float),
+            holder=holder,
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    emits = horizon / monitors.emit_dt
+    if not (math.isfinite(emits) and emits >= 0.5
+            and abs(round(emits) * monitors.emit_dt - horizon) <= 1e-9):
+        raise ConfigError(f"flow.horizon {horizon} must be a positive multiple of "
+                          f"monitors.emit_dt {monitors.emit_dt}")
     criteria = ()
     if "verify.criteria" in kv:
         try:
@@ -169,14 +183,14 @@ def config_from_kv(kv: dict) -> RunConfig:
         mode=mode,
         rng_seed=seed,
         out_dir=kv.get("out.dir"),
-        n=_get(kv, "grid.n", 1, int),
-        N=_get(kv, "grid.N", 32, int),
-        period=_get(kv, "grid.period", 2.0 * math.pi, float),
-        max_points=_get(kv, "grid.max_points", MAX_POINTS, int),
+        n=n,
+        N=N,
+        period=period,
+        max_points=max_points,
         metric=metric,
         lambda_floor=_get(kv, "metric.lambda_floor", LAMBDA_FLOOR, float),
         forcing=forcing,
-        horizon=_get(kv, "flow.horizon", 5.0, float),
+        horizon=horizon,
         step=step,
         monitors=monitors,
         elliptic_tol=_get(kv, "elliptic.tol", 1e-11, float),

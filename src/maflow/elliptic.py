@@ -25,16 +25,24 @@ import numpy as np
 from .errors import (
     LinearSolveStagnation,
     LineSearchFailure,
+    MaflowError,
     MaxIterationsExceeded,
     PositivityViolation,
 )
-from .grid import MetricField, ScalarField, integrate_values, min_eig_field, volume_weights
+from .grid import (
+    MetricField,
+    ScalarField,
+    grid_point,
+    integrate_values,
+    min_eig_field,
+    volume_weights,
+)
 from .hermitian import inverse_stack, log_det_ratio
 from .spectral import (
-    _wavenumbers,
     complex_hessian_values,
     contract_inverse,
     irfftn,
+    mean_metric_symbol,
     rfftn,
 )
 
@@ -54,29 +62,12 @@ def _residual_field(phi_values, g):
     hess = complex_hessian_values(phi_values, g.grid)
     gprime = g.mats + hess
     mins = min_eig_field(gprime)
-    if np.min(mins) <= 0:
-        raise PositivityViolation("iterate left the positive cone",
-                                  index=int(np.argmin(mins)))
+    if not np.min(mins) > 0:  # also catches NaN
+        idx = int(np.argmin(mins))
+        raise PositivityViolation(
+            f"iterate left the positive cone at grid point {grid_point(idx, mins.shape)}",
+            index=idx)
     return log_det_ratio(gprime, g.mats), gprime
-
-
-def _mean_metric_symbol(g_mean: np.ndarray, grid):
-    """rfft symbol of the constant-coefficient Laplacian gbar^{i jbar} d_i d_jbar."""
-    n = grid.complex_dim
-    w = _wavenumbers(n, grid.points_per_axis, grid.period)
-    ginv = inverse_stack(g_mean[None, ...])[0]
-    total = None
-    for i in range(n):
-        kap_i = w["k_odd_r"][2 * i] + 1j * w["k_odd_r"][2 * i + 1]
-        for j in range(n):
-            kap_j = w["k_odd_r"][2 * j] + 1j * w["k_odd_r"][2 * j + 1]
-            if i == j:
-                term = -0.25 * ginv[j, i].real * (
-                    w["k_even2_r"][2 * i] + w["k_even2_r"][2 * i + 1])
-            else:
-                term = np.real(-0.25 * ginv[j, i] * np.conj(kap_i) * kap_j)
-            total = term if total is None else total + term
-    return np.broadcast_to(total, grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)).copy()
 
 
 class _Linearization:
@@ -86,7 +77,7 @@ class _Linearization:
         self.grid = g.grid
         self.gp_inv = inverse_stack(gprime)
         g_mean = gprime.reshape(-1, *gprime.shape[-2:]).mean(axis=0)
-        sym = _mean_metric_symbol(g_mean, g.grid)
+        sym = mean_metric_symbol(g_mean, g.grid)
         sym_inv = np.zeros_like(sym)
         nz = sym != 0
         sym_inv[nz] = 1.0 / sym[nz]
@@ -209,7 +200,9 @@ def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
     tilde = phi - integrate_values(phi, w)
     # post-check, not assumption: b equals the mean of (log ratio - F)
     b_check = integrate_values(ratio - f.values, w)
-    assert abs(b_check - b) <= 1e-12 * max(1.0, abs(b))
+    if not abs(b_check - b) <= 1e-12 * max(1.0, abs(b)):
+        raise MaflowError(f"post-check failed: b = {b!r} but the mean of the "
+                          f"log ratio minus F is {b_check!r}")
     return EllipticSolution(
         b=float(b),
         phi_tilde_inf=ScalarField(grid, tilde),

@@ -124,6 +124,11 @@ class ComplexField:
     values: np.ndarray
 
 
+def grid_point(index: int, shape: tuple) -> tuple:
+    """Grid coordinates of a flat sample index, for error messages."""
+    return tuple(int(i) for i in np.unravel_index(index, shape))
+
+
 def hermitize(mats: np.ndarray) -> np.ndarray:
     """Symmetrize a (..., n, n) stack to exact Hermitian form."""
     return 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
@@ -140,18 +145,6 @@ def min_eig_field(mats: np.ndarray) -> np.ndarray:
     s = 0.5 * (a + d)
     r = np.sqrt(np.maximum((0.5 * (a - d)) ** 2 + np.abs(b) ** 2, 0.0))
     return s - r
-
-
-def max_eig_field(mats: np.ndarray) -> np.ndarray:
-    n = mats.shape[-1]
-    if n == 1:
-        return mats[..., 0, 0].real
-    a = mats[..., 0, 0].real
-    d = mats[..., 1, 1].real
-    b = mats[..., 0, 1]
-    s = 0.5 * (a + d)
-    r = np.sqrt(np.maximum((0.5 * (a - d)) ** 2 + np.abs(b) ** 2, 0.0))
-    return s + r
 
 
 def det_field(mats: np.ndarray) -> np.ndarray:

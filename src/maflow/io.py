@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import MetricField, ScalarField, TorusGrid
+from .grid import ScalarField, TorusGrid
 
 
 def _grid_header(grid: TorusGrid) -> dict:
@@ -80,10 +80,6 @@ def load_matrix_field(path):
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
     mats = data[..., 0] + 1j * data[..., 1]
     return grid, mats
-
-
-def dump_metric_field(path, g: MetricField):
-    dump_matrix_field(path, g.grid, g.mats)
 
 
 def _json_default(obj):

@@ -426,10 +426,6 @@ class MonitorSeries:
         self.sup_F = None
         self.finalized = False
 
-    @classmethod
-    def start(cls, g, w, suite):
-        return cls(g, w, suite)
-
     def emit(self, state):
         grid = state.grid
         self.sup_phitilde_run = max(self.sup_phitilde_run,

@@ -22,6 +22,7 @@ import scipy.fft as _sfft
 
 from .errors import ImaginaryResidue
 from .grid import ComplexField, ScalarField, TorusGrid
+from .hermitian import inverse_stack
 
 
 def _workers():
@@ -124,6 +125,29 @@ def _laplace_symbol_r(n: int, N: int, period: float):
     return s
 
 
+def mean_metric_symbol(g_mean: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """rfft symbol of the constant-coefficient Laplacian gbar^{i jbar} d_i d_jbar.
+
+    g_mean is one Hermitian PD n x n matrix; the symbol is real and <= 0,
+    with the Nyquist conventions of the Hessian symbols above.
+    """
+    n = grid.complex_dim
+    w = _wn(grid)
+    ginv = inverse_stack(g_mean[None, ...])[0]
+    total = None
+    for i in range(n):
+        kap_i = w["k_odd_r"][2 * i] + 1j * w["k_odd_r"][2 * i + 1]
+        for j in range(n):
+            kap_j = w["k_odd_r"][2 * j] + 1j * w["k_odd_r"][2 * j + 1]
+            if i == j:
+                term = -0.25 * ginv[j, i].real * (
+                    w["k_even2_r"][2 * i] + w["k_even2_r"][2 * i + 1])
+            else:
+                term = np.real(-0.25 * ginv[j, i] * np.conj(kap_i) * kap_j)
+            total = term if total is None else total + term
+    return np.broadcast_to(total, grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)).copy()
+
+
 def d_real(f: ScalarField, axis: int) -> ScalarField:
     """Spectral derivative along a real axis (Nyquist mode zeroed)."""
     grid = f.grid
@@ -132,11 +156,6 @@ def d_real(f: ScalarField, axis: int) -> ScalarField:
     fh = fftn(f.values)
     out = ifftn(1j * _wn(grid)["k_odd"][axis] * fh)
     return ScalarField(grid, out.real)
-
-
-def d_real_values(values: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
-    fh = fftn(values)
-    return ifftn(1j * _wn(grid)["k_odd"][axis] * fh)
 
 
 def d_holo(f: ScalarField, i: int) -> ComplexField:

@@ -24,6 +24,7 @@ from .errors import NonPositiveU
 from .grid import integrate_values, volume_weights
 from .hermitian import frame_decompose, inverse_stack, normal_frame
 from .monitors import (
+    _snap_at,
     contraction_and_decay,
     envelope_fit_inverse_time,
     harnack_check,
@@ -50,7 +51,6 @@ RUN1_KV = {
     "forcing.amplitude": "0.04",
     "forcing.psi_kind": "peaked",
     "flow.horizon": "30",
-    "step.cfl_factor": "0.4",
     "monitors.emit_dt": "0.05",
     "monitors.field_interval": "0.25",
 }
@@ -68,7 +68,6 @@ RUN2_KV = {
     "forcing.max_mode": "2",
     "forcing.seed": "1",
     "flow.horizon": "20",
-    "step.cfl_factor": "0.4",
     "monitors.field_interval": "0.5",
 }
 
@@ -339,7 +338,7 @@ def criterion_10(ctx) -> CriterionResult:
     harnack_consts = []
     for m in windows:
         rel_t, fields = xi_surrogate(snaps, m)
-        gpinvs = [inverse_stack(series.gprime_at(_find_snap(snaps, m - 1 + rt)))
+        gpinvs = [inverse_stack(series.gprime_at(_snap_at(snaps, m - 1 + rt)))
                   for rt in rel_t]
         try:
             t_int, vals = liyau_quantity(
@@ -369,13 +368,6 @@ def criterion_10(ctx) -> CriterionResult:
         "harnack_windows_verified": len(harnack_consts),
         "harnack_C_first": list(harnack_consts[0]) if harnack_consts else None,
     })
-
-
-def _find_snap(snaps, t):
-    for s in snaps:
-        if abs(s.t - t) <= 1e-9:
-            return s
-    raise KeyError(f"no field snapshot at t = {t}")
 
 
 def criterion_11(ctx) -> CriterionResult:

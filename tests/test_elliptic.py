@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import maflow.elliptic
 from maflow.elliptic import linearization_check, solve
+from maflow.errors import MaflowError, PositivityViolation
 from maflow.flow import StepControl, run
 from maflow.grid import ScalarField, TorusGrid, integrate, volume_weights
 from maflow.monitors import HolderConfig, MonitorSuite
@@ -70,12 +72,46 @@ def test_uniqueness_two_initial_guesses(grid1, nonkahler1):
     sol_zero = solve(nonkahler1, F, tol=tol)
     # second guess: flow output at mid-run
     suite = MonitorSuite(holder=HolderConfig(rng_seed=1, sample_pairs=2000))
-    mid = run(nonkahler1, F, horizon=2.0, ctrl=StepControl(cfl_factor=0.4),
+    mid = run(nonkahler1, F, horizon=2.0, ctrl=StepControl(),
               monitors=suite)
     sol_flow = solve(nonkahler1, F, tol=tol, initial=mid.final.phi_tilde)
     assert np.max(np.abs(sol_zero.phi_tilde_inf.values
                          - sol_flow.phi_tilde_inf.values)) <= 10 * tol
     assert abs(sol_zero.b - sol_flow.b) <= 10 * tol
+
+
+def test_solve_post_check_is_explicit(monkeypatch, grid1, nonkahler1):
+    # the b post-check must raise, not assert (asserts vanish under python -O):
+    # perturb the last quadrature call, which is the post-check's own
+    F, _ = build_forcing(grid1, nonkahler1,
+                         ForcingPreset("modes", amplitude=0.08, max_mode=2, seed=3))
+    real = maflow.elliptic.integrate_values
+    calls = []
+
+    def counting(values, w):
+        calls.append(None)
+        return real(values, w)
+
+    monkeypatch.setattr(maflow.elliptic, "integrate_values", counting)
+    solve(nonkahler1, F)
+    last = len(calls)
+    calls.clear()
+
+    def perturbed(values, w):
+        calls.append(None)
+        out = real(values, w)
+        return out + 1e-6 if len(calls) == last else out
+
+    monkeypatch.setattr(maflow.elliptic, "integrate_values", perturbed)
+    with pytest.raises(MaflowError, match="post-check"):
+        solve(nonkahler1, F)
+
+
+def test_residual_field_rejects_nan(grid2, nonkahler2):
+    phi = np.zeros(grid2.shape)
+    phi[1, 2, 3, 4] = np.nan
+    with pytest.raises(PositivityViolation, match=r"grid point \("):
+        maflow.elliptic._residual_field(phi, nonkahler2)
 
 
 def test_linearization_check_constant_metric(grid1, flat1):
@@ -108,7 +144,7 @@ def test_flow_newton_agreement_small(grid1, nonkahler1):
     F, _ = build_forcing(g.grid, g, ForcingPreset("modes", amplitude=0.05,
                                                   max_mode=2, seed=9))
     suite = MonitorSuite(holder=HolderConfig(rng_seed=1, sample_pairs=2000))
-    flow_res = run(g, F, horizon=16.0, ctrl=StepControl(cfl_factor=0.4), monitors=suite)
+    flow_res = run(g, F, horizon=16.0, ctrl=StepControl(), monitors=suite)
     newton = solve(g, F, tol=1e-11)
     gap = np.max(np.abs(flow_res.final.phi_tilde.values
                         - newton.phi_tilde_inf.values))

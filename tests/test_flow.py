@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maflow.errors import PositivityViolation, StepFailure, TailAlarm
-from maflow.flow import StepControl, cfl_timestep, flow_rhs, make_state, run, step
+from maflow.flow import StepControl, flow_rhs, make_state, run, step
 from maflow.grid import (
     MetricField,
     ScalarField,
@@ -82,6 +82,22 @@ def test_step_halving_on_near_degenerate_metric():
     assert new.t > state.t
 
 
+def test_run_reports_stepper_stats():
+    # metric within a factor 2 of eps_pd: the full-size first steps graze the
+    # guard, halve, and the run still reaches the horizon
+    grid = TorusGrid(1, 16)
+    c = 2e-3
+    g = MetricField(grid, np.full(grid.shape + (1, 1), c, dtype=complex),
+                    lambda_floor=1e-4)
+    F = field_from(grid, lambda x: 0.5 * np.cos(x[0]))
+    res = run(g, F, horizon=1.0, ctrl=StepControl(eps_pd=0.55 * c, retry_limit=5),
+              monitors=small_suite())
+    stats = res.stats
+    assert stats["halvings"] >= 1
+    assert stats["steps"] == res.final.step_count
+    assert 0 < stats["dt_min"] < stats["dt_max"] <= 0.1 + 1e-12
+
+
 def test_step_failure_after_retry_limit():
     grid = TorusGrid(1, 16)
     eps_pd = 1e-6
@@ -90,20 +106,66 @@ def test_step_failure_after_retry_limit():
     w = volume_weights(g)
     F = field_from(grid, lambda c: 1e4 * np.cos(c[0]))
     # dt_min too large to allow rescue halvings
-    ctrl = StepControl(eps_pd=eps_pd, retry_limit=3, dt_min=1e-8, dt_max=1e-4,
-                       cfl_factor=1.0)
+    ctrl = StepControl(eps_pd=eps_pd, retry_limit=3, dt_min=1e-8, dt_max=1e-4)
     state = make_state(g, F, w, eps_pd=0.0)
     with pytest.raises(StepFailure):
         step(state, ctrl, g, F, w)
 
 
-def test_cfl_respects_dt_max(grid1, flat1):
-    w = volume_weights(flat1)
-    F = ScalarField(grid1, np.zeros(grid1.shape))
-    state = make_state(flat1, F, w)
-    assert cfl_timestep(state, StepControl(dt_max=1e-3)) == pytest.approx(1e-3)
-    dt = cfl_timestep(state, StepControl(dt_max=10.0, cfl_factor=0.2))
-    assert dt == pytest.approx(0.2 * grid1.spacing ** 2 / 1.0, rel=1e-12)
+def test_step_size_is_dt_max_clipped_to_landing(grid1, nonkahler1):
+    # dt = min(dt_max, t_land - t): no stiffness cap, whatever the grid spacing
+    w = volume_weights(nonkahler1)
+    F = field_from(grid1, lambda c: 0.05 * np.cos(c[0]))
+    state = make_state(nonkahler1, F, w)
+    assert step(state, StepControl(dt_max=0.3), nonkahler1, F, w).t == 0.3
+    assert step(state, StepControl(dt_max=0.3), nonkahler1, F, w, t_land=0.5).t == 0.3
+    landed = step(state, StepControl(dt_max=0.3), nonkahler1, F, w, t_land=0.2)
+    assert landed.t == 0.2
+    assert step(landed, StepControl(dt_max=10.0), nonkahler1, F, w, t_land=0.7).t == 0.7
+
+
+def test_step_fourth_order_in_time(grid1, nonkahler1):
+    # halving dt_max cuts the error against a dt/8 run by ~16x (ETDRK4)
+    F, _ = build_forcing(grid1, nonkahler1,
+                         ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
+    w = volume_weights(nonkahler1)
+
+    def phi_at_1(dt):
+        state = make_state(nonkahler1, F, w)
+        while state.t < 1.0 - 1e-12:
+            state = step(state, StepControl(dt_max=dt), nonkahler1, F, w, t_land=1.0)
+        return state.phi.values
+
+    ref = phi_at_1(0.1 / 8)
+    err_dt = np.max(np.abs(phi_at_1(0.1) - ref))
+    err_half = np.max(np.abs(phi_at_1(0.05) - ref))
+    assert err_half > 0 and err_dt >= 10 * err_half
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flow_rhs_rejects_nan(n, nonkahler1, nonkahler2):
+    # NaN compares false against eps_pd; the guard must still fire
+    g = nonkahler1 if n == 1 else nonkahler2
+    phi = np.zeros(g.grid.shape)
+    phi[(1,) * g.grid.real_dim] = np.nan
+    with pytest.raises(PositivityViolation) as exc:
+        flow_rhs(phi, g, np.zeros(g.grid.shape), eps_pd=1e-6)
+    assert exc.value.index is not None
+    assert "grid point (" in str(exc.value)
+
+
+def test_step_nan_stage_ends_in_step_failure(monkeypatch, grid1, nonkahler1):
+    # a stage that turns non-finite halves dt like a cone violation, then fails
+    w = volume_weights(nonkahler1)
+    F = field_from(grid1, lambda c: 0.05 * np.cos(c[0]))
+    state = make_state(nonkahler1, F, w)
+    monkeypatch.setattr("maflow.flow.irfftn",
+                        lambda a, shape: np.full(shape, np.nan))
+    stats = {}
+    with pytest.raises(StepFailure) as exc:
+        step(state, StepControl(retry_limit=3), nonkahler1, F, w, stats=stats)
+    assert stats["halvings"] == 4
+    assert "grid point (0, 0)" in str(exc.value)
 
 
 def test_run_zero_forcing_stationary(grid1, nonkahler1):
@@ -121,7 +183,7 @@ def test_run_zero_forcing_stationary(grid1, nonkahler1):
 def test_run_emission_clock_and_cache_coherence(grid1, nonkahler1):
     F, _ = build_forcing(grid1, nonkahler1,
                          ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
-    res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(cfl_factor=0.4),
+    res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(),
               monitors=small_suite())
     ts = [r.t for r in res.series.records]
     assert ts == pytest.approx(list(np.arange(0, 1.05, 0.1)), abs=1e-12)
@@ -136,7 +198,7 @@ def test_run_emission_clock_and_cache_coherence(grid1, nonkahler1):
 def test_run_semigroup_restart(grid1, nonkahler1):
     F, _ = build_forcing(grid1, nonkahler1,
                          ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
-    ctrl = StepControl(cfl_factor=0.4)
+    ctrl = StepControl()
     direct = run(nonkahler1, F, horizon=2.0, ctrl=ctrl, monitors=small_suite())
     first = run(nonkahler1, F, horizon=1.0, ctrl=ctrl, monitors=small_suite())
     resumed = run(nonkahler1, F, horizon=2.0, ctrl=ctrl, monitors=small_suite(),
@@ -150,7 +212,7 @@ def test_run_comparison_principle(grid1, nonkahler1):
     w = volume_weights(nonkahler1)
     F1 = field_from(grid1, lambda c: 0.05 * np.cos(c[0]))
     F2 = ScalarField(grid1, F1.values + 0.05 * (1.0 + np.cos(grid1.axis_coordinates()[1])))
-    ctrl = StepControl(cfl_factor=1.0, dt_max=2e-3)  # dt_max binds: equal step sequences
+    ctrl = StepControl(dt_max=2e-3)  # dt_max binds: equal step sequences
     r1 = run(nonkahler1, F1, horizon=1.0, ctrl=ctrl, monitors=small_suite())
     r2 = run(nonkahler1, F2, horizon=1.0, ctrl=ctrl, monitors=small_suite())
     assert np.min(r1.final.phi.values - r2.final.phi.values) >= -1e-8
@@ -159,7 +221,7 @@ def test_run_comparison_principle(grid1, nonkahler1):
 def test_run_max_principle_and_oscillation_decay(grid1, nonkahler1):
     F, _ = build_forcing(grid1, nonkahler1,
                          ForcingPreset("modes", amplitude=0.08, max_mode=2, seed=12))
-    res = run(nonkahler1, F, horizon=3.0, ctrl=StepControl(cfl_factor=0.4),
+    res = run(nonkahler1, F, horizon=3.0, ctrl=StepControl(),
               monitors=small_suite())
     recs = res.series.records
     sup_f = float(np.max(np.abs(F.values)))
@@ -177,7 +239,7 @@ def test_run_manufactured_convergence_small():
     F, exact = build_forcing(grid, g,
                              ForcingPreset("manufactured", amplitude=0.04,
                                            psi_kind="peaked"))
-    res = run(g, F, horizon=12.0, ctrl=StepControl(cfl_factor=0.4),
+    res = run(g, F, horizon=12.0, ctrl=StepControl(),
               monitors=small_suite())
     err = np.max(np.abs(res.final.phi_tilde.values - exact.psi_tilde.values))
     assert err <= 1e-5

@@ -103,7 +103,7 @@ def test_unknown_preset_rejected():
 def test_defaults():
     cfg = config_from_kv({})
     assert cfg.mode == "flow"
-    assert cfg.step.cfl_factor == 0.2
+    assert cfg.step.dt_max == 0.1
     assert cfg.step.eps_pd == 1e-6
     assert cfg.step.retry_limit == 20
     assert cfg.monitors.holder.alpha == 0.5
@@ -125,7 +125,6 @@ forcing.kind = modes
 forcing.amplitude = 0.05
 forcing.max_mode = 2
 flow.horizon = 2
-step.cfl_factor = 0.4
 holder.sample_pairs = 2000
 rng_seed = 9
 """
@@ -193,11 +192,24 @@ flow.horizon = 2
 step.retry_limit = 2
 step.dt_min = 1e-3
 step.dt_max = 0.05
-step.cfl_factor = 1.0
 rng_seed = 3
 """)
     code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+@pytest.mark.parametrize("line", [
+    "grid.n = 3",             # TorusGrid: complex_dim must be 1 or 2
+    "flow.horizon = 0.33",    # not a multiple of monitors.emit_dt
+    "step.dt_min = 0",        # StepControl: need 0 < dt_min
+])
+def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(line + "\n")
+    code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 def test_cli_decompose_demo(tmp_path):

@@ -37,7 +37,7 @@ def mfd_run():
                                                     psi_kind="peaked"))
     suite = MonitorSuite(emit_dt=0.05, field_interval=0.25,
                          holder=HolderConfig(rng_seed=7, sample_pairs=5000))
-    res = run(g, F, horizon=10.0, ctrl=StepControl(cfl_factor=0.4), monitors=suite)
+    res = run(g, F, horizon=10.0, ctrl=StepControl(), monitors=suite)
     return g, F, exact, res
 
 
