@@ -37,10 +37,10 @@ from .grid import (
     min_eig_field,
     volume_weights,
 )
-from .hermitian import inverse_stack, log_det_ratio
+from .hermitian import inverse_stack, log_det, trace_pair
+from .hermitian import log_det_ratio  # noqa: F401  unused; perfbench/tracer.py patches it here
 from .spectral import (
     complex_hessian_values,
-    contract_inverse,
     irfftn,
     mean_metric_symbol,
     rfftn,
@@ -58,25 +58,28 @@ class EllipticSolution:
 
 
 def _residual_field(phi_values, g):
-    """G(phi) = log det ratio and the assembled evolving metric."""
-    hess = complex_hessian_values(phi_values, g.grid)
-    gprime = g.mats + hess
+    """G(phi) = log det ratio and the assembled (packed) evolving metric."""
+    gprime = g.entries + complex_hessian_values(rfftn(phi_values), g.grid)
     mins = min_eig_field(gprime)
     if not np.min(mins) > 0:  # also catches NaN
         idx = int(np.argmin(mins))
         raise PositivityViolation(
             f"iterate left the positive cone at grid point {grid_point(idx, mins.shape)}",
             index=idx)
-    return log_det_ratio(gprime, g.mats), gprime
+    return log_det(gprime) - g.log_det, gprime
 
 
 class _Linearization:
-    """Mean-projected Delta' with its spectral preconditioner."""
+    """Mean-projected Delta' with its spectral preconditioner.
+
+    Keeps the packed g'^{-1}, so apply is a real contraction with the packed
+    Hessian of its argument.
+    """
 
     def __init__(self, g: MetricField, gprime: np.ndarray):
         self.grid = g.grid
         self.gp_inv = inverse_stack(gprime)
-        g_mean = gprime.reshape(-1, *gprime.shape[-2:]).mean(axis=0)
+        g_mean = gprime.reshape(len(gprime), -1).mean(axis=1)
         sym = mean_metric_symbol(g_mean, g.grid)
         sym_inv = np.zeros_like(sym)
         nz = sym != 0
@@ -85,8 +88,7 @@ class _Linearization:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = v - v.mean()
-        lap = contract_inverse(self.gp_inv, complex_hessian_values(v, self.grid))
-        lap = lap.real if np.iscomplexobj(lap) else lap
+        lap = trace_pair(self.gp_inv, complex_hessian_values(rfftn(v), self.grid))
         return lap - lap.mean()
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
@@ -218,9 +220,8 @@ def linearization_check(g: MetricField, phi: ScalarField, direction: ScalarField
     ratio_m, _ = _residual_field(phi.values - h_fd * direction.values, g)
     fd = (ratio_p - ratio_m) / (2.0 * h_fd)
     _, gprime = _residual_field(phi.values, g)
-    gp_inv = inverse_stack(gprime)
-    lap = contract_inverse(gp_inv, complex_hessian_values(direction.values, g.grid))
-    lap = lap.real if np.iscomplexobj(lap) else lap
+    lap = trace_pair(inverse_stack(gprime),
+                     complex_hessian_values(rfftn(direction.values), g.grid))
     scale = float(np.max(np.abs(lap)))
     if scale == 0.0:
         return float(np.max(np.abs(fd)))

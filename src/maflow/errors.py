@@ -26,10 +26,6 @@ class PositivityViolation(MaflowError):
         self.t = t
 
 
-class ImaginaryResidue(MaflowError):
-    """A mathematically real quantity came out with too much imaginary part."""
-
-
 class TailAlarm(MaflowError):
     """Spectral tail of an evolved field exceeded the resolution threshold."""
 

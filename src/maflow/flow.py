@@ -9,12 +9,18 @@ the constant-coefficient Laplacian of gbar (the grid mean of g, scaled down
 to a lower bound of g; see _frozen_metric_key) and N is the remainder.
 Each step is one ETDRK4 step (Cox & Matthews 2002): L is applied exactly in
 Fourier space and N explicitly in four stages, with the phi-function
-coefficients evaluated by a contour mean (Kassam & Trefethen 2005).  The stiffness of L therefore sets no step cap: the step size is
-dt = min(dt_max, t_land - t), where t_land is the next emission time.  Any
-stage that leaves the positive cone (or grazes it closer than eps_pd)
-halves dt and retries.  Snapshots are emitted on a fixed time clock
-(multiples of emit_dt, hit exactly by clipping the last step), which keeps
-monitor windows aligned and reruns bit-identical.
+coefficients evaluated by a contour mean (Kassam & Trefethen 2005).  The
+stages stay in Fourier space: flow_rhs takes the rfft spectrum of phi,
+builds g' from it with one batched real irfftn (spectral.py) and works on
+g' in the packed real layout of hermitian.py, so only the step's result is
+transformed back to grid values.  The stiffness of L sets no step cap: the
+step size is dt = min(dt_try, t_land - t), where t_land is the next
+emission time and dt_try starts at dt_max.  Any stage that leaves the
+positive cone (or grazes it closer than eps_pd) halves dt and retries; the
+next step then tries twice the accepted size, up to dt_max.  Snapshots are
+emitted on a fixed time clock (multiples of emit_dt, hit exactly by
+clipping the last step), which keeps monitor windows aligned and reruns
+bit-identical.
 """
 
 from __future__ import annotations
@@ -31,16 +37,14 @@ from .grid import (
     ScalarField,
     TorusGrid,
     VolumeWeights,
-    det_field,
     grid_point,
     integrate_values,
-    min_eig_field,
     volume_weights,
 )
-from .hermitian import generalized_eig_range
-from .hermitian import trace_inverse  # noqa: F401  unused; perfbench/tracer.py patches it here
+from .hermitian import generalized_eig_range, log_det, min_eig_field
+# unused here; perfbench/tracer.py patches them under this module
+from .hermitian import det_field, trace_inverse  # noqa: F401
 from .spectral import (
-    _laplace_symbol_r,
     complex_hessian_values,
     irfftn,
     mean_metric_symbol,
@@ -75,8 +79,10 @@ class StepControl:
 class FlowState:
     """Snapshot of the evolution with coherent caches.
 
-    gprime is g + Hess(phi) at phi; dphi_dt is the flow right-hand side at
-    phi; phi_tilde is phi minus its omega^n mean.
+    gprime is g + Hess(phi) at phi, packed; dphi_dt is the flow right-hand
+    side at phi; phi_tilde is phi minus its omega^n mean.  dt_try is the
+    size the next step tries first (None: dt_max); it travels with the
+    state so a restarted run takes the same steps as a direct one.
     """
 
     t: float
@@ -85,6 +91,7 @@ class FlowState:
     gprime: np.ndarray
     dphi_dt: ScalarField
     step_count: int = 0
+    dt_try: Optional[float] = None
 
     @property
     def grid(self) -> TorusGrid:
@@ -106,29 +113,18 @@ def _check_cone(mins: np.ndarray, eps_pd: float, t: float):
         )
 
 
-def flow_rhs(phi_values: np.ndarray, g: MetricField, f_values: np.ndarray,
+def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray,
              eps_pd: float = 0.0, t: float = 0.0):
-    """Right-hand side of the flow and the assembled evolving metric.
+    """Right-hand side of the flow and the packed evolving metric g'.
 
-    Raises PositivityViolation (with the offending flat grid index) if any
-    sample of g + Hess(phi) has smallest eigenvalue <= eps_pd or is NaN.
+    phi_hat is rfftn(phi).  Raises PositivityViolation (with the offending
+    flat grid index) if any sample of g' = g + Hess(phi) has smallest
+    eigenvalue <= eps_pd or is NaN.
     """
     grid = g.grid
-    n = grid.complex_dim
-    if n == 1:
-        # real-typed fast path: the 1x1 Hessian is (1/4) of the real Laplacian
-        sym = _laplace_symbol_r(1, grid.points_per_axis, grid.period)
-        h = irfftn(sym * rfftn(phi_values), grid.shape)
-        g11 = g.mats[..., 0, 0].real
-        gp11 = g11 + h
-        _check_cone(gp11, eps_pd, t)
-        rhs = np.log(gp11 / g11) - f_values
-        return rhs, gp11[..., None, None]
-    hess = complex_hessian_values(phi_values, grid)
-    gprime = g.mats + hess
+    gprime = g.entries + complex_hessian_values(phi_hat, grid)
     _check_cone(min_eig_field(gprime), eps_pd, t)
-    rhs = np.log(det_field(gprime) / det_field(g.mats)) - f_values
-    return rhs, gprime
+    return log_det(gprime) - g.log_det - f_values, gprime
 
 
 def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
@@ -138,7 +134,7 @@ def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
     grid = g.grid
     if phi_values is None:
         phi_values = np.zeros(grid.shape)
-    rhs, gprime = flow_rhs(phi_values, g, f.values, eps_pd=eps_pd, t=t)
+    rhs, gprime = flow_rhs(rfftn(phi_values), g, f.values, eps_pd=eps_pd, t=t)
     tilde = phi_values - integrate_values(phi_values, w)
     return FlowState(
         t=t,
@@ -155,7 +151,7 @@ def _etdrk4_coefficients(grid: TorusGrid, gbar_entries: tuple, dt: float):
     """Symbol of L and the ETDRK4 coefficients E, E2, Q, f1, f2, f3 for step dt.
 
     L is the rfft symbol of gbar^{i jbar} d_i d_jbar, gbar given by its n*n
-    row-major entries.  With h = dt * L, the coefficients are E = exp(h),
+    packed entries.  With h = dt * L, the coefficients are E = exp(h),
     E2 = exp(h/2) and the Cox-Matthews phi-function combinations
 
         Q  = dt (exp(h/2) - 1) / h
@@ -169,8 +165,7 @@ def _etdrk4_coefficients(grid: TorusGrid, gbar_entries: tuple, dt: float):
     built.  The arrays are read-only: the cache hands the same ones to
     every caller.
     """
-    n = grid.complex_dim
-    lin = mean_metric_symbol(np.array(gbar_entries).reshape(n, n), grid)
+    lin = mean_metric_symbol(np.array(gbar_entries), grid)
     h = dt * lin
     q = np.zeros_like(h)
     f1 = np.zeros_like(h)
@@ -193,7 +188,7 @@ def _etdrk4_coefficients(grid: TorusGrid, gbar_entries: tuple, dt: float):
 
 
 def _frozen_metric_key(g: MetricField) -> tuple:
-    """The metric gbar that defines L, as a hashable tuple of its n*n entries.
+    """The metric gbar that defines L, as a hashable tuple of its packed entries.
 
     gbar is the grid mean of g scaled by s, the smallest eigenvalue of
     mean(g)^{-1} g(x) over the grid, so that gbar <= g(x) everywhere.  The
@@ -204,10 +199,9 @@ def _frozen_metric_key(g: MetricField) -> tuple:
     converges.  gbar depends on g alone, so a restarted run takes the same
     steps as a direct one.
     """
-    n = g.grid.complex_dim
-    g_mean = g.mats.reshape(-1, n, n).mean(axis=0)
-    s = float(np.min(generalized_eig_range(g_mean, g.mats)[0]))
-    return tuple((s * g_mean).ravel().tolist())
+    g_mean = g.entries.reshape(len(g.entries), -1).mean(axis=1)
+    s = float(np.min(generalized_eig_range(g_mean, g.entries)[0]))
+    return tuple((s * g_mean).tolist())
 
 
 def _record_step(stats: dict, dt: float):
@@ -219,12 +213,17 @@ def _record_step(stats: dict, dt: float):
 def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
          w: VolumeWeights, t_land: Optional[float] = None,
          stats: Optional[dict] = None, gbar: Optional[tuple] = None) -> FlowState:
-    """One ETDRK4 step of size min(dt_max, t_land - t).
+    """One ETDRK4 step of size min(dt_try, t_land - t), dt_try <= dt_max.
 
-    Any PositivityViolation inside a stage halves dt and retries, up to
-    ctrl.retry_limit; persistent failure raises StepFailure with the time,
-    step size and offending grid index.  ``stats``, when given, counts
-    accepted steps and halvings and tracks the smallest and largest dt.
+    The stages pass rfft spectra to flow_rhs; only the new phi goes back to
+    grid values.  Any PositivityViolation inside a stage halves dt and
+    retries, up to ctrl.retry_limit; persistent failure raises StepFailure
+    with the time, step size and offending grid index.  The new state's
+    dt_try is twice the accepted dt (at most dt_max), or unchanged when the
+    accepted step was the landing clip, so a run that needed halvings does
+    not restart every step from dt_max and build a coefficient set for
+    each halving.  ``stats``, when given, counts accepted steps and
+    halvings and tracks the smallest and largest dt.
     ``gbar`` is _frozen_metric_key(g), computed here when not given (run()
     computes it once, like the volume weights w).
 
@@ -233,7 +232,7 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
     rounding maps them to one cached coefficient set (an error of at most
     5e-13 relative in the step's exponential time).
     """
-    dt = ctrl.dt_max
+    dt = ctrl.dt_max if state.dt_try is None else min(state.dt_try, ctrl.dt_max)
     clipped = False
     if t_land is not None and state.t + dt >= t_land - 1e-15:
         dt = t_land - state.t
@@ -248,7 +247,7 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
 
     def remainder(v_hat, lin, t):
         """N = rhs - L v in Fourier space, at the field whose rfft is v_hat."""
-        rhs, _ = flow_rhs(irfftn(v_hat, shape), g, fv, ctrl.eps_pd, t)
+        rhs, _ = flow_rhs(v_hat, g, fv, ctrl.eps_pd, t)
         return rfftn(rhs) - lin * v_hat
 
     last_err = None
@@ -264,8 +263,8 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
             nb = remainder(b, lin, state.t + 0.5 * dt)
             c = E2 * a + Q * (2.0 * nb - n0)
             nc = remainder(c, lin, state.t + dt)
-            phi1 = irfftn(E * u0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc, shape)
-            new_rhs, new_gprime = flow_rhs(phi1, g, fv, ctrl.eps_pd, state.t + dt)
+            phi1_hat = E * u0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+            new_rhs, new_gprime = flow_rhs(phi1_hat, g, fv, ctrl.eps_pd, state.t + dt)
         except PositivityViolation as e:
             last_err = e
             if stats is not None:
@@ -275,6 +274,7 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
             continue
         if stats is not None:
             _record_step(stats, dt)
+        phi1 = irfftn(phi1_hat, shape)
         tilde = phi1 - integrate_values(phi1, w)
         return FlowState(
             t=state.t + dt,
@@ -283,6 +283,7 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
             gprime=new_gprime,
             dphi_dt=ScalarField(grid, new_rhs),
             step_count=state.step_count + 1,
+            dt_try=state.dt_try if clipped else min(2.0 * dt, ctrl.dt_max),
         )
     raise StepFailure(
         f"step failed after {ctrl.retry_limit} halvings at t={state.t:.6f} "

@@ -15,12 +15,13 @@ rescales a metric so the raw discrete volume itself equals one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import GridMismatch, PositivityViolation
+from .hermitian import det_field, log_det, min_eig_field, pack, unpack
 
 # Default floor for the smallest metric eigenvalue over the grid.
 LAMBDA_FLOOR = 0.1
@@ -134,66 +135,51 @@ def hermitize(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
 
 
-def min_eig_field(mats: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian sample, closed form for n <= 2."""
-    n = mats.shape[-1]
-    if n == 1:
-        return mats[..., 0, 0].real
-    a = mats[..., 0, 0].real
-    d = mats[..., 1, 1].real
-    b = mats[..., 0, 1]
-    s = 0.5 * (a + d)
-    r = np.sqrt(np.maximum((0.5 * (a - d)) ** 2 + np.abs(b) ** 2, 0.0))
-    return s - r
-
-
-def det_field(mats: np.ndarray) -> np.ndarray:
-    """det of each Hermitian sample (real), closed form for n <= 2."""
-    n = mats.shape[-1]
-    if n == 1:
-        return mats[..., 0, 0].real
-    a = mats[..., 0, 0].real
-    d = mats[..., 1, 1].real
-    b = mats[..., 0, 1]
-    return a * d - np.abs(b) ** 2
-
-
 @dataclass(frozen=True)
 class MetricField:
     """Hermitian positive-definite n x n matrix per grid point.
 
-    ``mats`` has shape grid.shape + (n, n) with mats[..., i, j] = g_{i jbar}.
-    ``definition`` optionally retains the closed-form coefficient expression
-    (a callable of the axis coordinate list) for analytic checks in tests.
+    Built from full matrices ``mats`` of shape grid.shape + (n, n) with
+    mats[..., i, j] = g_{i jbar}, which are checked to be Hermitian and to
+    have every eigenvalue at or above ``lambda_floor``.  Only their packed
+    form is kept: ``entries`` (shape (n*n,) + grid.shape, see hermitian.py)
+    and ``log_det`` = log det g, both computed once here.  ``definition``
+    optionally retains the closed-form coefficient expression (a callable of
+    the axis coordinate list) for analytic checks in tests.
     """
 
     grid: TorusGrid
-    mats: np.ndarray
+    mats: InitVar[np.ndarray]
     definition: Optional[Callable] = field(default=None, compare=False)
     lambda_floor: float = LAMBDA_FLOOR
+    entries: np.ndarray = field(init=False, repr=False)
+    log_det: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, mats):
         n = self.grid.complex_dim
-        if self.mats.shape != self.grid.shape + (n, n):
+        if mats.shape != self.grid.shape + (n, n):
             raise ValueError("metric sample array has wrong shape")
-        herm_err = np.max(np.abs(self.mats - np.conj(np.swapaxes(self.mats, -1, -2))))
+        herm_err = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))))
         if herm_err > 1e-12:
             raise ValueError(f"metric samples not Hermitian (max asymmetry {herm_err:.3e})")
-        mins = min_eig_field(self.mats)
+        entries = pack(mats)
+        mins = min_eig_field(entries)
         if not np.all(mins >= self.lambda_floor):
             idx = int(np.argmin(mins))
             raise PositivityViolation(
                 f"metric eigenvalue {mins.reshape(-1)[idx]:.3e} below floor "
-                f"{self.lambda_floor:.3e}",
+                f"{self.lambda_floor:.3e} at grid point {grid_point(idx, mins.shape)}",
                 index=idx,
             )
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "log_det", log_det(entries))
 
     @property
     def n(self) -> int:
         return self.grid.complex_dim
 
     def min_eigenvalue(self) -> float:
-        return float(np.min(min_eig_field(self.mats)))
+        return float(np.min(min_eig_field(self.entries)))
 
     def scaled(self, factor: float) -> "MetricField":
         defn = self.definition
@@ -202,7 +188,7 @@ class MetricField:
             def new_def(coords, _d=defn, _f=factor):
                 return _f * _d(coords)
         return MetricField(
-            self.grid, factor * self.mats, definition=new_def,
+            self.grid, factor * unpack(self.entries), definition=new_def,
             lambda_floor=self.lambda_floor * factor,
         )
 
@@ -229,7 +215,7 @@ class VolumeWeights:
 def volume_weights(g: MetricField) -> VolumeWeights:
     """Build normalized quadrature weights from a metric field."""
     grid = g.grid
-    dets = det_field(g.mats)
+    dets = det_field(g.entries)
     if np.any(dets <= 0):
         raise PositivityViolation("metric determinant non-positive", index=int(np.argmin(dets)))
     cell = grid.spacing ** grid.real_dim

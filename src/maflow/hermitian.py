@@ -1,7 +1,14 @@
 """Pointwise Hermitian matrix kernels and the two constructive lemmas.
 
-The kernels (Cholesky log-det, trace pairings, closed-form inverses and
-generalized eigenvalues) are vectorized over grid-point stacks for n = 1, 2.
+Packed layout.  A field of Hermitian n x n matrices M(x), n = 1 or 2, is one
+real array of shape (n*n,) + grid.shape: [a] for n = 1 and [a, d, Re b, Im b]
+for n = 2, with a = M[0, 0], d = M[1, 1] and b = M[0, 1].  The metric g, the
+evolving metric g' = g + Hess(phi), complex Hessians and inverses all use it,
+so every field is Hermitian by construction.  A single matrix packs to shape
+(n*n,).  The kernels below (determinant, smallest eigenvalue, log det,
+inverse, trace pairings, pencil eigenvalues) are closed forms on that array;
+``pack`` and ``unpack`` convert from and to full (..., n, n) complex matrices
+at the edges (preset definitions, file dumps, tests).
 
 ``normal_frame`` builds holomorphic coordinates centered at a point in which
 the metric is the identity, the holomorphic derivatives of its diagonal
@@ -9,7 +16,7 @@ entries vanish, and a given Hermitian form is diagonal.
 
 ``frame_decompose`` writes a Hermitian positive-definite matrix as a sum of
 rank-one projectors with strictly positive weights and unit vectors that
-include the standard basis.
+include the standard basis.  Both lemmas work on single full matrices.
 """
 
 from __future__ import annotations
@@ -26,107 +33,109 @@ from .errors import EigRangeViolation, PositivityViolation, ShiftFailure
 _DIAG_RESERVE = 0.1
 
 
-def cholesky_stack(mats: np.ndarray):
-    """Lower Cholesky factors of a (..., n, n) Hermitian PD stack, n <= 2.
+def pack(mats: np.ndarray) -> np.ndarray:
+    """Packed real entries of a Hermitian (..., n, n) stack, shape (n*n,) + ...
 
-    Returns (ok, l11, l21, l22) with ok a boolean mask of pointwise success;
-    for n = 1 the last two entries are None.  Closed forms keep the kernel
-    vectorized and overflow-free for any PD input.
+    Reads the diagonal's real part and the upper off-diagonal entry only; the
+    caller is responsible for the input being Hermitian.
     """
-    n = mats.shape[-1]
-    if n == 1:
-        a = mats[..., 0, 0].real
-        ok = a > 0
-        return ok, np.sqrt(np.maximum(a, 0.0)), None, None
-    a = mats[..., 0, 0].real
-    b = mats[..., 1, 0]
-    d = mats[..., 1, 1].real
-    ok = a > 0
-    l11 = np.sqrt(np.where(ok, a, 1.0))
-    l21 = b / l11
-    s = d - np.abs(l21) ** 2
-    ok = ok & (s > 0)
-    l22 = np.sqrt(np.where(ok, s, 1.0))
-    return ok, l11, l21, l22
+    mats = np.asarray(mats)
+    if mats.shape[-1] == 1:
+        return np.ascontiguousarray(mats[..., 0, 0].real)[None]
+    b = mats[..., 0, 1]
+    return np.stack((mats[..., 0, 0].real, mats[..., 1, 1].real, b.real, b.imag))
 
 
-def logdet_stack(mats: np.ndarray) -> np.ndarray:
-    """log det of each Hermitian PD sample via Cholesky diagonals."""
-    ok, l11, l21, l22 = cholesky_stack(mats)
+def unpack(p: np.ndarray) -> np.ndarray:
+    """Full Hermitian (..., n, n) complex stack of packed entries p."""
+    n = 1 if len(p) == 1 else 2
+    out = np.empty(p.shape[1:] + (n, n), dtype=complex)
+    out[..., 0, 0] = p[0]
+    if n == 2:
+        out[..., 1, 1] = p[1]
+        out[..., 0, 1] = p[2] + 1j * p[3]
+        out[..., 1, 0] = p[2] - 1j * p[3]
+    return out
+
+
+def det_field(p: np.ndarray) -> np.ndarray:
+    """det of each packed Hermitian sample."""
+    if len(p) == 1:
+        return p[0]
+    return p[0] * p[1] - p[2] * p[2] - p[3] * p[3]
+
+
+def min_eig_field(p: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each packed Hermitian sample."""
+    if len(p) == 1:
+        return p[0]
+    half_gap = 0.5 * (p[0] - p[1])
+    return 0.5 * (p[0] + p[1]) - np.sqrt(half_gap * half_gap + p[2] * p[2] + p[3] * p[3])
+
+
+def log_det(p: np.ndarray) -> np.ndarray:
+    """log det of each packed Hermitian PD sample via its Cholesky diagonals.
+
+    log det = log a + log(d - |b|^2 / a) stays finite wherever the entries
+    do, even when det itself would overflow.  Raises PositivityViolation
+    (with the flat index of the first bad sample) outside the PD cone.
+    """
+    a = p[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = a if len(p) == 1 else p[1] - (p[2] * p[2] + p[3] * p[3]) / a
+        ok = (a > 0) & (s > 0)
     if not np.all(ok):
         raise PositivityViolation(
             "Cholesky failed: matrix left the positive-definite cone",
             index=int(np.argmin(ok)),
         )
-    if l22 is None:
-        return 2.0 * np.log(l11)
-    return 2.0 * (np.log(l11) + np.log(l22))
+    return np.log(a) if len(p) == 1 else np.log(a) + np.log(s)
 
 
 def log_det_ratio(gp: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """log det(gp) - log det(g) for Hermitian PD stacks (or single matrices)."""
-    gp = np.asarray(gp, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    return logdet_stack(gp) - logdet_stack(g)
+    """log det(gp) - log det(g) for packed Hermitian PD fields (or matrices)."""
+    return log_det(gp) - log_det(g)
 
 
-def trace_pair(g_inv: np.ndarray, gp: np.ndarray, imag_tol: float = 1e-12) -> np.ndarray:
-    """g^{i jbar} gp_{i jbar} = tr(Ginv @ Gp), real part after a residue check."""
-    t = np.einsum("...ij,...ji->...", np.asarray(g_inv), np.asarray(gp))
-    if np.iscomplexobj(t):
-        resid = float(np.max(np.abs(t.imag)))
-        if resid > imag_tol * max(1.0, float(np.max(np.abs(t.real)))):
-            raise ValueError(f"trace pairing imaginary residue {resid:.3e}")
-        t = t.real
-    return t
+def trace_pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """tr(P Q) of packed Hermitian samples, e.g. g^{i jbar} g'_{i jbar}.
+
+    For n = 2 this is a a' + d d' + 2 Re(b conj b'); it is real because both
+    factors are Hermitian by construction.
+    """
+    if len(p) == 1:
+        return p[0] * q[0]
+    return p[0] * q[0] + p[1] * q[1] + 2.0 * (p[2] * q[2] + p[3] * q[3])
 
 
-def inverse_stack(mats: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of a Hermitian PD (..., n, n) stack, n <= 2."""
-    n = mats.shape[-1]
-    out = np.empty_like(mats, dtype=complex)
-    if n == 1:
-        out[..., 0, 0] = 1.0 / mats[..., 0, 0].real
-        return out
-    a = mats[..., 0, 0].real
-    d = mats[..., 1, 1].real
-    b = mats[..., 0, 1]
-    det = a * d - np.abs(b) ** 2
-    out[..., 0, 0] = d / det
-    out[..., 1, 1] = a / det
-    out[..., 0, 1] = -b / det
-    out[..., 1, 0] = -np.conj(b) / det
-    return out
+def inverse_stack(p: np.ndarray) -> np.ndarray:
+    """Packed inverse of each packed Hermitian PD sample."""
+    if len(p) == 1:
+        return 1.0 / p
+    return np.stack((p[1], p[0], -p[2], -p[3])) / det_field(p)
 
 
-def trace_inverse(mats: np.ndarray) -> np.ndarray:
-    """tr(A^{-1}) for a Hermitian PD stack without forming the inverse."""
-    n = mats.shape[-1]
-    if n == 1:
-        return 1.0 / mats[..., 0, 0].real
-    a = mats[..., 0, 0].real
-    d = mats[..., 1, 1].real
-    b = mats[..., 0, 1]
-    det = a * d - np.abs(b) ** 2
-    return (a + d) / det
+def trace_inverse(p: np.ndarray) -> np.ndarray:
+    """tr(A^{-1}) of each packed Hermitian PD sample, without the inverse."""
+    if len(p) == 1:
+        return 1.0 / p[0]
+    return (p[0] + p[1]) / det_field(p)
 
 
 def generalized_eig_range(g: np.ndarray, gp: np.ndarray):
-    """Pointwise eigenvalues of g^{-1} gp for Hermitian PD pairs, n <= 2.
+    """Pointwise eigenvalues of g^{-1} gp for packed Hermitian PD pairs.
 
-    Returns (eig_min_field, eig_max_field); the pencil eigenvalues are real
+    Returns (eig_min_field, eig_max_field).  The pencil's trace is
+    (d a' + a d' - 2 Re(b conj b')) / det g and its determinant
+    det g' / det g, so no inverse of g is formed; the eigenvalues are real
     and positive whenever both inputs are PD.
     """
-    n = g.shape[-1]
-    if n == 1:
-        r = gp[..., 0, 0].real / g[..., 0, 0].real
+    if len(g) == 1:
+        r = gp[0] / g[0]
         return r, r
-    b_mat = np.einsum("...ij,...jk->...ik", inverse_stack(g), gp)
-    tr = (b_mat[..., 0, 0] + b_mat[..., 1, 1]).real
-    det = (
-        b_mat[..., 0, 0] * b_mat[..., 1, 1] - b_mat[..., 0, 1] * b_mat[..., 1, 0]
-    ).real
-    disc = np.sqrt(np.maximum(tr**2 - 4.0 * det, 0.0))
+    det_g = det_field(g)
+    tr = (g[1] * gp[0] + g[0] * gp[1] - 2.0 * (g[2] * gp[2] + g[3] * gp[3])) / det_g
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det_field(gp) / det_g, 0.0))
     return 0.5 * (tr - disc), 0.5 * (tr + disc)
 
 

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .grid import MetricField, TorusGrid, VolumeWeights, integrate_values
 from .hermitian import generalized_eig_range, inverse_stack, trace_pair
-from .spectral import complex_hessian_values, holo_gradient
+from .spectral import complex_hessian_values, holo_gradient, rfftn
 
 CSV_COLUMNS = (
     "t", "sup_dphidt", "osc_u", "trace_max", "eig_min", "eig_max",
@@ -123,7 +123,7 @@ def monitor_basic(state, g: MetricField, g_inv: np.ndarray, w: VolumeWeights) ->
     sup_ut = float(np.max(np.abs(u - mean_u)))
     osc = float(np.max(u) - np.min(u))
     tr = trace_pair(g_inv, state.gprime)
-    emin, emax = generalized_eig_range(g.mats, state.gprime)
+    emin, emax = generalized_eig_range(g.entries, state.gprime)
     return {
         "sup_dphidt": sup_u,
         "sup_dphitilde": sup_ut,
@@ -146,7 +146,7 @@ def monitor_Q(state, g: MetricField, A: float, sup_phitilde_run: float,
     """
     if trace_field is None:
         if g_inv is None:
-            g_inv = inverse_stack(g.mats)
+            g_inv = inverse_stack(g.entries)
         trace_field = trace_pair(g_inv, state.gprime)
     q = np.log(trace_field) + np.exp(A * (sup_phitilde_run - state.phi_tilde.values))
     return float(np.max(q))
@@ -170,8 +170,9 @@ def _holder_pairs(times: np.ndarray, gp_entries: Sequence[np.ndarray],
     """Sampled difference quotients of the evolving metric entries.
 
     Returns (t_max_per_pair, quotient_per_pair) for cfg.sample_pairs seeded
-    random pairs of (snapshot, grid point); gp_entries[s] has shape
-    grid.shape + (n, n).
+    random pairs of (snapshot, grid point); gp_entries[s] is packed, shape
+    (n*n,) + grid.shape.  The numerator is the largest entry difference,
+    max(|da|, |dd|, |db|).
     """
     S = len(times)
     P = grid.num_points
@@ -182,11 +183,11 @@ def _holder_pairs(times: np.ndarray, gp_entries: Sequence[np.ndarray],
     pb = rng.integers(0, P, size=cfg.sample_pairs)
 
     n = grid.complex_dim
-    flat = [np.asarray(gp).reshape(P, n, n) for gp in gp_entries]
-    stack = np.stack(flat)            # (S, P, n, n)
-    va = stack[sa, pa]                # (pairs, n, n)
-    vb = stack[sb, pb]
-    num = np.max(np.abs(va - vb).reshape(len(sa), -1), axis=1)
+    stack = np.stack([np.asarray(gp).reshape(n * n, P) for gp in gp_entries])
+    diff = stack[sa, :, pa] - stack[sb, :, pb]    # (pairs, n*n)
+    num = np.max(np.abs(diff[:, :n]), axis=1)
+    if n == 2:
+        num = np.maximum(num, np.hypot(diff[:, 2], diff[:, 3]))
 
     dt = np.abs(times[sa] - times[sb])
     dx = _torus_pair_distance(grid, pa, pb)
@@ -224,6 +225,8 @@ def liyau_quantity(times: Sequence[float], u_list: Sequence[np.ndarray],
     f_t by centered differences across adjacent snapshots, so values are
     produced at interior snapshot times.  ``t_origin`` shifts the time used
     in the prefactor (window-relative time for the unit-window surrogates).
+    gpinv_list holds packed g'^{-1} fields, and |d f|^2 is the pairing
+    tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f).
 
     Returns (interior_times, values).
     """
@@ -240,7 +243,11 @@ def liyau_quantity(times: Sequence[float], u_list: Sequence[np.ndarray],
     for j in range(1, len(times) - 1):
         f_t = (fs[j + 1] - fs[j - 1]) / (times[j + 1] - times[j - 1])
         v = grads[j]
-        grad2 = np.einsum("...ji,...i,...j->...", gpinv_list[j], v, np.conj(v)).real
+        outer = [np.abs(v[..., i]) ** 2 for i in range(grid.complex_dim)]
+        if grid.complex_dim == 2:
+            cross = v[..., 0] * np.conj(v[..., 1])
+            outer += [cross.real, cross.imag]
+        grad2 = trace_pair(gpinv_list[j], np.stack(outer))
         t_rel = times[j] - t_origin
         val = t_rel * np.max(grad2 - alpha_ly * f_t)
         out_t.append(times[j])
@@ -419,7 +426,7 @@ class MonitorSeries:
         self.g = g
         self.w = w
         self.suite = suite
-        self.g_inv = inverse_stack(g.mats)
+        self.g_inv = inverse_stack(g.entries)
         self.records: List[MonitorRecord] = []
         self.field_snaps: List[FieldSnapshot] = []
         self.sup_phitilde_run = -np.inf
@@ -450,7 +457,8 @@ class MonitorSeries:
     # -- finalize ---------------------------------------------------------
 
     def gprime_at(self, snap: FieldSnapshot) -> np.ndarray:
-        return self.g.mats + complex_hessian_values(snap.phi, self.g.grid)
+        """Packed g' = g + Hess(phi) of a stored snapshot."""
+        return self.g.entries + complex_hessian_values(rfftn(snap.phi), self.g.grid)
 
     def _fill_holder(self):
         cfg = self.suite.holder

@@ -22,7 +22,7 @@ from .grid import (
     volume_weights,
 )
 from .hermitian import log_det_ratio
-from .spectral import complex_hessian_values, d_holo
+from .spectral import complex_hessian_values, d_holo, rfftn
 
 METRIC_PRESETS = ("flat", "kahler_bump", "hermitian_nonkahler")
 
@@ -126,29 +126,21 @@ def kahler_defect(g: MetricField) -> float:
     """Largest component of the torsion d(omega), zero iff the metric is Kaehler.
 
     Computes T_{k i jbar} = d_k g_{i jbar} - d_i g_{k jbar} by spectral
-    differentiation of the sampled entries; meaningful for n >= 2.
+    differentiation of the packed entries; for n = 2 the components are
+    d_1 conj(b) - d_2 a (jbar = 1) and d_1 d - d_2 b (jbar = 2), with
+    b = g_{1 2bar}.  Meaningful for n >= 2.
     """
     grid = g.grid
-    n = grid.complex_dim
-    if n == 1:
+    if grid.complex_dim == 1:
         return 0.0
-    worst = 0.0
-    for jj in range(n):
-        cols = []
-        for ii in range(n):
-            entry_re = ScalarField(grid, g.mats[..., ii, jj].real.copy())
-            entry_im = ScalarField(grid, g.mats[..., ii, jj].imag.copy())
-            col = []
-            for kk in range(n):
-                dre = d_holo(entry_re, kk + 1).values
-                dim_ = d_holo(entry_im, kk + 1).values
-                col.append(dre + 1j * dim_)
-            cols.append(col)
-        for kk in range(n):
-            for ii in range(kk + 1, n):
-                t = cols[ii][kk] - cols[kk][ii]
-                worst = max(worst, float(np.max(np.abs(t))))
-    return worst
+
+    def dh(vals, k):
+        return d_holo(ScalarField(grid, vals), k).values
+
+    a, d, b_re, b_im = g.entries
+    t1 = dh(b_re, 1) - 1j * dh(b_im, 1) - dh(a, 2)
+    t2 = dh(d, 1) - (dh(b_re, 2) + 1j * dh(b_im, 2))
+    return max(float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
 
 
 FORCING_PRESETS = ("zero", "const", "modes", "manufactured")
@@ -178,25 +170,30 @@ class ForcingPreset:
 
 def random_band_limited(grid: TorusGrid, amplitude: float, max_mode: int,
                         seed: int) -> ScalarField:
-    """Seeded real trigonometric polynomial with modes up to max_mode per axis."""
+    """Seeded real trigonometric polynomial with modes up to max_mode per axis.
+
+    One representative k per +-k pair (first nonzero component positive), in
+    C order over the integer cube [-max_mode, max_mode]^(2n), gets
+    c cos(k.x) + s sin(k.x) with c, s standard normals (drawn in that order)
+    divided by 1 + |k|^2; the sum is scaled to peak ``amplitude``.  The sum
+    is evaluated as Re sum_k (c - i s) prod_a exp(i k_a x_a), contracted one
+    axis at a time, which holds for any period.
+    """
     rng = np.random.default_rng(seed)
-    coords = grid.axis_coordinates()
-    vals = np.zeros(grid.shape)
     d = grid.real_dim
-    ks = [k for k in np.ndindex(*(2 * max_mode + 1,) * d)]
-    for k in ks:
-        kvec = np.array(k) - max_mode
-        if not np.any(kvec):
-            continue
-        # one representative per +-k pair
-        first = kvec[np.nonzero(kvec)[0][0]]
-        if first < 0:
-            continue
-        norm2 = float(np.sum(kvec**2))
-        c = rng.normal() / (1.0 + norm2)
-        s = rng.normal() / (1.0 + norm2)
-        phase = sum(kvec[a] * coords[a] for a in range(d))
-        vals = vals + c * np.cos(phase) + s * np.sin(phase)
+    side = 2 * max_mode + 1
+    ks = np.indices((side,) * d).reshape(d, -1).T - max_mode
+    first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+    reps = first > 0
+    z = rng.normal(size=(int(np.sum(reps)), 2))
+    coef = np.zeros(side ** d, dtype=complex)
+    coef[reps] = (z[:, 0] - 1j * z[:, 1]) / (1.0 + np.sum(ks[reps] ** 2, axis=1))
+    x = np.arange(grid.points_per_axis) * grid.spacing
+    e = np.exp(1j * np.outer(np.arange(-max_mode, max_mode + 1), x))
+    vals = coef.reshape((side,) * d)
+    for _ in range(d):
+        vals = np.tensordot(vals, e, axes=(0, 0))
+    vals = vals.real
     peak = float(np.max(np.abs(vals)))
     if peak > 0:
         vals = vals * (amplitude / peak)
@@ -239,8 +236,8 @@ def build_forcing(grid: TorusGrid, g: MetricField, preset: ForcingPreset):
     if preset.kind == "modes":
         return random_band_limited(grid, preset.amplitude, preset.max_mode, preset.seed), None
     psi = manufactured_potential(grid, preset)
-    hess = complex_hessian_values(psi.values, grid)
-    ratio = log_det_ratio(g.mats + hess, g.mats)
+    hess = complex_hessian_values(rfftn(psi.values), grid)
+    ratio = log_det_ratio(g.entries + hess, g.entries)
     c0 = integrate_values(ratio, w)
     f_vals = ratio - c0
     psi_tilde = psi.values - integrate_values(psi.values, w)

@@ -8,6 +8,14 @@ Conventions, pinned once and covered by exactness tests:
   * derivatives are exact to round-off for trigonometric polynomials
     resolved below the Nyquist shell
 
+The complex Hessian d_i d_jbar f of a real field f is computed from the rfft
+spectrum of f, which the flow's stages already hold, and returned in the
+packed layout of hermitian.py.  Every packed entry is a real, even Fourier
+multiplier applied to that spectrum: -(1/4)|kappa_i|^2 on the diagonal and,
+for n = 2, the real and imaginary parts of -(1/4) conj(kappa_1) kappa_2
+(kappa_i = k_{2i-1} + sqrt(-1) k_{2i}) for b, so one batched real irfftn
+yields all n*n entries.
+
 All operations are pure functions of their inputs.  FFT work is routed
 through scipy.fft so the worker count can be capped via MAFLOW_THREADS.
 """
@@ -20,9 +28,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as _sfft
 
-from .errors import ImaginaryResidue
 from .grid import ComplexField, ScalarField, TorusGrid
-from .hermitian import inverse_stack
+from .hermitian import inverse_stack, trace_pair
 
 
 def _workers():
@@ -53,40 +60,29 @@ def irfftn(a, shape):
 
 @lru_cache(maxsize=32)
 def _wavenumbers(n: int, N: int, period: float):
-    """Per-axis angular wavenumbers, full and rfft layouts.
+    """Per-axis angular wavenumbers.
 
     Returns dict with:
-      k_odd[a]  : wavenumbers with the Nyquist entry zeroed (odd factors)
-      k_even2[a]: squared wavenumbers with true Nyquist magnitude
-      and the same arrays trimmed to the rfft half-spectrum on the last axis.
+      k_odd[a]   : wavenumbers with the Nyquist entry zeroed (odd factors)
+      k_odd_r[a] : the same, trimmed to the rfft half-spectrum on the last axis
+      k_even2_r[a]: squared wavenumbers with true Nyquist magnitude (rfft layout)
     """
     d = 2 * n
     k1 = 2.0 * np.pi * np.fft.fftfreq(N, d=period / N)
     k_odd_1d = k1.copy()
     k_odd_1d[N // 2] = 0.0
-    k_even2_1d = k1**2
 
-    def _axis(vec, a, length):
+    def _axis(vec, a, rfft):
+        if rfft and a == d - 1:
+            vec = vec[:N // 2 + 1]
         shape = [1] * d
-        shape[a] = length
+        shape[a] = len(vec)
         return vec.reshape(shape)
 
-    half = N // 2 + 1
-    k_odd, k_even2, k_odd_r, k_even2_r = [], [], [], []
-    for a in range(d):
-        k_odd.append(_axis(k_odd_1d, a, N))
-        k_even2.append(_axis(k_even2_1d, a, N))
-        if a == d - 1:
-            k_odd_r.append(_axis(k_odd_1d[:half], a, half))
-            k_even2_r.append(_axis(k_even2_1d[:half], a, half))
-        else:
-            k_odd_r.append(k_odd[-1])
-            k_even2_r.append(k_even2[-1])
     return {
-        "k_odd": k_odd,
-        "k_even2": k_even2,
-        "k_odd_r": k_odd_r,
-        "k_even2_r": k_even2_r,
+        "k_odd": [_axis(k_odd_1d, a, False) for a in range(d)],
+        "k_odd_r": [_axis(k_odd_1d, a, True) for a in range(d)],
+        "k_even2_r": [_axis(k1**2, a, True) for a in range(d)],
     }
 
 
@@ -95,57 +91,34 @@ def _wn(grid: TorusGrid):
 
 
 @lru_cache(maxsize=32)
-def _hessian_symbols(n: int, N: int, period: float):
-    """Fourier symbols of d_i d_jbar for the full complex spectrum.
+def _hessian_symbol(n: int, N: int, period: float) -> np.ndarray:
+    """Real rfft symbols of the packed complex Hessian, shape (n*n,) + rfft shape.
 
-    sym[i][j] = -(1/4) conj(kappa_i) kappa_j with kappa_i = k_{2i-1} + i k_{2i};
-    diagonal entries use true Nyquist magnitudes (even powers), mixed entries
-    use the zeroed-Nyquist wavenumbers.
+    Diagonal entries -(1/4)(k_{2i-1}^2 + k_{2i}^2) keep the true Nyquist
+    magnitude (even powers); the two parts of -(1/4) conj(kappa_1) kappa_2
+    use the zeroed-Nyquist wavenumbers.  Every symbol is even in k, so it
+    maps the spectrum of a real field to the spectrum of a real field.
     """
     w = _wavenumbers(n, N, period)
-    sym = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                sym[i][j] = -0.25 * (w["k_even2"][2 * i] + w["k_even2"][2 * i + 1])
-            else:
-                kap_i = w["k_odd"][2 * i] + 1j * w["k_odd"][2 * i + 1]
-                kap_j = w["k_odd"][2 * j] + 1j * w["k_odd"][2 * j + 1]
-                sym[i][j] = -0.25 * np.conj(kap_i) * kap_j
+    k, k2 = w["k_odd_r"], w["k_even2_r"]
+    rows = [-0.25 * (k2[2 * i] + k2[2 * i + 1]) for i in range(n)]
+    if n == 2:
+        rows += [-0.25 * (k[0] * k[2] + k[1] * k[3]),
+                 -0.25 * (k[0] * k[3] - k[1] * k[2])]
+    shape = (N,) * (2 * n - 1) + (N // 2 + 1,)
+    sym = np.stack([np.broadcast_to(r, shape) for r in rows])
+    sym.setflags(write=False)
     return sym
-
-
-@lru_cache(maxsize=32)
-def _laplace_symbol_r(n: int, N: int, period: float):
-    """Real rfft symbol of the flat sum of d_i d_ibar (n=1 hot path uses it)."""
-    w = _wavenumbers(n, N, period)
-    s = 0.0
-    for i in range(n):
-        s = s - 0.25 * (w["k_even2_r"][2 * i] + w["k_even2_r"][2 * i + 1])
-    return s
 
 
 def mean_metric_symbol(g_mean: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """rfft symbol of the constant-coefficient Laplacian gbar^{i jbar} d_i d_jbar.
 
-    g_mean is one Hermitian PD n x n matrix; the symbol is real and <= 0,
-    with the Nyquist conventions of the Hessian symbols above.
+    g_mean is one packed Hermitian PD matrix, shape (n*n,); the symbol is
+    real and <= 0, with the Nyquist conventions of the Hessian symbols.
     """
-    n = grid.complex_dim
-    w = _wn(grid)
-    ginv = inverse_stack(g_mean[None, ...])[0]
-    total = None
-    for i in range(n):
-        kap_i = w["k_odd_r"][2 * i] + 1j * w["k_odd_r"][2 * i + 1]
-        for j in range(n):
-            kap_j = w["k_odd_r"][2 * j] + 1j * w["k_odd_r"][2 * j + 1]
-            if i == j:
-                term = -0.25 * ginv[j, i].real * (
-                    w["k_even2_r"][2 * i] + w["k_even2_r"][2 * i + 1])
-            else:
-                term = np.real(-0.25 * ginv[j, i] * np.conj(kap_i) * kap_j)
-            total = term if total is None else total + term
-    return np.broadcast_to(total, grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)).copy()
+    return trace_pair(inverse_stack(g_mean), _hessian_symbol(
+        grid.complex_dim, grid.points_per_axis, grid.period))
 
 
 def d_real(f: ScalarField, axis: int) -> ScalarField:
@@ -192,60 +165,39 @@ def holo_gradient(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out
 
 
-def complex_hessian_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Complex Hessian d_i d_jbar f, shape grid.shape + (n, n), exact Hermitian."""
-    n = grid.complex_dim
-    if n == 1:
-        fh = rfftn(values)
-        h = irfftn(_laplace_symbol_r(1, grid.points_per_axis, grid.period) * fh, grid.shape)
-        out = h.astype(complex).reshape(grid.shape + (1, 1))
-        return out
-    sym = _hessian_symbols(n, grid.points_per_axis, grid.period)
-    fh = fftn(values)
-    out = np.empty(grid.shape + (n, n), dtype=complex)
-    for i in range(n):
-        out[..., i, i] = ifftn(sym[i][i] * fh).real
-        for j in range(i + 1, n):
-            hij = ifftn(sym[i][j] * fh)
-            out[..., i, j] = hij
-            out[..., j, i] = np.conj(hij)
-    return out
+def complex_hessian_values(fh: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Packed complex Hessian d_i d_jbar f from fh = rfftn(f) of a real f.
+
+    Returns the real array of shape (n*n,) + grid.shape of hermitian.py,
+    from one batched irfftn of the n*n real symbols times fh.
+    """
+    sym = _hessian_symbol(grid.complex_dim, grid.points_per_axis, grid.period)
+    return irfftn(sym * fh, grid.shape)
 
 
 class HessianField:
-    """Complex Hessian samples of a real field (Hermitian at every point)."""
+    """Packed complex Hessian samples of a real field."""
 
-    def __init__(self, grid: TorusGrid, mats: np.ndarray):
+    def __init__(self, grid: TorusGrid, entries: np.ndarray):
         n = grid.complex_dim
-        if mats.shape != grid.shape + (n, n):
+        if entries.shape != (n * n,) + grid.shape:
             raise ValueError("hessian sample array has wrong shape")
         self.grid = grid
-        self.mats = mats
+        self.entries = entries
 
 
 def complex_hessian(f: ScalarField) -> HessianField:
-    return HessianField(f.grid, complex_hessian_values(f.values, f.grid))
+    return HessianField(f.grid, complex_hessian_values(rfftn(f.values), f.grid))
 
 
-def contract_inverse(ginv_mats: np.ndarray, h_mats: np.ndarray) -> np.ndarray:
-    """Pointwise g^{i jbar} h_{i jbar} = tr(Ginv @ H) over the grid (complex)."""
-    return np.einsum("...ij,...ji->...", ginv_mats, h_mats)
+def laplacian_values(values: np.ndarray, grid: TorusGrid, ginv: np.ndarray) -> np.ndarray:
+    """g^{i jbar} d_i d_jbar f for a packed inverse metric ginv."""
+    return trace_pair(ginv, complex_hessian_values(rfftn(values), grid))
 
 
-def laplacian_values(values: np.ndarray, grid: TorusGrid, ginv_mats: np.ndarray,
-                     imag_tol: float = 1e-10) -> np.ndarray:
-    h = complex_hessian_values(values, grid)
-    lap = contract_inverse(ginv_mats, h)
-    resid = float(np.max(np.abs(lap.imag))) if np.iscomplexobj(lap) else 0.0
-    if resid > imag_tol:
-        raise ImaginaryResidue(f"laplacian imaginary residue {resid:.3e} exceeds {imag_tol:.1e}")
-    return lap.real if np.iscomplexobj(lap) else lap
-
-
-def laplacian(f: ScalarField, metric_inv) -> ScalarField:
+def laplacian(f: ScalarField, ginv: np.ndarray) -> ScalarField:
     """Variable-coefficient complex Laplacian g^{i jbar} d_i d_jbar f."""
-    mats = metric_inv.mats if hasattr(metric_inv, "mats") else metric_inv
-    return ScalarField(f.grid, laplacian_values(f.values, f.grid, mats))
+    return ScalarField(f.grid, laplacian_values(f.values, f.grid, ginv))
 
 
 def spectral_tail(values: np.ndarray, grid: TorusGrid) -> float:

@@ -199,7 +199,7 @@ def criterion_5(ctx) -> CriterionResult:
         t_att = series.running_max_time("trace_max")
         horizon = art.config.horizon
         final = art.result.final
-        g_inv = inverse_stack(art.g.mats)
+        g_inv = inverse_stack(art.g.entries)
         lap = laplacian_values(final.phi_tilde.values, art.g.grid, g_inv)
         n = art.g.grid.complex_dim
         ident = abs((recs[-1].trace_max - n) - float(np.max(lap)))

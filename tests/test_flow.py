@@ -12,6 +12,7 @@ from maflow.grid import (
 )
 from maflow.monitors import HolderConfig, MonitorSuite
 from maflow.presets import ForcingPreset, MetricPreset, build_forcing, build_metric
+from maflow.spectral import rfftn
 
 from conftest import field_from
 
@@ -23,16 +24,16 @@ def small_suite(**kw):
 
 def test_flow_rhs_zero_phi(grid1, nonkahler1):
     F = field_from(grid1, lambda c: np.cos(c[0]))
-    rhs, gprime = flow_rhs(np.zeros(grid1.shape), nonkahler1, F.values)
+    rhs, gprime = flow_rhs(rfftn(np.zeros(grid1.shape)), nonkahler1, F.values)
     assert np.max(np.abs(rhs + F.values)) == 0.0
-    assert np.max(np.abs(gprime - nonkahler1.mats)) == 0.0
+    assert np.max(np.abs(gprime - nonkahler1.entries)) == 0.0
 
 
 def test_flow_rhs_constant_in_time(grid1, nonkahler1):
     # spatially constant phi has zero Hessian: rhs = -F for any constant
     F = ScalarField(grid1, np.full(grid1.shape, 0.3))
     for const in (0.0, -0.9, 2.5):
-        rhs, _ = flow_rhs(np.full(grid1.shape, const), nonkahler1, F.values)
+        rhs, _ = flow_rhs(rfftn(np.full(grid1.shape, const)), nonkahler1, F.values)
         assert np.max(np.abs(rhs + 0.3)) <= 1e-14
 
 
@@ -40,7 +41,7 @@ def test_flow_rhs_manufactured_zero(grid1, nonkahler1):
     F, exact = build_forcing(grid1, nonkahler1,
                              ForcingPreset("manufactured", amplitude=0.04,
                                            psi_kind="peaked"))
-    rhs, _ = flow_rhs(exact.psi.values, nonkahler1, F.values)
+    rhs, _ = flow_rhs(rfftn(exact.psi.values), nonkahler1, F.values)
     assert np.max(np.abs(rhs - exact.b)) <= 1e-13
 
 
@@ -49,7 +50,7 @@ def test_flow_rhs_positivity_error_carries_index(grid1):
     # Hess(5 cos x) dips to -1.25, deep enough to leave the cone g = 1
     phi = field_from(grid1, lambda c: 5.0 * np.cos(c[0])).values
     with pytest.raises(PositivityViolation) as exc:
-        flow_rhs(phi, g, np.zeros(grid1.shape))
+        flow_rhs(rfftn(phi), g, np.zeros(grid1.shape))
     assert exc.value.index is not None
 
 
@@ -149,7 +150,7 @@ def test_flow_rhs_rejects_nan(n, nonkahler1, nonkahler2):
     phi = np.zeros(g.grid.shape)
     phi[(1,) * g.grid.real_dim] = np.nan
     with pytest.raises(PositivityViolation) as exc:
-        flow_rhs(phi, g, np.zeros(g.grid.shape), eps_pd=1e-6)
+        flow_rhs(rfftn(phi), g, np.zeros(g.grid.shape), eps_pd=1e-6)
     assert exc.value.index is not None
     assert "grid point (" in str(exc.value)
 
@@ -159,7 +160,7 @@ def test_step_nan_stage_ends_in_step_failure(monkeypatch, grid1, nonkahler1):
     w = volume_weights(nonkahler1)
     F = field_from(grid1, lambda c: 0.05 * np.cos(c[0]))
     state = make_state(nonkahler1, F, w)
-    monkeypatch.setattr("maflow.flow.irfftn",
+    monkeypatch.setattr("maflow.spectral.irfftn",
                         lambda a, shape: np.full(shape, np.nan))
     stats = {}
     with pytest.raises(StepFailure) as exc:
@@ -188,7 +189,7 @@ def test_run_emission_clock_and_cache_coherence(grid1, nonkahler1):
     ts = [r.t for r in res.series.records]
     assert ts == pytest.approx(list(np.arange(0, 1.05, 0.1)), abs=1e-12)
     final = res.final
-    rhs, gprime = flow_rhs(final.phi.values, nonkahler1, F.values)
+    rhs, gprime = flow_rhs(rfftn(final.phi.values), nonkahler1, F.values)
     assert np.max(np.abs(final.dphi_dt.values - rhs)) <= 1e-12
     assert np.max(np.abs(final.gprime - gprime)) <= 1e-12
     w = volume_weights(nonkahler1)
@@ -264,3 +265,61 @@ def test_initial_condition_is_zero(grid1, nonkahler1):
     first = res.series.records[0]
     assert first.t == 0.0
     assert first.sup_dphidt == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_spectrum_stages_match_round_trip(n, nonkahler1, nonkahler2):
+    # the stages hand spectra to flow_rhs; taking each stage back to grid
+    # values and transforming again (the values-in path) gives the same step
+    from maflow.flow import _etdrk4_coefficients, _frozen_metric_key
+    from maflow.spectral import irfftn
+
+    g = nonkahler1 if n == 1 else nonkahler2
+    grid = g.grid
+    w = volume_weights(g)
+    F, _ = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
+    phi0 = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.02, max_mode=2,
+                                                seed=9))[0].values
+    state = make_state(g, F, w, phi_values=phi0)
+    dt = 0.1
+    new = step(state, StepControl(dt_max=dt), g, F, w)
+
+    lin, E, E2, Q, f1, f2, f3 = _etdrk4_coefficients(grid, _frozen_metric_key(g), dt)
+
+    def remainder(v_hat):
+        rhs, _ = flow_rhs(rfftn(irfftn(v_hat, grid.shape)), g, F.values)
+        return rfftn(rhs) - lin * v_hat
+
+    u0, k1 = rfftn(state.phi.values), rfftn(state.dphi_dt.values)
+    n0 = k1 - lin * u0
+    a = E2 * u0 + Q * n0
+    na = remainder(a)
+    b = E2 * u0 + Q * na
+    nb = remainder(b)
+    c = E2 * a + Q * (2.0 * nb - n0)
+    nc = remainder(c)
+    phi1 = irfftn(E * u0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc, grid.shape)
+    scale = np.max(np.abs(phi1 - phi0))
+    assert np.max(np.abs(new.phi.values - phi1)) <= 1e-12 * scale
+
+
+def test_halving_chain_reuses_coefficients():
+    # a metric so thin that full steps leave the cone: each step starts from
+    # twice the last accepted size, not from dt_max, so the halving chains
+    # do not build a coefficient set per halving
+    from maflow.flow import _etdrk4_coefficients
+
+    grid = TorusGrid(1, 16)
+    g = MetricField(grid, np.full(grid.shape + (1, 1), 1e-3, dtype=complex),
+                    lambda_floor=1e-4)
+    w = volume_weights(g)
+    F = field_from(grid, lambda c: 2.0 * np.cos(c[0]))
+    ctrl = StepControl()
+    state = make_state(g, F, w)
+    _etdrk4_coefficients.cache_clear()
+    stats = {}
+    while state.t < 0.05 - 1e-12:
+        state = step(state, ctrl, g, F, w, t_land=0.05, stats=stats)
+    assert state.t == pytest.approx(0.05, abs=1e-12)
+    assert stats["halvings"] >= 1
+    assert _etdrk4_coefficients.cache_info().misses < 50

@@ -14,7 +14,8 @@ from maflow.grid import (
     volume_normalize,
     volume_weights,
 )
-from maflow.presets import MetricPreset, build_metric, kahler_defect
+from maflow.hermitian import unpack
+from maflow.presets import MetricPreset, build_metric, kahler_defect, random_band_limited
 from maflow.spectral import spectral_tail
 
 from conftest import field_from
@@ -36,10 +37,10 @@ def test_grid_invariants():
 
 def test_flat_presets_are_identity(grid1, grid2):
     g1 = build_metric(grid1, MetricPreset("flat"))
-    assert np.allclose(g1.mats[..., 0, 0], 1.0)
+    assert np.allclose(unpack(g1.entries)[..., 0, 0], 1.0)
     g2 = build_metric(grid2, MetricPreset("flat"))
     eye = np.broadcast_to(np.eye(2), grid2.shape + (2, 2))
-    assert np.allclose(g2.mats, eye)
+    assert np.allclose(unpack(g2.entries), eye)
 
 
 def test_volume_normalize_flat_closed_form(grid1):
@@ -56,7 +57,7 @@ def test_volume_normalize_idempotent(nonkahler2):
     gn, lam1 = volume_normalize(nonkahler2)
     gn2, lam2 = volume_normalize(gn)
     assert abs(lam2 - 1.0) <= 1e-13
-    assert np.max(np.abs(gn2.mats - gn.mats)) <= 1e-13
+    assert np.max(np.abs(unpack(gn2.entries) - unpack(gn.entries))) <= 1e-13
     w = volume_weights(gn)
     one = ScalarField(gn.grid, np.ones(gn.grid.shape))
     assert integrate(one, w) == pytest.approx(1.0, abs=1e-14)
@@ -114,7 +115,7 @@ def test_preset_lambda_floor_and_smoothness(grid2):
         assert g.min_eigenvalue() >= 0.1
         for i in range(2):
             for j in range(2):
-                entry = g.mats[..., i, j]
+                entry = unpack(g.entries)[..., i, j]
                 for part in (entry.real, entry.imag):
                     if np.max(np.abs(part)) > 0:
                         assert spectral_tail(part.copy(), grid2) <= 1e-10
@@ -149,9 +150,10 @@ def test_dw_oracle_independent_fft(grid2):
 
     worst = 0.0
     for j in range(2):
-        col = [d_holo_entry(g.mats[..., i, j], k) for i in range(2) for k in range(2)]
+        col = [d_holo_entry(unpack(g.entries)[..., i, j], k) for i in range(2) for k in range(2)]
         # T_{k i jbar} = d_k g_{i jbar} - d_i g_{k jbar}, here (k,i) = (0,1)
-        t = d_holo_entry(g.mats[..., 1, j], 0) - d_holo_entry(g.mats[..., 0, j], 1)
+        t = (d_holo_entry(unpack(g.entries)[..., 1, j], 0)
+             - d_holo_entry(unpack(g.entries)[..., 0, j], 1))
         worst = max(worst, float(np.max(np.abs(t))))
     assert worst > 0.01
 
@@ -161,3 +163,46 @@ def test_metric_hermitian_validation(grid1):
     bad[..., 0, 0] = 1.0 + 0.1j  # not Hermitian for a 1x1: imaginary diagonal
     with pytest.raises(ValueError):
         MetricField(grid1, bad)
+
+
+def test_metric_floor_error_names_grid_point(grid2):
+    mats = np.zeros(grid2.shape + (2, 2), dtype=complex)
+    mats[..., 0, 0] = mats[..., 1, 1] = 1.0
+    mats[1, 2, 3, 4, 1, 1] = 0.05
+    with pytest.raises(PositivityViolation) as exc:
+        MetricField(grid2, mats)
+    assert exc.value.index == np.ravel_multi_index((1, 2, 3, 4), grid2.shape)
+    assert "grid point (1, 2, 3, 4)" in str(exc.value)
+
+
+def _band_limited_loop(grid, amplitude, max_mode, seed):
+    """The per-mode loop random_band_limited replaced (test oracle)."""
+    rng = np.random.default_rng(seed)
+    coords = grid.axis_coordinates()
+    vals = np.zeros(grid.shape)
+    d = grid.real_dim
+    for k in np.ndindex(*(2 * max_mode + 1,) * d):
+        kvec = np.array(k) - max_mode
+        if not np.any(kvec):
+            continue
+        first = kvec[np.nonzero(kvec)[0][0]]
+        if first < 0:
+            continue
+        norm2 = float(np.sum(kvec**2))
+        c = rng.normal() / (1.0 + norm2)
+        s = rng.normal() / (1.0 + norm2)
+        phase = sum(kvec[a] * coords[a] for a in range(d))
+        vals = vals + c * np.cos(phase) + s * np.sin(phase)
+    peak = float(np.max(np.abs(vals)))
+    return vals * (amplitude / peak)
+
+
+@pytest.mark.parametrize("grid, max_mode, seed", [
+    (TorusGrid(1, 16), 2, 4), (TorusGrid(1, 32, period=5.0), 3, 7),
+    (TorusGrid(2, 8), 2, 1), (TorusGrid(2, 16), 2, 5),
+])
+def test_random_band_limited_matches_mode_loop(grid, max_mode, seed):
+    amp = 0.05
+    got = random_band_limited(grid, amp, max_mode, seed).values
+    want = _band_limited_loop(grid, amp, max_mode, seed)
+    assert np.max(np.abs(got - want)) <= 1e-14 * amp

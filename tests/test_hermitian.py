@@ -8,7 +8,9 @@ from maflow.hermitian import (
     inverse_stack,
     log_det_ratio,
     normal_frame,
+    pack,
     trace_pair,
+    unpack,
 )
 from maflow.runner import fd_normal_frame_residual, random_normal_frame_instance
 
@@ -19,8 +21,8 @@ from conftest import random_hermitian_pd
 
 def test_log_det_ratio_identity_and_scaling():
     g = np.eye(2, dtype=complex)
-    assert log_det_ratio(g, g) == pytest.approx(0.0, abs=1e-15)
-    assert log_det_ratio(2.0 * g, g) == pytest.approx(2 * np.log(2.0), rel=1e-14)
+    assert log_det_ratio(pack(g), pack(g)) == pytest.approx(0.0, abs=1e-15)
+    assert log_det_ratio(pack(2.0 * g), pack(g)) == pytest.approx(2 * np.log(2.0), rel=1e-14)
 
 
 def test_log_det_ratio_matches_2x2_determinant():
@@ -30,12 +32,12 @@ def test_log_det_ratio_matches_2x2_determinant():
         b = random_hermitian_pd(rng, 2)
         det_a = (a[0, 0] * a[1, 1] - abs(a[0, 1]) ** 2).real
         det_b = (b[0, 0] * b[1, 1] - abs(b[0, 1]) ** 2).real
-        assert log_det_ratio(a, b) == pytest.approx(np.log(det_a / det_b), abs=1e-13)
+        assert log_det_ratio(pack(a), pack(b)) == pytest.approx(np.log(det_a / det_b), abs=1e-13)
 
 
 def test_log_det_ratio_cocycle():
     rng = np.random.default_rng(9)
-    a, b, c = (random_hermitian_pd(rng, 2) for _ in range(3))
+    a, b, c = (pack(random_hermitian_pd(rng, 2)) for _ in range(3))
     lhs = log_det_ratio(a, b) + log_det_ratio(b, c)
     assert lhs == pytest.approx(log_det_ratio(a, c), abs=1e-12)
 
@@ -43,7 +45,7 @@ def test_log_det_ratio_cocycle():
 def test_log_det_ratio_no_overflow():
     big = 1e200 * np.eye(2, dtype=complex)
     small = 1e-200 * np.eye(2, dtype=complex)
-    val = log_det_ratio(big, small)
+    val = log_det_ratio(pack(big), pack(small))
     assert np.isfinite(val)
     assert val == pytest.approx(800 * np.log(10.0), rel=1e-12)
 
@@ -51,15 +53,15 @@ def test_log_det_ratio_no_overflow():
 def test_log_det_ratio_positivity_violation():
     bad = np.diag([1.0, -0.5]).astype(complex)
     with pytest.raises(PositivityViolation):
-        log_det_ratio(bad, np.eye(2, dtype=complex))
+        log_det_ratio(pack(bad), pack(np.eye(2, dtype=complex)))
 
 
 # ---------------------------------------------------------------- traces
 
 def test_trace_pair_trivial_cases():
-    eye = np.eye(2, dtype=complex)
+    eye = pack(np.eye(2, dtype=complex))
     assert trace_pair(eye, eye) == pytest.approx(2.0)
-    assert trace_pair(eye, np.diag([3.0, 4.0]).astype(complex)) == pytest.approx(7.0)
+    assert trace_pair(eye, pack(np.diag([3.0, 4.0]).astype(complex))) == pytest.approx(7.0)
 
 
 def test_trace_pair_eigenvalue_oracle():
@@ -67,8 +69,8 @@ def test_trace_pair_eigenvalue_oracle():
     for _ in range(25):
         g = random_hermitian_pd(rng, 2)
         gp = random_hermitian_pd(rng, 2)
-        ginv = inverse_stack(g[None, ...])[0]
-        val = trace_pair(ginv, gp)
+        ginv = inverse_stack(pack(g))
+        val = trace_pair(ginv, pack(gp))
         eigs = np.linalg.eigvals(np.linalg.inv(g) @ gp)
         assert val == pytest.approx(float(np.sum(eigs.real)), abs=1e-12)
 
@@ -76,7 +78,7 @@ def test_trace_pair_eigenvalue_oracle():
 def test_inverse_stack_contract():
     rng = np.random.default_rng(4)
     mats = np.stack([random_hermitian_pd(rng, 2) for _ in range(40)])
-    inv = inverse_stack(mats)
+    inv = unpack(inverse_stack(pack(mats)))
     prod = np.einsum("sij,sjk->sik", mats, inv)
     eye = np.broadcast_to(np.eye(2), prod.shape)
     assert np.max(np.abs(prod - eye)) <= 1e-12
@@ -87,7 +89,7 @@ def test_generalized_eig_range_oracle():
     for _ in range(25):
         g = random_hermitian_pd(rng, 2)
         gp = random_hermitian_pd(rng, 2)
-        lo, hi = generalized_eig_range(g[None, ...], gp[None, ...])
+        lo, hi = generalized_eig_range(pack(g[None, ...]), pack(gp[None, ...]))
         eigs = np.sort(np.linalg.eigvals(np.linalg.inv(g) @ gp).real)
         assert lo[0] == pytest.approx(eigs[0], abs=1e-12)
         assert hi[0] == pytest.approx(eigs[1], abs=1e-12)
@@ -219,3 +221,51 @@ def test_frame_decompose_beta_floor_certificate():
     evs = np.linalg.eigvalsh(fd.reconstruct())
     assert fd.betas[0] >= 0.1 * evs[0] - 1e-12
     assert fd.betas[1] >= 0.1 * evs[0] - 1e-12
+
+
+# ---------------------------------------------------------------- packed kernels
+
+def _pd_stack(n, count=60, seed=5):
+    rng = np.random.default_rng(seed + n)
+    return np.stack([random_hermitian_pd(rng, n, lo=0.2, hi=5.0) for _ in range(count)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pack_unpack_roundtrip(n):
+    mats = _pd_stack(n)
+    p = pack(mats)
+    assert p.shape == (n * n, len(mats)) and p.dtype == np.float64
+    assert np.array_equal(unpack(p), mats)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_packed_kernels_match_linalg(n):
+    from maflow.hermitian import det_field, log_det, min_eig_field, trace_inverse
+
+    g, gp = _pd_stack(n, seed=1), _pd_stack(n, seed=2)
+    pg, pgp = pack(g), pack(gp)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    close(det_field(pg), np.linalg.det(g).real)
+    close(log_det(pg), np.log(np.linalg.det(g).real))
+    close(log_det_ratio(pgp, pg), np.log(np.linalg.det(gp).real / np.linalg.det(g).real))
+    close(min_eig_field(pg), np.linalg.eigvalsh(g)[:, 0])
+    inv = np.linalg.inv(g)
+    got_inv = unpack(inverse_stack(pg))
+    assert np.max(np.abs(got_inv - inv)) <= 1e-12 * np.max(np.abs(inv))
+    close(trace_inverse(pg), np.trace(inv, axis1=1, axis2=2).real)
+    close(trace_pair(pg, pgp), np.trace(g @ gp, axis1=1, axis2=2).real)
+    lo, hi = generalized_eig_range(pg, pgp)
+    eigs = np.sort(np.linalg.eigvals(np.linalg.solve(g, gp)).real, axis=1)
+    close(lo, eigs[:, 0])
+    close(hi, eigs[:, -1])
+
+
+def test_packed_log_det_names_the_bad_sample():
+    mats = _pd_stack(2, count=10)
+    mats[7] = np.diag([1.0, -0.5])
+    with pytest.raises(PositivityViolation) as exc:
+        log_det_ratio(pack(mats), pack(_pd_stack(2, count=10)))
+    assert exc.value.index == 7

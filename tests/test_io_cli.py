@@ -8,6 +8,7 @@ from maflow.cli import main
 from maflow.config import config_from_kv, parse_kv_text
 from maflow.errors import ConfigError
 from maflow.grid import TorusGrid
+from maflow.hermitian import unpack
 from maflow.io import (
     dump_matrix_field,
     dump_scalar_field,
@@ -45,17 +46,17 @@ def test_scalar_dump_header_format(tmp_path, grid1):
 
 def test_matrix_field_roundtrip(tmp_path, grid2, nonkahler2):
     path = tmp_path / "g.dump"
-    dump_matrix_field(path, grid2, nonkahler2.mats)
+    dump_matrix_field(path, grid2, unpack(nonkahler2.entries))
     grid_loaded, mats = load_matrix_field(path)
     assert grid_loaded.same_as(grid2)
-    assert np.array_equal(mats, nonkahler2.mats)
+    assert np.array_equal(mats, unpack(nonkahler2.entries))
     # interleaved (re, im) layout, index order (point, i, j)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         raw = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
     assert header["shape"][-3:] == [2, 2, 2]
-    assert np.array_equal(raw[..., 0], nonkahler2.mats.real)
-    assert np.array_equal(raw[..., 1], nonkahler2.mats.imag)
+    assert np.array_equal(raw[..., 0], unpack(nonkahler2.entries).real)
+    assert np.array_equal(raw[..., 1], unpack(nonkahler2.entries).imag)
 
 
 # ----------------------------------------------------------------- config

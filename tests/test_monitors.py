@@ -53,7 +53,7 @@ def test_trace_identity_pointwise(mfd_run):
     # tr_g g' - n = Laplacian(phi_tilde) at every grid point
     g, _, _, res = mfd_run
     final = res.final
-    g_inv = inverse_stack(g.mats)
+    g_inv = inverse_stack(g.entries)
     from maflow.hermitian import trace_pair
     tr = trace_pair(g_inv, final.gprime)
     lap = laplacian_values(final.phi_tilde.values, g.grid, g_inv)
@@ -72,7 +72,7 @@ def test_monitor_Q_stationary(grid1, flat1):
     w = volume_weights(flat1)
     F = ScalarField(grid1, np.zeros(grid1.shape))
     state = make_state(flat1, F, w)
-    g_inv = inverse_stack(flat1.mats)
+    g_inv = inverse_stack(flat1.entries)
     q = monitor_Q(state, flat1, A=2.0, sup_phitilde_run=0.0, g_inv=g_inv)
     assert q == pytest.approx(np.log(1.0) + 1.0, abs=1e-13)
 
@@ -121,7 +121,7 @@ def test_holder_single_mode_vs_exhaustive():
     est = holder_seminorm(states, g, cfg)
 
     # exhaustive oracle over every space-time pair
-    entry = states[0].gprime[..., 0, 0].real
+    entry = states[0].gprime[0]
     pts = entry.reshape(-1)
     N = grid.points_per_axis
     idx = np.arange(pts.size)
@@ -156,7 +156,7 @@ def test_holder_column_running_max(mfd_run):
 # ----------------------------------------------------------------- Li-Yau
 
 def test_liyau_constant_u(grid1, flat1):
-    ginv = inverse_stack(flat1.mats)
+    ginv = inverse_stack(flat1.entries)
     us = [np.full(grid1.shape, 2.0)] * 3
     t, v = liyau_quantity([0.5, 1.0, 1.5], us, [ginv] * 3, grid1, alpha_ly=1.5)
     assert np.max(np.abs(v)) <= 1e-12
@@ -164,7 +164,7 @@ def test_liyau_constant_u(grid1, flat1):
 
 def test_liyau_exponential_closed_form(grid1, flat1):
     # u = e^{-t}: |df|^2 = 0, f_t = -1, so the quantity is alpha * t
-    ginv = inverse_stack(flat1.mats)
+    ginv = inverse_stack(flat1.entries)
     times = [0.5, 1.0, 1.5, 2.0]
     us = [np.full(grid1.shape, np.exp(-t)) for t in times]
     t, v = liyau_quantity(times, us, [ginv] * 4, grid1, alpha_ly=1.5)
@@ -172,7 +172,7 @@ def test_liyau_exponential_closed_form(grid1, flat1):
 
 
 def test_liyau_nonpositive_raises(grid1, flat1):
-    ginv = inverse_stack(flat1.mats)
+    ginv = inverse_stack(flat1.entries)
     us = [np.full(grid1.shape, 1.0), np.full(grid1.shape, -0.1),
           np.full(grid1.shape, 1.0)]
     with pytest.raises(NonPositiveU):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from maflow.errors import ImaginaryResidue
 from maflow.grid import ScalarField, TorusGrid, volume_weights, integrate
-from maflow.hermitian import inverse_stack
+from maflow.hermitian import inverse_stack, unpack
 from maflow.spectral import (
     complex_hessian,
     complex_hessian_values,
@@ -11,7 +10,7 @@ from maflow.spectral import (
     d_holo,
     d_real,
     laplacian,
-    laplacian_values,
+    rfftn,
     spectral_tail,
 )
 
@@ -74,14 +73,14 @@ def test_d_holo_then_antiholo_is_quarter_laplacian(grid1):
 def test_hessian_constant_zero(grid2):
     f = ScalarField(grid2, np.full(grid2.shape, 0.3))
     h = complex_hessian(f)
-    assert np.max(np.abs(h.mats)) <= 1e-14
+    assert np.max(np.abs(h.entries)) <= 1e-14
 
 
 def test_hessian_cos_closed_form(grid1):
     f = field_from(grid1, lambda c: np.cos(c[0]))
     h = complex_hessian(f)
     expected = field_from(grid1, lambda c: -0.25 * np.cos(c[0]))
-    assert np.max(np.abs(h.mats[..., 0, 0].real - expected.values)) <= 1e-13
+    assert np.max(np.abs(h.entries[0] - expected.values)) <= 1e-13
 
 
 def _fd4(vals, axis, h):
@@ -102,7 +101,7 @@ def test_hessian_matches_finite_differences():
         vals = vals + rng.normal() * np.cos(sum(k[a] * coords[a] for a in range(4))
                                             + rng.uniform(0, 2 * np.pi))
     h = grid.spacing
-    hess = complex_hessian_values(vals, grid)
+    hess = unpack(complex_hessian_values(rfftn(vals), grid))
     for i in range(2):
         for j in range(2):
             dx_i, dy_i = 2 * i, 2 * i + 1
@@ -121,36 +120,26 @@ def test_hessian_hermitian_pointwise(grid2):
                                          for a in range(4)))
                for _ in range(5))
     vals = np.broadcast_to(vals, grid2.shape).copy()
-    h = complex_hessian_values(vals, grid2)
+    h = unpack(complex_hessian_values(rfftn(vals), grid2))
     assert np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2)))) <= 1e-12
 
 
 def test_laplacian_flat_closed_form(grid1, flat1):
-    ginv = inverse_stack(flat1.mats)
+    ginv = inverse_stack(flat1.entries)
     f = field_from(grid1, lambda c: np.cos(c[0]))
     lap = laplacian(f, ginv)
-    expected = -0.25 * ginv[..., 0, 0].real * np.cos(grid1.axis_coordinates()[0])
+    expected = -0.25 * ginv[0] * np.cos(grid1.axis_coordinates()[0])
     assert np.max(np.abs(lap.values - np.broadcast_to(expected, grid1.shape))) <= 1e-13
     zero = laplacian(ScalarField(grid1, np.full(grid1.shape, 5.0)), ginv)
     assert np.max(np.abs(zero.values)) <= 1e-13
 
 
 def test_laplacian_mean_zero_for_constant_metric(grid2, flat2):
-    ginv = inverse_stack(flat2.mats)
+    ginv = inverse_stack(flat2.entries)
     w = volume_weights(flat2)
     f = field_from(grid2, lambda c: np.sin(c[0]) * np.cos(c[2]) + np.cos(c[1] + c[3]))
     lap = laplacian(f, ginv)
     assert abs(integrate(lap, w)) <= 1e-12
-
-
-def test_laplacian_imaginary_residue_error(grid2, flat2):
-    ginv = inverse_stack(flat2.mats).copy()
-    ginv[..., 0, 1] += 0.3  # breaks Hermitian symmetry of the inverse
-    # mixed Hessian entry of sin(x1) sin(x4) is purely imaginary, so the
-    # broken pairing leaves a real imaginary residue
-    f = field_from(grid2, lambda c: np.sin(c[0]) * np.sin(c[3]))
-    with pytest.raises(ImaginaryResidue):
-        laplacian_values(f.values, grid2, ginv)
 
 
 def test_spectral_accuracy_refinement():
@@ -191,3 +180,40 @@ def test_holo_index_validation(grid1):
         d_holo(f, 2)
     with pytest.raises(ValueError):
         d_real(f, 2)
+
+
+def _c2c_hessian(vals, grid):
+    """Complex Hessian by full complex FFTs, one entry at a time (test oracle).
+
+    Diagonal symbols keep the true Nyquist magnitude; the mixed entry uses
+    wavenumbers with the Nyquist mode zeroed.
+    """
+    n, N, d = grid.complex_dim, grid.points_per_axis, grid.real_dim
+    k = 2 * np.pi * np.fft.fftfreq(N, d=grid.spacing)
+    k_odd = k.copy()
+    k_odd[N // 2] = 0.0
+
+    def ax(v, a):
+        return v.reshape([N if b == a else 1 for b in range(d)])
+
+    fh = np.fft.fftn(vals)
+    out = np.empty(grid.shape + (n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                sym = -0.25 * (ax(k**2, 2 * i) + ax(k**2, 2 * i + 1))
+                out[..., i, i] = np.fft.ifftn(sym * fh).real
+            else:
+                kap_i = ax(k_odd, 2 * i) + 1j * ax(k_odd, 2 * i + 1)
+                kap_j = ax(k_odd, 2 * j) + 1j * ax(k_odd, 2 * j + 1)
+                out[..., i, j] = np.fft.ifftn(-0.25 * np.conj(kap_i) * kap_j * fh)
+    return out
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 16), TorusGrid(2, 8), TorusGrid(2, 16, period=3.0)])
+def test_packed_hessian_matches_c2c_oracle(grid):
+    # white noise exercises every mode, the Nyquist shell included
+    vals = np.random.default_rng(8).normal(size=grid.shape)
+    want = _c2c_hessian(vals, grid)
+    got = unpack(complex_hessian_values(rfftn(vals), grid))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
