@@ -71,14 +71,20 @@ def parse_kv_text(text: str) -> dict:
     return out
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _get(kv, key, default, cast):
     if key not in kv:
         return default
     raw = kv[key]
     try:
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            return _BOOLS[raw.lower()]
         return cast(raw)
+    except KeyError as e:
+        raise ConfigError(f"bad value for {key}: {raw!r} (expected true or false)") from e
     except ValueError as e:
         raise ConfigError(f"bad value for {key}: {raw!r}") from e
 
@@ -107,6 +113,26 @@ class RunConfig:
     demo_eig_range: tuple = (0.2, 5.0)
     dump_fields: bool = False
     raw: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        lo, hi = self.demo_eig_range
+        for ok, what in (
+            (self.rng_seed >= 0, f"rng_seed must be non-negative, got {self.rng_seed}"),
+            (0 < self.lambda_floor < math.inf,
+             f"metric.lambda_floor must be positive and finite, got {self.lambda_floor}"),
+            # solve() rejects a tolerance below attainable round-off
+            (1e-12 <= self.elliptic_tol < math.inf,
+             f"elliptic.tol must be finite and >= 1e-12, got {self.elliptic_tol}"),
+            (self.elliptic_max_iters >= 1,
+             f"elliptic.max_iters must be at least 1, got {self.elliptic_max_iters}"),
+            (all(1 <= k <= 11 for k in self.verify_criteria),
+             f"verify.criteria must name criteria 1-11, got {self.verify_criteria}"),
+            (self.demo_count >= 1, f"demo.count must be at least 1, got {self.demo_count}"),
+            (0 < lo < hi < math.inf,
+             f"need 0 < demo.eig_lo < demo.eig_hi, got {lo}, {hi}"),
+        ):
+            if not ok:
+                raise ConfigError(what)
 
     def grid(self) -> TorusGrid:
         return TorusGrid(self.n, self.N, self.period, max_points=self.max_points)

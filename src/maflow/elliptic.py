@@ -154,7 +154,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
     projected linearization, with backtracking (factor 1/2) accepting any
     step that stays in the positive cone and reduces the sup residual.
     """
-    if tol < 1e-12:
+    if not (tol >= 1e-12):
         raise ValueError("tolerance below attainable round-off (need tol >= 1e-12)")
     grid = g.grid
     w = volume_weights(g)

@@ -25,6 +25,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -73,6 +74,10 @@ class StepControl:
     def __post_init__(self):
         if not (0 < self.dt_min <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_max")
+        if not (0 < self.eps_pd < math.inf):
+            raise ValueError(f"eps_pd must be positive and finite, got {self.eps_pd}")
+        if not (self.retry_limit >= 0):
+            raise ValueError(f"retry_limit must be non-negative, got {self.retry_limit}")
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,10 @@ class TorusGrid:
             raise ValueError(f"complex_dim must be 1 or 2, got {n}")
         if N < 8 or N % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 8, got {N}")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        # outside this range the wavenumbers and the cell volume h^{2n}
+        # leave the useful range of double precision
+        if not (1e-6 <= self.period <= 1e6):
+            raise ValueError(f"period must lie in [1e-6, 1e6], got {self.period}")
         if N ** (2 * n) > self.max_points:
             raise ValueError(
                 f"grid size {N}^{2 * n} exceeds the memory budget of {self.max_points} points"

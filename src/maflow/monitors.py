@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -43,8 +43,12 @@ class HolderConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not (0 <= self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be non-negative and finite, got {self.epsilon}")
+        if not (self.sample_pairs >= 1):
+            raise ValueError(f"sample_pairs must be at least 1, got {self.sample_pairs}")
+        if not (self.rng_seed >= 0):
+            raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,8 @@ class MonitorSuite:
     holder: HolderConfig = dc_field(default_factory=HolderConfig)
 
     def __post_init__(self):
-        if self.emit_dt <= 0 or self.field_interval <= 0:
-            raise ValueError("emit_dt and field_interval must be positive")
+        if not (0 < self.emit_dt < math.inf and 0 < self.field_interval < math.inf):
+            raise ValueError("emit_dt and field_interval must be positive and finite")
         ratio = self.field_interval / self.emit_dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(
@@ -69,8 +73,10 @@ class MonitorSuite:
             )
         if not (1.0 < self.alpha_ly < 2.0):
             raise ValueError("alpha_ly must lie in (1, 2)")
-        if self.A <= 0:
-            raise ValueError("A must be positive")
+        if not (0 < self.A < math.inf):
+            raise ValueError(f"A must be positive and finite, got {self.A}")
+        if not (0 < self.shift_eps < math.inf):
+            raise ValueError(f"shift_eps must be positive and finite, got {self.shift_eps}")
 
 
 @dataclass
@@ -88,7 +94,6 @@ class MonitorRecord:
     liyau_max: float
     mean_phitilde: float
     sup_dphitilde: float = 0.0       # internal, used by the decay fit
-    harnack_ratio: Optional[float] = None
 
     def csv_values(self):
         return (self.t, self.sup_dphidt, self.osc_u, self.trace_max,
@@ -165,38 +170,45 @@ def _torus_pair_distance(grid: TorusGrid, pts_a: np.ndarray, pts_b: np.ndarray) 
     return np.sqrt(d2)
 
 
-def _holder_pairs(times: np.ndarray, gp_entries: Sequence[np.ndarray],
-                  grid: TorusGrid, cfg: HolderConfig):
-    """Sampled difference quotients of the evolving metric entries.
+class _HolderSample:
+    """Seeded sample of parabolic Hoelder difference quotients of g'.
 
-    Returns (t_max_per_pair, quotient_per_pair) for cfg.sample_pairs seeded
-    random pairs of (snapshot, grid point); gp_entries[s] is packed, shape
-    (n*n,) + grid.shape.  The numerator is the largest entry difference,
-    max(|da|, |dd|, |db|).
+    The cfg.sample_pairs pairs of (snapshot, grid point) are drawn up front
+    over the snapshot ``times``; ``add`` takes each snapshot's packed g' in
+    that order and keeps only its sampled entries, two (pairs, n*n) buffers
+    in all.  A quotient's numerator is max(|da|, |dd|, |db|).
     """
-    S = len(times)
-    P = grid.num_points
-    rng = np.random.default_rng(cfg.rng_seed)
-    sa = rng.integers(0, S, size=cfg.sample_pairs)
-    sb = rng.integers(0, S, size=cfg.sample_pairs)
-    pa = rng.integers(0, P, size=cfg.sample_pairs)
-    pb = rng.integers(0, P, size=cfg.sample_pairs)
 
-    n = grid.complex_dim
-    stack = np.stack([np.asarray(gp).reshape(n * n, P) for gp in gp_entries])
-    diff = stack[sa, :, pa] - stack[sb, :, pb]    # (pairs, n*n)
-    num = np.max(np.abs(diff[:, :n]), axis=1)
-    if n == 2:
-        num = np.maximum(num, np.hypot(diff[:, 2], diff[:, 3]))
+    def __init__(self, times: Sequence[float], grid: TorusGrid, cfg: HolderConfig):
+        times, m = np.asarray(times, dtype=float), cfg.sample_pairs
+        rng = np.random.default_rng(cfg.rng_seed)
+        self.sa, self.sb = [rng.integers(0, len(times), size=m) for _ in range(2)]
+        self.pa, self.pb = [rng.integers(0, grid.num_points, size=m) for _ in range(2)]
+        ta, tb = times[self.sa], times[self.sb]
+        self.t_pair = np.maximum(ta, tb)
+        self.dist = np.maximum(_torus_pair_distance(grid, self.pa, self.pb),
+                               np.sqrt(np.abs(ta - tb)))
+        self.alpha, self.n = cfg.alpha, grid.complex_dim
+        self.ga, self.gb = np.zeros((2, m, self.n ** 2))
+        self.added = 0
 
-    dt = np.abs(times[sa] - times[sb])
-    dx = _torus_pair_distance(grid, pa, pb)
-    dist = np.maximum(dx, np.sqrt(dt))
-    mask = dist > 0
-    quot = np.zeros(len(sa))
-    quot[mask] = num[mask] / dist[mask] ** cfg.alpha
-    t_pair = np.maximum(times[sa], times[sb])
-    return t_pair, quot
+    def add(self, gprime: np.ndarray):
+        flat = gprime.reshape(len(gprime), -1)
+        for snap, pts, buf in ((self.sa, self.pa, self.ga), (self.sb, self.pb, self.gb)):
+            hit = snap == self.added
+            buf[hit] = flat[:, pts[hit]].T
+        self.added += 1
+
+    def quotients(self):
+        """(t_max_per_pair, quotient_per_pair), once every snapshot is added."""
+        diff = self.ga - self.gb
+        num = np.max(np.abs(diff[:, :self.n]), axis=1)
+        if self.n == 2:
+            num = np.maximum(num, np.hypot(diff[:, 2], diff[:, 3]))
+        mask = self.dist > 0
+        quot = np.zeros(len(num))
+        quot[mask] = num[mask] / self.dist[mask] ** self.alpha
+        return self.t_pair, quot
 
 
 def holder_seminorm(snapshots: Sequence, g: MetricField, cfg: HolderConfig) -> float:
@@ -210,14 +222,14 @@ def holder_seminorm(snapshots: Sequence, g: MetricField, cfg: HolderConfig) -> f
         raise InsufficientSnapshots(
             f"need >= 2 snapshots with t >= {cfg.epsilon}, have {len(eligible)}"
         )
-    times = np.array([s.t for s in eligible])
-    gps = [s.gprime for s in eligible]
-    _, quot = _holder_pairs(times, gps, g.grid, cfg)
-    return float(np.max(quot))
+    sample = _HolderSample([s.t for s in eligible], g.grid, cfg)
+    for s in eligible:
+        sample.add(s.gprime)
+    return float(np.max(sample.quotients()[1]))
 
 
-def liyau_quantity(times: Sequence[float], u_list: Sequence[np.ndarray],
-                   gpinv_list: Sequence[np.ndarray], grid: TorusGrid,
+def liyau_quantity(times: Iterable[float], u_list: Iterable[np.ndarray],
+                   gpinv_list: Iterable[np.ndarray], grid: TorusGrid,
                    alpha_ly: float = 1.5, t_origin: float = 0.0):
     """Li-Yau quantity t (|d f|^2 - alpha f_t) maximized over the grid.
 
@@ -226,32 +238,33 @@ def liyau_quantity(times: Sequence[float], u_list: Sequence[np.ndarray],
     produced at interior snapshot times.  ``t_origin`` shifts the time used
     in the prefactor (window-relative time for the unit-window surrogates).
     gpinv_list holds packed g'^{-1} fields, and |d f|^2 is the pairing
-    tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f).
+    tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f).  The inputs may be
+    iterators: they are walked together with a window of three snapshots.
 
     Returns (interior_times, values).
     """
     if not (1.0 < alpha_ly < 2.0):
         raise ValueError("alpha_ly must lie in (1, 2)")
-    if len(times) < 3:
-        raise InsufficientSnapshots("need >= 3 snapshots for centered time differences")
-    for u in u_list:
+    out_t, out_v = [], []
+    window = []     # (t, f, g'^{-1}) of the last three snapshots
+    for t, u, gpinv in zip(times, u_list, gpinv_list):
         if np.min(u) <= 0:
             raise NonPositiveU(f"non-positive u (min {np.min(u):.3e}) in Li-Yau diagnostic")
-    fs = [np.log(u) for u in u_list]
-    grads = [holo_gradient(fv, grid) for fv in fs]
-    out_t, out_v = [], []
-    for j in range(1, len(times) - 1):
-        f_t = (fs[j + 1] - fs[j - 1]) / (times[j + 1] - times[j - 1])
-        v = grads[j]
+        window = window[-2:] + [(t, np.log(u), gpinv)]
+        if len(window) < 3:
+            continue
+        (t0, f0, _), (t1, f1, gpinv1), (t2, f2, _) = window
+        f_t = (f2 - f0) / (t2 - t0)
+        v = holo_gradient(f1, grid)
         outer = [np.abs(v[..., i]) ** 2 for i in range(grid.complex_dim)]
         if grid.complex_dim == 2:
             cross = v[..., 0] * np.conj(v[..., 1])
             outer += [cross.real, cross.imag]
-        grad2 = trace_pair(gpinv_list[j], np.stack(outer))
-        t_rel = times[j] - t_origin
-        val = t_rel * np.max(grad2 - alpha_ly * f_t)
-        out_t.append(times[j])
-        out_v.append(float(val))
+        grad2 = trace_pair(gpinv1, np.stack(outer))
+        out_t.append(t1)
+        out_v.append(float((t1 - t_origin) * np.max(grad2 - alpha_ly * f_t)))
+    if len(window) < 3:
+        raise InsufficientSnapshots("need >= 3 snapshots for centered time differences")
     return np.array(out_t), np.array(out_v)
 
 
@@ -382,34 +395,27 @@ def contraction_and_decay(records: Sequence[MonitorRecord]):
                            window, degenerate=False, n_samples=int(np.sum(mask)))
 
 
+def _unit_window(field_snaps: Sequence[FieldSnapshot], m: int, make):
+    """Times relative to m-1 and make(u) of the stored snapshots with
+    m-1 < t <= m; the t = 0 slice is excluded."""
+    inside = [s for s in field_snaps if 1e-9 < s.t - (m - 1) <= 1.0 + 1e-9]
+    return np.array([s.t - (m - 1) for s in inside]), [make(s.u) for s in inside]
+
+
 def xi_surrogate(field_snaps: Sequence[FieldSnapshot], m: int):
     """Positive surrogate xi_m(x, t) = sup_y u(y, m-1) - u(x, m-1+t).
 
     Returns (window_times_relative, fields) for the stored snapshots with
     m-1 < t <= m.  The t = 0 slice is excluded (xi vanishes at the argmax).
     """
-    base = _snap_at(field_snaps, float(m - 1))
-    sup0 = float(np.max(base.u))
-    out_t, out_f = [], []
-    for s in field_snaps:
-        rel = s.t - (m - 1)
-        if 1e-9 < rel <= 1.0 + 1e-9:
-            out_t.append(rel)
-            out_f.append(sup0 - s.u)
-    return np.array(out_t), out_f
+    sup0 = float(np.max(_snap_at(field_snaps, float(m - 1)).u))
+    return _unit_window(field_snaps, m, lambda u: sup0 - u)
 
 
 def psi_surrogate(field_snaps: Sequence[FieldSnapshot], m: int):
     """Positive surrogate psi_m(x, t) = u(x, m-1+t) - inf_y u(y, m-1)."""
-    base = _snap_at(field_snaps, float(m - 1))
-    inf0 = float(np.min(base.u))
-    out_t, out_f = [], []
-    for s in field_snaps:
-        rel = s.t - (m - 1)
-        if 1e-9 < rel <= 1.0 + 1e-9:
-            out_t.append(rel)
-            out_f.append(s.u - inf0)
-    return np.array(out_t), out_f
+    inf0 = float(np.min(_snap_at(field_snaps, float(m - 1)).u))
+    return _unit_window(field_snaps, m, lambda u: u - inf0)
 
 
 def _snap_at(field_snaps: Sequence[FieldSnapshot], t: float) -> FieldSnapshot:
@@ -417,6 +423,15 @@ def _snap_at(field_snaps: Sequence[FieldSnapshot], t: float) -> FieldSnapshot:
         if abs(s.t - t) <= 1e-9:
             return s
     raise InsufficientSnapshots(f"no stored field snapshot at t = {t}")
+
+
+def _carry_forward(records: Sequence[MonitorRecord], attr: str,
+                   times: np.ndarray, values: np.ndarray):
+    """Set each record's ``attr`` to the latest value at or before its time
+    (0.0 before the first)."""
+    for rec in records:
+        j = np.searchsorted(times, rec.t + 1e-12) - 1
+        setattr(rec, attr, float(values[j]) if j >= 0 else 0.0)
 
 
 class MonitorSeries:
@@ -434,7 +449,6 @@ class MonitorSeries:
         self.finalized = False
 
     def emit(self, state):
-        grid = state.grid
         self.sup_phitilde_run = max(self.sup_phitilde_run,
                                     float(np.max(state.phi_tilde.values)))
         basic = monitor_basic(state, self.g, self.g_inv, self.w)
@@ -460,42 +474,40 @@ class MonitorSeries:
         """Packed g' = g + Hess(phi) of a stored snapshot."""
         return self.g.entries + complex_hessian_values(rfftn(snap.phi), self.g.grid)
 
-    def _fill_holder(self):
-        cfg = self.suite.holder
-        eligible = [s for s in self.field_snaps if s.t >= cfg.epsilon]
-        if len(eligible) < 2:
-            return
-        times = np.array([s.t for s in eligible])
-        gps = [self.gprime_at(s) for s in eligible]
-        t_pair, quot = _holder_pairs(times, gps, self.g.grid, cfg)
-        order = np.argsort(t_pair, kind="stable")
-        t_sorted = t_pair[order]
-        q_prefix = np.maximum.accumulate(quot[order])
-        for rec in self.records:
-            j = np.searchsorted(t_sorted, rec.t + 1e-12) - 1
-            rec.holder_seminorm = float(q_prefix[j]) if j >= 0 else 0.0
-
-    def _fill_liyau(self):
-        """Li-Yau column on the shifted positive field u + (1 + eps) sup|F|."""
-        if self.sup_F is None or len(self.field_snaps) < 3:
-            return
-        shift = (1.0 + self.suite.shift_eps) * self.sup_F
-        if shift <= 0:
-            return  # stationary run, column stays 0 by convention
-        times = [s.t for s in self.field_snaps]
-        us = [s.u + shift for s in self.field_snaps]
-        gpinvs = [inverse_stack(self.gprime_at(s)) for s in self.field_snaps]
-        t_int, vals = liyau_quantity(times, us, gpinvs, self.g.grid,
-                                     alpha_ly=self.suite.alpha_ly)
-        for rec in self.records:
-            j = np.searchsorted(t_int, rec.t + 1e-12) - 1
-            rec.liyau_max = float(vals[j]) if j >= 0 else 0.0
-
     def finalize(self):
+        """Fill the Hoelder and Li-Yau columns in one pass over the field snapshots.
+
+        Each snapshot's g' is built once for both estimators; the Hoelder
+        sample keeps only its sampled entries and Li-Yau a three-snapshot
+        window, so memory does not grow with the snapshot count.  Li-Yau
+        runs on the shifted positive field u + (1 + shift_eps) sup|F|.
+        """
         if self.finalized:
             return
-        self._fill_holder()
-        self._fill_liyau()
+        snaps, grid, cfg = self.field_snaps, self.g.grid, self.suite.holder
+        eligible = [s.t for s in snaps if s.t >= cfg.epsilon]
+        holder = _HolderSample(eligible, grid, cfg) if len(eligible) >= 2 else None
+
+        def gprime(s):
+            gp = self.gprime_at(s)
+            if holder is not None and s.t >= cfg.epsilon:
+                holder.add(gp)
+            return gp
+
+        gps = map(gprime, snaps)
+        shift = (1.0 + self.suite.shift_eps) * (self.sup_F or 0.0)
+        if shift > 0 and len(snaps) >= 3:  # a stationary run keeps the column at 0
+            t_int, vals = liyau_quantity(
+                [s.t for s in snaps], (s.u + shift for s in snaps),
+                map(inverse_stack, gps), grid, alpha_ly=self.suite.alpha_ly)
+            _carry_forward(self.records, "liyau_max", t_int, vals)
+        if holder is not None:
+            for _ in gps:  # the snapshots Li-Yau did not walk
+                pass
+            t_pair, quot = holder.quotients()
+            order = np.argsort(t_pair, kind="stable")
+            _carry_forward(self.records, "holder_seminorm", t_pair[order],
+                           np.maximum.accumulate(quot[order]))
         self.finalized = True
 
     # -- derived summaries -------------------------------------------------

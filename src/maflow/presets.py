@@ -7,6 +7,7 @@ closed forms remain available for analytic differentiation in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ class MetricPreset:
     def __post_init__(self):
         if self.name not in METRIC_PRESETS:
             raise ConfigError(f"unknown metric preset '{self.name}'")
+        if not (math.isfinite(self.eps) and math.isfinite(self.amp)
+                and 0 < self.scale < math.inf):
+            raise ConfigError(f"metric eps and amp must be finite and scale positive and "
+                              f"finite, got {self.eps}, {self.amp}, {self.scale}")
 
 
 def _flat_def(grid: TorusGrid, scale: float):
@@ -144,6 +149,7 @@ def kahler_defect(g: MetricField) -> float:
 
 
 FORCING_PRESETS = ("zero", "const", "modes", "manufactured")
+PSI_KINDS = ("seeded", "peaked")
 
 
 @dataclass(frozen=True)
@@ -166,6 +172,15 @@ class ForcingPreset:
     def __post_init__(self):
         if self.kind not in FORCING_PRESETS:
             raise ConfigError(f"unknown forcing preset '{self.kind}'")
+        if self.psi_kind not in PSI_KINDS:
+            raise ConfigError(f"unknown forcing psi_kind '{self.psi_kind}'")
+        if not (math.isfinite(self.value) and math.isfinite(self.amplitude)):
+            raise ConfigError(f"forcing value and amplitude must be finite, "
+                              f"got {self.value}, {self.amplitude}")
+        if not (self.max_mode >= 0):
+            raise ConfigError(f"forcing max_mode must be non-negative, got {self.max_mode}")
+        if not (self.seed >= 0):
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def random_band_limited(grid: TorusGrid, amplitude: float, max_mode: int,

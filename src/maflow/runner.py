@@ -99,15 +99,17 @@ def execute_elliptic(cfg: RunConfig) -> EllipticArtifacts:
     return EllipticArtifacts(cfg, g, forcing, exact, sol, summary, wall)
 
 
-def decompose_demo(cfg: RunConfig) -> dict:
-    """Seeded random PD matrices through the frame decomposition; certified bounds."""
-    rng = np.random.default_rng(cfg.rng_seed)
-    lo, hi = cfg.demo_eig_range
-    worst_recon = 0.0
-    min_beta = np.inf
-    max_beta = 0.0
-    for _ in range(cfg.demo_count):
-        evs = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), size=2)
+def frame_decomposition_sweep(count: int, eig_range, seed: int):
+    """Worst (reconstruction error, min beta, max beta, min standard-basis beta,
+    frame contains the basis) of the frame decomposition over ``count`` seeded
+    random Hermitian 2x2 matrices with eigenvalues drawn uniformly in eig_range."""
+    rng = np.random.default_rng(seed)
+    lo, hi = eig_range
+    worst_recon = max_beta = 0.0
+    min_beta = min_diag_beta = np.inf
+    frames_ok = True
+    for _ in range(count):
+        evs = rng.uniform(lo, hi, size=2)
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         a = (q * evs) @ q.conj().T
         a = 0.5 * (a + a.conj().T)
@@ -115,10 +117,20 @@ def decompose_demo(cfg: RunConfig) -> dict:
         worst_recon = max(worst_recon, float(np.max(np.abs(fd.reconstruct() - a))))
         min_beta = min(min_beta, float(np.min(fd.betas)))
         max_beta = max(max_beta, float(np.max(fd.betas)))
+        min_diag_beta = min(min_diag_beta, float(fd.betas[0]), float(fd.betas[1]))
+        frames_ok = (frames_ok and np.allclose(fd.frame[0], [1, 0])
+                     and np.allclose(fd.frame[1], [0, 1]))
+    return worst_recon, min_beta, max_beta, min_diag_beta, frames_ok
+
+
+def decompose_demo(cfg: RunConfig) -> dict:
+    """Seeded random PD matrices through the frame decomposition; certified bounds."""
+    worst_recon, min_beta, max_beta, _, _ = frame_decomposition_sweep(
+        cfg.demo_count, cfg.demo_eig_range, cfg.rng_seed)
     return {
         "mode": "decompose-demo",
         "count": cfg.demo_count,
-        "eig_range": [lo, hi],
+        "eig_range": list(cfg.demo_eig_range),
         "worst_reconstruction": worst_recon,
         "C1_certified": min_beta,
         "C2_certified": max_beta,
@@ -142,19 +154,26 @@ def random_normal_frame_instance(rng, n=2):
     return g0, dg0, hess0
 
 
-def normal_frame_demo(cfg: RunConfig) -> dict:
-    """Seeded random normal-frame constructions with their certified residuals."""
-    rng = np.random.default_rng(cfg.rng_seed)
-    worst_metric = worst_offdiag = worst_fd = 0.0
-    for _ in range(cfg.demo_count):
+def normal_frame_sweep(count: int, seed: int):
+    """Worst (metric identity, Hessian off-diagonal, FD derivative) residuals of
+    the normal-frame construction over ``count`` seeded random instances."""
+    rng = np.random.default_rng(seed)
+    worst_identity = worst_offdiag = worst_fd = 0.0
+    for _ in range(count):
         g0, dg0, hess0 = random_normal_frame_instance(rng)
         nf = normal_frame(g0, dg0, hess0)
         lin = nf.linear_map
         gm = lin.T @ g0 @ np.conj(lin)
-        worst_metric = max(worst_metric, float(np.max(np.abs(gm - np.eye(2)))))
+        worst_identity = max(worst_identity, float(np.max(np.abs(gm - np.eye(2)))))
         h1 = lin.T @ hess0 @ np.conj(lin)
         worst_offdiag = max(worst_offdiag, abs(h1[0, 1]))
         worst_fd = max(worst_fd, fd_normal_frame_residual(g0, dg0, nf))
+    return worst_identity, worst_offdiag, worst_fd
+
+
+def normal_frame_demo(cfg: RunConfig) -> dict:
+    """Seeded random normal-frame constructions with their certified residuals."""
+    worst_metric, worst_offdiag, worst_fd = normal_frame_sweep(cfg.demo_count, cfg.rng_seed)
     return {
         "mode": "normal-frame-demo",
         "count": cfg.demo_count,

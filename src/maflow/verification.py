@@ -22,7 +22,7 @@ from .config import config_from_kv
 from .elliptic import linearization_check
 from .errors import NonPositiveU
 from .grid import integrate_values, volume_weights
-from .hermitian import frame_decompose, inverse_stack, normal_frame
+from .hermitian import inverse_stack
 from .monitors import (
     _snap_at,
     contraction_and_decay,
@@ -32,10 +32,10 @@ from .monitors import (
     xi_surrogate,
 )
 from .runner import (
-    execute_flow,
     execute_elliptic,
-    fd_normal_frame_residual,
-    random_normal_frame_instance,
+    execute_flow,
+    frame_decomposition_sweep,
+    normal_frame_sweep,
 )
 from .spectral import laplacian_values
 
@@ -234,23 +234,9 @@ def criterion_6(ctx) -> CriterionResult:
 def criterion_7(ctx) -> CriterionResult:
     """Rank-one frame decomposition on 1000 seeded random PD matrices."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(2027)
-    lo, hi = 0.2, 5.0
-    worst_recon = 0.0
-    min_beta = np.inf
-    min_diag_beta = np.inf
-    frames_ok = True
-    for _ in range(1000):
-        evs = rng.uniform(lo, hi, size=2)
-        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        a = (q * evs) @ q.conj().T
-        a = 0.5 * (a + a.conj().T)
-        fd = frame_decompose(a, (lo, hi))
-        worst_recon = max(worst_recon, float(np.max(np.abs(fd.reconstruct() - a))))
-        min_beta = min(min_beta, float(np.min(fd.betas)))
-        min_diag_beta = min(min_diag_beta, float(fd.betas[0]), float(fd.betas[1]))
-        e1_ok = np.allclose(fd.frame[0], [1, 0]) and np.allclose(fd.frame[1], [0, 1])
-        frames_ok = frames_ok and e1_ok
+    lo = 0.2
+    worst_recon, min_beta, _, min_diag_beta, frames_ok = frame_decomposition_sweep(
+        1000, (lo, 5.0), 2027)
     elapsed = time.perf_counter() - t0
     # positivity floor: delta = reserve fraction of lambda (0.1 * 0.2), margin 5e-3
     floor = 0.1 * lo * 5e-3
@@ -269,19 +255,7 @@ def criterion_7(ctx) -> CriterionResult:
 def criterion_8(ctx) -> CriterionResult:
     """Normal-frame construction on 100 seeded random instances."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(509)
-    worst_identity = 0.0
-    worst_offdiag = 0.0
-    worst_fd = 0.0
-    for _ in range(100):
-        g0, dg0, hess0 = random_normal_frame_instance(rng)
-        nf = normal_frame(g0, dg0, hess0)
-        lin = nf.linear_map
-        gm = lin.T @ g0 @ np.conj(lin)
-        worst_identity = max(worst_identity, float(np.max(np.abs(gm - np.eye(2)))))
-        h1 = lin.T @ hess0 @ np.conj(lin)
-        worst_offdiag = max(worst_offdiag, abs(h1[0, 1]))
-        worst_fd = max(worst_fd, fd_normal_frame_residual(g0, dg0, nf, h=1e-3))
+    worst_identity, worst_offdiag, worst_fd = normal_frame_sweep(100, 509)
     elapsed = time.perf_counter() - t0
     passed = (worst_identity <= 1e-10 and worst_offdiag <= 1e-10
               and worst_fd <= 1e-6 and elapsed <= 10.0)
@@ -338,8 +312,8 @@ def criterion_10(ctx) -> CriterionResult:
     harnack_consts = []
     for m in windows:
         rel_t, fields = xi_surrogate(snaps, m)
-        gpinvs = [inverse_stack(series.gprime_at(_snap_at(snaps, m - 1 + rt)))
-                  for rt in rel_t]
+        gpinvs = (inverse_stack(series.gprime_at(_snap_at(snaps, m - 1 + rt)))
+                  for rt in rel_t)
         try:
             t_int, vals = liyau_quantity(
                 [float(r) for r in rel_t], fields, gpinvs, art.g.grid,

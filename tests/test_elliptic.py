@@ -80,6 +80,15 @@ def test_uniqueness_two_initial_guesses(grid1, nonkahler1):
     assert abs(sol_zero.b - sol_flow.b) <= 10 * tol
 
 
+@pytest.mark.parametrize("tol", [1e-13, float("nan")])
+def test_solve_rejects_unattainable_or_nan_tol(grid1, nonkahler1, tol):
+    # a NaN tolerance would skip the Newton loop and return the initial residual
+    F, _ = build_forcing(grid1, nonkahler1,
+                         ForcingPreset("modes", amplitude=0.08, max_mode=2, seed=3))
+    with pytest.raises(ValueError, match="tol"):
+        solve(nonkahler1, F, tol=tol)
+
+
 def test_solve_post_check_is_explicit(monkeypatch, grid1, nonkahler1):
     # the b post-check must raise, not assert (asserts vanish under python -O):
     # perturb the last quadrature call, which is the post-check's own

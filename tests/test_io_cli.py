@@ -203,6 +203,33 @@ rng_seed = 3
     "grid.n = 3",             # TorusGrid: complex_dim must be 1 or 2
     "flow.horizon = 0.33",    # not a multiple of monitors.emit_dt
     "step.dt_min = 0",        # StepControl: need 0 < dt_min
+    "step.eps_pd = -1",
+    "step.retry_limit = -1",
+    "holder.sample_pairs = -1",
+    "holder.epsilon = nan",
+    "forcing.max_mode = -1",
+    "forcing.amplitude = nan",
+    "forcing.kind = const\nforcing.value = nan",
+    "forcing.seed = -5",
+    "forcing.psi_kind = bogus",
+    "grid.period = nan",
+    "grid.period = inf",
+    "grid.period = 1e-300",
+    "rng_seed = -5",
+    "metric.scale = -1",
+    "metric.eps = nan",
+    "metric.lambda_floor = -1",
+    "monitors.A = nan",
+    "monitors.shift_eps = -2",
+    "monitors.emit_dt = nan",
+    "monitors.field_interval = inf",
+    "demo.eig_lo = 5\ndemo.eig_hi = 1",
+    "demo.count = -1",
+    "verify.criteria = 12",
+    "elliptic.tol = 1e-13",
+    "elliptic.tol = nan",
+    "elliptic.max_iters = -1",
+    "dump.fields = maybe",
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
     cfg_path = tmp_path / "bad.cfg"

@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -326,3 +329,135 @@ def test_trace_and_Q_running_max_attained_early(mfd_run):
     horizon = res.final.t
     assert res.series.running_max_time("trace_max") <= horizon / 2
     assert res.series.running_max_time("Q_max") <= horizon / 2
+
+
+# ----------------------------------------------------------------- single-pass finalize
+
+def _reference_holder_pairs(times, gp_entries, grid, cfg):
+    """Two-pass Hoelder sampler: stacks every eligible g' snapshot."""
+    S, P, n = len(times), grid.num_points, grid.complex_dim
+    rng = np.random.default_rng(cfg.rng_seed)
+    sa = rng.integers(0, S, size=cfg.sample_pairs)
+    sb = rng.integers(0, S, size=cfg.sample_pairs)
+    pa = rng.integers(0, P, size=cfg.sample_pairs)
+    pb = rng.integers(0, P, size=cfg.sample_pairs)
+    stack = np.stack([np.asarray(gp).reshape(n * n, P) for gp in gp_entries])
+    diff = stack[sa, :, pa] - stack[sb, :, pb]
+    num = np.max(np.abs(diff[:, :n]), axis=1)
+    if n == 2:
+        num = np.maximum(num, np.hypot(diff[:, 2], diff[:, 3]))
+    dt = np.abs(times[sa] - times[sb])
+    coords_a = np.unravel_index(pa, grid.shape)
+    coords_b = np.unravel_index(pb, grid.shape)
+    d2 = 0.0
+    for a in range(grid.real_dim):
+        d = np.abs(coords_a[a] - coords_b[a]) * grid.spacing
+        d = np.minimum(d, grid.period - d)
+        d2 = d2 + d * d
+    dist = np.maximum(np.sqrt(d2), np.sqrt(dt))
+    mask = dist > 0
+    quot = np.zeros(len(sa))
+    quot[mask] = num[mask] / dist[mask] ** cfg.alpha
+    return np.maximum(times[sa], times[sb]), quot
+
+
+def _reference_liyau(times, u_list, gpinv_list, grid, alpha_ly):
+    """List-based Li-Yau quantity: every log u and gradient held at once."""
+    from maflow.spectral import holo_gradient
+    from maflow.hermitian import trace_pair
+    fs = [np.log(u) for u in u_list]
+    grads = [holo_gradient(f, grid) for f in fs]
+    out_t, out_v = [], []
+    for j in range(1, len(times) - 1):
+        f_t = (fs[j + 1] - fs[j - 1]) / (times[j + 1] - times[j - 1])
+        v = grads[j]
+        outer = [np.abs(v[..., i]) ** 2 for i in range(grid.complex_dim)]
+        if grid.complex_dim == 2:
+            cross = v[..., 0] * np.conj(v[..., 1])
+            outer += [cross.real, cross.imag]
+        grad2 = trace_pair(gpinv_list[j], np.stack(outer))
+        out_t.append(times[j])
+        out_v.append(float(times[j] * np.max(grad2 - alpha_ly * f_t)))
+    return np.array(out_t), np.array(out_v)
+
+
+def _carried(records, times, values):
+    out = []
+    for rec in records:
+        j = np.searchsorted(times, rec.t + 1e-12) - 1
+        out.append(float(values[j]) if j >= 0 else 0.0)
+    return out
+
+
+@pytest.fixture(scope="module")
+def n2_run():
+    grid = TorusGrid(2, 16)
+    g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.3, scale=0.35))
+    F, _ = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=1))
+    suite = MonitorSuite(field_interval=0.5, holder=HolderConfig(rng_seed=21, sample_pairs=3000))
+    return run(g, F, horizon=2.0, ctrl=StepControl(), monitors=suite), F
+
+
+def test_finalize_matches_two_pass_reference(n2_run):
+    res, F = n2_run
+    series = res.series
+    cfg, grid = series.suite.holder, series.g.grid
+    eligible = [s for s in series.field_snaps if s.t >= cfg.epsilon]
+    times = np.array([s.t for s in eligible])
+    t_pair, quot = _reference_holder_pairs(
+        times, [series.gprime_at(s) for s in eligible], grid, cfg)
+    order = np.argsort(t_pair, kind="stable")
+    holder_ref = _carried(series.records, t_pair[order], np.maximum.accumulate(quot[order]))
+    assert [r.holder_seminorm for r in series.records] == holder_ref
+    assert holder_ref[-1] > 0
+
+    shift = 1.5 * float(np.max(np.abs(F.values)))
+    snaps = series.field_snaps
+    t_int, vals = _reference_liyau(
+        [s.t for s in snaps], [s.u + shift for s in snaps],
+        [inverse_stack(series.gprime_at(s)) for s in snaps], grid, 1.5)
+    liyau_ref = _carried(series.records, t_int, vals)
+    assert [r.liyau_max for r in series.records] == liyau_ref
+    assert any(v != 0.0 for v in liyau_ref)
+
+    states = [SimpleNamespace(t=s.t, gprime=series.gprime_at(s)) for s in snaps]
+    assert holder_seminorm(states, series.g, cfg) == float(np.max(quot))
+
+
+def test_liyau_accepts_iterators(n2_run):
+    res, F = n2_run
+    series = res.series
+    snaps = series.field_snaps
+    shift = 1.5 * float(np.max(np.abs(F.values)))
+    times = [s.t for s in snaps]
+    us = [s.u + shift for s in snaps]
+    gpinvs = [inverse_stack(series.gprime_at(s)) for s in snaps]
+    t_list, v_list = liyau_quantity(times, us, gpinvs, series.g.grid)
+    t_gen, v_gen = liyau_quantity(iter(times), (u for u in us), iter(gpinvs), series.g.grid)
+    assert np.array_equal(t_list, t_gen) and np.array_equal(v_list, v_gen)
+    with pytest.raises(InsufficientSnapshots):
+        liyau_quantity(iter(times[:2]), iter(us[:2]), iter(gpinvs[:2]), series.g.grid)
+
+
+def _finalize_peak_bytes(horizon):
+    grid = TorusGrid(1, 64)
+    g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.2, scale=0.4))
+    F, _ = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
+    suite = MonitorSuite(field_interval=0.5, holder=HolderConfig(rng_seed=2, sample_pairs=200))
+    series = run(g, F, horizon=horizon, ctrl=StepControl(), monitors=suite).series
+    series.finalized = False
+    tracemalloc.start()
+    try:
+        series.finalize()
+        return len(series.field_snaps), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_finalize_memory_flat_in_snapshot_count():
+    # one snapshot's fields are 32 KB here; holding every g' or u would add
+    # ~0.4 MB per extra 12 snapshots
+    snaps_short, peak_short = _finalize_peak_bytes(2.0)
+    snaps_long, peak_long = _finalize_peak_bytes(8.0)
+    assert (snaps_short, snaps_long) == (5, 17)
+    assert peak_long <= 1.1 * peak_short
