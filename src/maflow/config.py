@@ -37,7 +37,7 @@ _KNOWN_KEYS = {
     "mode",
     "rng_seed",
     "out.dir",
-    "grid.n", "grid.N", "grid.period", "grid.max_points",
+    "grid.n", "grid.N", "grid.max_points",
     "metric.preset", "metric.eps", "metric.amp", "metric.scale", "metric.lambda_floor",
     "forcing.kind", "forcing.value", "forcing.amplitude", "forcing.max_mode",
     "forcing.seed", "forcing.psi_kind",
@@ -98,7 +98,6 @@ class RunConfig:
     out_dir: Optional[str] = None
     n: int = 1
     N: int = 32
-    period: float = 2.0 * math.pi
     max_points: int = MAX_POINTS
     metric: MetricPreset = field(default_factory=lambda: MetricPreset("flat"))
     lambda_floor: float = LAMBDA_FLOOR
@@ -135,7 +134,7 @@ class RunConfig:
                 raise ConfigError(what)
 
     def grid(self) -> TorusGrid:
-        return TorusGrid(self.n, self.N, self.period, max_points=self.max_points)
+        return TorusGrid(self.n, self.N, max_points=self.max_points)
 
 
 def config_from_kv(kv: dict) -> RunConfig:
@@ -166,12 +165,11 @@ def config_from_kv(kv: dict) -> RunConfig:
     )
     n = _get(kv, "grid.n", 1, int)
     N = _get(kv, "grid.N", 32, int)
-    period = _get(kv, "grid.period", 2.0 * math.pi, float)
     max_points = _get(kv, "grid.max_points", MAX_POINTS, int)
     horizon = _get(kv, "flow.horizon", 5.0, float)
     # the constructors validate their own values; a bad value is a config error
     try:
-        TorusGrid(n, N, period, max_points=max_points)
+        TorusGrid(n, N, max_points=max_points)
         step = StepControl(
             dt_min=_get(kv, "step.dt_min", 1e-12, float),
             dt_max=_get(kv, "step.dt_max", 0.1, float),
@@ -211,7 +209,6 @@ def config_from_kv(kv: dict) -> RunConfig:
         out_dir=kv.get("out.dir"),
         n=n,
         N=N,
-        period=period,
         max_points=max_points,
         metric=metric,
         lambda_floor=_get(kv, "metric.lambda_floor", LAMBDA_FLOOR, float),
@@ -229,7 +226,3 @@ def config_from_kv(kv: dict) -> RunConfig:
         raw=dict(kv),
     )
 
-
-def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return config_from_kv(parse_kv_text(fh.read()))

@@ -32,7 +32,7 @@ from .errors import (
 from .grid import (
     MetricField,
     ScalarField,
-    grid_point,
+    check_cone,
     integrate_values,
     min_eig_field,
     volume_weights,
@@ -60,12 +60,7 @@ class EllipticSolution:
 def _residual_field(phi_values, g):
     """G(phi) = log det ratio and the assembled (packed) evolving metric."""
     gprime = g.entries + complex_hessian_values(rfftn(phi_values), g.grid)
-    mins = min_eig_field(gprime)
-    if not np.min(mins) > 0:  # also catches NaN
-        idx = int(np.argmin(mins))
-        raise PositivityViolation(
-            f"iterate left the positive cone at grid point {grid_point(idx, mins.shape)}",
-            index=idx)
+    check_cone(min_eig_field(gprime), 0.0, "Newton iterate left the positive cone")
     return log_det(gprime) - g.log_det, gprime
 
 

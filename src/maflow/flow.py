@@ -17,10 +17,10 @@ transformed back to grid values.  The stiffness of L sets no step cap: the
 step size is dt = min(dt_try, t_land - t), where t_land is the next
 emission time and dt_try starts at dt_max.  Any stage that leaves the
 positive cone (or grazes it closer than eps_pd) halves dt and retries; the
-next step then tries twice the accepted size, up to dt_max.  Snapshots are
-emitted on a fixed time clock (multiples of emit_dt, hit exactly by
-clipping the last step), which keeps monitor windows aligned and reruns
-bit-identical.
+next step then tries the accepted size again, and only a step accepted at
+its first try doubles dt_try, up to dt_max.  Snapshots are emitted on a
+fixed time clock (multiples of emit_dt, hit exactly by clipping the last
+step), which keeps monitor windows aligned and reruns bit-identical.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .grid import (
     ScalarField,
     TorusGrid,
     VolumeWeights,
-    grid_point,
+    check_cone,
     integrate_values,
     volume_weights,
 )
@@ -103,21 +103,6 @@ class FlowState:
         return self.phi.grid
 
 
-def _check_cone(mins: np.ndarray, eps_pd: float, t: float):
-    """Raise PositivityViolation unless every sample of mins exceeds eps_pd.
-
-    Written as `not (min > eps_pd)` so that a NaN fails the guard too.
-    """
-    gmin = mins.min()
-    if not gmin > eps_pd:
-        idx = int(np.argmin(mins))  # the first NaN, if there is one
-        raise PositivityViolation(
-            f"evolving metric eigenvalue {gmin:.3e} not above eps_pd at t={t:.6f}, "
-            f"grid point {grid_point(idx, mins.shape)}",
-            index=idx, t=t,
-        )
-
-
 def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray,
              eps_pd: float = 0.0, t: float = 0.0):
     """Right-hand side of the flow and the packed evolving metric g'.
@@ -128,7 +113,7 @@ def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray,
     """
     grid = g.grid
     gprime = g.entries + complex_hessian_values(phi_hat, grid)
-    _check_cone(min_eig_field(gprime), eps_pd, t)
+    check_cone(min_eig_field(gprime), eps_pd, "evolving metric", t)
     return log_det(gprime) - g.log_det - f_values, gprime
 
 
@@ -224,10 +209,12 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
     grid values.  Any PositivityViolation inside a stage halves dt and
     retries, up to ctrl.retry_limit; persistent failure raises StepFailure
     with the time, step size and offending grid index.  The new state's
-    dt_try is twice the accepted dt (at most dt_max), or unchanged when the
-    accepted step was the landing clip, so a run that needed halvings does
-    not restart every step from dt_max and build a coefficient set for
-    each halving.  ``stats``, when given, counts accepted steps and
+    dt_try is the accepted dt when the step needed a halving, twice it (at
+    most dt_max) when the first try was accepted, and unchanged when the
+    accepted step was the landing clip.  So a run that needed halvings
+    neither restarts every step from dt_max (building a coefficient set
+    for each halving) nor has every step rejected once at twice the size
+    it can sustain.  ``stats``, when given, counts accepted steps and
     halvings and tracks the smallest and largest dt.
     ``gbar`` is _frozen_metric_key(g), computed here when not given (run()
     computes it once, like the volume weights w).
@@ -256,7 +243,7 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
         return rfftn(rhs) - lin * v_hat
 
     last_err = None
-    for _ in range(ctrl.retry_limit + 1):
+    for halvings in range(ctrl.retry_limit + 1):
         if dt < ctrl.dt_min and not clipped:
             break
         lin, E, E2, Q, f1, f2, f3 = _etdrk4_coefficients(grid, gbar, float(f"{dt:.12g}"))
@@ -288,7 +275,8 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
             gprime=new_gprime,
             dphi_dt=ScalarField(grid, new_rhs),
             step_count=state.step_count + 1,
-            dt_try=state.dt_try if clipped else min(2.0 * dt, ctrl.dt_max),
+            dt_try=(state.dt_try if clipped else dt if halvings
+                    else min(2.0 * dt, ctrl.dt_max)),
         )
     raise StepFailure(
         f"step failed after {ctrl.retry_limit} halvings at t={state.t:.6f} "

@@ -1,8 +1,11 @@
 """Computational manifold: flat real 2n-torus carrying a Hermitian metric.
 
 Complex coordinates are z^i = x_{2i-1} + sqrt(-1) x_{2i}, so complex
-dimension n means 2n real axes, each periodic with the same period L and
-the same point count N.  The volume form convention is pinned once here:
+dimension n means 2n real axes, each of period 2*pi (the torus is
+R^{2n} / (2 pi Z)^{2n}) with the same point count N; the Fourier
+wavenumbers are therefore integers, and every metric and forcing preset is
+a trigonometric polynomial in them.  The volume form convention is pinned
+once here:
 
     omega^n = 2^n n! det(g) dx_1 ... dx_{2n}
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,6 +32,9 @@ LAMBDA_FLOOR = 0.1
 # Default cap on N^{2n} grid points (memory budget).
 MAX_POINTS = 1 << 22
 
+# Period of every real axis.
+PERIOD = 2.0 * math.pi
+
 
 def form_factor(n: int) -> float:
     """Constant relating omega^n to det(g) times Lebesgue measure."""
@@ -37,7 +43,7 @@ def form_factor(n: int) -> float:
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform periodic grid on the real torus underlying T^n_C.
+    """Uniform grid on the real 2n-torus of period 2*pi underlying T^n_C.
 
     complex_dim n must be 1 or 2; points_per_axis N must be even and >= 8
     (required by the symmetric spectral differentiation rule).
@@ -45,7 +51,6 @@ class TorusGrid:
 
     complex_dim: int
     points_per_axis: int
-    period: float = 2.0 * math.pi
     max_points: int = MAX_POINTS
 
     def __post_init__(self):
@@ -54,10 +59,6 @@ class TorusGrid:
             raise ValueError(f"complex_dim must be 1 or 2, got {n}")
         if N < 8 or N % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 8, got {N}")
-        # outside this range the wavenumbers and the cell volume h^{2n}
-        # leave the useful range of double precision
-        if not (1e-6 <= self.period <= 1e6):
-            raise ValueError(f"period must lie in [1e-6, 1e6], got {self.period}")
         if N ** (2 * n) > self.max_points:
             raise ValueError(
                 f"grid size {N}^{2 * n} exceeds the memory budget of {self.max_points} points"
@@ -69,7 +70,7 @@ class TorusGrid:
 
     @property
     def spacing(self) -> float:
-        return self.period / self.points_per_axis
+        return PERIOD / self.points_per_axis
 
     @property
     def shape(self) -> tuple:
@@ -94,7 +95,6 @@ class TorusGrid:
         return (
             self.complex_dim == other.complex_dim
             and self.points_per_axis == other.points_per_axis
-            and self.period == other.period
         )
 
 
@@ -132,6 +132,25 @@ def grid_point(index: int, shape: tuple) -> tuple:
     return tuple(int(i) for i in np.unravel_index(index, shape))
 
 
+def check_cone(mins: np.ndarray, floor: float, what: str, t: Optional[float] = None):
+    """Raise PositivityViolation unless every smallest eigenvalue exceeds floor.
+
+    mins is a field of pointwise smallest eigenvalues.  Written as
+    `not (min > floor)` so that a NaN fails the guard too; the message names
+    ``what``, the time t (when given) and the grid point of the first
+    failing sample.
+    """
+    gmin = mins.min()
+    if not gmin > floor:
+        idx = int(np.argmin(mins))  # the first NaN, if there is one
+        when = "" if t is None else f" at t={t:.6f}"
+        raise PositivityViolation(
+            f"{what}{when}: eigenvalue {gmin:.3e} not above {floor:.3e} at grid point "
+            f"{grid_point(idx, mins.shape)}",
+            index=idx, t=t,
+        )
+
+
 def hermitize(mats: np.ndarray) -> np.ndarray:
     """Symmetrize a (..., n, n) stack to exact Hermitian form."""
     return 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
@@ -145,14 +164,11 @@ class MetricField:
     mats[..., i, j] = g_{i jbar}, which are checked to be Hermitian and to
     have every eigenvalue at or above ``lambda_floor``.  Only their packed
     form is kept: ``entries`` (shape (n*n,) + grid.shape, see hermitian.py)
-    and ``log_det`` = log det g, both computed once here.  ``definition``
-    optionally retains the closed-form coefficient expression (a callable of
-    the axis coordinate list) for analytic checks in tests.
+    and ``log_det`` = log det g, both computed once here.
     """
 
     grid: TorusGrid
     mats: InitVar[np.ndarray]
-    definition: Optional[Callable] = field(default=None, compare=False)
     lambda_floor: float = LAMBDA_FLOOR
     entries: np.ndarray = field(init=False, repr=False)
     log_det: np.ndarray = field(init=False, repr=False, compare=False)
@@ -184,15 +200,8 @@ class MetricField:
         return float(np.min(min_eig_field(self.entries)))
 
     def scaled(self, factor: float) -> "MetricField":
-        defn = self.definition
-        new_def = None
-        if defn is not None:
-            def new_def(coords, _d=defn, _f=factor):
-                return _f * _d(coords)
-        return MetricField(
-            self.grid, factor * unpack(self.entries), definition=new_def,
-            lambda_floor=self.lambda_floor * factor,
-        )
+        return MetricField(self.grid, factor * unpack(self.entries),
+                           lambda_floor=self.lambda_floor * factor)
 
 
 @dataclass(frozen=True)

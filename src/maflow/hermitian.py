@@ -8,7 +8,7 @@ so every field is Hermitian by construction.  A single matrix packs to shape
 (n*n,).  The kernels below (determinant, smallest eigenvalue, log det,
 inverse, trace pairings, pencil eigenvalues) are closed forms on that array;
 ``pack`` and ``unpack`` convert from and to full (..., n, n) complex matrices
-at the edges (preset definitions, file dumps, tests).
+at the edges (preset definitions, tests).
 
 ``normal_frame`` builds holomorphic coordinates centered at a point in which
 the metric is the identity, the holomorphic derivatives of its diagonal

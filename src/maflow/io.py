@@ -1,15 +1,15 @@
 """Artifact persistence: field dumps, CSV series, JSON summaries.
 
-Field dump format: one JSON header line
+Field dump format (real scalar fields only): one JSON header line
 
     {"shape": [...], "dtype": "f64", "byte_order": "little",
-     "layout": "row-major", "kind": "scalar" | "hermitian_matrix",
-     "grid": {"complex_dim": n, "points_per_axis": N, "period": L}}
+     "layout": "row-major", "kind": "scalar",
+     "grid": {"complex_dim": n, "points_per_axis": N, "period": 2 pi}}
 
-followed by raw little-endian float64 values in row-major order.  Matrix
-fields are interleaved (re, im) per entry with index order (point, i, j).
-All writers format floats with shortest round-trip repr, so identical runs
-produce byte-identical artifacts.
+followed by raw little-endian float64 values in row-major order.  The
+period is always 2 pi (see grid.py); a dump that records any other period
+is rejected on load.  All writers format floats with shortest round-trip
+repr, so identical runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import ScalarField, TorusGrid
-
-
-def _grid_header(grid: TorusGrid) -> dict:
-    return {
-        "complex_dim": grid.complex_dim,
-        "points_per_axis": grid.points_per_axis,
-        "period": grid.period,
-    }
+from .grid import PERIOD, ScalarField, TorusGrid
 
 
 def dump_scalar_field(path, field: ScalarField):
@@ -37,7 +29,8 @@ def dump_scalar_field(path, field: ScalarField):
         "byte_order": "little",
         "layout": "row-major",
         "kind": "scalar",
-        "grid": _grid_header(field.grid),
+        "grid": {"complex_dim": field.grid.complex_dim,
+                 "points_per_axis": field.grid.points_per_axis, "period": PERIOD},
     }
     data = np.ascontiguousarray(field.values, dtype="<f8")
     with open(path, "wb") as fh:
@@ -49,37 +42,11 @@ def load_scalar_field(path) -> ScalarField:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         g = header["grid"]
-        grid = TorusGrid(g["complex_dim"], g["points_per_axis"], g["period"])
+        if g["period"] != PERIOD:
+            raise ValueError(f"field dump has period {g['period']}, expected 2 pi")
+        grid = TorusGrid(g["complex_dim"], g["points_per_axis"])
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
     return ScalarField(grid, data.copy())
-
-
-def dump_matrix_field(path, grid: TorusGrid, mats: np.ndarray):
-    n = grid.complex_dim
-    header = {
-        "shape": list(grid.shape) + [n, n, 2],
-        "dtype": "f64",
-        "byte_order": "little",
-        "layout": "row-major",
-        "kind": "hermitian_matrix",
-        "grid": _grid_header(grid),
-    }
-    inter = np.empty(grid.shape + (n, n, 2), dtype="<f8")
-    inter[..., 0] = mats.real
-    inter[..., 1] = mats.imag
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode())
-        fh.write(np.ascontiguousarray(inter).tobytes())
-
-
-def load_matrix_field(path):
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        g = header["grid"]
-        grid = TorusGrid(g["complex_dim"], g["points_per_axis"], g["period"])
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
-    mats = data[..., 0] + 1j * data[..., 1]
-    return grid, mats
 
 
 def _json_default(obj):

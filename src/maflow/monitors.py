@@ -161,11 +161,11 @@ def _torus_pair_distance(grid: TorusGrid, pts_a: np.ndarray, pts_b: np.ndarray) 
     """Periodic Euclidean distance between flat grid indices."""
     coords_a = np.unravel_index(pts_a, grid.shape)
     coords_b = np.unravel_index(pts_b, grid.shape)
-    h, L = grid.spacing, grid.period
+    N = grid.points_per_axis
     d2 = 0.0
     for a in range(grid.real_dim):
-        d = np.abs(coords_a[a] - coords_b[a]) * h
-        d = np.minimum(d, L - d)
+        m = np.abs(coords_a[a] - coords_b[a])
+        d = np.minimum(m, N - m) * grid.spacing
         d2 = d2 + d * d
     return np.sqrt(d2)
 

@@ -123,8 +123,7 @@ def build_metric(grid: TorusGrid, preset: MetricPreset,
     mats = np.ascontiguousarray(
         np.broadcast_to(definition(coords), grid.shape + (grid.complex_dim,) * 2)
     ).astype(complex)
-    return MetricField(grid, hermitize(mats), definition=definition,
-                       lambda_floor=lambda_floor)
+    return MetricField(grid, hermitize(mats), lambda_floor=lambda_floor)
 
 
 def kahler_defect(g: MetricField) -> float:
@@ -192,7 +191,7 @@ def random_band_limited(grid: TorusGrid, amplitude: float, max_mode: int,
     c cos(k.x) + s sin(k.x) with c, s standard normals (drawn in that order)
     divided by 1 + |k|^2; the sum is scaled to peak ``amplitude``.  The sum
     is evaluated as Re sum_k (c - i s) prod_a exp(i k_a x_a), contracted one
-    axis at a time, which holds for any period.
+    axis at a time.
     """
     rng = np.random.default_rng(seed)
     d = grid.real_dim

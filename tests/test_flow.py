@@ -305,8 +305,10 @@ def test_step_spectrum_stages_match_round_trip(n, nonkahler1, nonkahler2):
 
 def test_halving_chain_reuses_coefficients():
     # a metric so thin that full steps leave the cone: each step starts from
-    # twice the last accepted size, not from dt_max, so the halving chains
-    # do not build a coefficient set per halving
+    # the last accepted size, not from dt_max, so the halving chains do not
+    # build a coefficient set per halving; and a halved step's successor
+    # tries that accepted size, not twice it, so the steps are not rejected
+    # once each (2,629 halvings in 2,620 steps when they tried twice it)
     from maflow.flow import _etdrk4_coefficients
 
     grid = TorusGrid(1, 16)
@@ -321,5 +323,5 @@ def test_halving_chain_reuses_coefficients():
     while state.t < 0.05 - 1e-12:
         state = step(state, ctrl, g, F, w, t_land=0.05, stats=stats)
     assert state.t == pytest.approx(0.05, abs=1e-12)
-    assert stats["halvings"] >= 1
+    assert 1 <= stats["halvings"] < 2000
     assert _etdrk4_coefficients.cache_info().misses < 50

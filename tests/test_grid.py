@@ -44,8 +44,8 @@ def test_flat_presets_are_identity(grid1, grid2):
 
 
 def test_volume_normalize_flat_closed_form(grid1):
-    # For g = I on the 2-torus of period L: Vol = 2 * L^2, so the scale is
-    # 1 / (2 L^2); the form-convention factor is form_factor(1) = 2.
+    # For g = I on the 2-torus of period 2 pi: Vol = 2 (2 pi)^2, so the scale
+    # is 1 / (2 (2 pi)^2); the form-convention factor is form_factor(1) = 2.
     g = build_metric(grid1, MetricPreset("flat"))
     gn, lam = volume_normalize(g)
     expected = 1.0 / (form_factor(1) * (2 * math.pi) ** 2)
@@ -198,7 +198,7 @@ def _band_limited_loop(grid, amplitude, max_mode, seed):
 
 
 @pytest.mark.parametrize("grid, max_mode, seed", [
-    (TorusGrid(1, 16), 2, 4), (TorusGrid(1, 32, period=5.0), 3, 7),
+    (TorusGrid(1, 16), 2, 4), (TorusGrid(1, 32), 3, 7),
     (TorusGrid(2, 8), 2, 1), (TorusGrid(2, 16), 2, 5),
 ])
 def test_random_band_limited_matches_mode_loop(grid, max_mode, seed):

@@ -8,13 +8,7 @@ from maflow.cli import main
 from maflow.config import config_from_kv, parse_kv_text
 from maflow.errors import ConfigError
 from maflow.grid import TorusGrid
-from maflow.hermitian import unpack
-from maflow.io import (
-    dump_matrix_field,
-    dump_scalar_field,
-    load_matrix_field,
-    load_scalar_field,
-)
+from maflow.io import dump_scalar_field, load_scalar_field
 from conftest import field_from
 
 
@@ -42,21 +36,20 @@ def test_scalar_dump_header_format(tmp_path, grid1):
     assert header["shape"] == [16, 16]
     assert header["grid"]["complex_dim"] == 1
     assert len(payload) == 16 * 16 * 8
+    assert header["grid"]["period"] == 2 * math.pi
 
 
-def test_matrix_field_roundtrip(tmp_path, grid2, nonkahler2):
-    path = tmp_path / "g.dump"
-    dump_matrix_field(path, grid2, unpack(nonkahler2.entries))
-    grid_loaded, mats = load_matrix_field(path)
-    assert grid_loaded.same_as(grid2)
-    assert np.array_equal(mats, unpack(nonkahler2.entries))
-    # interleaved (re, im) layout, index order (point, i, j)
+def test_scalar_dump_rejects_other_period(tmp_path, grid1):
+    f = field_from(grid1, lambda c: np.cos(c[0]))
+    path = tmp_path / "f.dump"
+    dump_scalar_field(path, f)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
-    assert header["shape"][-3:] == [2, 2, 2]
-    assert np.array_equal(raw[..., 0], unpack(nonkahler2.entries).real)
-    assert np.array_equal(raw[..., 1], unpack(nonkahler2.entries).imag)
+        payload = fh.read()
+    header["grid"]["period"] = 5.0
+    path.write_bytes((json.dumps(header) + "\n").encode() + payload)
+    with pytest.raises(ValueError, match="period"):
+        load_scalar_field(path)
 
 
 # ----------------------------------------------------------------- config
@@ -111,7 +104,6 @@ def test_defaults():
     assert cfg.monitors.holder.epsilon == 0.5
     assert cfg.monitors.holder.sample_pairs == 20000
     assert cfg.monitors.alpha_ly == 1.5
-    assert cfg.period == pytest.approx(2 * math.pi)
 
 
 # ----------------------------------------------------------------- CLI
@@ -201,6 +193,9 @@ rng_seed = 3
 
 @pytest.mark.parametrize("line", [
     "grid.n = 3",             # TorusGrid: complex_dim must be 1 or 2
+    "grid.period = nan",      # every axis has period 2 pi: grid.period is an unknown key
+    "grid.period = inf",
+    "grid.period = 1e-300",
     "flow.horizon = 0.33",    # not a multiple of monitors.emit_dt
     "step.dt_min = 0",        # StepControl: need 0 < dt_min
     "step.eps_pd = -1",
@@ -212,9 +207,6 @@ rng_seed = 3
     "forcing.kind = const\nforcing.value = nan",
     "forcing.seed = -5",
     "forcing.psi_kind = bogus",
-    "grid.period = nan",
-    "grid.period = inf",
-    "grid.period = 1e-300",
     "rng_seed = -5",
     "metric.scale = -1",
     "metric.eps = nan",
@@ -238,6 +230,17 @@ def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_cli_grid_period_key_exit_2(tmp_path, capsys):
+    # every axis has period 2 pi and no key sets it: the line is an unknown key
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("grid.n = 1\ngrid.period = 5.0\n")
+    code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'grid.period'" in err
+    assert "Traceback" not in err
 
 
 def test_cli_decompose_demo(tmp_path):

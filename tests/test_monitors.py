@@ -140,7 +140,7 @@ def test_holder_single_mode_vs_exhaustive():
     xarr = np.array([c[1] for c in coords_all])
     for a_ in range(len(coords_all)):
         dx = np.abs(xarr - xarr[a_])
-        dx = np.minimum(dx, grid.period - dx)
+        dx = np.minimum(dx, 2 * np.pi - dx)
         dist = np.maximum(np.sqrt(np.sum(dx**2, axis=1)),
                           np.sqrt(np.abs(tarr - tarr[a_])))
         mask = dist > 0
@@ -352,7 +352,7 @@ def _reference_holder_pairs(times, gp_entries, grid, cfg):
     d2 = 0.0
     for a in range(grid.real_dim):
         d = np.abs(coords_a[a] - coords_b[a]) * grid.spacing
-        d = np.minimum(d, grid.period - d)
+        d = np.minimum(d, 2 * np.pi - d)
         d2 = d2 + d * d
     dist = np.maximum(np.sqrt(d2), np.sqrt(dt))
     mask = dist > 0

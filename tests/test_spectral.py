@@ -9,6 +9,7 @@ from maflow.spectral import (
     d_antiholo,
     d_holo,
     d_real,
+    holo_gradient,
     laplacian,
     rfftn,
     spectral_tail,
@@ -210,10 +211,73 @@ def _c2c_hessian(vals, grid):
     return out
 
 
-@pytest.mark.parametrize("grid", [TorusGrid(1, 16), TorusGrid(2, 8), TorusGrid(2, 16, period=3.0)])
+ORACLE_GRIDS = [TorusGrid(1, 16), TorusGrid(2, 8), TorusGrid(2, 16)]
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
 def test_packed_hessian_matches_c2c_oracle(grid):
     # white noise exercises every mode, the Nyquist shell included
     vals = np.random.default_rng(8).normal(size=grid.shape)
     want = _c2c_hessian(vals, grid)
     got = unpack(complex_hessian_values(rfftn(vals), grid))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _c2c_first_derivatives(vals, grid):
+    """d/dx_a f (real) and d_i f (complex) by full complex FFTs (test oracle).
+
+    The wavenumbers have the Nyquist mode zeroed; d_i f is one complex
+    ifftn of the symbol (sqrt(-1)/2)(k_{2i-1} - sqrt(-1) k_{2i}).
+    """
+    n, N, d = grid.complex_dim, grid.points_per_axis, grid.real_dim
+    k = 2 * np.pi * np.fft.fftfreq(N, d=grid.spacing)
+    k[N // 2] = 0.0
+    ks = [k.reshape([N if b == a else 1 for b in range(d)]) for a in range(d)]
+    fh = np.fft.fftn(vals)
+    dx = [np.fft.ifftn(1j * ks[a] * fh).real for a in range(d)]
+    dz = [np.fft.ifftn(0.5j * (ks[2 * i] - 1j * ks[2 * i + 1]) * fh) for i in range(n)]
+    return dx, dz
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
+def test_first_derivatives_match_c2c_oracle(grid):
+    # white noise exercises every mode, the Nyquist shell included
+    vals = np.random.default_rng(9).normal(size=grid.shape)
+    f = ScalarField(grid, vals)
+    dx, dz = _c2c_first_derivatives(vals, grid)
+    scale = max(np.max(np.abs(v)) for v in dx)
+    for a in range(grid.real_dim):
+        assert np.max(np.abs(d_real(f, a).values - dx[a])) <= 1e-13 * scale
+    grad = holo_gradient(vals, grid)
+    for i in range(grid.complex_dim):
+        assert np.max(np.abs(grad[..., i] - dz[i])) <= 1e-13 * scale
+        assert np.max(np.abs(d_holo(f, i + 1).values - dz[i])) <= 1e-13 * scale
+        assert np.max(np.abs(d_antiholo(f, i + 1).values - np.conj(dz[i]))) <= 1e-13 * scale
+
+
+def test_no_complex_to_complex_fft(monkeypatch):
+    # every derivative, the flow (with its Li-Yau finalize), the tail monitor
+    # and the torsion check run on real FFTs alone
+    from maflow.flow import StepControl, run
+    from maflow.monitors import HolderConfig, MonitorSuite
+    from maflow.presets import MetricPreset, build_metric, kahler_defect
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex-to-complex FFT called")
+
+    for owner in ("maflow.spectral", "scipy.fft", "numpy.fft"):
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(f"{owner}.{name}", refuse)
+    grid = TorusGrid(2, 8)
+    g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.1))
+    F = field_from(grid, lambda c: 0.05 * np.cos(c[0]) + 0.03 * np.sin(c[1] + c[3]))
+    suite = MonitorSuite(field_interval=0.5, holder=HolderConfig(rng_seed=5, sample_pairs=500))
+    res = run(g, F, horizon=1.5, ctrl=StepControl(), monitors=suite)
+    assert any(r.liyau_max != 0.0 for r in res.series.records)
+    assert spectral_tail(res.final.phi.values, grid) <= 1e-6
+    assert kahler_defect(g) > 0.01
+    for a in range(grid.real_dim):
+        d_real(res.final.phi, a)
+    for i in (1, 2):
+        d_holo(res.final.phi, i)
+        d_antiholo(res.final.phi, i)
