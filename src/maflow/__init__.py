@@ -14,18 +14,9 @@ from .grid import (
     TorusGrid,
     VolumeWeights,
     form_factor,
-    integrate,
-    volume_normalize,
     volume_weights,
 )
-from .spectral import (
-    complex_hessian,
-    d_antiholo,
-    d_holo,
-    d_real,
-    laplacian,
-    spectral_tail,
-)
+from .spectral import spectral_tail
 from .hermitian import (
     FrameDecomposition,
     NormalFrame,
@@ -54,8 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "TorusGrid", "ScalarField", "MetricField", "VolumeWeights",
-    "form_factor", "integrate", "volume_weights", "volume_normalize",
-    "d_real", "d_holo", "d_antiholo", "complex_hessian", "laplacian", "spectral_tail",
+    "form_factor", "volume_weights", "spectral_tail",
     "log_det_ratio", "trace_pair", "normal_frame", "frame_decompose",
     "NormalFrame", "FrameDecomposition",
     "MetricPreset", "ForcingPreset", "build_metric", "build_forcing",

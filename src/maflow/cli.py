@@ -6,7 +6,9 @@ Usage::
 
 Modes: flow, solve-elliptic, verify, decompose-demo, normal-frame-demo.
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 solver or
-step failure.  The env var MAFLOW_THREADS caps FFT worker threads (0 = auto).
+step failure.  The env var MAFLOW_THREADS sets the FFT worker count; unset
+or 0 means scipy's default of one worker, and a value that is not a
+non-negative integer is a config error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     TailAlarm,
 )
 from .io import dump_scalar_field, write_json, write_text
+from .spectral import _workers
 
 _SOLVER_ERRORS = (StepFailure, PositivityViolation, LineSearchFailure,
                   MaxIterationsExceeded, LinearSolveStagnation, TailAlarm)
@@ -120,6 +123,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             kv["out.dir"] = args.out
         cfg = config_from_kv(kv)
+        _workers()  # a bad MAFLOW_THREADS fails here, before any work
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from .errors import ConfigError
 from .flow import StepControl
 from .grid import LAMBDA_FLOOR, MAX_POINTS, TorusGrid
 from .monitors import HolderConfig, MonitorSuite
-from .presets import FORCING_PRESETS, METRIC_PRESETS, ForcingPreset, MetricPreset
+from .presets import ForcingPreset, MetricPreset
 
 MODES = ("flow", "solve-elliptic", "verify", "decompose-demo", "normal-frame-demo")
 
@@ -141,22 +141,15 @@ def config_from_kv(kv: dict) -> RunConfig:
     mode = kv.get("mode", "flow")
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}' (expected one of {MODES})")
-    metric_name = kv.get("metric.preset", "flat")
-    if metric_name not in METRIC_PRESETS:
-        raise ConfigError(f"unknown metric preset '{metric_name}'")
-    forcing_kind = kv.get("forcing.kind", "zero")
-    if forcing_kind not in FORCING_PRESETS:
-        raise ConfigError(f"unknown forcing preset '{forcing_kind}'")
-
     seed = _get(kv, "rng_seed", 0, int)
     metric = MetricPreset(
-        name=metric_name,
+        name=kv.get("metric.preset", "flat"),
         eps=_get(kv, "metric.eps", 0.3, float),
         amp=_get(kv, "metric.amp", 0.4, float),
         scale=_get(kv, "metric.scale", 1.0, float),
     )
     forcing = ForcingPreset(
-        kind=forcing_kind,
+        kind=kv.get("forcing.kind", "zero"),
         value=_get(kv, "forcing.value", 0.0, float),
         amplitude=_get(kv, "forcing.amplitude", 0.05, float),
         max_mode=_get(kv, "forcing.max_mode", 2, int),

@@ -210,13 +210,15 @@ def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
 
 def linearization_check(g: MetricField, phi: ScalarField, direction: ScalarField,
                         h_fd: float = 1e-5) -> float:
-    """Relative sup-norm gap between (G(phi+h d) - G(phi-h d)) / 2h and Delta' d."""
+    """Relative sup-norm gap between the central difference
+    (G(phi+h d) - G(phi-h d)) / 2h and the operator Newton solves with,
+    _Linearization(g, g').apply(d), both with their grid mean removed."""
     ratio_p, _ = _residual_field(phi.values + h_fd * direction.values, g)
     ratio_m, _ = _residual_field(phi.values - h_fd * direction.values, g)
     fd = (ratio_p - ratio_m) / (2.0 * h_fd)
+    fd = fd - fd.mean()
     _, gprime = _residual_field(phi.values, g)
-    lap = trace_pair(inverse_stack(gprime),
-                     complex_hessian_values(rfftn(direction.values), g.grid))
+    lap = _Linearization(g, gprime).apply(direction.values)
     scale = float(np.max(np.abs(lap)))
     if scale == 0.0:
         return float(np.max(np.abs(fd)))

@@ -9,10 +9,6 @@ class ConfigError(MaflowError):
     """Bad or unknown run configuration."""
 
 
-class GridMismatch(MaflowError):
-    """Two fields that must share a grid do not."""
-
-
 class PositivityViolation(MaflowError):
     """A matrix that must be positive definite is not.
 

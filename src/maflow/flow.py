@@ -86,8 +86,7 @@ class FlowState:
 
     gprime is g + Hess(phi) at phi, packed; dphi_dt is the flow right-hand
     side at phi; phi_tilde is phi minus its omega^n mean.  dt_try is the
-    size the next step tries first (None: dt_max); it travels with the
-    state so a restarted run takes the same steps as a direct one.
+    size the next step tries first (None: dt_max).
     """
 
     t: float
@@ -186,8 +185,7 @@ def _frozen_metric_key(g: MetricField) -> tuple:
     g' stays near g), and the exact part dominates it.  With the plain mean
     it does not: on an n=1, N=32 grid whose g spans 0.55 to 1.45 of its mean,
     steps of 0.1 let the Nyquist shell grow to 1e-3 and the run never
-    converges.  gbar depends on g alone, so a restarted run takes the same
-    steps as a direct one.
+    converges.
     """
     g_mean = g.entries.reshape(len(g.entries), -1).mean(axis=1)
     s = float(np.min(generalized_eig_range(g_mean, g.entries)[0]))
@@ -301,9 +299,8 @@ class RunResult:
 
 def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
         monitors: Optional["MonitorSuite"] = None,
-        initial_state: Optional[FlowState] = None,
         tail_threshold: float = TAIL_THRESHOLD) -> RunResult:
-    """Integrate from phi = 0 (or a restart state) to t = horizon.
+    """Integrate from phi = 0 to t = horizon.
 
     Snapshots are emitted at every multiple of the monitor emit interval;
     the spectral tail of phi is checked at each emission and raises
@@ -316,24 +313,18 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
     if monitors is None:
         monitors = MonitorSuite()
     w = volume_weights(g)
-    state = initial_state if initial_state is not None else make_state(g, f, w)
+    state = make_state(g, f, w)
     series = MonitorSeries(g, w, monitors)
     stats = {"steps": 0, "halvings": 0}
     gbar = _frozen_metric_key(g)
 
     emit_dt = monitors.emit_dt
-    k0 = int(round(state.t / emit_dt))
-    if abs(k0 * emit_dt - state.t) > 1e-12:
-        raise ValueError("restart time must sit on the emission clock")
-    if initial_state is None:
-        series.emit(state)
-    total_emits = int(round((horizon - state.t) / emit_dt))
-    if total_emits < 1 or abs(state.t + total_emits * emit_dt - horizon) > 1e-9:
-        raise ValueError(
-            f"horizon {horizon} must be a multiple of emit_dt {emit_dt} past t={state.t}"
-        )
+    series.emit(state)
+    total_emits = int(round(horizon / emit_dt))
+    if total_emits < 1 or abs(total_emits * emit_dt - horizon) > 1e-9:
+        raise ValueError(f"horizon {horizon} must be a multiple of emit_dt {emit_dt}")
     for j in range(1, total_emits + 1):
-        t_target = (k0 + j) * emit_dt
+        t_target = j * emit_dt
         while state.t < t_target - 1e-12:
             state = step(state, ctrl, g, f, w, t_land=t_target, stats=stats, gbar=gbar)
         tail = spectral_tail(state.phi.values, state.grid)

@@ -9,10 +9,9 @@ once here:
 
     omega^n = 2^n n! det(g) dx_1 ... dx_{2n}
 
-so the discrete volume element is ``FORM_FACTOR(n) * det g(x) * h^{2n}``.
-Quadrature weights are normalized to sum to one, i.e. ``integrate`` is the
-mean against the probability measure omega^n / Vol(M).  ``volume_normalize``
-rescales a metric so the raw discrete volume itself equals one.
+so the discrete volume element is ``form_factor(n) * det g(x) * h^{2n}``.
+Quadrature weights are normalized to sum to one, i.e. ``integrate_values``
+is the mean against the probability measure omega^n / Vol(M).
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridMismatch, PositivityViolation
-from .hermitian import det_field, log_det, min_eig_field, pack, unpack
+from .errors import PositivityViolation
+from .hermitian import det_field, log_det, min_eig_field, pack
 
 # Default floor for the smallest metric eigenvalue over the grid.
 LAMBDA_FLOOR = 0.1
@@ -91,17 +90,6 @@ class TorusGrid:
             out.append(x.reshape(shape))
         return out
 
-    def same_as(self, other: "TorusGrid") -> bool:
-        return (
-            self.complex_dim == other.complex_dim
-            and self.points_per_axis == other.points_per_axis
-        )
-
-
-def _check_same_grid(a: TorusGrid, b: TorusGrid):
-    if not a.same_as(b):
-        raise GridMismatch(f"grids differ: {a} vs {b}")
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -117,14 +105,6 @@ class ScalarField:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("scalar field contains non-finite values")
-
-
-@dataclass(frozen=True)
-class ComplexField:
-    """Complex-valued periodic field (intermediate quantities like d_holo f)."""
-
-    grid: TorusGrid
-    values: np.ndarray
 
 
 def grid_point(index: int, shape: tuple) -> tuple:
@@ -192,29 +172,13 @@ class MetricField:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "log_det", log_det(entries))
 
-    @property
-    def n(self) -> int:
-        return self.grid.complex_dim
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(min_eig_field(self.entries)))
-
-    def scaled(self, factor: float) -> "MetricField":
-        return MetricField(self.grid, factor * unpack(self.entries),
-                           lambda_floor=self.lambda_floor * factor)
-
 
 @dataclass(frozen=True)
 class VolumeWeights:
-    """Quadrature weights for the omega^n measure, normalized to sum to one.
-
-    ``raw_volume`` is the un-normalized discrete integral of omega^n,
-    i.e. form_factor(n) * h^{2n} * sum(det g).
-    """
+    """Quadrature weights for the omega^n measure, normalized to sum to one."""
 
     grid: TorusGrid
     w: np.ndarray
-    raw_volume: float
 
     def __post_init__(self):
         if self.w.shape != self.grid.shape:
@@ -231,31 +195,10 @@ def volume_weights(g: MetricField) -> VolumeWeights:
         raise PositivityViolation("metric determinant non-positive", index=int(np.argmin(dets)))
     cell = grid.spacing ** grid.real_dim
     raw = form_factor(grid.complex_dim) * dets * cell
-    total = float(np.sum(raw))
-    return VolumeWeights(grid, raw / total, raw_volume=total)
-
-
-def discrete_volume(g: MetricField) -> float:
-    """Raw discrete integral of omega^n (no normalization)."""
-    return volume_weights(g).raw_volume
-
-
-def volume_normalize(g: MetricField):
-    """Rescale the metric so the discrete volume of omega^n is exactly one.
-
-    Returns (normalized metric, scale), with normalized = scale * g.
-    """
-    vol = discrete_volume(g)
-    lam = vol ** (-1.0 / g.grid.complex_dim)
-    return g.scaled(lam), lam
-
-
-def integrate(f: ScalarField, w: VolumeWeights) -> float:
-    """Mean of f against the normalized omega^n measure (exact for constants)."""
-    _check_same_grid(f.grid, w.grid)
-    return float(np.sum(f.values * w.w))
+    return VolumeWeights(grid, raw / float(np.sum(raw)))
 
 
 def integrate_values(values: np.ndarray, w: VolumeWeights) -> float:
-    """Same as integrate but on a bare value array (hot-path helper)."""
+    """Mean of a value array against the normalized omega^n measure (exact
+    for constants)."""
     return float(np.sum(values * w.w))

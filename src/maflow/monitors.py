@@ -120,39 +120,36 @@ class FieldSnapshot:
     u: np.ndarray
 
 
-def monitor_basic(state, g: MetricField, g_inv: np.ndarray, w: VolumeWeights) -> dict:
-    """Zeroth/first/second-order witnesses at one snapshot."""
+def monitor_basic(state, g: MetricField, trace_field: np.ndarray,
+                  w: VolumeWeights) -> dict:
+    """Zeroth/first/second-order witnesses at one snapshot.
+
+    ``trace_field`` is tr_g g' at every grid point.
+    """
     u = state.dphi_dt.values
     sup_u = float(np.max(np.abs(u)))
     mean_u = integrate_values(u, w)
     sup_ut = float(np.max(np.abs(u - mean_u)))
     osc = float(np.max(u) - np.min(u))
-    tr = trace_pair(g_inv, state.gprime)
     emin, emax = generalized_eig_range(g.entries, state.gprime)
     return {
         "sup_dphidt": sup_u,
         "sup_dphitilde": sup_ut,
         "osc_u": osc,
-        "trace_max": float(np.max(tr)),
+        "trace_max": float(np.max(trace_field)),
         "eig_min": float(np.min(emin)),
         "eig_max": float(np.max(emax)),
         "mean_phitilde": integrate_values(state.phi_tilde.values, w),
-        "_trace_field": tr,
     }
 
 
-def monitor_Q(state, g: MetricField, A: float, sup_phitilde_run: float,
-              trace_field: Optional[np.ndarray] = None,
-              g_inv: Optional[np.ndarray] = None) -> float:
+def monitor_Q(state, trace_field: np.ndarray, A: float, sup_phitilde_run: float) -> float:
     """Max over the grid of Q = log tr_g g' + exp(A (sup phitilde - phitilde)).
 
-    ``sup_phitilde_run`` is the running supremum of phitilde over the run so
-    far (the measurable analogue of the space-time supremum in the estimate).
+    ``trace_field`` is tr_g g' at every grid point.  ``sup_phitilde_run`` is
+    the running supremum of phitilde over the run so far (the measurable
+    analogue of the space-time supremum in the estimate).
     """
-    if trace_field is None:
-        if g_inv is None:
-            g_inv = inverse_stack(g.entries)
-        trace_field = trace_pair(g_inv, state.gprime)
     q = np.log(trace_field) + np.exp(A * (sup_phitilde_run - state.phi_tilde.values))
     return float(np.max(q))
 
@@ -395,13 +392,6 @@ def contraction_and_decay(records: Sequence[MonitorRecord]):
                            window, degenerate=False, n_samples=int(np.sum(mask)))
 
 
-def _unit_window(field_snaps: Sequence[FieldSnapshot], m: int, make):
-    """Times relative to m-1 and make(u) of the stored snapshots with
-    m-1 < t <= m; the t = 0 slice is excluded."""
-    inside = [s for s in field_snaps if 1e-9 < s.t - (m - 1) <= 1.0 + 1e-9]
-    return np.array([s.t - (m - 1) for s in inside]), [make(s.u) for s in inside]
-
-
 def xi_surrogate(field_snaps: Sequence[FieldSnapshot], m: int):
     """Positive surrogate xi_m(x, t) = sup_y u(y, m-1) - u(x, m-1+t).
 
@@ -409,13 +399,8 @@ def xi_surrogate(field_snaps: Sequence[FieldSnapshot], m: int):
     m-1 < t <= m.  The t = 0 slice is excluded (xi vanishes at the argmax).
     """
     sup0 = float(np.max(_snap_at(field_snaps, float(m - 1)).u))
-    return _unit_window(field_snaps, m, lambda u: sup0 - u)
-
-
-def psi_surrogate(field_snaps: Sequence[FieldSnapshot], m: int):
-    """Positive surrogate psi_m(x, t) = u(x, m-1+t) - inf_y u(y, m-1)."""
-    inf0 = float(np.min(_snap_at(field_snaps, float(m - 1)).u))
-    return _unit_window(field_snaps, m, lambda u: u - inf0)
+    inside = [s for s in field_snaps if 1e-9 < s.t - (m - 1) <= 1.0 + 1e-9]
+    return np.array([s.t - (m - 1) for s in inside]), [sup0 - s.u for s in inside]
 
 
 def _snap_at(field_snaps: Sequence[FieldSnapshot], t: float) -> FieldSnapshot:
@@ -451,10 +436,9 @@ class MonitorSeries:
     def emit(self, state):
         self.sup_phitilde_run = max(self.sup_phitilde_run,
                                     float(np.max(state.phi_tilde.values)))
-        basic = monitor_basic(state, self.g, self.g_inv, self.w)
-        trace_field = basic.pop("_trace_field")
-        q_max = monitor_Q(state, self.g, self.suite.A, self.sup_phitilde_run,
-                          trace_field=trace_field)
+        trace_field = trace_pair(self.g_inv, state.gprime)
+        basic = monitor_basic(state, self.g, trace_field, self.w)
+        q_max = monitor_Q(state, trace_field, self.suite.A, self.sup_phitilde_run)
         if self.sup_F is None:
             self.sup_F = basic["sup_dphidt"]  # phi(.,0) = 0 makes u(0) = -F
         rec = MonitorRecord(

@@ -23,7 +23,7 @@ from .grid import (
     volume_weights,
 )
 from .hermitian import log_det_ratio
-from .spectral import complex_hessian_values, d_holo, rfftn
+from .spectral import complex_hessian_values, holo_gradient, rfftn
 
 METRIC_PRESETS = ("flat", "kahler_bump", "hermitian_nonkahler")
 
@@ -134,16 +134,11 @@ def kahler_defect(g: MetricField) -> float:
     d_1 conj(b) - d_2 a (jbar = 1) and d_1 d - d_2 b (jbar = 2), with
     b = g_{1 2bar}.  Meaningful for n >= 2.
     """
-    grid = g.grid
-    if grid.complex_dim == 1:
+    if g.grid.complex_dim == 1:
         return 0.0
-
-    def dh(vals, k):
-        return d_holo(ScalarField(grid, vals), k).values
-
-    a, d, b_re, b_im = g.entries
-    t1 = dh(b_re, 1) - 1j * dh(b_im, 1) - dh(a, 2)
-    t2 = dh(d, 1) - (dh(b_re, 2) + 1j * dh(b_im, 2))
+    a, d, b_re, b_im = (holo_gradient(e, g.grid) for e in g.entries)
+    t1 = b_re[..., 0] - 1j * b_im[..., 0] - a[..., 1]
+    t2 = d[..., 0] - (b_re[..., 1] + 1j * b_im[..., 1])
     return max(float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
 
 

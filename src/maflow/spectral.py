@@ -19,11 +19,15 @@ which the flow's stages already hold, and returned in the packed layout of
 hermitian.py.  Every packed entry is a real, even Fourier multiplier:
 -(1/4)|kappa_i|^2 on the diagonal and, for n = 2, the real and imaginary
 parts of -(1/4) conj(kappa_1) kappa_2 (kappa_i = k_{2i-1} + sqrt(-1) k_{2i})
-for b, so one batched real irfftn yields all n*n entries.  First
-derivatives take one irfftn per real axis.
+for b, so one batched real irfftn yields all n*n entries.
+
+The entry points take and return bare arrays: holo_gradient (the first
+derivatives d_i f, one irfftn per real axis; d/dx_{2i-1} f and d/dx_{2i} f
+are twice its real part and minus twice its imaginary part),
+complex_hessian_values, laplacian_values and spectral_tail.
 
 All operations are pure functions of their inputs.  FFT work is routed
-through scipy.fft so the worker count can be capped via MAFLOW_THREADS.
+through scipy.fft with the worker count read from MAFLOW_THREADS.
 """
 
 from __future__ import annotations
@@ -34,18 +38,25 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as _sfft
 
-from .grid import ComplexField, ScalarField, TorusGrid
+from .errors import ConfigError
+from .grid import TorusGrid
 from .hermitian import inverse_stack, trace_pair
 
 
 def _workers():
-    """Worker cap from MAFLOW_THREADS (0 or unset = automatic)."""
+    """FFT worker count from MAFLOW_THREADS.
+
+    Unset or 0 passes workers=None, scipy's default of one worker; a
+    positive value runs that many.  Anything else raises ConfigError.
+    """
     raw = os.environ.get("MAFLOW_THREADS", "0")
     try:
         v = int(raw)
     except ValueError:
-        v = 0
-    return None if v <= 0 else v
+        v = -1
+    if v < 0:
+        raise ConfigError(f"MAFLOW_THREADS must be a non-negative integer, got {raw!r}")
+    return v or None
 
 
 def fftn(a):
@@ -125,28 +136,6 @@ def _d_axis(fh: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
     return irfftn(1j * k_odd[axis] * fh, grid.shape)
 
 
-def d_real(f: ScalarField, axis: int) -> ScalarField:
-    """Spectral derivative along a real axis (Nyquist mode zeroed)."""
-    grid = f.grid
-    if not 0 <= axis < grid.real_dim:
-        raise ValueError(f"axis {axis} out of range for real dimension {grid.real_dim}")
-    return ScalarField(grid, _d_axis(rfftn(f.values), grid, axis))
-
-
-def d_holo(f: ScalarField, i: int) -> ComplexField:
-    """Holomorphic derivative d_i f, 1-based index i."""
-    grid = f.grid
-    n = grid.complex_dim
-    if not 1 <= i <= n:
-        raise ValueError(f"holomorphic index {i} out of range 1..{n}")
-    return ComplexField(grid, holo_gradient(f.values, grid)[..., i - 1])
-
-
-def d_antiholo(f: ScalarField, i: int) -> ComplexField:
-    """Antiholomorphic derivative d_ibar f = conj(d_i f) of the real f, 1-based i."""
-    return ComplexField(f.grid, np.conj(d_holo(f, i).values))
-
-
 def holo_gradient(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Stack of d_i f for i = 1..n of a real f, shape grid.shape + (n,).
 
@@ -172,29 +161,9 @@ def complex_hessian_values(fh: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return irfftn(sym * fh, grid.shape)
 
 
-class HessianField:
-    """Packed complex Hessian samples of a real field."""
-
-    def __init__(self, grid: TorusGrid, entries: np.ndarray):
-        n = grid.complex_dim
-        if entries.shape != (n * n,) + grid.shape:
-            raise ValueError("hessian sample array has wrong shape")
-        self.grid = grid
-        self.entries = entries
-
-
-def complex_hessian(f: ScalarField) -> HessianField:
-    return HessianField(f.grid, complex_hessian_values(rfftn(f.values), f.grid))
-
-
 def laplacian_values(values: np.ndarray, grid: TorusGrid, ginv: np.ndarray) -> np.ndarray:
     """g^{i jbar} d_i d_jbar f for a packed inverse metric ginv."""
     return trace_pair(ginv, complex_hessian_values(rfftn(values), grid))
-
-
-def laplacian(f: ScalarField, ginv: np.ndarray) -> ScalarField:
-    """Variable-coefficient complex Laplacian g^{i jbar} d_i d_jbar f."""
-    return ScalarField(f.grid, laplacian_values(f.values, f.grid, ginv))
 
 
 def spectral_tail(values: np.ndarray, grid: TorusGrid) -> float:

@@ -102,6 +102,7 @@ class VerificationContext:
     def __init__(self):
         self._run1 = None
         self._run2 = None
+        self._run2_repeat = None
         self._run2_newton = None
 
     def run1(self):
@@ -113,6 +114,12 @@ class VerificationContext:
         if self._run2 is None:
             self._run2 = execute_flow(config_from_kv(dict(RUN2_KV)))
         return self._run2
+
+    def run2_repeat(self):
+        """A second, independent execution of run 2 (criterion 11)."""
+        if self._run2_repeat is None:
+            self._run2_repeat = execute_flow(config_from_kv(dict(RUN2_KV)))
+        return self._run2_repeat
 
     def run2_newton(self):
         if self._run2_newton is None:
@@ -350,7 +357,7 @@ def criterion_11(ctx) -> CriterionResult:
     import json
 
     art = ctx.run2()
-    repeat = execute_flow(config_from_kv(dict(RUN2_KV)))
+    repeat = ctx.run2_repeat()
     csv_same = art.csv_text == repeat.csv_text
     json_a = json.dumps(art.summary, indent=2, default=_json_default)
     json_b = json.dumps(repeat.summary, indent=2, default=_json_default)

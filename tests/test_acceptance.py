@@ -1,9 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Runs the two frozen reference runs once (session scope) and checks all
-eleven criteria, printing one pass/fail line per criterion.  Expect a few
-minutes of wall time; the heavy pieces are the n=2 flow run and its
-byte-identical repeat.
+eleven criteria, printing one pass/fail line per criterion.  Expect about
+20 s of wall time; the heavy pieces are the n=2 flow run, its Newton
+cross-check and its byte-identical repeat, each executed once.
 """
 
 import numpy as np

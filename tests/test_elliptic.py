@@ -5,7 +5,7 @@ import maflow.elliptic
 from maflow.elliptic import linearization_check, solve
 from maflow.errors import MaflowError, PositivityViolation
 from maflow.flow import StepControl, run
-from maflow.grid import ScalarField, TorusGrid, integrate, volume_weights
+from maflow.grid import ScalarField, TorusGrid, integrate_values, volume_weights
 from maflow.monitors import HolderConfig, MonitorSuite
 from maflow.presets import (
     ForcingPreset,
@@ -36,7 +36,7 @@ def test_manufactured_solution(grid1, nonkahler1):
     assert np.max(np.abs(sol.phi_tilde_inf.values - exact.psi_tilde.values)) <= 1e-9
     assert sol.b == pytest.approx(exact.b, abs=1e-10)
     w = volume_weights(nonkahler1)
-    assert abs(integrate(sol.phi_tilde_inf, w)) <= 1e-12
+    assert abs(integrate_values(sol.phi_tilde_inf.values, w)) <= 1e-12
 
 
 def test_solver_n2_self_certifies(grid2, nonkahler2):
@@ -54,7 +54,6 @@ def test_solver_n2_self_certifies(grid2, nonkahler2):
 def test_b_identity_post_check(grid1, nonkahler1):
     from maflow.hermitian import log_det_ratio
     from maflow.spectral import complex_hessian_values, rfftn
-    from maflow.grid import integrate_values
 
     F = random_band_limited(grid1, 0.1, 2, seed=5)
     sol = solve(nonkahler1, F, tol=1e-11)
@@ -144,6 +143,17 @@ def test_linearization_check_random(grid2, nonkahler2):
         direction = random_band_limited(grid2, 1.0, 1, seed=int(rng.integers(1 << 30)))
         err = linearization_check(nonkahler2, phi, direction, h_fd=1e-5)
         assert err <= 1e-5
+
+
+def test_linearization_check_sees_the_newton_operator(monkeypatch, grid2, nonkahler2):
+    # the check compares against the operator Newton solves with, so a 1%
+    # error in _Linearization.apply must show
+    real = maflow.elliptic._Linearization.apply
+    monkeypatch.setattr(maflow.elliptic._Linearization, "apply",
+                        lambda self, v: 1.01 * real(self, v))
+    phi = random_band_limited(grid2, 0.08, 1, seed=3)
+    direction = random_band_limited(grid2, 1.0, 1, seed=4)
+    assert linearization_check(nonkahler2, phi, direction, h_fd=1e-5) >= 1e-3
 
 
 def test_flow_newton_agreement_small(grid1, nonkahler1):

@@ -196,18 +196,6 @@ def test_run_emission_clock_and_cache_coherence(grid1, nonkahler1):
     assert abs(integrate_values(final.phi_tilde.values, w)) <= 1e-12
 
 
-def test_run_semigroup_restart(grid1, nonkahler1):
-    F, _ = build_forcing(grid1, nonkahler1,
-                         ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
-    ctrl = StepControl()
-    direct = run(nonkahler1, F, horizon=2.0, ctrl=ctrl, monitors=small_suite())
-    first = run(nonkahler1, F, horizon=1.0, ctrl=ctrl, monitors=small_suite())
-    resumed = run(nonkahler1, F, horizon=2.0, ctrl=ctrl, monitors=small_suite(),
-                  initial_state=first.final)
-    gap = np.max(np.abs(resumed.final.phi.values - direct.final.phi.values))
-    assert gap <= 1e-9
-
-
 def test_run_comparison_principle(grid1, nonkahler1):
     # F1 <= F2 pointwise implies phi1 >= phi2 at matched times
     w = volume_weights(nonkahler1)

@@ -19,7 +19,7 @@ def test_scalar_field_roundtrip(tmp_path, grid1):
     path = tmp_path / "f.dump"
     dump_scalar_field(path, f)
     loaded = load_scalar_field(path)
-    assert loaded.grid.same_as(grid1)
+    assert loaded.grid == grid1
     assert np.array_equal(loaded.values, f.values)
 
 
@@ -73,7 +73,7 @@ def test_parse_kv_roundtrip():
     assert cfg.metric.amp == 0.35
     assert cfg.horizon == 2.5
     assert cfg.rng_seed == 42
-    assert cfg.grid().same_as(TorusGrid(2, 8))
+    assert cfg.grid() == TorusGrid(2, 8)
 
 
 def test_parse_rejects_unknown_key():
@@ -156,7 +156,7 @@ def test_cli_solve_elliptic(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["residual_sup"] <= 1e-10
     sol = load_scalar_field(out / "phi_tilde_inf.dump")
-    assert sol.grid.same_as(TorusGrid(1, 16))
+    assert sol.grid == TorusGrid(1, 16)
 
 
 def test_cli_unknown_preset_exit_2(tmp_path):
@@ -241,6 +241,33 @@ def test_cli_grid_period_key_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "'grid.period'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_cli_bad_maflow_threads_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("MAFLOW_THREADS", value)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FLOW_CFG)
+    code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "MAFLOW_THREADS" in err
+    assert "Traceback" not in err
+
+
+def test_maflow_threads_unset_or_zero_is_scipy_default(monkeypatch):
+    from maflow.spectral import _workers
+    monkeypatch.delenv("MAFLOW_THREADS", raising=False)
+    assert _workers() is None
+    monkeypatch.setenv("MAFLOW_THREADS", "0")
+    assert _workers() is None
+    monkeypatch.setenv("MAFLOW_THREADS", "2")
+    assert _workers() == 2
+
+
+def test_package_exports_resolve():
+    import maflow
+    assert [name for name in maflow.__all__ if not hasattr(maflow, name)] == []
 
 
 def test_cli_decompose_demo(tmp_path):

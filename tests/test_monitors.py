@@ -7,7 +7,7 @@ import pytest
 from maflow.errors import InsufficientSnapshots, NonPositiveU, SeriesTooShort
 from maflow.flow import StepControl, make_state, run
 from maflow.grid import ScalarField, TorusGrid, volume_weights
-from maflow.hermitian import inverse_stack
+from maflow.hermitian import inverse_stack, trace_pair
 from maflow.monitors import (
     CSV_COLUMNS,
     HolderConfig,
@@ -19,7 +19,6 @@ from maflow.monitors import (
     holder_seminorm,
     liyau_quantity,
     monitor_Q,
-    psi_surrogate,
     theta_at_integer_times,
     xi_surrogate,
 )
@@ -57,7 +56,6 @@ def test_trace_identity_pointwise(mfd_run):
     g, _, _, res = mfd_run
     final = res.final
     g_inv = inverse_stack(g.entries)
-    from maflow.hermitian import trace_pair
     tr = trace_pair(g_inv, final.gprime)
     lap = laplacian_values(final.phi_tilde.values, g.grid, g_inv)
     assert np.max(np.abs((tr - 1.0) - lap)) <= 1e-10
@@ -75,8 +73,8 @@ def test_monitor_Q_stationary(grid1, flat1):
     w = volume_weights(flat1)
     F = ScalarField(grid1, np.zeros(grid1.shape))
     state = make_state(flat1, F, w)
-    g_inv = inverse_stack(flat1.entries)
-    q = monitor_Q(state, flat1, A=2.0, sup_phitilde_run=0.0, g_inv=g_inv)
+    trace_field = trace_pair(inverse_stack(flat1.entries), state.gprime)
+    q = monitor_Q(state, trace_field, A=2.0, sup_phitilde_run=0.0)
     assert q == pytest.approx(np.log(1.0) + 1.0, abs=1e-13)
 
 
@@ -235,8 +233,6 @@ def test_xi_surrogates_on_run(mfd_run):
     assert all(np.min(f) > 0 for f in fields)  # strict positivity off t = 0
     hr = harnack_check([float(t) for t in rel_t], fields, 0.5, 1.0)
     assert hr.verifiable and all(np.isfinite(hr.constants))
-    rel_t2, fields2 = psi_surrogate(snaps, 1)
-    assert all(np.min(f) > 0 for f in fields2)
 
 
 # ----------------------------------------------------------------- contraction
@@ -364,7 +360,6 @@ def _reference_holder_pairs(times, gp_entries, grid, cfg):
 def _reference_liyau(times, u_list, gpinv_list, grid, alpha_ly):
     """List-based Li-Yau quantity: every log u and gradient held at once."""
     from maflow.spectral import holo_gradient
-    from maflow.hermitian import trace_pair
     fs = [np.log(u) for u in u_list]
     grads = [holo_gradient(f, grid) for f in fs]
     out_t, out_v = [], []
