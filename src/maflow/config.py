@@ -190,6 +190,11 @@ def config_from_kv(kv: dict) -> RunConfig:
             and abs(round(emits) * monitors.emit_dt - horizon) <= 1e-9):
         raise ConfigError(f"flow.horizon {horizon} must be a positive multiple of "
                           f"monitors.emit_dt {monitors.emit_dt}")
+    # the contraction and decay fit of a flow run needs 3 emissions spanning
+    # at least two unit times; reject a shorter run before it is integrated
+    if mode == "flow" and horizon < max(2.0, 2.0 * monitors.emit_dt):
+        raise ConfigError(f"flow.horizon {horizon} must be at least 2 and at least "
+                          f"2 * monitors.emit_dt ({2.0 * monitors.emit_dt}) in mode flow")
     criteria = ()
     if "verify.criteria" in kv:
         try:

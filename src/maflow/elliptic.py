@@ -13,7 +13,11 @@ each Newton step solves the linearization
 on mean-zero fields.  The linear solve is BiCGStab preconditioned by the
 spectral inverse of the constant-coefficient Laplacian built from the grid
 average of the evolving metric; any Krylov method meeting the 1e-10
-relative-residual contract would do.
+relative-residual contract would do.  The preconditioner returns the rfft
+spectrum S^-1 rfftn(r) and the operator takes that spectrum straight into
+the Hessian, so each preconditioned apply costs one rfftn and one batched
+irfftn; the iterate is kept as a spectrum and transformed back once per
+Krylov solve.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ class _Linearization:
     """Mean-projected Delta' with its spectral preconditioner.
 
     Keeps the packed g'^{-1}, so apply is a real contraction with the packed
-    Hessian of its argument.
+    Hessian of its argument.  precondition maps a real field to an rfft
+    spectrum and apply maps an rfft spectrum to a real field, so the
+    preconditioned operator apply(precondition(r)) transforms r once forward
+    and its Hessian once back.
     """
 
     def __init__(self, g: MetricField, gprime: np.ndarray):
@@ -81,26 +88,32 @@ class _Linearization:
         sym_inv[nz] = 1.0 / sym[nz]
         self._sym_inv = sym_inv
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = v - v.mean()
-        lap = trace_pair(self.gp_inv, complex_hessian_values(rfftn(v), self.grid))
+    def apply(self, vh: np.ndarray) -> np.ndarray:
+        """Mean-free Delta' v of the real field v whose rfft is vh.
+
+        The Hessian symbols vanish at k = 0, so the mean of v does not enter.
+        """
+        lap = trace_pair(self.gp_inv, complex_hessian_values(vh, self.grid))
         return lap - lap.mean()
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        out = irfftn(self._sym_inv * rfftn(r), self.grid.shape)
-        return out - out.mean()
+        """Spectrum S^-1 rfftn(r) of the preconditioned r, its k = 0 entry zero."""
+        return self._sym_inv * rfftn(r)
 
 
 def _bicgstab(op, b, rtol, max_iter):
     """Right-preconditioned BiCGStab on the mean-zero subspace.
 
-    Returns (solution, relative_residual); deterministic, no randomness.
+    The residuals live on the grid and the iterate x as the rfft spectrum
+    that op.precondition returns, so x goes back to grid values once, at the
+    end.  Returns (solution values, relative_residual); deterministic, no
+    randomness.
     """
     b = b - b.mean()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
-    x = np.zeros_like(b)
+    x = np.zeros(b.shape[:-1] + (b.shape[-1] // 2 + 1,), dtype=complex)
     r = b.copy()
     r_hat = r.copy()
     rho = alpha = omega = 1.0
@@ -136,7 +149,7 @@ def _bicgstab(op, b, rtol, max_iter):
         if omega == 0.0:
             break
     true_res = float(np.linalg.norm(op.apply(x) - b)) / bnorm
-    return x, true_res
+    return irfftn(x, b.shape), true_res
 
 
 def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
@@ -218,7 +231,7 @@ def linearization_check(g: MetricField, phi: ScalarField, direction: ScalarField
     fd = (ratio_p - ratio_m) / (2.0 * h_fd)
     fd = fd - fd.mean()
     _, gprime = _residual_field(phi.values, g)
-    lap = _Linearization(g, gprime).apply(direction.values)
+    lap = _Linearization(g, gprime).apply(rfftn(direction.values))
     scale = float(np.max(np.abs(lap)))
     if scale == 0.0:
         return float(np.max(np.abs(fd)))

@@ -8,19 +8,23 @@ split as d(phi)/dt = L phi + N(phi), where L = gbar^{i jbar} d_i d_jbar is
 the constant-coefficient Laplacian of gbar (the grid mean of g, scaled down
 to a lower bound of g; see _frozen_metric_key) and N is the remainder.
 Each step is one ETDRK4 step (Cox & Matthews 2002): L is applied exactly in
-Fourier space and N explicitly in four stages, with the phi-function
-coefficients evaluated by a contour mean (Kassam & Trefethen 2005).  The
-stages stay in Fourier space: flow_rhs takes the rfft spectrum of phi,
-builds g' from it with one batched real irfftn (spectral.py) and works on
-g' in the packed real layout of hermitian.py, so only the step's result is
-transformed back to grid values.  The stiffness of L sets no step cap: the
-step size is dt = min(dt_try, t_land - t), where t_land is the next
-emission time and dt_try starts at dt_max.  Any stage that leaves the
-positive cone (or grazes it closer than eps_pd) halves dt and retries; the
-next step then tries the accepted size again, and only a step accepted at
-its first try doubles dt_try, up to dt_max.  Snapshots are emitted on a
-fixed time clock (multiples of emit_dt, hit exactly by clipping the last
-step), which keeps monitor windows aligned and reruns bit-identical.
+Fourier space and N explicitly in four stages.  The phi-function
+coefficients are evaluated in closed form in real arithmetic, except on the
+modes with |dt L| < 0.7, whose closed forms cancel and which take a contour
+mean instead (Kassam & Trefethen 2005).  The stages stay in Fourier space:
+flow_rhs takes the rfft spectrum of phi, builds g' from it with one batched
+real irfftn (spectral.py) and works on g' in the packed real layout of
+hermitian.py, so only the step's result is transformed back to grid
+values.  FlowState carries that result's spectrum phi_hat, which the next
+step starts from and the spectral tail check reads, so phi is transformed
+forward once, in make_state.  The stiffness of L sets no step cap: the step
+size is dt = min(dt_try, t_land - t), where t_land is the next emission
+time and dt_try starts at dt_max.  Any stage that leaves the positive cone
+(or grazes it closer than eps_pd) halves dt and retries; the next step then
+tries the accepted size again, and only a step accepted at its first try
+doubles dt_try, up to dt_max.  Snapshots are emitted on a fixed time clock
+(multiples of emit_dt, hit exactly by clipping the last step), which keeps
+monitor windows aligned and reruns bit-identical.
 """
 
 from __future__ import annotations
@@ -56,9 +60,16 @@ from .spectral import (
 TAIL_THRESHOLD = 1e-6
 
 
-# Points of the contour mean for the ETDRK4 coefficients: the mean over 32
-# points of the unit circle around each dt*L, taken as the real part of the
-# mean over the 16 in the upper half plane (dt*L is real).
+# The ETDRK4 coefficients are evaluated in closed form where |dt L| >= 0.7
+# and as a contour mean where |dt L| < 0.7: the mean over 32 points of the
+# unit circle around each dt*L, taken as the real part of the mean over the
+# 16 in the upper half plane (dt*L is real).  Below 0.7 the closed forms
+# cancel (f1 loses up to 3e-13 relative near |h| = 0.3); above it the circle
+# passes within 0.3 of the origin, where its points cancel (the contour mean
+# loses up to 8.7e-13 in f1 near h = -0.95).  With the split at 0.7 no
+# coefficient is off by more than 3e-14 relative against an 80-digit
+# reference, away from the sign change of f1 near h = -2.69.
+CONTOUR_MAX_ABS_H = 0.7
 CONTOUR_POINTS = 32
 
 
@@ -84,13 +95,14 @@ class StepControl:
 class FlowState:
     """Snapshot of the evolution with coherent caches.
 
-    gprime is g + Hess(phi) at phi, packed; dphi_dt is the flow right-hand
-    side at phi; phi_tilde is phi minus its omega^n mean.  dt_try is the
-    size the next step tries first (None: dt_max).
+    phi_hat is rfftn(phi); gprime is g + Hess(phi) at phi, packed; dphi_dt
+    is the flow right-hand side at phi; phi_tilde is phi minus its omega^n
+    mean.  dt_try is the size the next step tries first (None: dt_max).
     """
 
     t: float
     phi: ScalarField
+    phi_hat: np.ndarray
     phi_tilde: ScalarField
     gprime: np.ndarray
     dphi_dt: ScalarField
@@ -123,11 +135,13 @@ def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
     grid = g.grid
     if phi_values is None:
         phi_values = np.zeros(grid.shape)
-    rhs, gprime = flow_rhs(rfftn(phi_values), g, f.values, eps_pd=eps_pd, t=t)
+    phi_hat = rfftn(phi_values)
+    rhs, gprime = flow_rhs(phi_hat, g, f.values, eps_pd=eps_pd, t=t)
     tilde = phi_values - integrate_values(phi_values, w)
     return FlowState(
         t=t,
         phi=ScalarField(grid, phi_values),
+        phi_hat=phi_hat,
         phi_tilde=ScalarField(grid, tilde),
         gprime=gprime,
         dphi_dt=ScalarField(grid, rhs),
@@ -135,42 +149,59 @@ def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
     )
 
 
+def _etdrk4_weights(h: np.ndarray) -> np.ndarray:
+    """Q, f1, f2, f3 over dt at real h <= 0, stacked on a new leading axis.
+
+    With E = exp(h) these are the Cox-Matthews phi-function combinations
+
+        Q  = (exp(h/2) - 1) / h
+        f1 = (-4 - h + E (4 - 3h + h^2)) / h^3
+        f2 = (2 + h + E (h - 2)) / h^3
+        f3 = (-4 - 3h - h^2 + E (4 - h)) / h^3
+
+    evaluated directly in real arithmetic where |h| >= CONTOUR_MAX_ABS_H.
+    Below it the closed forms cancel, and each is the mean over a circle of
+    radius 1 around h instead (Kassam & Trefethen 2005); the contour points
+    are looped over, so no (modes x points) temporary is built.
+    """
+    out = np.empty((4,) + h.shape)
+    near = np.abs(h) < CONTOUR_MAX_ABS_H
+    hf = h[~near]
+    e = np.exp(hf)
+    h3 = hf ** 3
+    out[:, ~near] = ((np.exp(0.5 * hf) - 1.0) / hf,
+                     (-4.0 - hf + e * (4.0 - 3.0 * hf + hf * hf)) / h3,
+                     (2.0 + hf + e * (hf - 2.0)) / h3,
+                     (-4.0 - 3.0 * hf - hf * hf + e * (4.0 - hf)) / h3)
+    hn = h[near]
+    acc = np.zeros((4,) + hn.shape)
+    half = CONTOUR_POINTS // 2
+    for j in range(half):
+        z = hn + np.exp(1j * np.pi * (j + 0.5) / half)
+        ez = np.exp(z)
+        z3 = z ** 3
+        acc[0] += ((np.exp(0.5 * z) - 1.0) / z).real
+        acc[1] += ((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3).real
+        acc[2] += ((2.0 + z + ez * (z - 2.0)) / z3).real
+        acc[3] += ((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3).real
+    out[:, near] = acc / half
+    return out
+
+
 @lru_cache(maxsize=8)
 def _etdrk4_coefficients(grid: TorusGrid, gbar_entries: tuple, dt: float):
     """Symbol of L and the ETDRK4 coefficients E, E2, Q, f1, f2, f3 for step dt.
 
     L is the rfft symbol of gbar^{i jbar} d_i d_jbar, gbar given by its n*n
-    packed entries.  With h = dt * L, the coefficients are E = exp(h),
-    E2 = exp(h/2) and the Cox-Matthews phi-function combinations
-
-        Q  = dt (exp(h/2) - 1) / h
-        f1 = dt (-4 - h + exp(h) (4 - 3h + h^2)) / h^3
-        f2 = dt (2 + h + exp(h) (h - 2)) / h^3
-        f3 = dt (-4 - 3h - h^2 + exp(h) (4 - h)) / h^3
-
-    each evaluated as its mean over a circle of radius 1 around h, which
-    avoids the cancellation near h = 0 (Kassam & Trefethen 2005).  The
-    contour points are looped over, so no (spectrum x points) temporary is
-    built.  The arrays are read-only: the cache hands the same ones to
-    every caller.
+    packed entries.  With h = dt * L, E = exp(h), E2 = exp(h/2) and Q, f1,
+    f2, f3 are dt times _etdrk4_weights(h).  The arrays are read-only: the
+    cache hands the same ones to every caller.
     """
     lin = mean_metric_symbol(np.array(gbar_entries), grid)
     h = dt * lin
-    q = np.zeros_like(h)
-    f1 = np.zeros_like(h)
-    f2 = np.zeros_like(h)
-    f3 = np.zeros_like(h)
-    half = CONTOUR_POINTS // 2
-    for j in range(half):
-        z = h + np.exp(1j * np.pi * (j + 0.5) / half)
-        ez = np.exp(z)
-        z3 = z ** 3
-        q += ((np.exp(0.5 * z) - 1.0) / z).real
-        f1 += ((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3).real
-        f2 += ((2.0 + z + ez * (z - 2.0)) / z3).real
-        f3 += ((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3).real
-    out = (lin, np.exp(h), np.exp(0.5 * h),
-           *(dt / half * acc for acc in (q, f1, f2, f3)))
+    weights = _etdrk4_weights(h)
+    weights *= dt
+    out = (lin, np.exp(h), np.exp(0.5 * h), *weights)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -203,13 +234,14 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
          stats: Optional[dict] = None, gbar: Optional[tuple] = None) -> FlowState:
     """One ETDRK4 step of size min(dt_try, t_land - t), dt_try <= dt_max.
 
-    The stages pass rfft spectra to flow_rhs; only the new phi goes back to
-    grid values.  Any PositivityViolation inside a stage halves dt and
-    retries, up to ctrl.retry_limit; persistent failure raises StepFailure
-    with the time, step size and offending grid index.  The new state's
-    dt_try is the accepted dt when the step needed a halving, twice it (at
-    most dt_max) when the first try was accepted, and unchanged when the
-    accepted step was the landing clip.  So a run that needed halvings
+    The stages start from state.phi_hat and pass rfft spectra to flow_rhs;
+    only the new phi goes back to grid values, and its spectrum is handed
+    on as the new state's phi_hat.  Any PositivityViolation inside a stage
+    halves dt and retries, up to ctrl.retry_limit; persistent failure
+    raises StepFailure with the time, step size and offending grid index.
+    The new state's dt_try is the accepted dt when the step needed a
+    halving, twice it (at most dt_max) when the first try was accepted, and
+    unchanged when the accepted step was the landing clip.  So a run that needed halvings
     neither restarts every step from dt_max (building a coefficient set
     for each halving) nor has every step rejected once at twice the size
     it can sustain.  ``stats``, when given, counts accepted steps and
@@ -232,7 +264,7 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
     fv = f.values
     if gbar is None:
         gbar = _frozen_metric_key(g)
-    u0 = rfftn(state.phi.values)
+    u0 = state.phi_hat
     k1 = rfftn(state.dphi_dt.values)  # rhs at phi0, cached
 
     def remainder(v_hat, lin, t):
@@ -269,6 +301,7 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
         return FlowState(
             t=state.t + dt,
             phi=ScalarField(grid, phi1),
+            phi_hat=phi1_hat,
             phi_tilde=ScalarField(grid, tilde),
             gprime=new_gprime,
             dphi_dt=ScalarField(grid, new_rhs),
@@ -327,7 +360,7 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
         t_target = j * emit_dt
         while state.t < t_target - 1e-12:
             state = step(state, ctrl, g, f, w, t_land=t_target, stats=stats, gbar=gbar)
-        tail = spectral_tail(state.phi.values, state.grid)
+        tail = spectral_tail(state.phi_hat, state.grid)
         if tail > tail_threshold:
             raise TailAlarm(
                 f"spectral tail {tail:.3e} exceeds {tail_threshold:.1e} at t={state.t:.3f}"

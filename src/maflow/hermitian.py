@@ -112,7 +112,9 @@ def inverse_stack(p: np.ndarray) -> np.ndarray:
     """Packed inverse of each packed Hermitian PD sample."""
     if len(p) == 1:
         return 1.0 / p
-    return np.stack((p[1], p[0], -p[2], -p[3])) / det_field(p)
+    out = np.stack((p[1], p[0], -p[2], -p[3]))
+    out /= det_field(p)
+    return out
 
 
 def trace_inverse(p: np.ndarray) -> np.ndarray:

@@ -243,26 +243,32 @@ def liyau_quantity(times: Iterable[float], u_list: Iterable[np.ndarray],
     if not (1.0 < alpha_ly < 2.0):
         raise ValueError("alpha_ly must lie in (1, 2)")
     out_t, out_v = [], []
-    window = []     # (t, f, g'^{-1}) of the last three snapshots
+    window = []     # (t, f, g'^{-1}) of the last two snapshots between passes
     for t, u, gpinv in zip(times, u_list, gpinv_list):
         if np.min(u) <= 0:
             raise NonPositiveU(f"non-positive u (min {np.min(u):.3e}) in Li-Yau diagnostic")
-        window = window[-2:] + [(t, np.log(u), gpinv)]
+        window.append((t, np.log(u), gpinv))
         if len(window) < 3:
             continue
         (t0, f0, _), (t1, f1, gpinv1), (t2, f2, _) = window
+        del window[0]   # its g'^{-1} is not needed while the next one is built
         f_t = (f2 - f0) / (t2 - t0)
-        v = holo_gradient(f1, grid)
-        outer = [np.abs(v[..., i]) ** 2 for i in range(grid.complex_dim)]
-        if grid.complex_dim == 2:
-            cross = v[..., 0] * np.conj(v[..., 1])
-            outer += [cross.real, cross.imag]
-        grad2 = trace_pair(gpinv1, np.stack(outer))
         out_t.append(t1)
-        out_v.append(float((t1 - t_origin) * np.max(grad2 - alpha_ly * f_t)))
-    if len(window) < 3:
+        out_v.append(float((t1 - t_origin)
+                           * np.max(_grad_sq(f1, gpinv1, grid) - alpha_ly * f_t)))
+    if not out_t:
         raise InsufficientSnapshots("need >= 3 snapshots for centered time differences")
     return np.array(out_t), np.array(out_v)
+
+
+def _grad_sq(f: np.ndarray, gpinv: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """|d f|^2 = tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f), packed g'^{-1}."""
+    v = holo_gradient(f, grid)
+    outer = [np.abs(v[..., i]) ** 2 for i in range(grid.complex_dim)]
+    if grid.complex_dim == 2:
+        cross = v[..., 0] * np.conj(v[..., 1])
+        outer += [cross.real, cross.imag]
+    return trace_pair(gpinv, np.stack(outer))
 
 
 def envelope_fit_inverse_time(t_rel: np.ndarray, values: np.ndarray):

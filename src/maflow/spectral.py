@@ -24,7 +24,9 @@ for b, so one batched real irfftn yields all n*n entries.
 The entry points take and return bare arrays: holo_gradient (the first
 derivatives d_i f, one irfftn per real axis; d/dx_{2i-1} f and d/dx_{2i} f
 are twice its real part and minus twice its imaginary part),
-complex_hessian_values, laplacian_values and spectral_tail.
+complex_hessian_values, laplacian_values and spectral_tail.  Like
+complex_hessian_values, spectral_tail takes the rfft spectrum of its field,
+which the flow's state already carries.
 
 All operations are pure functions of their inputs.  FFT work is routed
 through scipy.fft with the worker count read from MAFLOW_THREADS.
@@ -166,16 +168,16 @@ def laplacian_values(values: np.ndarray, grid: TorusGrid, ginv: np.ndarray) -> n
     return trace_pair(ginv, complex_hessian_values(rfftn(values), grid))
 
 
-def spectral_tail(values: np.ndarray, grid: TorusGrid) -> float:
-    """Relative amplitude of the Nyquist shell of a real field.
+def spectral_tail(fh: np.ndarray, grid: TorusGrid) -> float:
+    """Relative amplitude of the Nyquist shell of a real field f from fh = rfftn(f).
 
-    Mode amplitudes are |rfftn| / num_points (the half-spectrum holds every
+    Mode amplitudes are |fh| / num_points (the half-spectrum holds every
     amplitude of a real field, since |f^(-k)| = |f^(k)|); the tail is the
     largest amplitude among modes with any axis at the Nyquist index,
     relative to the largest amplitude overall (0 for the zero field).
     """
     N = grid.points_per_axis
-    fh = np.abs(rfftn(values)) / grid.num_points
+    fh = np.abs(fh) / grid.num_points
     peak = float(np.max(fh))
     if peak == 0.0:
         return 0.0

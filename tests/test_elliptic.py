@@ -122,6 +122,60 @@ def test_residual_field_rejects_nan(grid2, nonkahler2):
         maflow.elliptic._residual_field(phi, nonkahler2)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_spectrum_in_preconditioned_apply_matches_round_trip(n, nonkahler1, nonkahler2):
+    # precondition hands apply a spectrum; the real-space composition it
+    # replaces (precondition back to grid values, apply forward again) is
+    # kept here as the reference
+    from maflow.hermitian import trace_pair
+    from maflow.spectral import complex_hessian_values, irfftn, rfftn
+
+    g = nonkahler1 if n == 1 else nonkahler2
+    grid = g.grid
+    phi = random_band_limited(grid, 0.05, 2, seed=6).values
+    _, gprime = maflow.elliptic._residual_field(phi, g)
+    lin = maflow.elliptic._Linearization(g, gprime)
+    r = random_band_limited(grid, 1.0, 3, seed=7).values + 0.3
+
+    def old_precondition(r):
+        out = irfftn(lin._sym_inv * rfftn(r), grid.shape)
+        return out - out.mean()
+
+    def old_apply(v):
+        v = v - v.mean()
+        lap = trace_pair(lin.gp_inv, complex_hessian_values(rfftn(v), grid))
+        return lap - lap.mean()
+
+    yh = lin.precondition(r)
+    assert yh.shape == rfftn(r).shape and yh.flat[0] == 0
+    ref = old_apply(old_precondition(r))
+    assert np.max(np.abs(lin.apply(yh) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_solve_transforms_each_field_once(monkeypatch, grid2, nonkahler2):
+    # one irfftn per Krylov solve (the iterate, kept as a spectrum) and one
+    # rfftn per precondition or residual evaluation; the Hessian's own
+    # transforms run in spectral.py
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    E = maflow.elliptic
+    for name in ("rfftn", "irfftn", "_residual_field", "_bicgstab"):
+        monkeypatch.setattr(E, name, counted(name, getattr(E, name)))
+    monkeypatch.setattr(E._Linearization, "precondition",
+                        counted("precondition", E._Linearization.precondition))
+    F = random_band_limited(grid2, 0.1, 1, seed=42)
+    sol = solve(nonkahler2, F, tol=1e-10)
+    assert sol.newton_iters >= 1
+    assert calls["irfftn"] == calls["_bicgstab"] == sol.newton_iters
+    assert calls["rfftn"] == calls["precondition"] + calls["_residual_field"]
+
+
 def test_linearization_check_constant_metric(grid1, flat1):
     phi = ScalarField(grid1, np.zeros(grid1.shape))
     direction = field_from(grid1, lambda c: np.cos(c[0]))

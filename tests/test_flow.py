@@ -313,3 +313,59 @@ def test_halving_chain_reuses_coefficients():
     assert state.t == pytest.approx(0.05, abs=1e-12)
     assert 1 <= stats["halvings"] < 2000
     assert _etdrk4_coefficients.cache_info().misses < 50
+
+
+def test_step_transforms_rhs_stages_only(monkeypatch, grid1, nonkahler1):
+    # a step starts from the state's phi_hat: its forward transforms are the
+    # cached rhs and the three stage remainders, nothing else
+    import maflow.flow
+
+    w = volume_weights(nonkahler1)
+    F = field_from(grid1, lambda c: 0.05 * np.cos(c[0]))
+    state = make_state(nonkahler1, F, w)
+    real = maflow.flow.rfftn
+    calls = []
+    monkeypatch.setattr(maflow.flow, "rfftn", lambda a: calls.append(1) or real(a))
+    stats = {}
+    step(state, StepControl(), nonkahler1, F, w, stats=stats)
+    assert stats.get("halvings", 0) == 0
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_state_phi_hat_is_spectrum_of_phi(n, nonkahler1, nonkahler2):
+    g = nonkahler1 if n == 1 else nonkahler2
+    F, _ = build_forcing(g.grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
+    w = volume_weights(g)
+    state = make_state(g, F, w)
+    for _ in range(5):
+        state = step(state, StepControl(), g, F, w)
+        ref = rfftn(state.phi.values)
+        assert np.max(np.abs(state.phi_hat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _weights_reference(h):
+    """Q, f1, f2, f3 over dt at h in 80-digit decimal arithmetic (limits at 0)."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 80
+        h = Decimal(h)
+        if h == 0:
+            return [0.5] + [1.0 / 6.0] * 3
+        e, h3 = h.exp(), h ** 3
+        return [float(v) for v in (((h / 2).exp() - 1) / h,
+                                   (-4 - h + e * (4 - 3 * h + h * h)) / h3,
+                                   (2 + h + e * (h - 2)) / h3,
+                                   (-4 - 3 * h - h * h + e * (4 - h)) / h3)]
+
+
+def test_etdrk4_weights_match_decimal_reference():
+    # both sides of the closed-form / contour split, and its edge
+    from maflow.flow import _etdrk4_weights
+
+    hs = np.array([0.0, -1e-8, -0.5, -0.999, -1.0, -3.0, -50.0, -500.0])
+    got = _etdrk4_weights(hs)
+    for i, h in enumerate(hs):
+        ref = np.array(_weights_reference(float(h)))
+        assert np.all(np.abs(got[:, i] - ref) <= 1e-13 * np.abs(ref)), h

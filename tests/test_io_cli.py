@@ -232,6 +232,24 @@ def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("lines", [
+    "flow.horizon = 1",
+    "flow.horizon = 0.5",
+    "flow.horizon = 2\nmonitors.emit_dt = 2\nmonitors.field_interval = 2",
+])
+def test_cli_flow_too_short_for_decay_fit_exit_2(tmp_path, capsys, lines):
+    # the decay fit needs 3 emissions spanning two unit times: a shorter
+    # flow is a config error before any step runs, not a late failure
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FLOW_CFG.replace("flow.horizon = 2", lines))
+    out = tmp_path / "o"
+    code = main(["flow", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "flow.horizon" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_cli_grid_period_key_exit_2(tmp_path, capsys):
     # every axis has period 2 pi and no key sets it: the line is an unknown key
     cfg_path = tmp_path / "bad.cfg"
