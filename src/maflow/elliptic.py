@@ -10,14 +10,20 @@ each Newton step solves the linearization
 
     Delta' psi = -(G(phi) - b)
 
-on mean-zero fields.  The linear solve is BiCGStab preconditioned by the
-spectral inverse of the constant-coefficient Laplacian built from the grid
-average of the evolving metric; any Krylov method meeting the 1e-10
-relative-residual contract would do.  The preconditioner returns the rfft
-spectrum S^-1 rfftn(r) and the operator takes that spectrum straight into
-the Hessian, so each preconditioned apply costs one rfftn and one batched
-irfftn; the iterate is kept as a spectrum and transformed back once per
-Krylov solve.
+on mean-zero fields.  The linear solve is BiCGStab; any Krylov method meeting
+the 1e-10 relative-residual contract would do.  Its preconditioner scales the
+residual pointwise by c(x) = n / tr(gbar g'^{-1}(x)) and then inverts the
+constant-coefficient Laplacian built from the grid mean gbar of g'.  Where
+g'^{-1}(x) is a multiple of gbar^{-1} (always for n = 1), the scale undoes that
+multiple, so the preconditioned operator is the identity plus a rank-one mean
+correction and BiCGStab converges in a few steps; for n = 2 only the
+trace-free anisotropy of g'^{-1} is left to the Krylov iteration.  The
+preconditioner returns the rfft spectrum S^-1 rfftn(c r) and the operator
+takes that spectrum straight into the Hessian, so each preconditioned apply
+costs one rfftn and one batched irfftn.  The Newton iterate phi is kept as
+its rfft spectrum too: a Krylov solve returns the spectrum of its solution,
+each line-search candidate is phi_hat + s psi_hat, and grid values of phi are
+formed once, for the returned phitilde_inf.
 """
 
 from __future__ import annotations
@@ -61,27 +67,31 @@ class EllipticSolution:
     newton_iters: int
 
 
-def _residual_field(phi_values, g):
-    """G(phi) = log det ratio and the assembled (packed) evolving metric."""
-    gprime = g.entries + complex_hessian_values(rfftn(phi_values), g.grid)
+def _residual_field(phi_hat, g):
+    """G(phi) = log det ratio and the assembled (packed) evolving metric.
+
+    Takes phi_hat = rfftn(phi), as complex_hessian_values does.
+    """
+    gprime = g.entries + complex_hessian_values(phi_hat, g.grid)
     check_cone(min_eig_field(gprime), 0.0, "Newton iterate left the positive cone")
     return log_det(gprime) - g.log_det, gprime
 
 
 class _Linearization:
-    """Mean-projected Delta' with its spectral preconditioner.
+    """Mean-projected Delta' with its pointwise-scaled spectral preconditioner.
 
     Keeps the packed g'^{-1}, so apply is a real contraction with the packed
-    Hessian of its argument.  precondition maps a real field to an rfft
-    spectrum and apply maps an rfft spectrum to a real field, so the
-    preconditioned operator apply(precondition(r)) transforms r once forward
-    and its Hessian once back.
+    Hessian of its argument, and the scale c = n / tr(gbar g'^{-1}).
+    precondition maps a real field to an rfft spectrum and apply maps an rfft
+    spectrum to a real field, so the preconditioned operator
+    apply(precondition(r)) transforms r once forward and its Hessian once back.
     """
 
     def __init__(self, g: MetricField, gprime: np.ndarray):
         self.grid = g.grid
         self.gp_inv = inverse_stack(gprime)
         g_mean = gprime.reshape(len(gprime), -1).mean(axis=1)
+        self._scale = g.grid.complex_dim / trace_pair(g_mean, self.gp_inv)
         sym = mean_metric_symbol(g_mean, g.grid)
         sym_inv = np.zeros_like(sym)
         nz = sym != 0
@@ -97,23 +107,23 @@ class _Linearization:
         return lap - lap.mean()
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """Spectrum S^-1 rfftn(r) of the preconditioned r, its k = 0 entry zero."""
-        return self._sym_inv * rfftn(r)
+        """Spectrum S^-1 rfftn(c r) of the preconditioned r, its k = 0 entry zero."""
+        return self._sym_inv * rfftn(self._scale * r)
 
 
 def _bicgstab(op, b, rtol, max_iter):
     """Right-preconditioned BiCGStab on the mean-zero subspace.
 
     The residuals live on the grid and the iterate x as the rfft spectrum
-    that op.precondition returns, so x goes back to grid values once, at the
-    end.  Returns (solution values, relative_residual); deterministic, no
-    randomness.
+    that op.precondition returns.  Returns (solution spectrum,
+    relative_residual), the latter taken from a fresh apply of x, or the
+    first residual norm that is not finite; deterministic, no randomness.
     """
     b = b - b.mean()
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0.0
     x = np.zeros(b.shape[:-1] + (b.shape[-1] // 2 + 1,), dtype=complex)
+    if bnorm == 0.0:
+        return x, 0.0
     r = b.copy()
     r_hat = r.copy()
     rho = alpha = omega = 1.0
@@ -133,7 +143,10 @@ def _bicgstab(op, b, rtol, max_iter):
             break
         alpha = rho / denom
         s = r - alpha * v
-        if float(np.linalg.norm(s)) / bnorm < rtol:
+        rel = float(np.linalg.norm(s)) / bnorm
+        if not np.isfinite(rel):
+            return x, rel
+        if rel < rtol:
             x = x + alpha * y
             break
         z = op.precondition(s)
@@ -144,12 +157,14 @@ def _bicgstab(op, b, rtol, max_iter):
         omega = float(np.vdot(t, s).real) / tt
         x = x + alpha * y + omega * z
         r = s - omega * t
-        if float(np.linalg.norm(r)) / bnorm < rtol:
+        rel = float(np.linalg.norm(r)) / bnorm
+        if not np.isfinite(rel):
+            return x, rel
+        if rel < rtol:
             break
         if omega == 0.0:
             break
-    true_res = float(np.linalg.norm(op.apply(x) - b)) / bnorm
-    return irfftn(x, b.shape), true_res
+    return x, float(np.linalg.norm(op.apply(x) - b)) / bnorm
 
 
 def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
@@ -166,10 +181,10 @@ def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
         raise ValueError("tolerance below attainable round-off (need tol >= 1e-12)")
     grid = g.grid
     w = volume_weights(g)
-    phi = np.zeros(grid.shape) if initial is None else initial.values.copy()
-    phi = phi - phi.mean()
+    phi_hat = rfftn(np.zeros(grid.shape) if initial is None
+                    else initial.values - initial.values.mean())
 
-    ratio, gprime = _residual_field(phi, g)
+    ratio, gprime = _residual_field(phi_hat, g)
     b = integrate_values(ratio - f.values, w)
     resid = ratio - f.values - b
     res_sup = float(np.max(np.abs(resid)))
@@ -180,14 +195,17 @@ def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
             raise MaxIterationsExceeded(
                 f"residual {res_sup:.3e} after {max_iters} Newton iterations")
         lin = _Linearization(g, gprime)
-        psi, rel = _bicgstab(lin, -resid, krylov_rtol, krylov_max_iter)
-        if rel > 1e-10:
+        # the Krylov solve, where the memory of a solve peaks, reads only lin
+        gprime = gprime_c = psi_hat = None
+        psi_hat, rel = _bicgstab(lin, -resid, krylov_rtol, krylov_max_iter)
+        lin = None
+        if not rel <= 1e-10:
             raise LinearSolveStagnation(
                 f"Krylov relative residual {rel:.3e} above contract 1e-10")
         step_size = 1.0
         accepted = False
         for _ in range(backtrack_limit):
-            cand = phi + step_size * psi
+            cand = phi_hat + step_size * psi_hat
             try:
                 ratio_c, gprime_c = _residual_field(cand, g)
             except PositivityViolation:
@@ -197,7 +215,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
             resid_c = ratio_c - f.values - b_c
             res_c = float(np.max(np.abs(resid_c)))
             if res_c < res_sup:
-                phi, ratio, gprime = cand, ratio_c, gprime_c
+                phi_hat, ratio, gprime = cand, ratio_c, gprime_c
                 b, resid, res_sup = b_c, resid_c, res_c
                 accepted = True
                 break
@@ -207,6 +225,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
                 f"no damped step reduced sup residual {res_sup:.3e}")
         iters += 1
 
+    phi = irfftn(phi_hat, grid.shape)
     tilde = phi - integrate_values(phi, w)
     # post-check, not assumption: b equals the mean of (log ratio - F)
     b_check = integrate_values(ratio - f.values, w)
@@ -226,12 +245,13 @@ def linearization_check(g: MetricField, phi: ScalarField, direction: ScalarField
     """Relative sup-norm gap between the central difference
     (G(phi+h d) - G(phi-h d)) / 2h and the operator Newton solves with,
     _Linearization(g, g').apply(d), both with their grid mean removed."""
-    ratio_p, _ = _residual_field(phi.values + h_fd * direction.values, g)
-    ratio_m, _ = _residual_field(phi.values - h_fd * direction.values, g)
+    phi_hat, d_hat = rfftn(phi.values), rfftn(direction.values)
+    ratio_p, _ = _residual_field(phi_hat + h_fd * d_hat, g)
+    ratio_m, _ = _residual_field(phi_hat - h_fd * d_hat, g)
     fd = (ratio_p - ratio_m) / (2.0 * h_fd)
     fd = fd - fd.mean()
-    _, gprime = _residual_field(phi.values, g)
-    lap = _Linearization(g, gprime).apply(rfftn(direction.values))
+    _, gprime = _residual_field(phi_hat, g)
+    lap = _Linearization(g, gprime).apply(d_hat)
     scale = float(np.max(np.abs(lap)))
     if scale == 0.0:
         return float(np.max(np.abs(fd)))

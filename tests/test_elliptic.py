@@ -3,7 +3,7 @@ import pytest
 
 import maflow.elliptic
 from maflow.elliptic import linearization_check, solve
-from maflow.errors import MaflowError, PositivityViolation
+from maflow.errors import LinearSolveStagnation, MaflowError, PositivityViolation
 from maflow.flow import StepControl, run
 from maflow.grid import ScalarField, TorusGrid, integrate_values, volume_weights
 from maflow.monitors import HolderConfig, MonitorSuite
@@ -14,6 +14,7 @@ from maflow.presets import (
     build_metric,
     random_band_limited,
 )
+from maflow.spectral import rfftn
 
 from conftest import field_from
 
@@ -119,7 +120,7 @@ def test_residual_field_rejects_nan(grid2, nonkahler2):
     phi = np.zeros(grid2.shape)
     phi[1, 2, 3, 4] = np.nan
     with pytest.raises(PositivityViolation, match=r"grid point \("):
-        maflow.elliptic._residual_field(phi, nonkahler2)
+        maflow.elliptic._residual_field(rfftn(phi), nonkahler2)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -133,7 +134,7 @@ def test_spectrum_in_preconditioned_apply_matches_round_trip(n, nonkahler1, nonk
     g = nonkahler1 if n == 1 else nonkahler2
     grid = g.grid
     phi = random_band_limited(grid, 0.05, 2, seed=6).values
-    _, gprime = maflow.elliptic._residual_field(phi, g)
+    _, gprime = maflow.elliptic._residual_field(rfftn(phi), g)
     lin = maflow.elliptic._Linearization(g, gprime)
     r = random_band_limited(grid, 1.0, 3, seed=7).values + 0.3
 
@@ -148,14 +149,14 @@ def test_spectrum_in_preconditioned_apply_matches_round_trip(n, nonkahler1, nonk
 
     yh = lin.precondition(r)
     assert yh.shape == rfftn(r).shape and yh.flat[0] == 0
-    ref = old_apply(old_precondition(r))
+    ref = old_apply(old_precondition(lin._scale * r))
     assert np.max(np.abs(lin.apply(yh) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_solve_transforms_each_field_once(monkeypatch, grid2, nonkahler2):
-    # one irfftn per Krylov solve (the iterate, kept as a spectrum) and one
-    # rfftn per precondition or residual evaluation; the Hessian's own
-    # transforms run in spectral.py
+    # the Newton iterate is kept as a spectrum: one rfftn of the initial phi,
+    # one per precondition and one irfftn for the returned phi_tilde_inf; the
+    # Hessian's own transforms run in spectral.py
     calls = {}
 
     def counted(name, fn):
@@ -172,8 +173,74 @@ def test_solve_transforms_each_field_once(monkeypatch, grid2, nonkahler2):
     F = random_band_limited(grid2, 0.1, 1, seed=42)
     sol = solve(nonkahler2, F, tol=1e-10)
     assert sol.newton_iters >= 1
-    assert calls["irfftn"] == calls["_bicgstab"] == sol.newton_iters
-    assert calls["rfftn"] == calls["precondition"] + calls["_residual_field"]
+    assert calls["_bicgstab"] == sol.newton_iters
+    assert calls["irfftn"] == 1
+    assert calls["rfftn"] == calls["precondition"] + 1
+
+
+def _count_applies(monkeypatch):
+    """Krylov applies per _bicgstab call inside elliptic.solve, in order."""
+    E = maflow.elliptic
+    per_solve = []
+    real_apply, real_bicgstab = E._Linearization.apply, E._bicgstab
+
+    def apply(self, vh):
+        per_solve[-1] += 1
+        return real_apply(self, vh)
+
+    def bicgstab(*args, **kwargs):
+        per_solve.append(0)
+        return real_bicgstab(*args, **kwargs)
+
+    monkeypatch.setattr(E._Linearization, "apply", apply)
+    monkeypatch.setattr(E, "_bicgstab", bicgstab)
+    return per_solve
+
+
+def test_scaled_preconditioner_is_exact_for_n1(monkeypatch, grid1, nonkahler1):
+    # for n = 1 the scaled preconditioned operator is the identity plus a
+    # rank-one mean correction, so each Krylov solve needs a few applies
+    per_solve = _count_applies(monkeypatch)
+    F = random_band_limited(grid1, 0.1, 1, seed=42)
+    sol = solve(nonkahler1, F, tol=1e-11)
+    assert sol.newton_iters >= 1 and len(per_solve) == sol.newton_iters
+    assert max(per_solve) <= 5
+
+
+def test_scaled_preconditioner_beats_unscaled_n2(monkeypatch, grid2, nonkahler2):
+    # the unscaled constant-coefficient preconditioner is kept here as the
+    # reference; both must reach the same solution
+    E = maflow.elliptic
+    per_solve = _count_applies(monkeypatch)
+    F = random_band_limited(grid2, 0.1, 1, seed=42)
+    scaled = solve(nonkahler2, F, tol=1e-10)
+    scaled_applies = sum(per_solve)
+    per_solve.clear()
+    monkeypatch.setattr(E._Linearization, "precondition",
+                        lambda self, r: self._sym_inv * rfftn(r))
+    unscaled = solve(nonkahler2, F, tol=1e-10)
+    assert scaled.newton_iters == unscaled.newton_iters >= 1
+    assert abs(scaled.b - unscaled.b) <= 1e-12
+    assert scaled_applies <= 0.8 * sum(per_solve)
+
+
+def test_nan_in_krylov_apply_is_a_stagnation(monkeypatch, grid2, nonkahler2):
+    # NaN compares false against the 1e-10 contract; the Krylov solve must
+    # stop at the first non-finite residual norm and solve must name it
+    real = maflow.elliptic._Linearization.apply
+    applies = []
+
+    def nan_apply(self, vh):
+        applies.append(None)
+        out = real(self, vh)
+        out[1, 2, 3, 4] = np.nan
+        return out
+
+    monkeypatch.setattr(maflow.elliptic._Linearization, "apply", nan_apply)
+    F = random_band_limited(grid2, 0.1, 1, seed=42)
+    with pytest.raises(LinearSolveStagnation, match="nan"):
+        solve(nonkahler2, F, tol=1e-10)
+    assert len(applies) <= 5
 
 
 def test_linearization_check_constant_metric(grid1, flat1):
