@@ -56,6 +56,13 @@ from .spectral import (
     rfftn,
 )
 
+# BiCGStab stops below this relative residual (the contract is 1e-10) or
+# after KRYLOV_MAX_ITER iterations; a Newton step halves at most
+# BACKTRACK_LIMIT times.
+KRYLOV_RTOL = 1e-12
+KRYLOV_MAX_ITER = 400
+BACKTRACK_LIMIT = 30
+
 
 @dataclass(frozen=True)
 class EllipticSolution:
@@ -168,9 +175,7 @@ def _bicgstab(op, b, rtol, max_iter):
 
 
 def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
-          max_iters: int = 50, initial: ScalarField = None,
-          krylov_rtol: float = 1e-12, krylov_max_iter: int = 400,
-          backtrack_limit: int = 30) -> EllipticSolution:
+          max_iters: int = 50, initial: ScalarField = None) -> EllipticSolution:
     """Damped Newton iteration with mean-zero projection.
 
     At each iterate b is the omega^n mean of G(phi); the update solves the
@@ -197,14 +202,14 @@ def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
         lin = _Linearization(g, gprime)
         # the Krylov solve, where the memory of a solve peaks, reads only lin
         gprime = gprime_c = psi_hat = None
-        psi_hat, rel = _bicgstab(lin, -resid, krylov_rtol, krylov_max_iter)
+        psi_hat, rel = _bicgstab(lin, -resid, KRYLOV_RTOL, KRYLOV_MAX_ITER)
         lin = None
         if not rel <= 1e-10:
             raise LinearSolveStagnation(
                 f"Krylov relative residual {rel:.3e} above contract 1e-10")
         step_size = 1.0
         accepted = False
-        for _ in range(backtrack_limit):
+        for _ in range(BACKTRACK_LIMIT):
             cand = phi_hat + step_size * psi_hat
             try:
                 ratio_c, gprime_c = _residual_field(cand, g)

@@ -129,14 +129,13 @@ def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray,
 
 
 def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
-               phi_values: Optional[np.ndarray] = None, t: float = 0.0,
-               step_count: int = 0, eps_pd: float = 0.0) -> FlowState:
+               phi_values: Optional[np.ndarray] = None, t: float = 0.0) -> FlowState:
     """Assemble a coherent FlowState from phi values (zero field by default)."""
     grid = g.grid
     if phi_values is None:
         phi_values = np.zeros(grid.shape)
     phi_hat = rfftn(phi_values)
-    rhs, gprime = flow_rhs(phi_hat, g, f.values, eps_pd=eps_pd, t=t)
+    rhs, gprime = flow_rhs(phi_hat, g, f.values, t=t)
     tilde = phi_values - integrate_values(phi_values, w)
     return FlowState(
         t=t,
@@ -145,7 +144,6 @@ def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
         phi_tilde=ScalarField(grid, tilde),
         gprime=gprime,
         dphi_dt=ScalarField(grid, rhs),
-        step_count=step_count,
     )
 
 
@@ -331,13 +329,12 @@ class RunResult:
 
 
 def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
-        monitors: Optional["MonitorSuite"] = None,
-        tail_threshold: float = TAIL_THRESHOLD) -> RunResult:
+        monitors: Optional["MonitorSuite"] = None) -> RunResult:
     """Integrate from phi = 0 to t = horizon.
 
     Snapshots are emitted at every multiple of the monitor emit interval;
     the spectral tail of phi is checked at each emission and raises
-    TailAlarm above ``tail_threshold`` (under-resolution guard).
+    TailAlarm above TAIL_THRESHOLD (under-resolution guard).
     """
     from .monitors import MonitorSeries, MonitorSuite  # local import, no cycle at import time
 
@@ -361,9 +358,9 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
         while state.t < t_target - 1e-12:
             state = step(state, ctrl, g, f, w, t_land=t_target, stats=stats, gbar=gbar)
         tail = spectral_tail(state.phi_hat, state.grid)
-        if tail > tail_threshold:
+        if tail > TAIL_THRESHOLD:
             raise TailAlarm(
-                f"spectral tail {tail:.3e} exceeds {tail_threshold:.1e} at t={state.t:.3f}"
+                f"spectral tail {tail:.3e} exceeds {TAIL_THRESHOLD:.1e} at t={state.t:.3f}"
             )
         series.emit(state)
     series.finalize()

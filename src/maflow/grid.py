@@ -11,19 +11,23 @@ once here:
 
 so the discrete volume element is ``form_factor(n) * det g(x) * h^{2n}``.
 Quadrature weights are normalized to sum to one, i.e. ``integrate_values``
-is the mean against the probability measure omega^n / Vol(M).
+is the mean against the probability measure omega^n / Vol(M).  The metric
+(``MetricField``) is taken as packed real entries in hermitian.py's layout,
+like every other Hermitian field.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from dataclasses import InitVar, dataclass, field
+import os
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import PositivityViolation
-from .hermitian import det_field, log_det, min_eig_field, pack
+from .hermitian import det_field, log_det, min_eig_field
 
 # Default floor for the smallest metric eigenvalue over the grid.
 LAMBDA_FLOOR = 0.1
@@ -91,6 +95,26 @@ class TorusGrid:
         return out
 
 
+def pin_heap_thresholds(grid: TorusGrid):
+    """Serve the grid's field-sized temporaries from the heap (glibc only).
+
+    glibc maps each block above its mmap threshold afresh (page faults on
+    first touch) and raises that threshold, with the heap's trim threshold,
+    only after such a block is freed, so a solve's speed depended on what
+    had been freed before it.  Both are pinned here, at the size of a full
+    complex n x n field (glibc caps it at 32 MiB) and twice that; grids
+    whose fields fit under the starting 128 KiB are left alone.
+    """
+    size = min(16 * grid.complex_dim ** 2 * grid.num_points, 32 << 20)
+    if size <= 128 << 10 or "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 2 * size)  # M_TRIM_THRESHOLD
+    mallopt(-3, size)  # M_MMAP_THRESHOLD
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Real smooth periodic function sampled on the grid."""
@@ -131,37 +155,26 @@ def check_cone(mins: np.ndarray, floor: float, what: str, t: Optional[float] = N
         )
 
 
-def hermitize(mats: np.ndarray) -> np.ndarray:
-    """Symmetrize a (..., n, n) stack to exact Hermitian form."""
-    return 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
-
-
 @dataclass(frozen=True)
 class MetricField:
     """Hermitian positive-definite n x n matrix per grid point.
 
-    Built from full matrices ``mats`` of shape grid.shape + (n, n) with
-    mats[..., i, j] = g_{i jbar}, which are checked to be Hermitian and to
-    have every eigenvalue at or above ``lambda_floor``.  Only their packed
-    form is kept: ``entries`` (shape (n*n,) + grid.shape, see hermitian.py)
-    and ``log_det`` = log det g, both computed once here.
+    ``entries`` are the packed samples g_{i jbar}, shape (n*n,) + grid.shape
+    (see hermitian.py), so the field is Hermitian by construction; every
+    eigenvalue must be at or above ``lambda_floor``.  ``log_det`` = log det g
+    is computed once here.
     """
 
     grid: TorusGrid
-    mats: InitVar[np.ndarray]
+    entries: np.ndarray = field(repr=False)
     lambda_floor: float = LAMBDA_FLOOR
-    entries: np.ndarray = field(init=False, repr=False)
     log_det: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, mats):
+    def __post_init__(self):
         n = self.grid.complex_dim
-        if mats.shape != self.grid.shape + (n, n):
-            raise ValueError("metric sample array has wrong shape")
-        herm_err = np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))))
-        if herm_err > 1e-12:
-            raise ValueError(f"metric samples not Hermitian (max asymmetry {herm_err:.3e})")
-        entries = pack(mats)
-        mins = min_eig_field(entries)
+        if self.entries.shape != (n * n,) + self.grid.shape:
+            raise ValueError("metric entry array has wrong shape")
+        mins = min_eig_field(self.entries)
         if not np.all(mins >= self.lambda_floor):
             idx = int(np.argmin(mins))
             raise PositivityViolation(
@@ -169,8 +182,7 @@ class MetricField:
                 f"{self.lambda_floor:.3e} at grid point {grid_point(idx, mins.shape)}",
                 index=idx,
             )
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "log_det", log_det(entries))
+        object.__setattr__(self, "log_det", log_det(self.entries))
 
 
 @dataclass(frozen=True)

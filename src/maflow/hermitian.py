@@ -6,9 +6,10 @@ for n = 2, with a = M[0, 0], d = M[1, 1] and b = M[0, 1].  The metric g, the
 evolving metric g' = g + Hess(phi), complex Hessians and inverses all use it,
 so every field is Hermitian by construction.  A single matrix packs to shape
 (n*n,).  The kernels below (determinant, smallest eigenvalue, log det,
-inverse, trace pairings, pencil eigenvalues) are closed forms on that array;
-``pack`` and ``unpack`` convert from and to full (..., n, n) complex matrices
-at the edges (preset definitions, tests).
+inverse, trace pairings, pencil eigenvalues) are closed forms on that array.
+Metric presets write packed rows directly; ``pack`` and ``unpack`` convert
+from and to full (..., n, n) complex matrices and are the tests' bridge to
+reference computations on full matrices.
 
 ``normal_frame`` builds holomorphic coordinates centered at a point in which
 the metric is the identity, the holomorphic derivatives of its diagonal
@@ -37,7 +38,8 @@ def pack(mats: np.ndarray) -> np.ndarray:
     """Packed real entries of a Hermitian (..., n, n) stack, shape (n*n,) + ...
 
     Reads the diagonal's real part and the upper off-diagonal entry only; the
-    caller is responsible for the input being Hermitian.
+    caller is responsible for the input being Hermitian.  Only tests pack
+    full matrices: the package never forms them.
     """
     mats = np.asarray(mats)
     if mats.shape[-1] == 1:
@@ -47,7 +49,8 @@ def pack(mats: np.ndarray) -> np.ndarray:
 
 
 def unpack(p: np.ndarray) -> np.ndarray:
-    """Full Hermitian (..., n, n) complex stack of packed entries p."""
+    """Full Hermitian (..., n, n) complex stack of packed entries p (for tests'
+    full-matrix references)."""
     n = 1 if len(p) == 1 else 2
     out = np.empty(p.shape[1:] + (n, n), dtype=complex)
     out[..., 0, 0] = p[0]

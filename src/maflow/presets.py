@@ -2,7 +2,10 @@
 
 All presets are trigonometric polynomials in the real coordinates, so they
 are band-limited (spectral tail identically zero at any N >= 8) and their
-closed forms remain available for analytic differentiation in tests.
+closed forms remain available for analytic differentiation in tests.  A
+metric preset writes the packed rows of hermitian.py's layout straight from
+the axis coordinates ([a] for n = 1, [a, d, Re b, Im b] for n = 2); no full
+complex matrix is formed.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from .grid import (
     MetricField,
     ScalarField,
     TorusGrid,
-    hermitize,
+    check_cone,
     integrate_values,
     volume_weights,
 )
-from .hermitian import log_det_ratio
+from .hermitian import log_det_ratio, min_eig_field
 from .spectral import complex_hessian_values, holo_gradient, rfftn
 
 METRIC_PRESETS = ("flat", "kahler_bump", "hermitian_nonkahler")
@@ -50,20 +53,11 @@ class MetricPreset:
                               f"finite, got {self.eps}, {self.amp}, {self.scale}")
 
 
-def _flat_def(grid: TorusGrid, scale: float):
-    n = grid.complex_dim
-
-    def definition(coords):
-        shape = np.broadcast_shapes(*(c.shape for c in coords))
-        out = np.zeros(shape + (n, n), dtype=complex)
-        for i in range(n):
-            out[..., i, i] = scale
-        return out
-
-    return definition
+def _flat_rows(n: int, scale: float) -> list:
+    return [scale] if n == 1 else [scale, scale, 0.0, 0.0]
 
 
-def _kahler_bump_def(grid: TorusGrid, amp: float, scale: float):
+def _kahler_bump_rows(n: int, coords, amp: float, scale: float) -> list:
     """Kaehler metric g = scale * (I + Hess(rho)), rho a trig potential.
 
     The closed form below is the exact complex Hessian of
@@ -71,59 +65,38 @@ def _kahler_bump_def(grid: TorusGrid, amp: float, scale: float):
     (resp. amp (cos x1 + 0.5 sin x2) for n = 1), so d(omega) = 0 holds
     identically.
     """
-    n = grid.complex_dim
-
-    def definition(coords):
-        shape = np.broadcast_shapes(*(c.shape for c in coords))
-        out = np.zeros(shape + (n, n), dtype=complex)
-        if n == 1:
-            h = -0.25 * amp * (np.cos(coords[0]) + 0.5 * np.sin(coords[1]))
-            out[..., 0, 0] = scale * (1.0 + h)
-            return out
-        cross = np.cos(coords[0] + coords[2])
-        out[..., 0, 0] = scale * (1.0 - 0.25 * amp * (np.cos(coords[0]) + 0.5 * cross))
-        out[..., 1, 1] = scale * (1.0 - 0.25 * amp * (0.5 * np.sin(coords[2]) + 0.5 * cross))
-        out[..., 0, 1] = scale * (-0.125 * amp * cross) + 0j
-        out[..., 1, 0] = out[..., 0, 1]
-        return out
-
-    return definition
+    if n == 1:
+        h = -0.25 * amp * (np.cos(coords[0]) + 0.5 * np.sin(coords[1]))
+        return [scale * (1.0 + h)]
+    cross = np.cos(coords[0] + coords[2])
+    return [scale * (1.0 - 0.25 * amp * (np.cos(coords[0]) + 0.5 * cross)),
+            scale * (1.0 - 0.25 * amp * (0.5 * np.sin(coords[2]) + 0.5 * cross)),
+            scale * (-0.125 * amp * cross),
+            0.0]
 
 
-def _nonkahler_def(grid: TorusGrid, eps: float, scale: float):
+def _nonkahler_rows(n: int, coords, eps: float, scale: float) -> list:
     """Hermitian metric with d(omega) != 0 for n = 2 (conformal wiggle for n = 1)."""
-    n = grid.complex_dim
-
-    def definition(coords):
-        shape = np.broadcast_shapes(*(c.shape for c in coords))
-        out = np.zeros(shape + (n, n), dtype=complex)
-        if n == 1:
-            out[..., 0, 0] = scale * (1.0 + eps * (np.cos(coords[0]) + 0.5 * np.sin(coords[1])))
-            return out
-        out[..., 0, 0] = scale * (1.0 + eps * np.cos(coords[2]))
-        out[..., 1, 1] = scale * (1.0 + eps * np.cos(coords[0]))
-        off = scale * 0.5 * eps * (np.cos(coords[1]) + 1j * np.sin(coords[3]))
-        out[..., 0, 1] = off
-        out[..., 1, 0] = np.conj(off)
-        return out
-
-    return definition
+    if n == 1:
+        return [scale * (1.0 + eps * (np.cos(coords[0]) + 0.5 * np.sin(coords[1])))]
+    return [scale * (1.0 + eps * np.cos(coords[2])),
+            scale * (1.0 + eps * np.cos(coords[0])),
+            scale * 0.5 * eps * np.cos(coords[1]),
+            scale * 0.5 * eps * np.sin(coords[3])]
 
 
 def build_metric(grid: TorusGrid, preset: MetricPreset,
                  lambda_floor: float = LAMBDA_FLOOR) -> MetricField:
-    """Evaluate a named preset on the grid and validate its invariants."""
+    """Evaluate a named preset's packed entries on the grid and validate them."""
+    n, coords = grid.complex_dim, grid.axis_coordinates()
     if preset.name == "flat":
-        definition = _flat_def(grid, preset.scale)
+        rows = _flat_rows(n, preset.scale)
     elif preset.name == "kahler_bump":
-        definition = _kahler_bump_def(grid, preset.amp, preset.scale)
+        rows = _kahler_bump_rows(n, coords, preset.amp, preset.scale)
     else:
-        definition = _nonkahler_def(grid, preset.eps, preset.scale)
-    coords = grid.axis_coordinates()
-    mats = np.ascontiguousarray(
-        np.broadcast_to(definition(coords), grid.shape + (grid.complex_dim,) * 2)
-    ).astype(complex)
-    return MetricField(grid, hermitize(mats), lambda_floor=lambda_floor)
+        rows = _nonkahler_rows(n, coords, preset.eps, preset.scale)
+    entries = np.stack([np.broadcast_to(r, grid.shape) for r in rows])
+    return MetricField(grid, entries, lambda_floor=lambda_floor)
 
 
 def kahler_defect(g: MetricField) -> float:
@@ -245,8 +218,9 @@ def build_forcing(grid: TorusGrid, g: MetricField, preset: ForcingPreset):
     if preset.kind == "modes":
         return random_band_limited(grid, preset.amplitude, preset.max_mode, preset.seed), None
     psi = manufactured_potential(grid, preset)
-    hess = complex_hessian_values(rfftn(psi.values), grid)
-    ratio = log_det_ratio(g.entries + hess, g.entries)
+    gprime = g.entries + complex_hessian_values(rfftn(psi.values), grid)
+    check_cone(min_eig_field(gprime), 0.0, "manufactured metric g + Hess(psi)")
+    ratio = log_det_ratio(gprime, g.entries)
     c0 = integrate_values(ratio, w)
     f_vals = ratio - c0
     psi_tilde = psi.values - integrate_values(psi.values, w)

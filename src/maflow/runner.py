@@ -10,8 +10,9 @@ import numpy as np
 
 from .config import RunConfig
 from .elliptic import EllipticSolution, solve
+from .errors import ConfigError, PositivityViolation
 from .flow import RunResult, run
-from .grid import MetricField, ScalarField, integrate_values, volume_weights
+from .grid import MetricField, ScalarField, integrate_values, pin_heap_thresholds, volume_weights
 from .hermitian import frame_decompose, normal_frame
 from .monitors import contraction_and_decay
 from .presets import ManufacturedSolution, build_forcing, build_metric
@@ -37,9 +38,16 @@ def embedded_config(cfg: RunConfig) -> dict:
 
 
 def build_problem(cfg: RunConfig):
+    """Grid, metric and forcing of a run.  A metric below its floor or a
+    manufactured g + Hess(psi) outside the cone is a bad config value, so its
+    PositivityViolation becomes a ConfigError."""
     grid = cfg.grid()
-    g = build_metric(grid, cfg.metric, lambda_floor=cfg.lambda_floor)
-    forcing, exact = build_forcing(grid, g, cfg.forcing)
+    pin_heap_thresholds(grid)
+    try:
+        g = build_metric(grid, cfg.metric, lambda_floor=cfg.lambda_floor)
+        forcing, exact = build_forcing(grid, g, cfg.forcing)
+    except PositivityViolation as e:
+        raise ConfigError(str(e)) from e
     return grid, g, forcing, exact
 
 

@@ -71,12 +71,11 @@ def test_step_halving_on_near_degenerate_metric():
     # dt halvings are recorded, and the step still completes
     grid = TorusGrid(1, 16)
     eps_pd = 1e-6
-    mats = np.full(grid.shape + (1, 1), 2 * eps_pd, dtype=complex)
-    g = MetricField(grid, mats, lambda_floor=1e-7)
+    g = MetricField(grid, np.full((1,) + grid.shape, 2 * eps_pd), lambda_floor=1e-7)
     w = volume_weights(g)
     F = field_from(grid, lambda c: 1e4 * np.cos(c[0]))
     ctrl = StepControl(eps_pd=eps_pd, retry_limit=40)
-    state = make_state(g, F, w, eps_pd=0.0)
+    state = make_state(g, F, w)
     stats = {}
     new = step(state, ctrl, g, F, w, stats=stats)
     assert stats.get("halvings", 0) >= 1
@@ -88,8 +87,7 @@ def test_run_reports_stepper_stats():
     # guard, halve, and the run still reaches the horizon
     grid = TorusGrid(1, 16)
     c = 2e-3
-    g = MetricField(grid, np.full(grid.shape + (1, 1), c, dtype=complex),
-                    lambda_floor=1e-4)
+    g = MetricField(grid, np.full((1,) + grid.shape, c), lambda_floor=1e-4)
     F = field_from(grid, lambda x: 0.5 * np.cos(x[0]))
     res = run(g, F, horizon=1.0, ctrl=StepControl(eps_pd=0.55 * c, retry_limit=5),
               monitors=small_suite())
@@ -102,13 +100,12 @@ def test_run_reports_stepper_stats():
 def test_step_failure_after_retry_limit():
     grid = TorusGrid(1, 16)
     eps_pd = 1e-6
-    mats = np.full(grid.shape + (1, 1), 2 * eps_pd, dtype=complex)
-    g = MetricField(grid, mats, lambda_floor=1e-7)
+    g = MetricField(grid, np.full((1,) + grid.shape, 2 * eps_pd), lambda_floor=1e-7)
     w = volume_weights(g)
     F = field_from(grid, lambda c: 1e4 * np.cos(c[0]))
     # dt_min too large to allow rescue halvings
     ctrl = StepControl(eps_pd=eps_pd, retry_limit=3, dt_min=1e-8, dt_max=1e-4)
-    state = make_state(g, F, w, eps_pd=0.0)
+    state = make_state(g, F, w)
     with pytest.raises(StepFailure):
         step(state, ctrl, g, F, w)
 
@@ -300,8 +297,7 @@ def test_halving_chain_reuses_coefficients():
     from maflow.flow import _etdrk4_coefficients
 
     grid = TorusGrid(1, 16)
-    g = MetricField(grid, np.full(grid.shape + (1, 1), 1e-3, dtype=complex),
-                    lambda_floor=1e-4)
+    g = MetricField(grid, np.full((1,) + grid.shape, 1e-3), lambda_floor=1e-4)
     w = volume_weights(g)
     F = field_from(grid, lambda c: 2.0 * np.cos(c[0]))
     ctrl = StepControl()

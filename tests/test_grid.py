@@ -5,7 +5,7 @@ import pytest
 
 from maflow.errors import PositivityViolation
 from maflow.grid import MetricField, TorusGrid, integrate_values, volume_weights
-from maflow.hermitian import min_eig_field, unpack
+from maflow.hermitian import log_det, min_eig_field, pack, unpack
 from maflow.presets import MetricPreset, build_metric, kahler_defect, random_band_limited
 from maflow.spectral import rfftn, spectral_tail
 
@@ -109,21 +109,102 @@ def test_dw_oracle_independent_fft(grid2):
     assert worst > 0.01
 
 
-def test_metric_hermitian_validation(grid1):
-    bad = np.ones(grid1.shape + (1, 1), dtype=complex)
-    bad[..., 0, 0] = 1.0 + 0.1j  # not Hermitian for a 1x1: imaginary diagonal
-    with pytest.raises(ValueError):
-        MetricField(grid1, bad)
+def test_metric_takes_packed_entries_only(grid1, grid2):
+    # the full (..., n, n) stack of the old layout is a shape error
+    with pytest.raises(ValueError, match="shape"):
+        MetricField(grid2, np.ones(grid2.shape + (2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        MetricField(grid1, np.ones(grid1.shape))
 
 
 def test_metric_floor_error_names_grid_point(grid2):
-    mats = np.zeros(grid2.shape + (2, 2), dtype=complex)
-    mats[..., 0, 0] = mats[..., 1, 1] = 1.0
-    mats[1, 2, 3, 4, 1, 1] = 0.05
+    entries = np.zeros((4,) + grid2.shape)
+    entries[0] = entries[1] = 1.0
+    entries[1, 1, 2, 3, 4] = 0.05
     with pytest.raises(PositivityViolation) as exc:
-        MetricField(grid2, mats)
+        MetricField(grid2, entries)
     assert exc.value.index == np.ravel_multi_index((1, 2, 3, 4), grid2.shape)
     assert "grid point (1, 2, 3, 4)" in str(exc.value)
+
+
+def _flat_def(grid, scale):
+    n = grid.complex_dim
+
+    def definition(coords):
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+        out = np.zeros(shape + (n, n), dtype=complex)
+        for i in range(n):
+            out[..., i, i] = scale
+        return out
+
+    return definition
+
+
+def _kahler_bump_def(grid, amp, scale):
+    n = grid.complex_dim
+
+    def definition(coords):
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+        out = np.zeros(shape + (n, n), dtype=complex)
+        if n == 1:
+            h = -0.25 * amp * (np.cos(coords[0]) + 0.5 * np.sin(coords[1]))
+            out[..., 0, 0] = scale * (1.0 + h)
+            return out
+        cross = np.cos(coords[0] + coords[2])
+        out[..., 0, 0] = scale * (1.0 - 0.25 * amp * (np.cos(coords[0]) + 0.5 * cross))
+        out[..., 1, 1] = scale * (1.0 - 0.25 * amp * (0.5 * np.sin(coords[2]) + 0.5 * cross))
+        out[..., 0, 1] = scale * (-0.125 * amp * cross) + 0j
+        out[..., 1, 0] = out[..., 0, 1]
+        return out
+
+    return definition
+
+
+def _nonkahler_def(grid, eps, scale):
+    n = grid.complex_dim
+
+    def definition(coords):
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+        out = np.zeros(shape + (n, n), dtype=complex)
+        if n == 1:
+            out[..., 0, 0] = scale * (1.0 + eps * (np.cos(coords[0]) + 0.5 * np.sin(coords[1])))
+            return out
+        out[..., 0, 0] = scale * (1.0 + eps * np.cos(coords[2]))
+        out[..., 1, 1] = scale * (1.0 + eps * np.cos(coords[0]))
+        off = scale * 0.5 * eps * (np.cos(coords[1]) + 1j * np.sin(coords[3]))
+        out[..., 0, 1] = off
+        out[..., 1, 0] = np.conj(off)
+        return out
+
+    return definition
+
+
+def _full_matrix_entries(grid, preset):
+    """The full-matrix preset build the packed rows replaced (test oracle):
+    complex (..., n, n) samples, made exactly Hermitian, then packed."""
+    if preset.name == "flat":
+        definition = _flat_def(grid, preset.scale)
+    elif preset.name == "kahler_bump":
+        definition = _kahler_bump_def(grid, preset.amp, preset.scale)
+    else:
+        definition = _nonkahler_def(grid, preset.eps, preset.scale)
+    mats = np.ascontiguousarray(
+        np.broadcast_to(definition(grid.axis_coordinates()),
+                        grid.shape + (grid.complex_dim,) * 2)
+    ).astype(complex)
+    return pack(0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2))))
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 16), TorusGrid(2, 8)])
+@pytest.mark.parametrize("name", ["flat", "kahler_bump", "hermitian_nonkahler"])
+@pytest.mark.parametrize("params", [{}, {"eps": 0.17, "amp": 0.61, "scale": 2.7}])
+def test_packed_presets_match_full_matrix_build(grid, name, params):
+    preset = MetricPreset(name, **params)
+    g = build_metric(grid, preset)
+    want = _full_matrix_entries(grid, preset)
+    assert g.entries.shape == want.shape
+    assert np.array_equal(g.entries, want)
+    assert np.array_equal(g.log_det, log_det(want))
 
 
 def _band_limited_loop(grid, amplitude, max_mode, seed):
@@ -157,3 +238,23 @@ def test_random_band_limited_matches_mode_loop(grid, max_mode, seed):
     got = random_band_limited(grid, amp, max_mode, seed).values
     want = _band_limited_loop(grid, amp, max_mode, seed)
     assert np.max(np.abs(got - want)) <= 1e-14 * amp
+
+
+def test_heap_thresholds_pinned_at_full_field_size(monkeypatch):
+    # the mmap threshold is a full complex n x n field (4 MiB at n = 2,
+    # N = 16) and the trim threshold twice that; grids whose fields fit
+    # under glibc's starting 128 KiB threshold make no call
+    import maflow.grid as G
+
+    calls = []
+
+    class FakeLibc:
+        def __init__(self, name):
+            self.mallopt = lambda param, value: calls.append((param, value))
+
+    monkeypatch.setattr(G.os, "confstr_names", {"CS_GNU_LIBC_VERSION": 2}, raising=False)
+    monkeypatch.setattr(G.ctypes, "CDLL", FakeLibc)
+    G.pin_heap_thresholds(TorusGrid(1, 64))
+    assert calls == []
+    G.pin_heap_thresholds(TorusGrid(2, 16))
+    assert calls == [(-1, 8 << 20), (-3, 4 << 20)]

@@ -222,6 +222,10 @@ rng_seed = 3
     "elliptic.tol = nan",
     "elliptic.max_iters = -1",
     "dump.fields = maybe",
+    # valid values whose metric or manufactured forcing fails during set-up
+    "metric.preset = hermitian_nonkahler\nmetric.eps = 0.9",
+    "metric.lambda_floor = 5",
+    "forcing.kind = manufactured\nforcing.amplitude = 50",
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
     cfg_path = tmp_path / "bad.cfg"
@@ -230,6 +234,19 @@ def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_cli_solve_elliptic_bad_forcing_exit_2(tmp_path, capsys):
+    # g + Hess(psi) of a too strong manufactured psi leaves the cone: a config
+    # error that names the grid point, not a solver failure
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("forcing.kind = manufactured\nforcing.amplitude = 50\n")
+    out = tmp_path / "o"
+    code = main(["solve-elliptic", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid point (" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("lines", [
