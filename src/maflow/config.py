@@ -17,6 +17,13 @@ Example::
 Lines starting with '#' are comments.  Unknown keys are rejected so typos
 fail loudly; every parsed run embeds the exact key-value mapping it used in
 its JSON summary.
+
+``_KEYS`` is the one table of keys: each names the object that takes its
+value (a section such as ``StepControl``, or ``RunConfig`` itself), the
+constructor argument and the reader of its text.  A key left out of a config
+is not passed, so every default lives once, in the constructor that takes
+it; ``forcing.seed`` and the Hoelder sampler's seed default to ``rng_seed``.
+Each constructor checks its own values, and a bad one is a ConfigError.
 """
 
 from __future__ import annotations
@@ -25,31 +32,123 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .elliptic import NEWTON_MAX_ITERS, NEWTON_TOL
 from .errors import ConfigError
 from .flow import StepControl
-from .grid import LAMBDA_FLOOR, MAX_POINTS, TorusGrid
+from .grid import LAMBDA_FLOOR, TorusGrid
 from .monitors import HolderConfig, MonitorSuite
 from .presets import ForcingPreset, MetricPreset
 
 MODES = ("flow", "solve-elliptic", "verify", "decompose-demo", "normal-frame-demo")
 
-_KNOWN_KEYS = {
-    "mode",
-    "rng_seed",
-    "out.dir",
-    "grid.n", "grid.N", "grid.max_points",
-    "metric.preset", "metric.eps", "metric.amp", "metric.scale", "metric.lambda_floor",
-    "forcing.kind", "forcing.value", "forcing.amplitude", "forcing.max_mode",
-    "forcing.seed", "forcing.psi_kind",
-    "flow.horizon",
-    "step.dt_min", "step.dt_max", "step.eps_pd", "step.retry_limit",
-    "monitors.emit_dt", "monitors.field_interval", "monitors.A", "monitors.alpha_ly",
-    "monitors.shift_eps",
-    "holder.alpha", "holder.epsilon", "holder.sample_pairs",
-    "elliptic.tol", "elliptic.max_iters",
-    "verify.criteria",
-    "demo.count", "demo.eig_lo", "demo.eig_hi",
-    "dump.fields",
+
+@dataclass
+class RunConfig:
+    """Fully materialized run configuration."""
+
+    mode: str = "flow"
+    rng_seed: int = 0
+    out_dir: Optional[str] = None
+    grid: TorusGrid = field(default_factory=TorusGrid)
+    metric: MetricPreset = field(default_factory=MetricPreset)
+    lambda_floor: float = LAMBDA_FLOOR
+    forcing: ForcingPreset = field(default_factory=ForcingPreset)
+    horizon: float = 5.0
+    step: StepControl = field(default_factory=StepControl)
+    monitors: MonitorSuite = field(default_factory=MonitorSuite)
+    elliptic_tol: float = NEWTON_TOL
+    elliptic_max_iters: int = NEWTON_MAX_ITERS
+    verify_criteria: tuple = ()
+    demo_count: int = 100
+    demo_eig_lo: float = 0.2
+    demo_eig_hi: float = 5.0
+    dump_fields: bool = False
+    raw: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        horizon, emit_dt = self.horizon, self.monitors.emit_dt
+        emits = horizon / emit_dt
+        for ok, what in (
+            (self.mode in MODES, f"unknown mode '{self.mode}' (expected one of {MODES})"),
+            (self.rng_seed >= 0, f"rng_seed must be non-negative, got {self.rng_seed}"),
+            (0 < self.lambda_floor < math.inf,
+             f"metric.lambda_floor must be positive and finite, got {self.lambda_floor}"),
+            (math.isfinite(emits) and emits >= 0.5
+             and abs(round(emits) * emit_dt - horizon) <= 1e-9,
+             f"flow.horizon {horizon} must be a positive multiple of "
+             f"monitors.emit_dt {emit_dt}"),
+            # the contraction and decay fit of a flow run needs 3 emissions
+            # spanning at least two unit times; reject a shorter run up front
+            (self.mode != "flow" or horizon >= max(2.0, 2.0 * emit_dt),
+             f"flow.horizon {horizon} must be at least 2 and at least "
+             f"2 * monitors.emit_dt ({2.0 * emit_dt}) in mode flow"),
+            # solve() rejects a tolerance below attainable round-off
+            (1e-12 <= self.elliptic_tol < math.inf,
+             f"elliptic.tol must be finite and >= 1e-12, got {self.elliptic_tol}"),
+            (self.elliptic_max_iters >= 1,
+             f"elliptic.max_iters must be at least 1, got {self.elliptic_max_iters}"),
+            (all(1 <= k <= 11 for k in self.verify_criteria),
+             f"verify.criteria must name criteria 1-11, got {self.verify_criteria}"),
+            (self.demo_count >= 1, f"demo.count must be at least 1, got {self.demo_count}"),
+            (0 < self.demo_eig_lo < self.demo_eig_hi < math.inf,
+             f"need 0 < demo.eig_lo < demo.eig_hi, got {self.demo_eig_lo}, {self.demo_eig_hi}"),
+        ):
+            if not ok:
+                raise ValueError(what)
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in _BOOLS:
+        raise ValueError("expected true or false")
+    return _BOOLS[raw.lower()]
+
+
+def _criteria(raw: str) -> tuple:
+    return tuple(int(x) for x in raw.split(",") if x.strip())
+
+
+# key -> (object that takes the value, its constructor argument, reader)
+_KEYS = {
+    "mode": (RunConfig, "mode", str),
+    "rng_seed": (RunConfig, "rng_seed", int),
+    "out.dir": (RunConfig, "out_dir", str),
+    "grid.n": (TorusGrid, "complex_dim", int),
+    "grid.N": (TorusGrid, "points_per_axis", int),
+    "metric.preset": (MetricPreset, "name", str),
+    "metric.eps": (MetricPreset, "eps", float),
+    "metric.amp": (MetricPreset, "amp", float),
+    "metric.scale": (MetricPreset, "scale", float),
+    "metric.lambda_floor": (RunConfig, "lambda_floor", float),
+    "forcing.kind": (ForcingPreset, "kind", str),
+    "forcing.value": (ForcingPreset, "value", float),
+    "forcing.amplitude": (ForcingPreset, "amplitude", float),
+    "forcing.max_mode": (ForcingPreset, "max_mode", int),
+    "forcing.seed": (ForcingPreset, "seed", int),
+    "forcing.psi_kind": (ForcingPreset, "psi_kind", str),
+    "flow.horizon": (RunConfig, "horizon", float),
+    "step.dt_min": (StepControl, "dt_min", float),
+    "step.dt_max": (StepControl, "dt_max", float),
+    "step.eps_pd": (StepControl, "eps_pd", float),
+    "step.retry_limit": (StepControl, "retry_limit", int),
+    "monitors.emit_dt": (MonitorSuite, "emit_dt", float),
+    "monitors.field_interval": (MonitorSuite, "field_interval", float),
+    "monitors.A": (MonitorSuite, "A", float),
+    "monitors.alpha_ly": (MonitorSuite, "alpha_ly", float),
+    "monitors.shift_eps": (MonitorSuite, "shift_eps", float),
+    "holder.alpha": (HolderConfig, "alpha", float),
+    "holder.epsilon": (HolderConfig, "epsilon", float),
+    "holder.sample_pairs": (HolderConfig, "sample_pairs", int),
+    "elliptic.tol": (RunConfig, "elliptic_tol", float),
+    "elliptic.max_iters": (RunConfig, "elliptic_max_iters", int),
+    "verify.criteria": (RunConfig, "verify_criteria", _criteria),
+    "demo.count": (RunConfig, "demo_count", int),
+    "demo.eig_lo": (RunConfig, "demo_eig_lo", float),
+    "demo.eig_hi": (RunConfig, "demo_eig_hi", float),
+    "dump.fields": (RunConfig, "dump_fields", _bool),
 }
 
 
@@ -63,7 +162,7 @@ def parse_kv_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown configuration key '{key}'")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
@@ -71,156 +170,29 @@ def parse_kv_text(text: str) -> dict:
     return out
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _get(kv, key, default, cast):
-    if key not in kv:
-        return default
-    raw = kv[key]
-    try:
-        if cast is bool:
-            return _BOOLS[raw.lower()]
-        return cast(raw)
-    except KeyError as e:
-        raise ConfigError(f"bad value for {key}: {raw!r} (expected true or false)") from e
-    except ValueError as e:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from e
-
-
-@dataclass
-class RunConfig:
-    """Fully materialized run configuration."""
-
-    mode: str = "flow"
-    rng_seed: int = 0
-    out_dir: Optional[str] = None
-    n: int = 1
-    N: int = 32
-    max_points: int = MAX_POINTS
-    metric: MetricPreset = field(default_factory=lambda: MetricPreset("flat"))
-    lambda_floor: float = LAMBDA_FLOOR
-    forcing: ForcingPreset = field(default_factory=lambda: ForcingPreset("zero"))
-    horizon: float = 5.0
-    step: StepControl = field(default_factory=StepControl)
-    monitors: MonitorSuite = field(default_factory=MonitorSuite)
-    elliptic_tol: float = 1e-11
-    elliptic_max_iters: int = 50
-    verify_criteria: tuple = ()
-    demo_count: int = 100
-    demo_eig_range: tuple = (0.2, 5.0)
-    dump_fields: bool = False
-    raw: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        lo, hi = self.demo_eig_range
-        for ok, what in (
-            (self.rng_seed >= 0, f"rng_seed must be non-negative, got {self.rng_seed}"),
-            (0 < self.lambda_floor < math.inf,
-             f"metric.lambda_floor must be positive and finite, got {self.lambda_floor}"),
-            # solve() rejects a tolerance below attainable round-off
-            (1e-12 <= self.elliptic_tol < math.inf,
-             f"elliptic.tol must be finite and >= 1e-12, got {self.elliptic_tol}"),
-            (self.elliptic_max_iters >= 1,
-             f"elliptic.max_iters must be at least 1, got {self.elliptic_max_iters}"),
-            (all(1 <= k <= 11 for k in self.verify_criteria),
-             f"verify.criteria must name criteria 1-11, got {self.verify_criteria}"),
-            (self.demo_count >= 1, f"demo.count must be at least 1, got {self.demo_count}"),
-            (0 < lo < hi < math.inf,
-             f"need 0 < demo.eig_lo < demo.eig_hi, got {lo}, {hi}"),
-        ):
-            if not ok:
-                raise ConfigError(what)
-
-    def grid(self) -> TorusGrid:
-        return TorusGrid(self.n, self.N, max_points=self.max_points)
-
-
 def config_from_kv(kv: dict) -> RunConfig:
-    mode = kv.get("mode", "flow")
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode '{mode}' (expected one of {MODES})")
-    seed = _get(kv, "rng_seed", 0, int)
-    metric = MetricPreset(
-        name=kv.get("metric.preset", "flat"),
-        eps=_get(kv, "metric.eps", 0.3, float),
-        amp=_get(kv, "metric.amp", 0.4, float),
-        scale=_get(kv, "metric.scale", 1.0, float),
-    )
-    forcing = ForcingPreset(
-        kind=kv.get("forcing.kind", "zero"),
-        value=_get(kv, "forcing.value", 0.0, float),
-        amplitude=_get(kv, "forcing.amplitude", 0.05, float),
-        max_mode=_get(kv, "forcing.max_mode", 2, int),
-        seed=_get(kv, "forcing.seed", seed, int),
-        psi_kind=_get(kv, "forcing.psi_kind", "seeded", str),
-    )
-    n = _get(kv, "grid.n", 1, int)
-    N = _get(kv, "grid.N", 32, int)
-    max_points = _get(kv, "grid.max_points", MAX_POINTS, int)
-    horizon = _get(kv, "flow.horizon", 5.0, float)
-    # the constructors validate their own values; a bad value is a config error
+    args = {target: {} for target, _, _ in _KEYS.values()}
+    for key, raw in kv.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown configuration key '{key}'")
+        target, arg, read = _KEYS[key]
+        try:
+            args[target][arg] = read(raw)
+        except ValueError as e:
+            raise ConfigError(f"bad value for {key}: {raw!r} ({e})") from e
+    seed = args[RunConfig].get("rng_seed", RunConfig.rng_seed)
+    args[ForcingPreset].setdefault("seed", seed)
+    args[HolderConfig].setdefault("rng_seed", seed)
     try:
-        TorusGrid(n, N, max_points=max_points)
-        step = StepControl(
-            dt_min=_get(kv, "step.dt_min", 1e-12, float),
-            dt_max=_get(kv, "step.dt_max", 0.1, float),
-            eps_pd=_get(kv, "step.eps_pd", 1e-6, float),
-            retry_limit=_get(kv, "step.retry_limit", 20, int),
-        )
-        holder = HolderConfig(
-            alpha=_get(kv, "holder.alpha", 0.5, float),
-            epsilon=_get(kv, "holder.epsilon", 0.5, float),
-            sample_pairs=_get(kv, "holder.sample_pairs", 20000, int),
-            rng_seed=seed,
-        )
-        monitors = MonitorSuite(
-            emit_dt=_get(kv, "monitors.emit_dt", 0.1, float),
-            field_interval=_get(kv, "monitors.field_interval", 0.5, float),
-            A=_get(kv, "monitors.A", 2.0, float),
-            alpha_ly=_get(kv, "monitors.alpha_ly", 1.5, float),
-            shift_eps=_get(kv, "monitors.shift_eps", 0.5, float),
-            holder=holder,
+        return RunConfig(
+            grid=TorusGrid(**args[TorusGrid]),
+            metric=MetricPreset(**args[MetricPreset]),
+            forcing=ForcingPreset(**args[ForcingPreset]),
+            step=StepControl(**args[StepControl]),
+            monitors=MonitorSuite(holder=HolderConfig(**args[HolderConfig]),
+                                  **args[MonitorSuite]),
+            raw=dict(kv),
+            **args[RunConfig],
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    emits = horizon / monitors.emit_dt
-    if not (math.isfinite(emits) and emits >= 0.5
-            and abs(round(emits) * monitors.emit_dt - horizon) <= 1e-9):
-        raise ConfigError(f"flow.horizon {horizon} must be a positive multiple of "
-                          f"monitors.emit_dt {monitors.emit_dt}")
-    # the contraction and decay fit of a flow run needs 3 emissions spanning
-    # at least two unit times; reject a shorter run before it is integrated
-    if mode == "flow" and horizon < max(2.0, 2.0 * monitors.emit_dt):
-        raise ConfigError(f"flow.horizon {horizon} must be at least 2 and at least "
-                          f"2 * monitors.emit_dt ({2.0 * monitors.emit_dt}) in mode flow")
-    criteria = ()
-    if "verify.criteria" in kv:
-        try:
-            criteria = tuple(int(x) for x in kv["verify.criteria"].split(",") if x.strip())
-        except ValueError as e:
-            raise ConfigError(f"bad verify.criteria: {kv['verify.criteria']!r}") from e
-    return RunConfig(
-        mode=mode,
-        rng_seed=seed,
-        out_dir=kv.get("out.dir"),
-        n=n,
-        N=N,
-        max_points=max_points,
-        metric=metric,
-        lambda_floor=_get(kv, "metric.lambda_floor", LAMBDA_FLOOR, float),
-        forcing=forcing,
-        horizon=horizon,
-        step=step,
-        monitors=monitors,
-        elliptic_tol=_get(kv, "elliptic.tol", 1e-11, float),
-        elliptic_max_iters=_get(kv, "elliptic.max_iters", 50, int),
-        verify_criteria=criteria,
-        demo_count=_get(kv, "demo.count", 100, int),
-        demo_eig_range=(_get(kv, "demo.eig_lo", 0.2, float),
-                        _get(kv, "demo.eig_hi", 5.0, float)),
-        dump_fields=_get(kv, "dump.fields", False, bool),
-        raw=dict(kv),
-    )
-

@@ -56,9 +56,13 @@ from .spectral import (
     rfftn,
 )
 
-# BiCGStab stops below this relative residual (the contract is 1e-10) or
-# after KRYLOV_MAX_ITER iterations; a Newton step halves at most
-# BACKTRACK_LIMIT times.
+# Newton stops once the sup residual is at most NEWTON_TOL, or fails after
+# NEWTON_MAX_ITERS iterations (solve's defaults).  BiCGStab stops below
+# KRYLOV_RTOL relative residual (the contract is 1e-10) or after
+# KRYLOV_MAX_ITER iterations; a Newton step halves at most BACKTRACK_LIMIT
+# times.
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITERS = 50
 KRYLOV_RTOL = 1e-12
 KRYLOV_MAX_ITER = 400
 BACKTRACK_LIMIT = 30
@@ -174,8 +178,8 @@ def _bicgstab(op, b, rtol, max_iter):
     return x, float(np.linalg.norm(op.apply(x) - b)) / bnorm
 
 
-def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
-          max_iters: int = 50, initial: ScalarField = None) -> EllipticSolution:
+def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
+          max_iters: int = NEWTON_MAX_ITERS, initial: ScalarField = None) -> EllipticSolution:
     """Damped Newton iteration with mean-zero projection.
 
     At each iterate b is the omega^n mean of G(phi); the update solves the
@@ -245,15 +249,15 @@ def solve(g: MetricField, f: ScalarField, tol: float = 1e-11,
     )
 
 
-def linearization_check(g: MetricField, phi: ScalarField, direction: ScalarField,
-                        h_fd: float = 1e-5) -> float:
+def linearization_check(g: MetricField, phi: ScalarField, direction: ScalarField) -> float:
     """Relative sup-norm gap between the central difference
-    (G(phi+h d) - G(phi-h d)) / 2h and the operator Newton solves with,
-    _Linearization(g, g').apply(d), both with their grid mean removed."""
+    (G(phi+h d) - G(phi-h d)) / 2h, h = 1e-5, and the operator Newton solves
+    with, _Linearization(g, g').apply(d), both with their grid mean removed."""
+    h = 1e-5
     phi_hat, d_hat = rfftn(phi.values), rfftn(direction.values)
-    ratio_p, _ = _residual_field(phi_hat + h_fd * d_hat, g)
-    ratio_m, _ = _residual_field(phi_hat - h_fd * d_hat, g)
-    fd = (ratio_p - ratio_m) / (2.0 * h_fd)
+    ratio_p, _ = _residual_field(phi_hat + h * d_hat, g)
+    ratio_m, _ = _residual_field(phi_hat - h * d_hat, g)
+    fd = (ratio_p - ratio_m) / (2.0 * h)
     fd = fd - fd.mean()
     _, gprime = _residual_field(phi_hat, g)
     lap = _Linearization(g, gprime).apply(d_hat)

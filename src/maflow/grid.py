@@ -32,7 +32,7 @@ from .hermitian import det_field, log_det, min_eig_field
 # Default floor for the smallest metric eigenvalue over the grid.
 LAMBDA_FLOOR = 0.1
 
-# Default cap on N^{2n} grid points (memory budget).
+# Cap on N^{2n} grid points (memory budget).
 MAX_POINTS = 1 << 22
 
 # Period of every real axis.
@@ -49,12 +49,12 @@ class TorusGrid:
     """Uniform grid on the real 2n-torus of period 2*pi underlying T^n_C.
 
     complex_dim n must be 1 or 2; points_per_axis N must be even and >= 8
-    (required by the symmetric spectral differentiation rule).
+    (required by the symmetric spectral differentiation rule), and N^{2n}
+    at most MAX_POINTS.
     """
 
-    complex_dim: int
-    points_per_axis: int
-    max_points: int = MAX_POINTS
+    complex_dim: int = 1
+    points_per_axis: int = 32
 
     def __post_init__(self):
         n, N = self.complex_dim, self.points_per_axis
@@ -62,9 +62,9 @@ class TorusGrid:
             raise ValueError(f"complex_dim must be 1 or 2, got {n}")
         if N < 8 or N % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 8, got {N}")
-        if N ** (2 * n) > self.max_points:
+        if N ** (2 * n) > MAX_POINTS:
             raise ValueError(
-                f"grid size {N}^{2 * n} exceeds the memory budget of {self.max_points} points"
+                f"grid size {N}^{2 * n} exceeds the memory budget of {MAX_POINTS} points"
             )
 
     @property

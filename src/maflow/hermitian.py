@@ -30,7 +30,7 @@ import numpy as np
 from .errors import EigRangeViolation, PositivityViolation, ShiftFailure
 
 # Fraction of the smallest eigenvalue reserved on the standard-basis weights
-# by frame_decompose; also the default positivity floor certified per call.
+# by frame_decompose; half of it is the positivity floor each call certifies.
 _DIAG_RESERVE = 0.1
 
 
@@ -146,14 +146,13 @@ def generalized_eig_range(g: np.ndarray, gp: np.ndarray):
 
 @dataclass(frozen=True)
 class NormalFrame:
-    """Holomorphic normal coordinates at a base point.
+    """Holomorphic normal coordinates at the base point (w = 0).
 
     The change of coordinates is z = L (w + 1/2 b(w, w)), i.e. ``linear_map``
     maps new to old coordinates and ``quadratic_coeffs`` b[i, j, k] (symmetric
     in j, k) are the second-order coefficients expressed in the new frame.
     """
 
-    base_point: tuple
     linear_map: np.ndarray
     quadratic_coeffs: np.ndarray
 
@@ -170,8 +169,7 @@ class NormalFrame:
         return np.einsum("im,...ma->...ia", self.linear_map, eye + jq)
 
 
-def normal_frame(g0: np.ndarray, dg0: np.ndarray, hess0: np.ndarray,
-                 base_point: tuple = ()) -> NormalFrame:
+def normal_frame(g0: np.ndarray, dg0: np.ndarray, hess0: np.ndarray) -> NormalFrame:
     """Construct the coordinates of the holomorphic normal-frame lemma.
 
     Parameters
@@ -220,14 +218,13 @@ def normal_frame(g0: np.ndarray, dg0: np.ndarray, hess0: np.ndarray,
                 # symmetric pair (i,k) and (k,i) both contribute once
                 b[i, i, k] = target
                 b[i, k, i] = target
-    return NormalFrame(base_point=tuple(base_point), linear_map=lin, quadratic_coeffs=b)
+    return NormalFrame(linear_map=lin, quadratic_coeffs=b)
 
 
 @dataclass(frozen=True)
 class FrameDecomposition:
     """Rank-one frame decomposition a = sum_nu beta_nu gamma_nu gamma_nu^*."""
 
-    dim: int
     frame: np.ndarray   # (N, n) unit vectors, rows gamma_nu
     betas: np.ndarray   # (N,) strictly positive weights
     bounds: Tuple[float, float]
@@ -236,12 +233,11 @@ class FrameDecomposition:
         return np.einsum("v,vi,vj->ij", self.betas, self.frame, np.conj(self.frame))
 
 
-def frame_decompose(a: np.ndarray, eig_range: Tuple[float, float],
-                    floor_fraction: float = _DIAG_RESERVE) -> FrameDecomposition:
+def frame_decompose(a: np.ndarray, eig_range: Tuple[float, float]) -> FrameDecomposition:
     """Decompose a Hermitian PD matrix into positively weighted rank ones.
 
     The frame always contains the standard basis e_1..e_n whose weights keep
-    at least ``floor_fraction`` of the smallest eigenvalue in reserve.  For
+    at least ``_DIAG_RESERVE`` of the smallest eigenvalue in reserve.  For
     n = 2 the remaining rank-one part c * v v^* (c = eig gap) is carried by a
     single unit vector u = cos(s) e_1 + sin(s) e^{i phi} e_2 whose phase
     matches the off-diagonal argument exactly and whose amplitude angle s is
@@ -263,7 +259,7 @@ def frame_decompose(a: np.ndarray, eig_range: Tuple[float, float],
     if n == 1:
         frame = np.ones((1, 1), dtype=complex)
         betas = np.array([a[0, 0].real])
-        return FrameDecomposition(1, frame, betas, (float(betas[0]), float(betas[0])))
+        return FrameDecomposition(frame, betas, (float(betas[0]), float(betas[0])))
 
     a11 = a[0, 0].real
     a22 = a[1, 1].real
@@ -278,7 +274,7 @@ def frame_decompose(a: np.ndarray, eig_range: Tuple[float, float],
         # clip tiny negative round-off when an eigenvector aligns with an axis
         r11 = max(a11 - lam1, 0.0)
         r22 = max(a22 - lam1, 0.0)
-        budget = (1.0 - floor_fraction) * lam1
+        budget = (1.0 - _DIAG_RESERVE) * lam1
         t = np.sqrt((r22 + budget) / (r11 + budget))
         load1 = abs(z) / t
         load2 = abs(z) * t
@@ -290,7 +286,7 @@ def frame_decompose(a: np.ndarray, eig_range: Tuple[float, float],
         frame = np.vstack([np.eye(2, dtype=complex), u[None, :]])
         betas = np.array([a11 - load1, a22 - load2, w])
 
-    floor = floor_fraction * lam * 0.5
+    floor = _DIAG_RESERVE * lam * 0.5
     if np.any(betas <= 0) or betas[0] < floor or betas[1] < floor:
         raise ShiftFailure(
             f"positivity floor not met (betas {betas}); eig_range too wide for the frame"
@@ -299,4 +295,4 @@ def frame_decompose(a: np.ndarray, eig_range: Tuple[float, float],
     err = float(np.max(np.abs(recon - a)))
     if err > 1e-11 * max(1.0, lam_hi):
         raise ShiftFailure(f"reconstruction residual {err:.3e} too large")
-    return FrameDecomposition(2, frame, betas, (float(np.min(betas)), float(np.max(betas))))
+    return FrameDecomposition(frame, betas, (float(np.min(betas)), float(np.max(betas))))

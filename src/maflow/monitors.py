@@ -21,7 +21,7 @@ from .errors import (
     NonPositiveU,
     SeriesTooShort,
 )
-from .grid import MetricField, TorusGrid, VolumeWeights, integrate_values
+from .grid import MAX_POINTS, MetricField, TorusGrid, VolumeWeights, integrate_values
 from .hermitian import generalized_eig_range, inverse_stack, trace_pair
 from .spectral import complex_hessian_values, holo_gradient, rfftn
 
@@ -45,8 +45,9 @@ class HolderConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not (0 <= self.epsilon < math.inf):
             raise ValueError(f"epsilon must be non-negative and finite, got {self.epsilon}")
-        if not (self.sample_pairs >= 1):
-            raise ValueError(f"sample_pairs must be at least 1, got {self.sample_pairs}")
+        if not (1 <= self.sample_pairs <= MAX_POINTS):
+            raise ValueError(f"sample_pairs must lie in [1, {MAX_POINTS}], "
+                             f"got {self.sample_pairs}")
         if not (self.rng_seed >= 0):
             raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
 
@@ -227,13 +228,12 @@ def holder_seminorm(snapshots: Sequence, g: MetricField, cfg: HolderConfig) -> f
 
 def liyau_quantity(times: Iterable[float], u_list: Iterable[np.ndarray],
                    gpinv_list: Iterable[np.ndarray], grid: TorusGrid,
-                   alpha_ly: float = 1.5, t_origin: float = 0.0):
+                   alpha_ly: float = 1.5):
     """Li-Yau quantity t (|d f|^2 - alpha f_t) maximized over the grid.
 
     f = log u with u > 0 at every sampled point (NonPositiveU otherwise);
     f_t by centered differences across adjacent snapshots, so values are
-    produced at interior snapshot times.  ``t_origin`` shifts the time used
-    in the prefactor (window-relative time for the unit-window surrogates).
+    produced at interior snapshot times.
     gpinv_list holds packed g'^{-1} fields, and |d f|^2 is the pairing
     tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f).  The inputs may be
     iterators: they are walked together with a window of three snapshots.
@@ -254,8 +254,7 @@ def liyau_quantity(times: Iterable[float], u_list: Iterable[np.ndarray],
         del window[0]   # its g'^{-1} is not needed while the next one is built
         f_t = (f2 - f0) / (t2 - t0)
         out_t.append(t1)
-        out_v.append(float((t1 - t_origin)
-                           * np.max(_grad_sq(f1, gpinv1, grid) - alpha_ly * f_t)))
+        out_v.append(float(t1 * np.max(_grad_sq(f1, gpinv1, grid) - alpha_ly * f_t)))
     if not out_t:
         raise InsufficientSnapshots("need >= 3 snapshots for centered time differences")
     return np.array(out_t), np.array(out_v)
@@ -295,20 +294,19 @@ class HarnackResult:
     rhs_inf: float
     constants: Optional[Tuple[float, float, float]]
     verifiable: bool
-    max_log_violation: float = 0.0
 
 
 def harnack_check(times: Sequence[float], u_list: Sequence[np.ndarray],
-                  t1: float, t2: float, t_origin: float = 0.0) -> HarnackResult:
+                  t1: float, t2: float) -> HarnackResult:
     """Check sup u(t1) <= inf u(t2) (t2/t1)^C2 exp(C3/(t2-t1) + C1 (t2-t1)).
 
     Constants are fitted (non-negative least squares, then inflated so no
     sampled pair violates) over all snapshot pairs s1 < s2 in the window;
-    the reported lhs/rhs belong to the requested (t1, t2).  Times are taken
-    relative to ``t_origin``.  Raises NonPositiveU when no pair admits the
-    logarithms; flags verifiable=False when inf u(t2) <= 0.
+    the reported lhs/rhs belong to the requested (t1, t2).  Raises
+    NonPositiveU when no pair admits the logarithms; flags verifiable=False
+    when inf u(t2) <= 0.
     """
-    rel = np.asarray(times, dtype=float) - t_origin
+    rel = np.asarray(times, dtype=float)
     if not (0.0 < t1 < t2):
         raise ValueError("need 0 < t1 < t2")
     idx1 = int(np.argmin(np.abs(rel - t1)))
@@ -343,11 +341,8 @@ def harnack_check(times: Sequence[float], u_list: Sequence[np.ndarray],
         # absorb remaining violation into the (t2 - t1) coefficient
         coef = coef.copy()
         coef[0] += worst / float(np.min(a_mat[:, 0]))
-    resid = b_vec - a_mat @ coef
-    return HarnackResult(
-        lhs, rhs, (float(coef[0]), float(coef[1]), float(coef[2])),
-        verifiable=True, max_log_violation=float(np.max(resid)),
-    )
+    return HarnackResult(lhs, rhs, (float(coef[0]), float(coef[1]), float(coef[2])),
+                         verifiable=True)
 
 
 def theta_at_integer_times(times: np.ndarray, osc: np.ndarray):

@@ -39,7 +39,7 @@ class MetricPreset:
     (the linearized decay rate goes like 1/scale) without changing shape.
     """
 
-    name: str
+    name: str = "flat"
     eps: float = 0.3
     amp: float = 0.4
     scale: float = 1.0
@@ -129,7 +129,7 @@ class ForcingPreset:
     exactly (F = log det ratio(g + Hess psi, g) - mean of that field).
     """
 
-    kind: str
+    kind: str = "zero"
     value: float = 0.0          # const level
     amplitude: float = 0.05     # modes / manufactured psi amplitude
     max_mode: int = 2

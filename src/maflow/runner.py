@@ -41,7 +41,7 @@ def build_problem(cfg: RunConfig):
     """Grid, metric and forcing of a run.  A metric below its floor or a
     manufactured g + Hess(psi) outside the cone is a bad config value, so its
     PositivityViolation becomes a ConfigError."""
-    grid = cfg.grid()
+    grid = cfg.grid
     pin_heap_thresholds(grid)
     try:
         g = build_metric(grid, cfg.metric, lambda_floor=cfg.lambda_floor)
@@ -133,12 +133,13 @@ def frame_decomposition_sweep(count: int, eig_range, seed: int):
 
 def decompose_demo(cfg: RunConfig) -> dict:
     """Seeded random PD matrices through the frame decomposition; certified bounds."""
+    eig_range = [cfg.demo_eig_lo, cfg.demo_eig_hi]
     worst_recon, min_beta, max_beta, _, _ = frame_decomposition_sweep(
-        cfg.demo_count, cfg.demo_eig_range, cfg.rng_seed)
+        cfg.demo_count, eig_range, cfg.rng_seed)
     return {
         "mode": "decompose-demo",
         "count": cfg.demo_count,
-        "eig_range": list(cfg.demo_eig_range),
+        "eig_range": eig_range,
         "worst_reconstruction": worst_recon,
         "C1_certified": min_beta,
         "C2_certified": max_beta,
@@ -147,17 +148,17 @@ def decompose_demo(cfg: RunConfig) -> dict:
     }
 
 
-def random_normal_frame_instance(rng, n=2):
-    """Random (g0, dg0, hess0) with the metric-derivative symmetry used in tests."""
+def random_normal_frame_instance(rng):
+    """Random 2x2 (g0, dg0, hess0) with the metric-derivative symmetry used in tests."""
     def herm(scale):
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         return scale * 0.5 * (m + m.conj().T)
 
-    g0 = np.eye(n) + herm(0.3)
+    g0 = np.eye(2) + herm(0.3)
     ev_min = float(np.linalg.eigvalsh(g0)[0])
     if ev_min < 0.3:
-        g0 = g0 + (0.3 - ev_min) * np.eye(n)
-    dg0 = np.stack([herm(0.5) for _ in range(n)])
+        g0 = g0 + (0.3 - ev_min) * np.eye(2)
+    dg0 = np.stack([herm(0.5) for _ in range(2)])
     hess0 = herm(0.8)
     return g0, dg0, hess0
 
@@ -194,14 +195,15 @@ def normal_frame_demo(cfg: RunConfig) -> dict:
     }
 
 
-def fd_normal_frame_residual(g0, dg0, nf, h=1e-3):
-    """4th-order FD check of d_j g_ii(0) = 0 through the synthetic embedding.
+def fd_normal_frame_residual(g0, dg0, nf):
+    """4th-order FD check (step h = 1e-3) of d_j g_ii(0) = 0 through the
+    synthetic embedding.
 
     Embeds (g0, dg0) in the metric g(z) = g0 + sum_k (dg0_k z^k + h.c.),
     pulls it back through the returned coordinates, and differentiates the
     diagonal entries holomorphically at the base point.
     """
-    n = g0.shape[0]
+    n, h = g0.shape[0], 1e-3
 
     def g_of_z(z):
         out = np.array(g0, dtype=complex)

@@ -284,7 +284,7 @@ def criterion_9(ctx) -> CriterionResult:
         g = build_metric(grid, preset)
         phi = random_band_limited(grid, 0.08, 2, int(rng.integers(1 << 30)))
         direction = random_band_limited(grid, 1.0, 2, int(rng.integers(1 << 30)))
-        err = linearization_check(g, phi, direction, h_fd=1e-5)
+        err = linearization_check(g, phi, direction)
         worst = max(worst, err)
     passed = worst <= 1e-5
     return CriterionResult(9, "Newton linearization check", passed, {
@@ -318,7 +318,7 @@ def criterion_10(ctx) -> CriterionResult:
         try:
             t_int, vals = liyau_quantity(
                 [float(r) for r in rel_t], fields, gpinvs, art.g.grid,
-                alpha_ly=art.config.monitors.alpha_ly, t_origin=0.0)
+                alpha_ly=art.config.monitors.alpha_ly)
             env_t.extend(t_int.tolist())
             env_v.extend(vals.tolist())
             hr = harnack_check([float(r) for r in rel_t], fields, 0.5, 1.0)
@@ -373,7 +373,7 @@ CRITERIA: Dict[int, Callable] = {
 def run_criteria(numbers: Optional[List[int]] = None,
                  ctx: Optional[VerificationContext] = None) -> List[CriterionResult]:
     ctx = ctx or VerificationContext()
-    selected = sorted(numbers) if numbers else sorted(CRITERIA)
+    selected = sorted(set(numbers or CRITERIA))
     out = []
     for k in selected:
         t0 = time.perf_counter()

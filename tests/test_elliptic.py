@@ -246,14 +246,14 @@ def test_nan_in_krylov_apply_is_a_stagnation(monkeypatch, grid2, nonkahler2):
 def test_linearization_check_constant_metric(grid1, flat1):
     phi = ScalarField(grid1, np.zeros(grid1.shape))
     direction = field_from(grid1, lambda c: np.cos(c[0]))
-    err = linearization_check(flat1, phi, direction, h_fd=1e-5)
+    err = linearization_check(flat1, phi, direction)
     assert err <= 1e-6
 
 
 def test_linearization_check_constant_direction(grid1, nonkahler1):
     phi = ScalarField(grid1, np.zeros(grid1.shape))
     direction = ScalarField(grid1, np.full(grid1.shape, 2.0))
-    err = linearization_check(nonkahler1, phi, direction, h_fd=1e-5)
+    err = linearization_check(nonkahler1, phi, direction)
     assert err <= 1e-12  # both sides vanish on constants
 
 
@@ -262,7 +262,7 @@ def test_linearization_check_random(grid2, nonkahler2):
     for _ in range(3):
         phi = random_band_limited(grid2, 0.08, 1, seed=int(rng.integers(1 << 30)))
         direction = random_band_limited(grid2, 1.0, 1, seed=int(rng.integers(1 << 30)))
-        err = linearization_check(nonkahler2, phi, direction, h_fd=1e-5)
+        err = linearization_check(nonkahler2, phi, direction)
         assert err <= 1e-5
 
 
@@ -274,7 +274,7 @@ def test_linearization_check_sees_the_newton_operator(monkeypatch, grid2, nonkah
                         lambda self, v: 1.01 * real(self, v))
     phi = random_band_limited(grid2, 0.08, 1, seed=3)
     direction = random_band_limited(grid2, 1.0, 1, seed=4)
-    assert linearization_check(nonkahler2, phi, direction, h_fd=1e-5) >= 1e-3
+    assert linearization_check(nonkahler2, phi, direction) >= 1e-3
 
 
 def test_flow_newton_agreement_small(grid1, nonkahler1):

@@ -141,7 +141,7 @@ def test_normal_frame_pullback_random_instances():
         assert np.max(np.abs(lin.T @ g0 @ np.conj(lin) - np.eye(2))) <= 1e-10
         h1 = lin.T @ hess0 @ np.conj(lin)
         assert abs(h1[0, 1]) <= 1e-10
-        assert fd_normal_frame_residual(g0, dg0, nf, h=1e-3) <= 1e-6
+        assert fd_normal_frame_residual(g0, dg0, nf) <= 1e-6
 
 
 def test_normal_frame_eigenvalue_invariance():

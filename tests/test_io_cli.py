@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from maflow.cli import main
-from maflow.config import config_from_kv, parse_kv_text
+from maflow.config import _KEYS, RunConfig, config_from_kv, parse_kv_text
 from maflow.errors import ConfigError
+from maflow.flow import StepControl
 from maflow.grid import TorusGrid
+from maflow.monitors import HolderConfig, MonitorSuite
+from maflow.presets import ForcingPreset, MetricPreset
 from maflow.io import dump_scalar_field, load_scalar_field
 from conftest import field_from
 
@@ -68,12 +71,12 @@ def test_parse_kv_roundtrip():
     kv = parse_kv_text(text)
     cfg = config_from_kv(kv)
     assert cfg.mode == "flow"
-    assert cfg.n == 2 and cfg.N == 8
+    assert cfg.grid.complex_dim == 2 and cfg.grid.points_per_axis == 8
     assert cfg.metric.name == "kahler_bump"
     assert cfg.metric.amp == 0.35
     assert cfg.horizon == 2.5
     assert cfg.rng_seed == 42
-    assert cfg.grid() == TorusGrid(2, 8)
+    assert cfg.grid == TorusGrid(2, 8)
 
 
 def test_parse_rejects_unknown_key():
@@ -104,6 +107,80 @@ def test_defaults():
     assert cfg.monitors.holder.epsilon == 0.5
     assert cfg.monitors.holder.sample_pairs == 20000
     assert cfg.monitors.alpha_ly == 1.5
+
+
+def test_absent_keys_take_the_constructor_defaults():
+    cfg = config_from_kv({})
+    assert cfg.step == StepControl()
+    assert cfg.monitors == MonitorSuite(holder=HolderConfig(rng_seed=0))
+    assert cfg.metric == MetricPreset("flat")
+    assert cfg.forcing == ForcingPreset("zero", seed=0)
+    assert cfg.grid == TorusGrid(1, 32)
+    assert cfg.horizon == RunConfig.horizon and cfg.elliptic_tol == RunConfig.elliptic_tol
+
+
+def test_seeds_default_to_rng_seed():
+    cfg = config_from_kv({"rng_seed": "5"})
+    assert cfg.forcing.seed == 5 and cfg.monitors.holder.rng_seed == 5
+    cfg = config_from_kv({"rng_seed": "5", "forcing.seed": "3"})
+    assert cfg.forcing.seed == 3 and cfg.monitors.holder.rng_seed == 5
+
+
+# a valid non-default value for every key, with the value it must land as
+NON_DEFAULT = {
+    "mode": ("verify", "verify"),
+    "rng_seed": ("5", 5),
+    "out.dir": ("elsewhere", "elsewhere"),
+    "grid.n": ("2", 2),
+    "grid.N": ("16", 16),
+    "metric.preset": ("kahler_bump", "kahler_bump"),
+    "metric.eps": ("0.2", 0.2),
+    "metric.amp": ("0.25", 0.25),
+    "metric.scale": ("0.5", 0.5),
+    "metric.lambda_floor": ("0.05", 0.05),
+    "forcing.kind": ("modes", "modes"),
+    "forcing.value": ("0.5", 0.5),
+    "forcing.amplitude": ("0.02", 0.02),
+    "forcing.max_mode": ("3", 3),
+    "forcing.seed": ("7", 7),
+    "forcing.psi_kind": ("peaked", "peaked"),
+    "flow.horizon": ("7.5", 7.5),
+    "step.dt_min": ("1e-9", 1e-9),
+    "step.dt_max": ("0.05", 0.05),
+    "step.eps_pd": ("1e-4", 1e-4),
+    "step.retry_limit": ("4", 4),
+    "monitors.emit_dt": ("0.05", 0.05),
+    "monitors.field_interval": ("1.0", 1.0),
+    "monitors.A": ("3.0", 3.0),
+    "monitors.alpha_ly": ("1.25", 1.25),
+    "monitors.shift_eps": ("0.25", 0.25),
+    "holder.alpha": ("0.25", 0.25),
+    "holder.epsilon": ("1.0", 1.0),
+    "holder.sample_pairs": ("500", 500),
+    "elliptic.tol": ("1e-9", 1e-9),
+    "elliptic.max_iters": ("7", 7),
+    "verify.criteria": ("7,8", (7, 8)),
+    "demo.count": ("3", 3),
+    "demo.eig_lo": ("0.5", 0.5),
+    "demo.eig_hi": ("6.0", 6.0),
+    "dump.fields": ("yes", True),
+}
+
+
+def _owner(cfg, target):
+    if target is HolderConfig:
+        return cfg.monitors.holder
+    return next(v for v in (cfg, *vars(cfg).values()) if isinstance(v, target))
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS))
+def test_each_key_lands_on_its_argument(key):
+    target, arg, _ = _KEYS[key]
+    text, value = NON_DEFAULT[key]
+    cfg = config_from_kv({key: text})
+    assert getattr(_owner(cfg, target), arg) == value
+    assert getattr(_owner(config_from_kv({}), target), arg) != value
+    assert cfg.raw == {key: text}
 
 
 # ----------------------------------------------------------------- CLI
@@ -222,6 +299,8 @@ rng_seed = 3
     "elliptic.tol = nan",
     "elliptic.max_iters = -1",
     "dump.fields = maybe",
+    "holder.sample_pairs = 1000000000000",  # above grid.MAX_POINTS
+    "grid.max_points = 5000000",  # the memory budget is a constant: an unknown key
     # valid values whose metric or manufactured forcing fails during set-up
     "metric.preset = hermitian_nonkahler\nmetric.eps = 0.9",
     "metric.lambda_floor = 5",
@@ -328,7 +407,7 @@ def test_cli_normal_frame_demo(tmp_path):
 
 def test_cli_verify_quick_criteria(tmp_path):
     cfg_path = tmp_path / "verify.cfg"
-    cfg_path.write_text("verify.criteria = 7,8,9\n")
+    cfg_path.write_text("verify.criteria = 7,8,9,7\n")
     out = tmp_path / "out"
     code = main(["verify", "--config", str(cfg_path), "--out", str(out)])
     assert code == 0
