@@ -40,6 +40,8 @@ from .monitors import HolderConfig, MonitorSuite
 from .presets import ForcingPreset, MetricPreset
 
 MODES = ("flow", "solve-elliptic", "verify", "decompose-demo", "normal-frame-demo")
+MAX_EMITS = 100_000        # emissions per run; acceptance run 1 has 601
+MAX_DEMO_COUNT = 10_000    # instances per demo; criteria 7 and 8 use 1000 and 100
 
 
 @dataclass
@@ -77,6 +79,9 @@ class RunConfig:
              and abs(round(emits) * emit_dt - horizon) <= 1e-9,
              f"flow.horizon {horizon} must be a positive multiple of "
              f"monitors.emit_dt {emit_dt}"),
+            (emits <= MAX_EMITS,
+             f"flow.horizon / monitors.emit_dt is {emits:.6g} emissions, "
+             f"above the budget of {MAX_EMITS}"),
             # the contraction and decay fit of a flow run needs 3 emissions
             # spanning at least two unit times; reject a shorter run up front
             (self.mode != "flow" or horizon >= max(2.0, 2.0 * emit_dt),
@@ -89,7 +94,8 @@ class RunConfig:
              f"elliptic.max_iters must be at least 1, got {self.elliptic_max_iters}"),
             (all(1 <= k <= 11 for k in self.verify_criteria),
              f"verify.criteria must name criteria 1-11, got {self.verify_criteria}"),
-            (self.demo_count >= 1, f"demo.count must be at least 1, got {self.demo_count}"),
+            (1 <= self.demo_count <= MAX_DEMO_COUNT,
+             f"demo.count must lie in [1, {MAX_DEMO_COUNT}], got {self.demo_count}"),
             (0 < self.demo_eig_lo < self.demo_eig_hi < math.inf,
              f"need 0 < demo.eig_lo < demo.eig_hi, got {self.demo_eig_lo}, {self.demo_eig_hi}"),
         ):

@@ -329,30 +329,29 @@ class RunResult:
 
 
 def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
-        monitors: Optional["MonitorSuite"] = None) -> RunResult:
+        monitors: Optional["MonitorSuite"] = None, observers=()) -> RunResult:
     """Integrate from phi = 0 to t = horizon.
 
-    Snapshots are emitted at every multiple of the monitor emit interval;
-    the spectral tail of phi is checked at each emission and raises
-    TailAlarm above TAIL_THRESHOLD (under-resolution guard).
+    Snapshots are emitted at every multiple of the monitor emit interval to
+    a MonitorSeries, which keeps no field and hands each field snapshot and
+    its g' to ``observers``.  The spectral tail of phi is checked at each
+    emission and raises TailAlarm above TAIL_THRESHOLD (under-resolution guard).
     """
     from .monitors import MonitorSeries, MonitorSuite  # local import, no cycle at import time
 
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     if monitors is None:
         monitors = MonitorSuite()
+    emit_dt = monitors.emit_dt
+    total_emits = int(round(horizon / emit_dt))
+    if total_emits < 1 or abs(total_emits * emit_dt - horizon) > 1e-9:
+        raise ValueError(f"horizon {horizon} must be a positive multiple of emit_dt {emit_dt}")
     w = volume_weights(g)
     state = make_state(g, f, w)
-    series = MonitorSeries(g, w, monitors)
+    series = MonitorSeries(g, w, monitors, horizon, observers)
     stats = {"steps": 0, "halvings": 0}
     gbar = _frozen_metric_key(g)
 
-    emit_dt = monitors.emit_dt
     series.emit(state)
-    total_emits = int(round(horizon / emit_dt))
-    if total_emits < 1 or abs(total_emits * emit_dt - horizon) > 1e-9:
-        raise ValueError(f"horizon {horizon} must be a multiple of emit_dt {emit_dt}")
     for j in range(1, total_emits + 1):
         t_target = j * emit_dt
         while state.t < t_target - 1e-12:

@@ -2,16 +2,19 @@
 
 Each monitor reports a measured witness (bounds, contraction factors, decay
 rates) rather than assuming any constant.  Scalars are recorded at every
-snapshot; field-based diagnostics (Hoelder seminorm, Li-Yau and Harnack
-quantities) run on a thinned set of stored field snapshots and are carried
-forward between evaluations so every CSV row stays finite.
+snapshot.  The field-based diagnostics (Hoelder seminorm, Li-Yau quantity)
+stream: every field snapshot's g' is built once at emission, folded into the
+Hoelder sample and a three-snapshot Li-Yau window, handed to any extra
+observers and dropped, so memory does not grow with the snapshot count.
+finalize carries their values forward between evaluations, so every CSV row
+stays finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -114,13 +117,6 @@ class DecayFit:
     n_samples: int = 0
 
 
-@dataclass(frozen=True)
-class FieldSnapshot:
-    t: float
-    phi: np.ndarray
-    u: np.ndarray
-
-
 def monitor_basic(state, g: MetricField, trace_field: np.ndarray,
                   w: VolumeWeights) -> dict:
     """Zeroth/first/second-order witnesses at one snapshot.
@@ -172,92 +168,95 @@ class _HolderSample:
     """Seeded sample of parabolic Hoelder difference quotients of g'.
 
     The cfg.sample_pairs pairs of (snapshot, grid point) are drawn up front
-    over the snapshot ``times``; ``add`` takes each snapshot's packed g' in
-    that order and keeps only its sampled entries, two (pairs, n*n) buffers
-    in all.  A quotient's numerator is max(|da|, |dd|, |db|).
+    over the indices of the ``count`` snapshots to come; ``add`` takes each
+    snapshot's time and packed g' in order and keeps only its sampled
+    entries, two (pairs, n*n) buffers in all.  A quotient's numerator is
+    max(|da|, |dd|, |db|).
     """
 
-    def __init__(self, times: Sequence[float], grid: TorusGrid, cfg: HolderConfig):
-        times, m = np.asarray(times, dtype=float), cfg.sample_pairs
+    def __init__(self, count: int, grid: TorusGrid, cfg: HolderConfig):
+        m = cfg.sample_pairs
         rng = np.random.default_rng(cfg.rng_seed)
-        self.sa, self.sb = [rng.integers(0, len(times), size=m) for _ in range(2)]
+        self.sa, self.sb = [rng.integers(0, count, size=m) for _ in range(2)]
         self.pa, self.pb = [rng.integers(0, grid.num_points, size=m) for _ in range(2)]
-        ta, tb = times[self.sa], times[self.sb]
-        self.t_pair = np.maximum(ta, tb)
-        self.dist = np.maximum(_torus_pair_distance(grid, self.pa, self.pb),
-                               np.sqrt(np.abs(ta - tb)))
+        self.space_dist = _torus_pair_distance(grid, self.pa, self.pb)
+        self.count, self.times = count, []
         self.alpha, self.n = cfg.alpha, grid.complex_dim
         self.ga, self.gb = np.zeros((2, m, self.n ** 2))
-        self.added = 0
 
-    def add(self, gprime: np.ndarray):
+    def add(self, t: float, gprime: np.ndarray):
         flat = gprime.reshape(len(gprime), -1)
         for snap, pts, buf in ((self.sa, self.pa, self.ga), (self.sb, self.pb, self.gb)):
-            hit = snap == self.added
+            hit = snap == len(self.times)
             buf[hit] = flat[:, pts[hit]].T
-        self.added += 1
+        self.times.append(t)
 
     def quotients(self):
-        """(t_max_per_pair, quotient_per_pair), once every snapshot is added."""
+        """(t_max_per_pair, quotient_per_pair), once all ``count`` snapshots are added."""
+        if len(self.times) != self.count:
+            raise InsufficientSnapshots(
+                f"Hoelder sample drawn over {self.count} snapshots, {len(self.times)} added")
+        times = np.array(self.times)
+        ta, tb = times[self.sa], times[self.sb]
+        dist = np.maximum(self.space_dist, np.sqrt(np.abs(ta - tb)))
         diff = self.ga - self.gb
         num = np.max(np.abs(diff[:, :self.n]), axis=1)
         if self.n == 2:
             num = np.maximum(num, np.hypot(diff[:, 2], diff[:, 3]))
-        mask = self.dist > 0
+        mask = dist > 0
         quot = np.zeros(len(num))
-        quot[mask] = num[mask] / self.dist[mask] ** self.alpha
-        return self.t_pair, quot
+        quot[mask] = num[mask] / dist[mask] ** self.alpha
+        return np.maximum(ta, tb), quot
 
 
-def holder_seminorm(snapshots: Sequence, g: MetricField, cfg: HolderConfig) -> float:
-    """Monte-Carlo lower estimate of the parabolic Hoelder seminorm of g'.
+class LiYauWindow:
+    """Li-Yau quantity t (|d f|^2 - alpha f_t), maximized over the grid,
+    over a stream of snapshots.
 
-    ``snapshots`` are FlowStates; only those with t >= cfg.epsilon enter.
-    Deterministic for a fixed rng_seed.
+    ``add(t, u, gpinv)`` takes one snapshot: u > 0 at every point
+    (NonPositiveU otherwise), f = log u, and gpinv the packed g'^{-1}, so
+    |d f|^2 is the pairing tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f).
+    f_t is a centered difference across adjacent snapshots, so a value is
+    produced at each interior snapshot time; only the last three snapshots
+    are held.
     """
-    eligible = [s for s in snapshots if s.t >= cfg.epsilon]
-    if len(eligible) < 2:
-        raise InsufficientSnapshots(
-            f"need >= 2 snapshots with t >= {cfg.epsilon}, have {len(eligible)}"
-        )
-    sample = _HolderSample([s.t for s in eligible], g.grid, cfg)
-    for s in eligible:
-        sample.add(s.gprime)
-    return float(np.max(sample.quotients()[1]))
+
+    def __init__(self, grid: TorusGrid, alpha_ly: float = 1.5):
+        if not (1.0 < alpha_ly < 2.0):
+            raise ValueError("alpha_ly must lie in (1, 2)")
+        self.grid, self.alpha_ly = grid, alpha_ly
+        self.window = []    # (t, f, g'^{-1}) of the last two snapshots between adds
+        self.times, self.values = [], []
+
+    def add(self, t: float, u: np.ndarray, gpinv: np.ndarray):
+        if np.min(u) <= 0:
+            raise NonPositiveU(f"non-positive u (min {np.min(u):.3e}) in Li-Yau diagnostic")
+        self.window.append((t, np.log(u), gpinv))
+        if len(self.window) < 3:
+            return
+        (t0, f0, _), (t1, f1, gpinv1), (t2, f2, _) = self.window
+        del self.window[0]   # its g'^{-1} is not needed while the next one is built
+        f_t = (f2 - f0) / (t2 - t0)
+        self.times.append(t1)
+        self.values.append(float(t1 * np.max(_grad_sq(f1, gpinv1, self.grid)
+                                             - self.alpha_ly * f_t)))
+
+    def result(self):
+        """(interior_times, values); InsufficientSnapshots before three adds."""
+        if not self.times:
+            raise InsufficientSnapshots("need >= 3 snapshots for centered time differences")
+        return np.array(self.times), np.array(self.values)
 
 
 def liyau_quantity(times: Iterable[float], u_list: Iterable[np.ndarray],
                    gpinv_list: Iterable[np.ndarray], grid: TorusGrid,
                    alpha_ly: float = 1.5):
-    """Li-Yau quantity t (|d f|^2 - alpha f_t) maximized over the grid.
-
-    f = log u with u > 0 at every sampled point (NonPositiveU otherwise);
-    f_t by centered differences across adjacent snapshots, so values are
-    produced at interior snapshot times.
-    gpinv_list holds packed g'^{-1} fields, and |d f|^2 is the pairing
-    tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f).  The inputs may be
-    iterators: they are walked together with a window of three snapshots.
-
-    Returns (interior_times, values).
-    """
-    if not (1.0 < alpha_ly < 2.0):
-        raise ValueError("alpha_ly must lie in (1, 2)")
-    out_t, out_v = [], []
-    window = []     # (t, f, g'^{-1}) of the last two snapshots between passes
+    """(interior_times, values) of a LiYauWindow fed the given snapshots,
+    which may be iterators."""
+    window = LiYauWindow(grid, alpha_ly)
     for t, u, gpinv in zip(times, u_list, gpinv_list):
-        if np.min(u) <= 0:
-            raise NonPositiveU(f"non-positive u (min {np.min(u):.3e}) in Li-Yau diagnostic")
-        window.append((t, np.log(u), gpinv))
-        if len(window) < 3:
-            continue
-        (t0, f0, _), (t1, f1, gpinv1), (t2, f2, _) = window
-        del window[0]   # its g'^{-1} is not needed while the next one is built
-        f_t = (f2 - f0) / (t2 - t0)
-        out_t.append(t1)
-        out_v.append(float(t1 * np.max(_grad_sq(f1, gpinv1, grid) - alpha_ly * f_t)))
-    if not out_t:
-        raise InsufficientSnapshots("need >= 3 snapshots for centered time differences")
-    return np.array(out_t), np.array(out_v)
+        window.add(t, u, gpinv)
+    return window.result()
 
 
 def _grad_sq(f: np.ndarray, gpinv: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -393,24 +392,6 @@ def contraction_and_decay(records: Sequence[MonitorRecord]):
                            window, degenerate=False, n_samples=int(np.sum(mask)))
 
 
-def xi_surrogate(field_snaps: Sequence[FieldSnapshot], m: int):
-    """Positive surrogate xi_m(x, t) = sup_y u(y, m-1) - u(x, m-1+t).
-
-    Returns (window_times_relative, fields) for the stored snapshots with
-    m-1 < t <= m.  The t = 0 slice is excluded (xi vanishes at the argmax).
-    """
-    sup0 = float(np.max(_snap_at(field_snaps, float(m - 1)).u))
-    inside = [s for s in field_snaps if 1e-9 < s.t - (m - 1) <= 1.0 + 1e-9]
-    return np.array([s.t - (m - 1) for s in inside]), [sup0 - s.u for s in inside]
-
-
-def _snap_at(field_snaps: Sequence[FieldSnapshot], t: float) -> FieldSnapshot:
-    for s in field_snaps:
-        if abs(s.t - t) <= 1e-9:
-            return s
-    raise InsufficientSnapshots(f"no stored field snapshot at t = {t}")
-
-
 def _carry_forward(records: Sequence[MonitorRecord], attr: str,
                    times: np.ndarray, values: np.ndarray):
     """Set each record's ``attr`` to the latest value at or before its time
@@ -421,18 +402,34 @@ def _carry_forward(records: Sequence[MonitorRecord], attr: str,
 
 
 class MonitorSeries:
-    """Ordered monitor records plus thinned field snapshots for a run."""
+    """Ordered monitor records of a run; field estimators fed at emission.
 
-    def __init__(self, g: MetricField, w: VolumeWeights, suite: MonitorSuite):
+    Emission j is a field snapshot when j is a multiple of field_interval /
+    emit_dt.  Its g' = g + Hess(phi) is built from rfftn(phi) (the state's
+    g' comes from the step's own spectrum and differs in the last bits),
+    fed to the Hoelder sample when the planned time j * emit_dt is >=
+    holder.epsilon and to the Li-Yau window on u + (1 + shift_eps) sup|F|
+    (not at all when sup|F| = 0), then handed with the state to each
+    ``observer(state, gprime)``.  The planned times fix the Hoelder
+    snapshot count before the run, hence ``horizon``.
+    """
+
+    def __init__(self, g: MetricField, w: VolumeWeights, suite: MonitorSuite,
+                 horizon: float, observers: Sequence[Callable] = ()):
         self.g = g
         self.w = w
         self.suite = suite
+        self.observers = tuple(observers)
         self.g_inv = inverse_stack(g.entries)
         self.records: List[MonitorRecord] = []
-        self.field_snaps: List[FieldSnapshot] = []
+        self.field_snaps: list = []   # always empty: fields are folded in at emission
         self.sup_phitilde_run = -np.inf
         self.sup_F = None
-        self.finalized = False
+        self.field_every = round(suite.field_interval / suite.emit_dt)
+        count = sum(1 for j in range(0, round(horizon / suite.emit_dt) + 1, self.field_every)
+                    if j * suite.emit_dt >= suite.holder.epsilon)
+        self.holder = _HolderSample(count, g.grid, suite.holder) if count >= 2 else None
+        self.liyau = LiYauWindow(g.grid, suite.alpha_ly)
 
     def emit(self, state):
         self.sup_phitilde_run = max(self.sup_phitilde_run,
@@ -442,58 +439,30 @@ class MonitorSeries:
         q_max = monitor_Q(state, trace_field, self.suite.A, self.sup_phitilde_run)
         if self.sup_F is None:
             self.sup_F = basic["sup_dphidt"]  # phi(.,0) = 0 makes u(0) = -F
-        rec = MonitorRecord(
+        j = len(self.records)
+        self.records.append(MonitorRecord(
             t=state.t, Q_max=q_max, holder_seminorm=0.0, liyau_max=0.0, **basic,
-        )
-        self.records.append(rec)
-        iv = self.suite.field_interval
-        k = round(state.t / iv)
-        if abs(k * iv - state.t) <= 1e-9:
-            self.field_snaps.append(FieldSnapshot(
-                t=state.t, phi=state.phi.values.copy(), u=state.dphi_dt.values.copy(),
-            ))
-
-    # -- finalize ---------------------------------------------------------
-
-    def gprime_at(self, snap: FieldSnapshot) -> np.ndarray:
-        """Packed g' = g + Hess(phi) of a stored snapshot."""
-        return self.g.entries + complex_hessian_values(rfftn(snap.phi), self.g.grid)
+        ))
+        if j % self.field_every:
+            return
+        gprime = self.g.entries + complex_hessian_values(rfftn(state.phi.values), self.g.grid)
+        if self.holder is not None and j * self.suite.emit_dt >= self.suite.holder.epsilon:
+            self.holder.add(state.t, gprime)
+        shift = (1.0 + self.suite.shift_eps) * self.sup_F
+        if shift > 0:
+            self.liyau.add(state.t, state.dphi_dt.values + shift, inverse_stack(gprime))
+        for observer in self.observers:
+            observer(state, gprime)
 
     def finalize(self):
-        """Fill the Hoelder and Li-Yau columns in one pass over the field snapshots.
-
-        Each snapshot's g' is built once for both estimators; the Hoelder
-        sample keeps only its sampled entries and Li-Yau a three-snapshot
-        window, so memory does not grow with the snapshot count.  Li-Yau
-        runs on the shifted positive field u + (1 + shift_eps) sup|F|.
-        """
-        if self.finalized:
-            return
-        snaps, grid, cfg = self.field_snaps, self.g.grid, self.suite.holder
-        eligible = [s.t for s in snaps if s.t >= cfg.epsilon]
-        holder = _HolderSample(eligible, grid, cfg) if len(eligible) >= 2 else None
-
-        def gprime(s):
-            gp = self.gprime_at(s)
-            if holder is not None and s.t >= cfg.epsilon:
-                holder.add(gp)
-            return gp
-
-        gps = map(gprime, snaps)
-        shift = (1.0 + self.suite.shift_eps) * (self.sup_F or 0.0)
-        if shift > 0 and len(snaps) >= 3:  # a stationary run keeps the column at 0
-            t_int, vals = liyau_quantity(
-                [s.t for s in snaps], (s.u + shift for s in snaps),
-                map(inverse_stack, gps), grid, alpha_ly=self.suite.alpha_ly)
-            _carry_forward(self.records, "liyau_max", t_int, vals)
-        if holder is not None:
-            for _ in gps:  # the snapshots Li-Yau did not walk
-                pass
-            t_pair, quot = holder.quotients()
+        """Carry the streamed Hoelder and Li-Yau values forward onto the records."""
+        if self.liyau.times:
+            _carry_forward(self.records, "liyau_max", *self.liyau.result())
+        if self.holder is not None:
+            t_pair, quot = self.holder.quotients()
             order = np.argsort(t_pair, kind="stable")
             _carry_forward(self.records, "holder_seminorm", t_pair[order],
                            np.maximum.accumulate(quot[order]))
-        self.finalized = True
 
     # -- derived summaries -------------------------------------------------
 

@@ -133,7 +133,7 @@ class ForcingPreset:
     value: float = 0.0          # const level
     amplitude: float = 0.05     # modes / manufactured psi amplitude
     max_mode: int = 2
-    seed: int = 2024
+    seed: int = 0               # RunConfig.rng_seed's default, as config_from_kv fills it
     psi_kind: str = "seeded"    # "seeded" | "peaked" (fast/slow engineered mix)
 
     def __post_init__(self):

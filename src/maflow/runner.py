@@ -17,6 +17,8 @@ from .hermitian import frame_decompose, normal_frame
 from .monitors import contraction_and_decay
 from .presets import ManufacturedSolution, build_forcing, build_metric
 
+NORMAL_FRAME_FD_STEP = 1e-3   # step of fd_normal_frame_residual's stencil
+
 
 @dataclass
 class FlowArtifacts:
@@ -51,10 +53,12 @@ def build_problem(cfg: RunConfig):
     return grid, g, forcing, exact
 
 
-def execute_flow(cfg: RunConfig) -> FlowArtifacts:
+def execute_flow(cfg: RunConfig, observers=()) -> FlowArtifacts:
+    """Run the flow of ``cfg``; ``observers`` also see each field snapshot (see flow.run)."""
     grid, g, forcing, exact = build_problem(cfg)
     t0 = time.perf_counter()
-    result = run(g, forcing, horizon=cfg.horizon, ctrl=cfg.step, monitors=cfg.monitors)
+    result = run(g, forcing, horizon=cfg.horizon, ctrl=cfg.step, monitors=cfg.monitors,
+                 observers=observers)
     wall = time.perf_counter() - t0
     series = result.series
     csv_text = series.to_csv()
@@ -196,14 +200,14 @@ def normal_frame_demo(cfg: RunConfig) -> dict:
 
 
 def fd_normal_frame_residual(g0, dg0, nf):
-    """4th-order FD check (step h = 1e-3) of d_j g_ii(0) = 0 through the
-    synthetic embedding.
+    """4th-order FD check (step NORMAL_FRAME_FD_STEP) of d_j g_ii(0) = 0
+    through the synthetic embedding.
 
     Embeds (g0, dg0) in the metric g(z) = g0 + sum_k (dg0_k z^k + h.c.),
     pulls it back through the returned coordinates, and differentiates the
     diagonal entries holomorphically at the base point.
     """
-    n, h = g0.shape[0], 1e-3
+    n, h = g0.shape[0], NORMAL_FRAME_FD_STEP
 
     def g_of_z(z):
         out = np.array(g0, dtype=complex)

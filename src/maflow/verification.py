@@ -23,14 +23,13 @@ from .elliptic import linearization_check
 from .errors import NonPositiveU
 from .hermitian import inverse_stack
 from .monitors import (
-    _snap_at,
     contraction_and_decay,
     envelope_fit_inverse_time,
     harnack_check,
     liyau_quantity,
-    xi_surrogate,
 )
 from .runner import (
+    NORMAL_FRAME_FD_STEP,
     execute_elliptic,
     execute_flow,
     frame_decomposition_sweep,
@@ -95,6 +94,54 @@ def _plain(v):
     return v
 
 
+class UnitWindows:
+    """Criterion 10's unit windows, an observer of run 1's field snapshots.
+
+    Window m covers (m-1, m] for m = 1 .. int(horizon) - 1; it opens at the
+    snapshot at t = m-1 when the oscillation of u there is at least 1e-10.
+    It holds the positive surrogate xi_m(x, t) = sup_y u(y, m-1) - u(x, m-1+t)
+    and g'^{-1} at the snapshots with 0 < t <= 1 (xi vanishes at the argmax
+    for t = 0), and at t = 1 runs the Li-Yau quantity and the Harnack check
+    on (0.5, 1) over them and drops them, so one window is held at a time.
+    """
+
+    def __init__(self, grid, alpha_ly: float, horizon: float):
+        self.grid, self.alpha_ly, self.last = grid, alpha_ly, int(horizon) - 1
+        self.windows = self.nonpositive = 0
+        self.env_t, self.env_v, self.harnack_consts = [], [], []
+        self.harnack_ok = True
+        self.open = None    # (m, sup_y u(y, m-1), [(t, xi, g'^{-1})])
+
+    def __call__(self, state, gprime):
+        t, u = state.t, state.dphi_dt.values
+        if self.open is not None:
+            m, sup0, snaps = self.open
+            rel = t - (m - 1)
+            if rel <= 1.0 + 1e-9:
+                snaps.append((rel, sup0 - u, inverse_stack(gprime)))
+            if rel >= 1.0 - 1e-9:
+                self.open = None
+                self._close(*zip(*snaps))
+        k = round(t)
+        if abs(t - k) <= 1e-9 and k < self.last and np.max(u) - np.min(u) >= 1e-10:
+            self.windows += 1
+            self.open = (k + 1, float(np.max(u)), [])
+
+    def _close(self, rel_t, fields, gpinvs):
+        try:
+            t_int, vals = liyau_quantity(rel_t, fields, gpinvs, self.grid, self.alpha_ly)
+            self.env_t.extend(t_int.tolist())
+            self.env_v.extend(vals.tolist())
+            hr = harnack_check(rel_t, fields, 0.5, 1.0)
+        except NonPositiveU:
+            self.nonpositive += 1
+            return
+        if hr.verifiable and hr.constants is not None and all(np.isfinite(hr.constants)):
+            self.harnack_consts.append(hr.constants)
+        else:
+            self.harnack_ok = False
+
+
 class VerificationContext:
     """Caches the expensive shared runs across criteria."""
 
@@ -103,10 +150,14 @@ class VerificationContext:
         self._run2 = None
         self._run2_repeat = None
         self._run2_newton = None
+        self.run1_windows = None
 
     def run1(self):
+        """Run 1, with criterion 10's UnitWindows attached as ``run1_windows``."""
         if self._run1 is None:
-            self._run1 = execute_flow(config_from_kv(dict(RUN1_KV)))
+            cfg = config_from_kv(dict(RUN1_KV))
+            self.run1_windows = UnitWindows(cfg.grid, cfg.monitors.alpha_ly, cfg.horizon)
+            self._run1 = execute_flow(cfg, observers=(self.run1_windows,))
         return self._run1
 
     def run2(self):
@@ -265,7 +316,7 @@ def criterion_8(ctx) -> CriterionResult:
         "worst_metric_identity": worst_identity,
         "worst_hessian_offdiag": worst_offdiag,
         "worst_fd_diag_derivative": worst_fd,
-        "fd_tolerance": 1e-6, "h_fd": 1e-3,
+        "fd_tolerance": 1e-6, "h_fd": NORMAL_FRAME_FD_STEP,
         "runtime_s": elapsed, "runtime_budget_s": 10.0,
     })
 
@@ -294,54 +345,21 @@ def criterion_9(ctx) -> CriterionResult:
 
 def criterion_10(ctx) -> CriterionResult:
     """Li-Yau envelope and Harnack inequality on run 1's unit-window surrogates."""
-    art = ctx.run1()
-    series = art.result.series
-    snaps = series.field_snaps
-    recs = art.result.series.records
-    times_all = np.array([r.t for r in recs])
-    osc_all = np.array([r.osc_u for r in recs])
-
-    windows = []
-    horizon = art.config.horizon
-    for m in range(1, int(horizon)):
-        osc_at_base = float(np.interp(m - 1, times_all, osc_all))
-        if osc_at_base >= 1e-10:
-            windows.append(m)
-    nonpositive = 0
-    env_t, env_v = [], []
-    harnack_ok = True
-    harnack_consts = []
-    for m in windows:
-        rel_t, fields = xi_surrogate(snaps, m)
-        gpinvs = (inverse_stack(series.gprime_at(_snap_at(snaps, m - 1 + rt)))
-                  for rt in rel_t)
-        try:
-            t_int, vals = liyau_quantity(
-                [float(r) for r in rel_t], fields, gpinvs, art.g.grid,
-                alpha_ly=art.config.monitors.alpha_ly)
-            env_t.extend(t_int.tolist())
-            env_v.extend(vals.tolist())
-            hr = harnack_check([float(r) for r in rel_t], fields, 0.5, 1.0)
-            if not (hr.verifiable and hr.constants is not None
-                    and all(np.isfinite(hr.constants))):
-                harnack_ok = False
-            else:
-                harnack_consts.append(hr.constants)
-        except NonPositiveU:
-            nonpositive += 1
+    ctx.run1()
+    uw = ctx.run1_windows
     c1 = c2 = float("nan")
     envelope_holds = False
-    if env_t:
-        c1, c2 = envelope_fit_inverse_time(np.array(env_t), np.array(env_v))
-        envelope_holds = bool(np.all(
-            np.array(env_v) <= c1 + c2 / np.array(env_t) + 1e-12))
-    passed = (nonpositive == 0 and len(windows) >= 3 and envelope_holds
-              and np.isfinite(c1) and np.isfinite(c2) and harnack_ok)
+    if uw.env_t:
+        env_t, env_v = np.array(uw.env_t), np.array(uw.env_v)
+        c1, c2 = envelope_fit_inverse_time(env_t, env_v)
+        envelope_holds = bool(np.all(env_v <= c1 + c2 / env_t + 1e-12))
+    passed = (uw.nonpositive == 0 and uw.windows >= 3 and envelope_holds
+              and np.isfinite(c1) and np.isfinite(c2) and uw.harnack_ok)
     return CriterionResult(10, "Li-Yau / Harnack diagnostics", passed, {
-        "windows": len(windows), "nonpositive_triggers": nonpositive,
+        "windows": uw.windows, "nonpositive_triggers": uw.nonpositive,
         "envelope_C1": c1, "envelope_C2": c2, "envelope_holds": envelope_holds,
-        "harnack_windows_verified": len(harnack_consts),
-        "harnack_C_first": list(harnack_consts[0]) if harnack_consts else None,
+        "harnack_windows_verified": len(uw.harnack_consts),
+        "harnack_C_first": list(uw.harnack_consts[0]) if uw.harnack_consts else None,
     })
 
 

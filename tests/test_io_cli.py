@@ -117,6 +117,7 @@ def test_absent_keys_take_the_constructor_defaults():
     assert cfg.forcing == ForcingPreset("zero", seed=0)
     assert cfg.grid == TorusGrid(1, 32)
     assert cfg.horizon == RunConfig.horizon and cfg.elliptic_tol == RunConfig.elliptic_tol
+    assert cfg == RunConfig()
 
 
 def test_seeds_default_to_rng_seed():
@@ -124,6 +125,18 @@ def test_seeds_default_to_rng_seed():
     assert cfg.forcing.seed == 5 and cfg.monitors.holder.rng_seed == 5
     cfg = config_from_kv({"rng_seed": "5", "forcing.seed": "3"})
     assert cfg.forcing.seed == 3 and cfg.monitors.holder.rng_seed == 5
+
+
+@pytest.mark.parametrize("kv", [
+    {"monitors.emit_dt": "1e-9", "monitors.field_interval": "1e-8"},  # 2e9 emissions
+    {"monitors.emit_dt": "1e-6"},                                     # 2e6 emissions
+    {"demo.count": "1000000000000"},
+])
+def test_work_budgets_rejected_before_any_work(kv):
+    # config_from_kv only: on a program without the budgets the CLI would start the work
+    with pytest.raises(ConfigError):
+        config_from_kv({"flow.horizon": "2", **kv})
+    config_from_kv({"flow.horizon": "2", "monitors.emit_dt": "0.0001"})   # 20,000: fine
 
 
 # a valid non-default value for every key, with the value it must land as

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from maflow import flow
 from maflow.errors import InsufficientSnapshots, NonPositiveU, SeriesTooShort
 from maflow.flow import StepControl, make_state, run
 from maflow.grid import ScalarField, TorusGrid, volume_weights
@@ -12,18 +13,19 @@ from maflow.monitors import (
     CSV_COLUMNS,
     HolderConfig,
     MonitorRecord,
+    MonitorSeries,
     MonitorSuite,
+    _HolderSample,
     contraction_and_decay,
     envelope_fit_inverse_time,
     harnack_check,
-    holder_seminorm,
     liyau_quantity,
     monitor_Q,
     theta_at_integer_times,
-    xi_surrogate,
 )
 from maflow.presets import ForcingPreset, MetricPreset, build_forcing, build_metric
-from maflow.spectral import laplacian_values
+from maflow.spectral import complex_hessian_values, laplacian_values, rfftn
+from maflow.verification import UnitWindows
 
 
 def small_suite(**kw):
@@ -31,16 +33,36 @@ def small_suite(**kw):
     return MonitorSuite(**kw)
 
 
+class Recorder:
+    """Observer that keeps a copy of every field snapshot a run hands it."""
+
+    def __init__(self):
+        self.t, self.phi, self.u, self.gprime = [], [], [], []
+
+    def __call__(self, state, gprime):
+        self.t.append(state.t)
+        self.phi.append(state.phi.values.copy())
+        self.u.append(state.dphi_dt.values.copy())
+        self.gprime.append(gprime.copy())
+
+
 @pytest.fixture(scope="module")
-def mfd_run():
+def mfd():
     grid = TorusGrid(1, 32)
     g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.2, scale=0.4))
     F, exact = build_forcing(grid, g, ForcingPreset("manufactured", amplitude=0.04,
                                                     psi_kind="peaked"))
     suite = MonitorSuite(emit_dt=0.05, field_interval=0.25,
                          holder=HolderConfig(rng_seed=7, sample_pairs=5000))
-    res = run(g, F, horizon=10.0, ctrl=StepControl(), monitors=suite)
-    return g, F, exact, res
+    rec, windows = Recorder(), UnitWindows(grid, suite.alpha_ly, 10.0)
+    res = run(g, F, horizon=10.0, ctrl=StepControl(), monitors=suite,
+              observers=(rec, windows))
+    return SimpleNamespace(g=g, F=F, exact=exact, res=res, rec=rec, windows=windows)
+
+
+@pytest.fixture(scope="module")
+def mfd_run(mfd):
+    return mfd.g, mfd.F, mfd.exact, mfd.res
 
 
 # ----------------------------------------------------------------- basic
@@ -86,20 +108,49 @@ def test_monitor_Q_dominates_log_trace(mfd_run):
 
 # ----------------------------------------------------------------- Hoelder
 
+def _sampled_holder_max(states, grid, cfg):
+    """Largest sampled quotient over the states with t >= cfg.epsilon."""
+    eligible = [s for s in states if s.t >= cfg.epsilon]
+    sample = _HolderSample(len(eligible), grid, cfg)
+    for s in eligible:
+        sample.add(s.t, s.gprime)
+    return float(np.max(sample.quotients()[1]))
+
+
 def test_holder_zero_for_constant_field(grid1, flat1):
-    w = volume_weights(flat1)
+    # F = 0 on the flat metric: phi stays 0 and g' = g at every snapshot
     F = ScalarField(grid1, np.zeros(grid1.shape))
-    snaps = [make_state(flat1, F, w, t=t) for t in (0.6, 0.8, 1.0)]
-    cfg = HolderConfig(rng_seed=3, sample_pairs=4000, epsilon=0.5)
-    assert holder_seminorm(snaps, flat1, cfg) == 0.0
+    suite = MonitorSuite(holder=HolderConfig(rng_seed=3, sample_pairs=4000, epsilon=0.5))
+    res = run(flat1, F, horizon=2.0, ctrl=StepControl(), monitors=suite)
+    assert res.series.holder is not None
+    assert all(r.holder_seminorm == 0.0 and r.liyau_max == 0.0 for r in res.series.records)
 
 
 def test_holder_insufficient_snapshots(grid1, flat1):
+    # only the snapshot at t = 2 lies past epsilon = 1.9: no pair to sample
+    F = ScalarField(grid1, np.zeros(grid1.shape))
+    suite = MonitorSuite(holder=HolderConfig(rng_seed=3, epsilon=1.9))
+    res = run(flat1, F, horizon=2.0, ctrl=StepControl(), monitors=suite)
+    assert res.series.holder is None
+    assert all(r.holder_seminorm == 0.0 for r in res.series.records)
+
+
+def test_wrong_snapshot_count_raises(grid1, flat1):
+    # horizon 2 plans field snapshots at 0, 0.5, .., 2, four of them past
+    # epsilon = 0.5; a series that sees only the emissions up to t = 1 has two
     w = volume_weights(flat1)
     F = ScalarField(grid1, np.zeros(grid1.shape))
-    snaps = [make_state(flat1, F, w, t=0.6)]
+    series = MonitorSeries(flat1, w, MonitorSuite(), horizon=2.0)
+    assert series.holder.count == 4
+    for j in range(11):
+        series.emit(make_state(flat1, F, w, t=j * 0.1))
     with pytest.raises(InsufficientSnapshots):
-        holder_seminorm(snaps, flat1, HolderConfig(rng_seed=3))
+        series.finalize()
+    sample = _HolderSample(2, grid1, HolderConfig(rng_seed=3))
+    for t in (0.5, 1.0, 1.5):
+        sample.add(t, flat1.entries)
+    with pytest.raises(InsufficientSnapshots):
+        sample.quotients()
 
 
 def test_holder_single_mode_vs_exhaustive():
@@ -119,7 +170,7 @@ def test_holder_single_mode_vs_exhaustive():
         states.append(st)
     alpha = 0.5
     cfg = HolderConfig(alpha=alpha, epsilon=0.5, sample_pairs=200000, rng_seed=12)
-    est = holder_seminorm(states, g, cfg)
+    est = _sampled_holder_max(states, grid, cfg)
 
     # exhaustive oracle over every space-time pair
     entry = states[0].gprime[0]
@@ -180,15 +231,12 @@ def test_liyau_nonpositive_raises(grid1, flat1):
         liyau_quantity([0.5, 1.0, 1.5], us, [ginv] * 3, grid1)
 
 
-def test_liyau_envelope_on_run(mfd_run):
-    g, F, _, res = mfd_run
-    series = res.series
-    shift = 1.5 * float(np.max(np.abs(F.values)))
-    snaps = series.field_snaps
-    times = [s.t for s in snaps]
-    us = [s.u + shift for s in snaps]
-    gpinvs = [inverse_stack(series.gprime_at(s)) for s in snaps]
-    t_int, vals = liyau_quantity(times, us, gpinvs, g.grid, alpha_ly=1.5)
+def test_liyau_envelope_on_run(mfd):
+    shift = 1.5 * float(np.max(np.abs(mfd.F.values)))
+    rec = mfd.rec
+    us = [u + shift for u in rec.u]
+    gpinvs = [inverse_stack(gp) for gp in rec.gprime]
+    t_int, vals = liyau_quantity(rec.t, us, gpinvs, mfd.g.grid, alpha_ly=1.5)
     mask = t_int > 0
     c1, c2 = envelope_fit_inverse_time(t_int[mask], vals[mask])
     assert np.isfinite(c1) and np.isfinite(c2)
@@ -225,13 +273,48 @@ def test_harnack_unverifiable_flag(grid1):
     assert not hr.verifiable
 
 
-def test_xi_surrogates_on_run(mfd_run):
-    g, _, _, res = mfd_run
-    snaps = res.series.field_snaps
-    rel_t, fields = xi_surrogate(snaps, 1)
-    assert np.all(rel_t > 0)
-    assert all(np.min(f) > 0 for f in fields)  # strict positivity off t = 0
-    hr = harnack_check([float(t) for t in rel_t], fields, 0.5, 1.0)
+def _reference_unit_windows(rec, grid, alpha_ly, horizon):
+    """Criterion 10's unit windows from every recorded snapshot at once."""
+    out = SimpleNamespace(windows=0, nonpositive=0, env_t=[], env_v=[], consts=[])
+    times = np.array(rec.t)
+    for m in range(1, int(horizon)):
+        base = int(np.argmin(np.abs(times - (m - 1))))
+        u0 = rec.u[base]
+        if float(np.max(u0) - np.min(u0)) < 1e-10:
+            continue
+        out.windows += 1
+        inside = [i for i, t in enumerate(rec.t) if 1e-9 < t - (m - 1) <= 1.0 + 1e-9]
+        rel_t = [rec.t[i] - (m - 1) for i in inside]
+        fields = [float(np.max(u0)) - rec.u[i] for i in inside]
+        try:
+            t_int, vals = liyau_quantity(rel_t, fields,
+                                         [inverse_stack(rec.gprime[i]) for i in inside],
+                                         grid, alpha_ly=alpha_ly)
+            out.env_t.extend(t_int.tolist())
+            out.env_v.extend(vals.tolist())
+            out.consts.append(harnack_check(rel_t, fields, 0.5, 1.0).constants)
+        except NonPositiveU:
+            out.nonpositive += 1
+    return out
+
+
+def test_unit_windows_match_recorded_surrogates(mfd):
+    uw = mfd.windows
+    ref = _reference_unit_windows(mfd.rec, mfd.g.grid, 1.5, 10.0)
+    assert (uw.windows, uw.nonpositive) == (ref.windows, ref.nonpositive) == (9, 0)
+    assert uw.env_t == ref.env_t and uw.env_v == ref.env_v
+    assert uw.harnack_ok and uw.harnack_consts == ref.consts
+
+
+def test_xi_surrogates_on_run(mfd):
+    # window 1 from the recorded snapshots: xi > 0 strictly off t = 0
+    rec = mfd.rec
+    sup0 = float(np.max(rec.u[0]))
+    rel_t = [t for t in rec.t if 0 < t <= 1.0]
+    fields = [sup0 - u for t, u in zip(rec.t, rec.u) if 0 < t <= 1.0]
+    assert rel_t == [0.25, 0.5, 0.75, 1.0]
+    assert all(np.min(f) > 0 for f in fields)
+    hr = harnack_check(rel_t, fields, 0.5, 1.0)
     assert hr.verifiable and all(np.isfinite(hr.constants))
 
 
@@ -327,7 +410,7 @@ def test_trace_and_Q_running_max_attained_early(mfd_run):
     assert res.series.running_max_time("Q_max") <= horizon / 2
 
 
-# ----------------------------------------------------------------- single-pass finalize
+# ----------------------------------------------------------------- streamed estimators
 
 def _reference_holder_pairs(times, gp_entries, grid, cfg):
     """Two-pass Hoelder sampler: stacks every eligible g' snapshot."""
@@ -390,69 +473,67 @@ def n2_run():
     g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.3, scale=0.35))
     F, _ = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=1))
     suite = MonitorSuite(field_interval=0.5, holder=HolderConfig(rng_seed=21, sample_pairs=3000))
-    return run(g, F, horizon=2.0, ctrl=StepControl(), monitors=suite), F
+    rec = Recorder()
+    return run(g, F, horizon=2.0, ctrl=StepControl(), monitors=suite, observers=(rec,)), F, rec
 
 
 def test_finalize_matches_two_pass_reference(n2_run):
-    res, F = n2_run
+    res, F, rec = n2_run
     series = res.series
     cfg, grid = series.suite.holder, series.g.grid
-    eligible = [s for s in series.field_snaps if s.t >= cfg.epsilon]
-    times = np.array([s.t for s in eligible])
-    t_pair, quot = _reference_holder_pairs(
-        times, [series.gprime_at(s) for s in eligible], grid, cfg)
+    assert rec.t == [0.0, 0.5, 1.0, 1.5, 2.0]
+    gps = [series.g.entries + complex_hessian_values(rfftn(phi), grid) for phi in rec.phi]
+    assert all(np.array_equal(a, b) for a, b in zip(gps, rec.gprime))
+    eligible = [i for i, t in enumerate(rec.t) if t >= cfg.epsilon]
+    times = np.array([rec.t[i] for i in eligible])
+    t_pair, quot = _reference_holder_pairs(times, [gps[i] for i in eligible], grid, cfg)
     order = np.argsort(t_pair, kind="stable")
     holder_ref = _carried(series.records, t_pair[order], np.maximum.accumulate(quot[order]))
     assert [r.holder_seminorm for r in series.records] == holder_ref
-    assert holder_ref[-1] > 0
+    assert holder_ref[-1] == float(np.max(quot)) > 0
 
     shift = 1.5 * float(np.max(np.abs(F.values)))
-    snaps = series.field_snaps
-    t_int, vals = _reference_liyau(
-        [s.t for s in snaps], [s.u + shift for s in snaps],
-        [inverse_stack(series.gprime_at(s)) for s in snaps], grid, 1.5)
+    t_int, vals = _reference_liyau(rec.t, [u + shift for u in rec.u],
+                                   [inverse_stack(gp) for gp in gps], grid, 1.5)
     liyau_ref = _carried(series.records, t_int, vals)
     assert [r.liyau_max for r in series.records] == liyau_ref
     assert any(v != 0.0 for v in liyau_ref)
-
-    states = [SimpleNamespace(t=s.t, gprime=series.gprime_at(s)) for s in snaps]
-    assert holder_seminorm(states, series.g, cfg) == float(np.max(quot))
+    assert series.field_snaps == []
 
 
 def test_liyau_accepts_iterators(n2_run):
-    res, F = n2_run
-    series = res.series
-    snaps = series.field_snaps
+    res, F, rec = n2_run
+    grid = res.series.g.grid
     shift = 1.5 * float(np.max(np.abs(F.values)))
-    times = [s.t for s in snaps]
-    us = [s.u + shift for s in snaps]
-    gpinvs = [inverse_stack(series.gprime_at(s)) for s in snaps]
-    t_list, v_list = liyau_quantity(times, us, gpinvs, series.g.grid)
-    t_gen, v_gen = liyau_quantity(iter(times), (u for u in us), iter(gpinvs), series.g.grid)
+    us = [u + shift for u in rec.u]
+    gpinvs = [inverse_stack(gp) for gp in rec.gprime]
+    t_list, v_list = liyau_quantity(rec.t, us, gpinvs, grid)
+    t_gen, v_gen = liyau_quantity(iter(rec.t), (u for u in us), iter(gpinvs), grid)
     assert np.array_equal(t_list, t_gen) and np.array_equal(v_list, v_gen)
     with pytest.raises(InsufficientSnapshots):
-        liyau_quantity(iter(times[:2]), iter(us[:2]), iter(gpinvs[:2]), series.g.grid)
+        liyau_quantity(iter(rec.t[:2]), iter(us[:2]), iter(gpinvs[:2]), grid)
 
 
-def _finalize_peak_bytes(horizon):
+def _run_peak_bytes(horizon):
     grid = TorusGrid(1, 64)
     g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.2, scale=0.4))
     F, _ = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
     suite = MonitorSuite(field_interval=0.5, holder=HolderConfig(rng_seed=2, sample_pairs=200))
-    series = run(g, F, horizon=horizon, ctrl=StepControl(), monitors=suite).series
-    series.finalized = False
+    snaps = []
+    flow._etdrk4_coefficients.cache_clear()   # both runs build their coefficient sets
     tracemalloc.start()
     try:
-        series.finalize()
-        return len(series.field_snaps), tracemalloc.get_traced_memory()[1]
+        run(g, F, horizon=horizon, ctrl=StepControl(), monitors=suite,
+            observers=(lambda state, gprime: snaps.append(state.t),))
+        return len(snaps), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_finalize_memory_flat_in_snapshot_count():
-    # one snapshot's fields are 32 KB here; holding every g' or u would add
-    # ~0.4 MB per extra 12 snapshots
-    snaps_short, peak_short = _finalize_peak_bytes(2.0)
-    snaps_long, peak_long = _finalize_peak_bytes(8.0)
+def test_run_memory_flat_in_snapshot_count():
+    # one snapshot's phi and u are 64 KB here; keeping them, or each g', would
+    # add ~0.8 MB over the 12 extra snapshots of the longer run
+    snaps_short, peak_short = _run_peak_bytes(2.0)
+    snaps_long, peak_long = _run_peak_bytes(8.0)
     assert (snaps_short, snaps_long) == (5, 17)
     assert peak_long <= 1.1 * peak_short
