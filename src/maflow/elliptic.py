@@ -24,11 +24,25 @@ costs one rfftn and one batched irfftn.  The Newton iterate phi is kept as
 its rfft spectrum too: a Krylov solve returns the spectrum of its solution,
 each line-search candidate is phi_hat + s psi_hat, and grid values of phi are
 formed once, for the returned phitilde_inf.
+
+Nested start: without an explicit initial field, and where the half grid is
+valid (N divisible by 4, N >= 16), solve first solves the same problem on
+every other sample of g and F (recursively, with the same tol and
+max_iters) and starts Newton from the spectral prolongation of that
+solution.  The half-grid samples are a subset of the full ones, so the
+coarse metric passes its eigenvalue floor, and for band-limited data it
+samples the same continuum problem.  On run 2 (n = 2, N = 16) the N = 8
+level saves one of three full-grid Newton iterations.  If the half-grid
+solve raises, or its prolongation leaves the cone at the first residual,
+Newton starts from zero exactly as without a half grid.  The half-grid
+solution stays on the result (EllipticSolution.coarse) as a resolution
+witness; newton_iters counts the full grid only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -42,6 +56,7 @@ from .errors import (
 from .grid import (
     MetricField,
     ScalarField,
+    TorusGrid,
     check_cone,
     integrate_values,
     min_eig_field,
@@ -53,6 +68,7 @@ from .spectral import (
     complex_hessian_values,
     irfftn,
     mean_metric_symbol,
+    prolong,
     rfftn,
 )
 
@@ -70,12 +86,17 @@ BACKTRACK_LIMIT = 30
 
 @dataclass(frozen=True)
 class EllipticSolution:
-    """Solution record with its residual certificate."""
+    """Solution record with its residual certificate.
+
+    newton_iters counts this grid's Newton iterations; coarse is the
+    half-grid solution the iteration started from, or None.
+    """
 
     b: float
     phi_tilde_inf: ScalarField
     residual_sup: float
     newton_iters: int
+    coarse: Optional["EllipticSolution"] = None
 
 
 def _residual_field(phi_hat, g):
@@ -178,6 +199,34 @@ def _bicgstab(op, b, rtol, max_iter):
     return x, float(np.linalg.norm(op.apply(x) - b)) / bnorm
 
 
+def _start_spectrum(initial: Optional[ScalarField], grid: TorusGrid) -> np.ndarray:
+    """rfft spectrum of the mean-free initial field, zero when there is none."""
+    return rfftn(np.zeros(grid.shape) if initial is None
+                 else initial.values - initial.values.mean())
+
+
+def _half_grid_solution(g: MetricField, f: ScalarField, tol: float,
+                        max_iters: int) -> Optional[EllipticSolution]:
+    """solve on every other sample of g and f, or None.
+
+    None when the half grid is not valid (N/2 odd or below 8) or its solve
+    raises a MaflowError.  Only the returned solution outlives the call, so
+    the half-grid metric and forcing are freed before the fine Newton loop.
+    """
+    grid = g.grid
+    N = grid.points_per_axis
+    if N % 4 or N < 16:
+        return None
+    half = TorusGrid(grid.complex_dim, N // 2)
+    every_other = (slice(None, None, 2),) * grid.real_dim
+    entries = np.ascontiguousarray(g.entries[(slice(None),) + every_other])
+    f_half = ScalarField(half, np.ascontiguousarray(f.values[every_other]))
+    try:
+        return solve(MetricField(half, entries, g.lambda_floor), f_half, tol, max_iters)
+    except MaflowError:
+        return None
+
+
 def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
           max_iters: int = NEWTON_MAX_ITERS, initial: ScalarField = None) -> EllipticSolution:
     """Damped Newton iteration with mean-zero projection.
@@ -185,15 +234,26 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
     At each iterate b is the omega^n mean of G(phi); the update solves the
     projected linearization, with backtracking (factor 1/2) accepting any
     step that stays in the positive cone and reduces the sup residual.
+    Newton starts from initial (mean removed) when given, else from the
+    prolonged half-grid solution (see the module docstring), else from zero.
     """
     if not (tol >= 1e-12):
         raise ValueError("tolerance below attainable round-off (need tol >= 1e-12)")
     grid = g.grid
     w = volume_weights(g)
-    phi_hat = rfftn(np.zeros(grid.shape) if initial is None
-                    else initial.values - initial.values.mean())
-
-    ratio, gprime = _residual_field(phi_hat, g)
+    coarse = _half_grid_solution(g, f, tol, max_iters) if initial is None else None
+    phi_hat = _start_spectrum(initial if coarse is None else
+                              ScalarField(grid, prolong(coarse.phi_tilde_inf.values, grid)),
+                              grid)
+    try:
+        ratio, gprime = _residual_field(phi_hat, g)
+    except PositivityViolation:
+        if coarse is None:
+            raise
+        # the prolonged start left the cone: start from zero instead
+        coarse = None
+        phi_hat = _start_spectrum(None, grid)
+        ratio, gprime = _residual_field(phi_hat, g)
     b = integrate_values(ratio - f.values, w)
     resid = ratio - f.values - b
     res_sup = float(np.max(np.abs(resid)))
@@ -246,6 +306,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
         phi_tilde_inf=ScalarField(grid, tilde),
         residual_sup=res_sup,
         newton_iters=iters,
+        coarse=coarse,
     )
 
 

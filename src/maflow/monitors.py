@@ -3,9 +3,10 @@
 Each monitor reports a measured witness (bounds, contraction factors, decay
 rates) rather than assuming any constant.  Scalars are recorded at every
 snapshot.  The field-based diagnostics (Hoelder seminorm, Li-Yau quantity)
-stream: every field snapshot's g' is built once at emission, folded into the
-Hoelder sample and a three-snapshot Li-Yau window, handed to any extra
-observers and dropped, so memory does not grow with the snapshot count.
+stream: every field snapshot's g', the one the flow state carries, is folded
+at emission into the Hoelder sample and a three-snapshot Li-Yau window,
+handed to any extra observers and dropped, so memory does not grow with the
+snapshot count.
 finalize carries their values forward between evaluations, so every CSV row
 stays finite.
 """
@@ -26,7 +27,8 @@ from .errors import (
 )
 from .grid import MAX_POINTS, MetricField, TorusGrid, VolumeWeights, integrate_values
 from .hermitian import generalized_eig_range, inverse_stack, trace_pair
-from .spectral import complex_hessian_values, holo_gradient, rfftn
+from .spectral import holo_gradient
+from .spectral import complex_hessian_values  # noqa: F401  unused; perfbench/tracer.py patches it
 
 CSV_COLUMNS = (
     "t", "sup_dphidt", "osc_u", "trace_max", "eig_min", "eig_max",
@@ -405,8 +407,8 @@ class MonitorSeries:
     """Ordered monitor records of a run; field estimators fed at emission.
 
     Emission j is a field snapshot when j is a multiple of field_interval /
-    emit_dt.  Its g' = g + Hess(phi) is built from rfftn(phi) (the state's
-    g' comes from the step's own spectrum and differs in the last bits),
+    emit_dt.  Its g' = g + Hess(phi) is state.gprime, the one the step that
+    produced the state assembled (no transform or Hessian runs here).  It is
     fed to the Hoelder sample when the planned time j * emit_dt is >=
     holder.epsilon and to the Li-Yau window on u + (1 + shift_eps) sup|F|
     (not at all when sup|F| = 0), then handed with the state to each
@@ -445,14 +447,13 @@ class MonitorSeries:
         ))
         if j % self.field_every:
             return
-        gprime = self.g.entries + complex_hessian_values(rfftn(state.phi.values), self.g.grid)
         if self.holder is not None and j * self.suite.emit_dt >= self.suite.holder.epsilon:
-            self.holder.add(state.t, gprime)
+            self.holder.add(state.t, state.gprime)
         shift = (1.0 + self.suite.shift_eps) * self.sup_F
         if shift > 0:
-            self.liyau.add(state.t, state.dphi_dt.values + shift, inverse_stack(gprime))
+            self.liyau.add(state.t, state.dphi_dt.values + shift, inverse_stack(state.gprime))
         for observer in self.observers:
-            observer(state, gprime)
+            observer(state, state.gprime)
 
     def finalize(self):
         """Carry the streamed Hoelder and Li-Yau values forward onto the records."""

@@ -24,7 +24,8 @@ for b, so one batched real irfftn yields all n*n entries.
 The entry points take and return bare arrays: holo_gradient (the first
 derivatives d_i f, one irfftn per real axis; d/dx_{2i-1} f and d/dx_{2i} f
 are twice its real part and minus twice its imaginary part),
-complex_hessian_values, laplacian_values and spectral_tail.  Like
+complex_hessian_values, laplacian_values, spectral_tail and prolong (the
+zero-padded trigonometric interpolant from a coarser grid).  Like
 complex_hessian_values, spectral_tail takes the rfft spectrum of its field,
 which the flow's state already carries.
 
@@ -34,6 +35,7 @@ through scipy.fft with the worker count read from MAFLOW_THREADS.
 
 from __future__ import annotations
 
+import itertools
 import os
 from functools import lru_cache
 
@@ -166,6 +168,27 @@ def complex_hessian_values(fh: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def laplacian_values(values: np.ndarray, grid: TorusGrid, ginv: np.ndarray) -> np.ndarray:
     """g^{i jbar} d_i d_jbar f for a packed inverse metric ginv."""
     return trace_pair(ginv, complex_hessian_values(rfftn(values), grid))
+
+
+def prolong(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Trigonometric interpolant of a real field from a coarser grid, sampled on grid.
+
+    values holds M points per axis (M even, M <= N); its rfft spectrum is
+    zero-padded to N points per axis with the coarse Nyquist shell (any
+    axis at index M/2) zeroed, as for the odd derivative factors.  Exact
+    for trigonometric polynomials resolved below that shell; taking every
+    (N/M)-th sample back gives values less their Nyquist-shell modes.
+    """
+    M, N = values.shape[0], grid.points_per_axis
+    ch = rfftn(values)
+    fh = np.zeros(grid.shape[:-1] + (N // 2 + 1,), dtype=complex)
+    low = (slice(0, M // 2), slice(0, M // 2))            # k = 0 .. M/2 - 1
+    high = (slice(M // 2 + 1, M), slice(N - M // 2 + 1, N))  # k = -M/2 + 1 .. -1
+    for blocks in itertools.product((low, high), repeat=values.ndim - 1):
+        src = tuple(b[0] for b in blocks) + (low[0],)
+        dst = tuple(b[1] for b in blocks) + (low[1],)
+        fh[dst] = ch[src]
+    return irfftn(fh * (N / M) ** values.ndim, grid.shape)
 
 
 def spectral_tail(fh: np.ndarray, grid: TorusGrid) -> float:

@@ -207,8 +207,22 @@ def criterion_2(ctx) -> CriterionResult:
         "b_gap": b_err, "b_tolerance": 1e-6,
         "newton_iters": newton.solution.newton_iters,
         "newton_residual": newton.solution.residual_sup,
+        **half_grid_gaps(newton.solution),
         "wall_time_s": total, "runtime_budget_s": 600.0,
     })
+
+
+def half_grid_gaps(sol) -> dict:
+    """Resolution witness of an oracle solution (reported, not gated): |b_N -
+    b_{N/2}| and the sup phi_tilde gap on the points the two grids share,
+    against the half-grid solution Newton started from (None without one)."""
+    coarse = sol.coarse
+    if coarse is None:
+        return {"half_grid_b_gap": None, "half_grid_phi_tilde_gap": None}
+    fine = sol.phi_tilde_inf
+    shared = fine.values[(slice(None, None, 2),) * fine.grid.real_dim]
+    gap = float(np.max(np.abs(shared - coarse.phi_tilde_inf.values)))
+    return {"half_grid_b_gap": abs(sol.b - coarse.b), "half_grid_phi_tilde_gap": gap}
 
 
 def criterion_3(ctx) -> CriterionResult:

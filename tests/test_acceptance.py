@@ -39,6 +39,9 @@ def test_criterion_02_flow_newton_agreement(ctx):
     assert res.measured["phi_tilde_gap"] <= 1e-5
     assert res.measured["b_gap"] <= 1e-6
     assert res.measured["wall_time_s"] <= 600.0
+    # the half-grid resolution witness is reported (not gated) on run 2
+    assert np.isfinite(res.measured["half_grid_b_gap"])
+    assert np.isfinite(res.measured["half_grid_phi_tilde_gap"])
 
 
 def test_criterion_03_exponential_decay(ctx):

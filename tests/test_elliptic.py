@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 import maflow.elliptic
+from maflow.config import config_from_kv
 from maflow.elliptic import linearization_check, solve
-from maflow.errors import LinearSolveStagnation, MaflowError, PositivityViolation
+from maflow.errors import (
+    LinearSolveStagnation,
+    MaflowError,
+    MaxIterationsExceeded,
+    PositivityViolation,
+)
 from maflow.flow import StepControl, run
 from maflow.grid import ScalarField, TorusGrid, integrate_values, volume_weights
 from maflow.monitors import HolderConfig, MonitorSuite
@@ -14,7 +20,9 @@ from maflow.presets import (
     build_metric,
     random_band_limited,
 )
+from maflow.runner import build_problem
 from maflow.spectral import rfftn
+from maflow.verification import RUN2_KV
 
 from conftest import field_from
 
@@ -179,18 +187,19 @@ def test_solve_transforms_each_field_once(monkeypatch, grid2, nonkahler2):
 
 
 def _count_applies(monkeypatch):
-    """Krylov applies per _bicgstab call inside elliptic.solve, in order."""
+    """[points per axis, Krylov applies] per _bicgstab call inside
+    elliptic.solve, in order (a half-grid start solves on its own grid first)."""
     E = maflow.elliptic
     per_solve = []
     real_apply, real_bicgstab = E._Linearization.apply, E._bicgstab
 
     def apply(self, vh):
-        per_solve[-1] += 1
+        per_solve[-1][1] += 1
         return real_apply(self, vh)
 
-    def bicgstab(*args, **kwargs):
-        per_solve.append(0)
-        return real_bicgstab(*args, **kwargs)
+    def bicgstab(op, *args, **kwargs):
+        per_solve.append([op.grid.points_per_axis, 0])
+        return real_bicgstab(op, *args, **kwargs)
 
     monkeypatch.setattr(E._Linearization, "apply", apply)
     monkeypatch.setattr(E, "_bicgstab", bicgstab)
@@ -203,8 +212,15 @@ def test_scaled_preconditioner_is_exact_for_n1(monkeypatch, grid1, nonkahler1):
     per_solve = _count_applies(monkeypatch)
     F = random_band_limited(grid1, 0.1, 1, seed=42)
     sol = solve(nonkahler1, F, tol=1e-11)
-    assert sol.newton_iters >= 1 and len(per_solve) == sol.newton_iters
-    assert max(per_solve) <= 5
+    # N = 16, so the solve starts from its N = 8 solution: one Krylov solve
+    # per Newton iteration on each level
+    assert sol.coarse is not None
+    for level in (sol, sol.coarse):
+        N = level.phi_tilde_inf.grid.points_per_axis
+        assert level.newton_iters >= 1
+        assert [n for n, _ in per_solve].count(N) == level.newton_iters
+    assert len(per_solve) == sol.newton_iters + sol.coarse.newton_iters
+    assert max(a for _, a in per_solve) <= 5
 
 
 def test_scaled_preconditioner_beats_unscaled_n2(monkeypatch, grid2, nonkahler2):
@@ -214,14 +230,14 @@ def test_scaled_preconditioner_beats_unscaled_n2(monkeypatch, grid2, nonkahler2)
     per_solve = _count_applies(monkeypatch)
     F = random_band_limited(grid2, 0.1, 1, seed=42)
     scaled = solve(nonkahler2, F, tol=1e-10)
-    scaled_applies = sum(per_solve)
+    scaled_applies = sum(a for _, a in per_solve)
     per_solve.clear()
     monkeypatch.setattr(E._Linearization, "precondition",
                         lambda self, r: self._sym_inv * rfftn(r))
     unscaled = solve(nonkahler2, F, tol=1e-10)
     assert scaled.newton_iters == unscaled.newton_iters >= 1
     assert abs(scaled.b - unscaled.b) <= 1e-12
-    assert scaled_applies <= 0.8 * sum(per_solve)
+    assert scaled_applies <= 0.8 * sum(a for _, a in per_solve)
 
 
 def test_nan_in_krylov_apply_is_a_stagnation(monkeypatch, grid2, nonkahler2):
@@ -289,3 +305,84 @@ def test_flow_newton_agreement_small(grid1, nonkahler1):
     gap = np.max(np.abs(flow_res.final.phi_tilde.values
                         - newton.phi_tilde_inf.values))
     assert gap <= 1e-5
+
+
+def _zero(grid):
+    return ScalarField(grid, np.zeros(grid.shape))
+
+
+@pytest.fixture(scope="module")
+def run2_solutions():
+    """The oracle on run 2's data (n = 2, N = 16): nested and explicit zero starts."""
+    cfg = config_from_kv(dict(RUN2_KV))
+    _, g, F, _ = build_problem(cfg)
+    tol = cfg.elliptic_tol
+    return solve(g, F, tol=tol), solve(g, F, tol=tol, initial=_zero(g.grid)), tol
+
+
+def _modes_forcing_n1(grid1, nonkahler1):
+    F, _ = build_forcing(grid1, nonkahler1,
+                         ForcingPreset("modes", amplitude=0.08, max_mode=2, seed=3))
+    return F
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_nested_start_agrees_with_zero_start(n, grid1, nonkahler1, run2_solutions):
+    if n == 1:
+        F, tol = _modes_forcing_n1(grid1, nonkahler1), 1e-11
+        nested = solve(nonkahler1, F, tol=tol)
+        zero = solve(nonkahler1, F, tol=tol, initial=_zero(grid1))
+    else:
+        nested, zero, tol = run2_solutions
+    N = nested.phi_tilde_inf.grid.points_per_axis
+    assert nested.coarse is not None and zero.coarse is None
+    assert nested.coarse.phi_tilde_inf.grid.points_per_axis == N // 2
+    assert nested.residual_sup <= tol
+    assert np.max(np.abs(nested.phi_tilde_inf.values - zero.phi_tilde_inf.values)) <= 10 * tol
+    assert abs(nested.b - zero.b) <= 10 * tol
+
+
+def test_nested_start_saves_full_grid_newton_iterations(run2_solutions):
+    nested, zero, _ = run2_solutions
+    assert nested.newton_iters < zero.newton_iters
+
+
+def test_no_half_grid_below_n16(grid2, nonkahler2):
+    # N = 8 has no valid half grid (N/2 = 4 < 8)
+    F = random_band_limited(grid2, 0.1, 1, seed=42)
+    assert solve(nonkahler2, F, tol=1e-10).coarse is None
+
+
+def test_failed_half_grid_solve_restarts_from_zero(monkeypatch, grid1, nonkahler1):
+    # a half-grid solve that raises leaves the fine solve exactly as a zero start
+    F = _modes_forcing_n1(grid1, nonkahler1)
+    ref = solve(nonkahler1, F, tol=1e-11, initial=_zero(grid1))
+    real = maflow.elliptic.solve
+    coarse_calls = []
+
+    def coarse_fails(g, f, *args, **kwargs):
+        if g.grid.points_per_axis < grid1.points_per_axis:
+            coarse_calls.append(g.grid.points_per_axis)
+            raise MaxIterationsExceeded("half-grid solve failed")
+        return real(g, f, *args, **kwargs)
+
+    monkeypatch.setattr(maflow.elliptic, "solve", coarse_fails)
+    sol = real(nonkahler1, F, tol=1e-11)
+    assert coarse_calls == [8]
+    assert sol.coarse is None
+    assert sol.b == ref.b and sol.newton_iters == ref.newton_iters
+    assert np.array_equal(sol.phi_tilde_inf.values, ref.phi_tilde_inf.values)
+
+
+def test_prolonged_start_outside_the_cone_restarts_from_zero(monkeypatch, grid1, nonkahler1):
+    # a prolongation whose Hessian leaves the cone fails the first residual;
+    # the fine solve then starts from zero
+    F = _modes_forcing_n1(grid1, nonkahler1)
+    ref = solve(nonkahler1, F, tol=1e-11, initial=_zero(grid1))
+    real = maflow.elliptic.prolong
+    monkeypatch.setattr(maflow.elliptic, "prolong",
+                        lambda values, grid: 1e3 * real(values, grid))
+    sol = solve(nonkahler1, F, tol=1e-11)
+    assert sol.coarse is None
+    assert sol.b == ref.b and sol.newton_iters == ref.newton_iters
+    assert np.array_equal(sol.phi_tilde_inf.values, ref.phi_tilde_inf.values)

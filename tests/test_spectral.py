@@ -6,7 +6,9 @@ from maflow.hermitian import inverse_stack, unpack
 from maflow.spectral import (
     complex_hessian_values,
     holo_gradient,
+    irfftn,
     laplacian_values,
+    prolong,
     rfftn,
     spectral_tail,
 )
@@ -159,6 +161,43 @@ def test_spectral_accuracy_refinement():
     assert errs[2] <= errs[1] / 10 or errs[2] <= 1e-12
 
 
+def _trig_poly(n):
+    """A trigonometric polynomial in every real axis with modes up to 3, below
+    the Nyquist shell of N = 8, mixing signs across axes."""
+    if n == 1:
+        return lambda c: (0.3 + np.cos(3 * c[0] - c[1]) + 0.5 * np.sin(c[0] + 2 * c[1])
+                          - 0.2 * np.cos(3 * c[1]))
+    return lambda c: (0.3 + np.cos(3 * c[0] - c[3]) + 0.5 * np.sin(c[1] + 2 * c[2])
+                      - 0.2 * np.cos(c[0] - 2 * c[1] + 3 * c[2] - c[3]) + 0.1 * np.sin(3 * c[3]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_prolong_exact_for_trig_polynomials(n):
+    coarse, fine = TorusGrid(n, 8), TorusGrid(n, 16)
+    f = _trig_poly(n)
+    out = prolong(field_from(coarse, f).values, fine)
+    assert out.shape == fine.shape
+    assert np.max(np.abs(out - field_from(fine, f).values)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_subsampling_after_prolong_is_identity(n):
+    # exact on fields without coarse Nyquist-shell modes; a generic field
+    # comes back less its shell, which prolong zeroes
+    coarse, fine = TorusGrid(n, 8), TorusGrid(n, 16)
+    v = np.random.default_rng(3).normal(size=coarse.shape)
+    vh = rfftn(v)
+    for a in range(coarse.real_dim):
+        sl = [slice(None)] * coarse.real_dim
+        sl[a] = 4
+        vh[tuple(sl)] = 0.0
+    no_shell = irfftn(vh, coarse.shape)
+    shared = (slice(None, None, 2),) * coarse.real_dim
+    assert np.max(np.abs(prolong(no_shell, fine)[shared] - no_shell)) <= 1e-13
+    assert np.max(np.abs(prolong(v, fine)[shared] - no_shell)) <= 1e-13
+    assert np.max(np.abs(no_shell - v)) > 1e-3
+
+
 def test_linearity(grid1):
     f = field_from(grid1, lambda c: np.sin(c[0]) + 0.3 * np.cos(c[1]))
     g = field_from(grid1, lambda c: np.cos(2 * c[0]))
@@ -274,3 +313,4 @@ def test_no_complex_to_complex_fft(monkeypatch):
     assert kahler_defect(g) > 0.01
     holo_gradient(res.final.phi.values, grid)
     laplacian_values(res.final.phi.values, grid, inverse_stack(g.entries))
+    prolong(res.final.phi.values, TorusGrid(2, 16))
