@@ -17,21 +17,29 @@ real irfftn (spectral.py) and works on g' in the packed real layout of
 hermitian.py, so only the step's result is transformed back to grid
 values.  FlowState carries that result's spectrum phi_hat, which the next
 step starts from and the spectral tail check reads, so phi is transformed
-forward once, in make_state.  The stiffness of L sets no step cap: the step
-size is dt = min(dt_try, t_land - t), where t_land is the next emission
-time and dt_try starts at dt_max.  Any stage that leaves the positive cone
+forward once, in make_state; the rfft spectrum of its rhs is taken lazily,
+once, and serves as the next step's first stage and as a slope of the dense
+output below.  The stiffness of L sets no step cap.  Snapshots are emitted
+on a fixed time clock (multiples of emit_dt), which keeps monitor windows
+aligned and reruns bit-identical, but steps are not tied to it: each step
+tries dt_try (at most dt_max) and is clipped to land on the furthest
+emission time t + dt_try reaches.  Any stage that leaves the positive cone
 (or grazes it closer than eps_pd) halves dt and retries; the next step then
 tries the accepted size again, and only a step accepted at its first try
-doubles dt_try, up to dt_max.  Snapshots are emitted on a fixed time clock
-(multiples of emit_dt, hit exactly by clipping the last step), which keeps
-monitor windows aligned and reruns bit-identical.
+doubles dt_try, up to dt_max.  Emission times strictly inside an accepted
+step are dense output: phi_hat is the cubic Hermite on the step's end
+spectra phi_hat and rfftn(dphi_dt), and one flow_rhs there gives u and g'
+(with the cone check).  Dense states only feed the monitors; stepping
+continues from the step's end.  A dense state outside the cone re-takes the
+step, landing on the first emission inside it.  While dt_try is at most
+emit_dt no step passes an emission, and every snapshot is a step end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -98,6 +106,7 @@ class FlowState:
     phi_hat is rfftn(phi); gprime is g + Hess(phi) at phi, packed; dphi_dt
     is the flow right-hand side at phi; phi_tilde is phi minus its omega^n
     mean.  dt_try is the size the next step tries first (None: dt_max).
+    step_count counts the steps taken up to t.
     """
 
     t: float
@@ -112,6 +121,11 @@ class FlowState:
     @property
     def grid(self) -> TorusGrid:
         return self.phi.grid
+
+    @cached_property
+    def rhs_hat(self) -> np.ndarray:
+        """rfftn(dphi_dt), taken once: a step's first stage and a dense-output slope."""
+        return rfftn(self.dphi_dt.values)
 
 
 def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray,
@@ -129,21 +143,34 @@ def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray,
 
 
 def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
-               phi_values: Optional[np.ndarray] = None, t: float = 0.0) -> FlowState:
+               phi_values: Optional[np.ndarray] = None, t: float = 0.0,
+               stats: Optional[dict] = None) -> FlowState:
     """Assemble a coherent FlowState from phi values (zero field by default)."""
-    grid = g.grid
     if phi_values is None:
-        phi_values = np.zeros(grid.shape)
-    phi_hat = rfftn(phi_values)
-    rhs, gprime = flow_rhs(phi_hat, g, f.values, t=t)
-    tilde = phi_values - integrate_values(phi_values, w)
+        phi_values = np.zeros(g.grid.shape)
+    return _state_at(rfftn(phi_values), t, g, f.values, w, 0.0, stats, phi=phi_values)
+
+
+def _state_at(phi_hat: np.ndarray, t: float, g: MetricField, fv: np.ndarray,
+              w: VolumeWeights, eps_pd: float, stats: Optional[dict],
+              phi: Optional[np.ndarray] = None, step_count: int = 0,
+              dt_try: Optional[float] = None) -> FlowState:
+    """The FlowState at spectrum phi_hat: one flow_rhs, and one irfftn unless
+    the grid values phi are given.  Raises flow_rhs's PositivityViolation."""
+    grid = g.grid
+    _count(stats, "rhs_calls")
+    rhs, gprime = flow_rhs(phi_hat, g, fv, eps_pd, t)
+    if phi is None:
+        phi = irfftn(phi_hat, grid.shape)
     return FlowState(
         t=t,
-        phi=ScalarField(grid, phi_values),
+        phi=ScalarField(grid, phi),
         phi_hat=phi_hat,
-        phi_tilde=ScalarField(grid, tilde),
+        phi_tilde=ScalarField(grid, phi - integrate_values(phi, w)),
         gprime=gprime,
         dphi_dt=ScalarField(grid, rhs),
+        step_count=step_count,
+        dt_try=dt_try,
     )
 
 
@@ -221,10 +248,20 @@ def _frozen_metric_key(g: MetricField) -> tuple:
     return tuple((s * g_mean).tolist())
 
 
+def _count(stats: Optional[dict], key: str):
+    if stats is not None:
+        stats[key] = stats.get(key, 0) + 1
+
+
 def _record_step(stats: dict, dt: float):
-    stats["steps"] = stats.get("steps", 0) + 1
+    _count(stats, "steps")
     stats["dt_min"] = min(stats.get("dt_min", dt), dt)
     stats["dt_max"] = max(stats.get("dt_max", dt), dt)
+
+
+def _dt_try(state: FlowState, ctrl: StepControl) -> float:
+    """The size a step from state tries first."""
+    return ctrl.dt_max if state.dt_try is None else min(state.dt_try, ctrl.dt_max)
 
 
 def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
@@ -232,41 +269,42 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
          stats: Optional[dict] = None, gbar: Optional[tuple] = None) -> FlowState:
     """One ETDRK4 step of size min(dt_try, t_land - t), dt_try <= dt_max.
 
-    The stages start from state.phi_hat and pass rfft spectra to flow_rhs;
-    only the new phi goes back to grid values, and its spectrum is handed
-    on as the new state's phi_hat.  Any PositivityViolation inside a stage
-    halves dt and retries, up to ctrl.retry_limit; persistent failure
-    raises StepFailure with the time, step size and offending grid index.
+    The stages start from state.phi_hat and state.rhs_hat and pass rfft
+    spectra to flow_rhs; only the new phi goes back to grid values, and its
+    spectrum is handed on as the new state's phi_hat.  Any
+    PositivityViolation inside a stage halves dt and retries (without
+    clipping again), up to ctrl.retry_limit; persistent failure raises
+    StepFailure with the time, step size and offending grid index.
     The new state's dt_try is the accepted dt when the step needed a
     halving, twice it (at most dt_max) when the first try was accepted, and
     unchanged when the accepted step was the landing clip.  So a run that needed halvings
     neither restarts every step from dt_max (building a coefficient set
     for each halving) nor has every step rejected once at twice the size
-    it can sustain.  ``stats``, when given, counts accepted steps and
-    halvings and tracks the smallest and largest dt.
+    it can sustain.  ``stats``, when given, counts accepted steps, halvings
+    and flow_rhs calls and tracks the smallest and largest dt.
     ``gbar`` is _frozen_metric_key(g), computed here when not given (run()
     computes it once, like the volume weights w).
 
     The coefficients are looked up at dt rounded to 12 significant digits:
-    landing steps t_land - t differ from emit_dt in their last bits, and the
-    rounding maps them to one cached coefficient set (an error of at most
-    5e-13 relative in the step's exponential time).
+    landing steps t_land - t differ from a multiple of emit_dt in their last
+    bits, and the rounding maps them to one cached coefficient set (an error
+    of at most 5e-13 relative in the step's exponential time).
     """
-    dt = ctrl.dt_max if state.dt_try is None else min(state.dt_try, ctrl.dt_max)
+    dt = _dt_try(state, ctrl)
     clipped = False
     if t_land is not None and state.t + dt >= t_land - 1e-15:
         dt = t_land - state.t
         clipped = True
     grid = state.grid
-    shape = grid.shape
     fv = f.values
     if gbar is None:
         gbar = _frozen_metric_key(g)
     u0 = state.phi_hat
-    k1 = rfftn(state.dphi_dt.values)  # rhs at phi0, cached
+    k1 = state.rhs_hat
 
     def remainder(v_hat, lin, t):
         """N = rhs - L v in Fourier space, at the field whose rfft is v_hat."""
+        _count(stats, "rhs_calls")
         rhs, _ = flow_rhs(v_hat, g, fv, ctrl.eps_pd, t)
         return rfftn(rhs) - lin * v_hat
 
@@ -284,29 +322,19 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
             c = E2 * a + Q * (2.0 * nb - n0)
             nc = remainder(c, lin, state.t + dt)
             phi1_hat = E * u0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-            new_rhs, new_gprime = flow_rhs(phi1_hat, g, fv, ctrl.eps_pd, state.t + dt)
+            new = _state_at(phi1_hat, state.t + dt, g, fv, w, ctrl.eps_pd, stats,
+                            step_count=state.step_count + 1,
+                            dt_try=(state.dt_try if clipped else dt if halvings
+                                    else min(2.0 * dt, ctrl.dt_max)))
         except PositivityViolation as e:
             last_err = e
-            if stats is not None:
-                stats["halvings"] = stats.get("halvings", 0) + 1
+            _count(stats, "halvings")
             dt *= 0.5
             clipped = False
             continue
         if stats is not None:
             _record_step(stats, dt)
-        phi1 = irfftn(phi1_hat, shape)
-        tilde = phi1 - integrate_values(phi1, w)
-        return FlowState(
-            t=state.t + dt,
-            phi=ScalarField(grid, phi1),
-            phi_hat=phi1_hat,
-            phi_tilde=ScalarField(grid, tilde),
-            gprime=new_gprime,
-            dphi_dt=ScalarField(grid, new_rhs),
-            step_count=state.step_count + 1,
-            dt_try=(state.dt_try if clipped else dt if halvings
-                    else min(2.0 * dt, ctrl.dt_max)),
-        )
+        return new
     raise StepFailure(
         f"step failed after {ctrl.retry_limit} halvings at t={state.t:.6f} "
         f"(dt={dt:.3e}): {last_err}",
@@ -315,12 +343,46 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
     )
 
 
+def _dense_state(start: FlowState, end: FlowState, t: float, g: MetricField,
+                 fv: np.ndarray, w: VolumeWeights, eps_pd: float,
+                 stats: Optional[dict]) -> FlowState:
+    """The state at start.t < t < end.t inside the step from start to end.
+
+    phi_hat is the cubic Hermite in time on the step's end spectra phi_hat,
+    with slopes rhs_hat; u and g' come from one flow_rhs there, so they are
+    consistent with phi and pass the cone check of a stage.
+    """
+    h = end.t - start.t
+    s = (t - start.t) / h
+    r = 1.0 - s
+    phi_hat = (((1.0 + 2.0 * s) * r * r) * start.phi_hat
+               + (h * s * r * r) * start.rhs_hat
+               + (s * s * (3.0 - 2.0 * s)) * end.phi_hat
+               - (h * s * s * r) * end.rhs_hat)
+    return _state_at(phi_hat, t, g, fv, w, eps_pd, stats, step_count=start.step_count)
+
+
+def _emit(series: "MonitorSeries", state: FlowState):
+    """Check the spectral tail of phi, then hand state to the series.
+
+    Written so that a NaN tail, which compares false, raises too."""
+    tail = spectral_tail(state.phi_hat, state.grid)
+    if not tail <= TAIL_THRESHOLD:
+        raise TailAlarm(
+            f"spectral tail {tail:.3e} exceeds {TAIL_THRESHOLD:.1e} at t={state.t:.3f}"
+        )
+    series.emit(state)
+
+
 @dataclass
 class RunResult:
     """Final state, the assembled monitor series and the stepper's counters.
 
-    stats holds steps, halvings, dt_min and dt_max of this run; it is kept
-    out of monitors.csv and summary.json, which stay byte-identical.
+    stats holds this run's steps (every step taken, a re-taken one too),
+    halvings, rhs_calls (every flow_rhs call), dense_emits (snapshots taken
+    inside a step), retakes (steps re-taken because a dense state left the
+    cone), dt_min and dt_max; it is kept out of monitors.csv and
+    summary.json, which stay byte-identical.
     """
 
     final: FlowState
@@ -334,8 +396,12 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
 
     Snapshots are emitted at every multiple of the monitor emit interval to
     a MonitorSeries, which keeps no field and hands each field snapshot and
-    its g' to ``observers``.  The spectral tail of phi is checked at each
-    emission and raises TailAlarm above TAIL_THRESHOLD (under-resolution guard).
+    its g' to ``observers``.  Each step is clipped to land on the furthest
+    emission time that t + dt_try reaches; the emissions it passes are dense
+    states (_dense_state), all built before any is emitted, so that one
+    outside the cone re-takes the step from its start, landing on the first
+    of them.  The spectral tail of phi is checked at each emission and
+    raises TailAlarm above TAIL_THRESHOLD or at NaN (under-resolution guard).
     """
     from .monitors import MonitorSeries, MonitorSuite  # local import, no cycle at import time
 
@@ -346,21 +412,34 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
     if total_emits < 1 or abs(total_emits * emit_dt - horizon) > 1e-9:
         raise ValueError(f"horizon {horizon} must be a positive multiple of emit_dt {emit_dt}")
     w = volume_weights(g)
-    state = make_state(g, f, w)
+    stats = {"steps": 0, "halvings": 0, "rhs_calls": 0, "dense_emits": 0, "retakes": 0}
+    state = make_state(g, f, w, stats=stats)
     series = MonitorSeries(g, w, monitors, horizon, observers)
-    stats = {"steps": 0, "halvings": 0}
     gbar = _frozen_metric_key(g)
 
     series.emit(state)
-    for j in range(1, total_emits + 1):
-        t_target = j * emit_dt
-        while state.t < t_target - 1e-12:
-            state = step(state, ctrl, g, f, w, t_land=t_target, stats=stats, gbar=gbar)
-        tail = spectral_tail(state.phi_hat, state.grid)
-        if tail > TAIL_THRESHOLD:
-            raise TailAlarm(
-                f"spectral tail {tail:.3e} exceeds {TAIL_THRESHOLD:.1e} at t={state.t:.3f}"
-            )
-        series.emit(state)
+    j = 1  # the next emission is at j * emit_dt
+    while j <= total_emits:
+        # k: the furthest emission the step reaches, within step()'s clip tolerance
+        reach = state.t + _dt_try(state, ctrl) + 1e-15
+        k = j
+        while k < total_emits and (k + 1) * emit_dt <= reach:
+            k += 1
+        new = step(state, ctrl, g, f, w, t_land=k * emit_dt, stats=stats, gbar=gbar)
+        try:
+            dense = [_dense_state(state, new, i * emit_dt, g, f.values, w, ctrl.eps_pd, stats)
+                     for i in range(j, k) if i * emit_dt < new.t - 1e-12]
+        except PositivityViolation:
+            _count(stats, "retakes")
+            new = step(state, ctrl, g, f, w, t_land=j * emit_dt, stats=stats, gbar=gbar)
+            dense = []
+        for snap in dense:
+            _emit(series, snap)
+        stats["dense_emits"] += len(dense)
+        j += len(dense)
+        state = new
+        if state.t >= j * emit_dt - 1e-12:
+            _emit(series, state)
+            j += 1
     series.finalize()
     return RunResult(final=state, series=series, stats=stats)

@@ -365,3 +365,99 @@ def test_etdrk4_weights_match_decimal_reference():
     for i, h in enumerate(hs):
         ref = np.array(_weights_reference(float(h)))
         assert np.all(np.abs(got[:, i] - ref) <= 1e-13 * np.abs(ref)), h
+
+
+# ------------------------------------------------- steps past emissions
+
+def _modes_problem(grid, g):
+    F, _ = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
+    return F
+
+
+def test_dt_max_within_emit_dt_lands_every_step_on_an_emission(grid1, nonkahler1):
+    F = _modes_problem(grid1, nonkahler1)
+    res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=0.05),
+              monitors=small_suite(emit_dt=0.05, field_interval=0.25))
+    assert res.stats["steps"] == res.final.step_count == 20
+    assert res.stats["dense_emits"] == 0
+    assert res.stats["rhs_calls"] == 1 + 4 * 20
+
+
+def test_steps_past_emissions_agree_with_emission_landing(grid1, nonkahler1):
+    # dt_max = 2 emit_dt: every other snapshot is dense output, on the same
+    # clock; the gap is the step-size error of ETDRK4, not the interpolant's
+    F = _modes_problem(grid1, nonkahler1)
+    suite = small_suite(emit_dt=0.05, field_interval=0.25)
+    landed = run(nonkahler1, F, horizon=3.0, ctrl=StepControl(dt_max=0.05), monitors=suite)
+    passed = run(nonkahler1, F, horizon=3.0, ctrl=StepControl(dt_max=0.1), monitors=suite)
+    assert passed.stats["steps"] == 30 and passed.stats["dense_emits"] == 30
+    assert passed.stats["rhs_calls"] == 1 + 4 * 30 + 30
+    assert [r.t for r in passed.series.records] == [r.t for r in landed.series.records]
+    gap = np.max(np.abs(passed.final.phi_tilde.values - landed.final.phi_tilde.values))
+    assert gap <= 1e-7
+    for a, b in zip(landed.series.records, passed.series.records):
+        if a.t >= 1.0:
+            for col in ("sup_dphidt", "osc_u", "trace_max", "eig_min", "Q_max"):
+                assert getattr(b, col) == pytest.approx(getattr(a, col), rel=1e-5)
+
+
+def test_run_transforms_each_rhs_once(monkeypatch, grid1, nonkahler1):
+    # the state's rhs spectrum is a step's first stage and the dense output's
+    # slope at both ends: rfftn runs once for phi(0), once per step for its
+    # start state's rhs, three times per step for the stage remainders, and
+    # once for the final state's rhs, which the last dense snapshot reads
+    import maflow.flow
+
+    F = _modes_problem(grid1, nonkahler1)
+    real = maflow.flow.rfftn
+    calls = []
+    monkeypatch.setattr(maflow.flow, "rfftn", lambda a: calls.append(1) or real(a))
+    res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=0.1),
+              monitors=small_suite(emit_dt=0.05, field_interval=0.25))
+    assert res.stats["steps"] == 10 and res.stats["dense_emits"] == 10
+    assert len(calls) == 1 + 4 * 10 + 1
+
+
+def test_dense_state_outside_the_cone_retakes_the_step(monkeypatch, grid1, nonkahler1):
+    # the first dense state (t = 0.05) meets an eps_pd above every eigenvalue
+    # of g', so the real cone check rejects it: the step is re-taken from
+    # t = 0 onto that emission, and the run goes on on the emission clock
+    import maflow.flow
+
+    F = _modes_problem(grid1, nonkahler1)
+    real = maflow.flow._dense_state
+    forced = []
+
+    def strict_once(start, end, t, g, fv, w, eps_pd, stats):
+        if not forced:
+            forced.append(t)
+            eps_pd = 10.0
+        return real(start, end, t, g, fv, w, eps_pd, stats)
+
+    monkeypatch.setattr(maflow.flow, "_dense_state", strict_once)
+    res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=0.1),
+              monitors=small_suite(emit_dt=0.05, field_interval=0.25))
+    assert forced == [pytest.approx(0.05)]
+    stats = res.stats
+    assert stats["retakes"] == 1 and stats["halvings"] == 0
+    # kept: 0 -> 0.05, nine steps 0.05 -> 0.95 with a dense snapshot each, 0.95 -> 1
+    assert res.final.step_count == 11 and stats["steps"] == 12
+    assert stats["dense_emits"] == 9
+    assert [r.t for r in res.series.records] == pytest.approx(
+        [0.05 * j for j in range(21)], abs=1e-12)
+    assert res.final.t == 1.0
+
+
+@pytest.mark.parametrize("dt_max", [0.05, 0.1])
+def test_run_tail_alarm_fires_on_nan_spectrum(monkeypatch, grid1, nonkahler1, dt_max):
+    # NaN compares false against the threshold; the alarm must still fire,
+    # at t = 0.05 for a step end (dt_max 0.05) and a dense state (dt_max 0.1)
+    import maflow.flow
+
+    F = _modes_problem(grid1, nonkahler1)
+    real = maflow.flow.spectral_tail
+    monkeypatch.setattr(maflow.flow, "spectral_tail",
+                        lambda fh, grid: real(np.full_like(fh, np.nan), grid))
+    with pytest.raises(TailAlarm, match="nan exceeds .* at t=0.050"):
+        run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=dt_max),
+            monitors=small_suite(emit_dt=0.05, field_interval=0.25))

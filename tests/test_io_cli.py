@@ -6,7 +6,7 @@ import pytest
 
 from maflow.cli import main
 from maflow.config import _KEYS, RunConfig, config_from_kv, parse_kv_text
-from maflow.errors import ConfigError
+from maflow.errors import ConfigError, MaflowError
 from maflow.flow import StepControl
 from maflow.grid import TorusGrid
 from maflow.monitors import HolderConfig, MonitorSuite
@@ -279,6 +279,37 @@ rng_seed = 3
 """)
     code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+def _error_classes(cls=MaflowError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
+    # the exit-code contract: config errors 2, solver and step failures 3,
+    # every other package error (a failed verification) 1
+    import maflow.runner
+    from maflow.cli import _SOLVER_ERRORS
+
+    classes = list(_error_classes())
+    assert set(_SOLVER_ERRORS) <= set(classes)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FLOW_CFG)
+    for cls in classes:
+        in_config = issubclass(cls, ConfigError)
+        in_solver = issubclass(cls, _SOLVER_ERRORS)
+        assert not (in_config and in_solver), cls
+
+        def fail(cfg, observers=(), cls=cls):
+            raise cls(f"forced {cls.__name__}")
+
+        monkeypatch.setattr(maflow.runner, "execute_flow", fail)
+        code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == (2 if in_config else 3 if in_solver else 1), cls
+        err = capsys.readouterr().err
+        assert f"forced {cls.__name__}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("line", [
