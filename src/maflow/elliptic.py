@@ -60,6 +60,7 @@ from .grid import (
     check_cone,
     integrate_values,
     min_eig_field,
+    pin_heap_thresholds,
     volume_weights,
 )
 from .hermitian import inverse_stack, log_det, trace_pair
@@ -240,6 +241,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
     if not (tol >= 1e-12):
         raise ValueError("tolerance below attainable round-off (need tol >= 1e-12)")
     grid = g.grid
+    pin_heap_thresholds(grid)
     w = volume_weights(g)
     coarse = _half_grid_solution(g, f, tol, max_iters) if initial is None else None
     phi_hat = _start_spectrum(initial if coarse is None else

@@ -7,11 +7,19 @@ The evolution is
 split as d(phi)/dt = L phi + N(phi), where L = gbar^{i jbar} d_i d_jbar is
 the constant-coefficient Laplacian of gbar (the grid mean of g, scaled down
 to a lower bound of g; see _frozen_metric_key) and N is the remainder.
-Each step is one ETDRK4 step (Cox & Matthews 2002): L is applied exactly in
-Fourier space and N explicitly in four stages.  The phi-function
-coefficients are evaluated in closed form in real arithmetic, except on the
-modes with |dt L| < 0.7, whose closed forms cancel and which take a contour
-mean instead (Kassam & Trefethen 2005).  The stages stay in Fourier space:
+L is applied exactly in Fourier space and N explicitly.  Once the two
+previous steps had the same dt, a step is an exponential Adams PECE step
+(Hochbruck & Ostermann 2010) on the remainders N of the last three step
+starts: an AB3 predictor (exponential Euler on the stiff modes, see
+ADAMS_AB1_MIN_ABS_H), one flow_rhs there and an AM3 corrector, so two
+flow_rhs per step with the step end's own.  ETDRK4 (Cox & Matthews 2002,
+N in four stages) is the self-starting step: it takes the first two steps,
+every step whose dt differs from the two before it (a landing clip, a
+halving, a re-take) and the halved retry of an Adams step that leaves the
+cone.  All weights combine the ETDRK4 phi-function coefficients, evaluated
+in closed form in real arithmetic, except on the modes with |dt L| < 0.7,
+whose closed forms cancel and which take a contour mean instead (Kassam &
+Trefethen 2005).  The stages stay in Fourier space:
 flow_rhs takes the rfft spectrum of phi, builds g' from it with one batched
 real irfftn (spectral.py) and works on g' in the packed real layout of
 hermitian.py, so only the step's result is transformed back to grid
@@ -52,6 +60,7 @@ from .grid import (
     VolumeWeights,
     check_cone,
     integrate_values,
+    pin_heap_thresholds,
     volume_weights,
 )
 from .hermitian import generalized_eig_range, log_det, min_eig_field
@@ -80,6 +89,20 @@ TAIL_THRESHOLD = 1e-6
 CONTOUR_MAX_ABS_H = 0.7
 CONTOUR_POINTS = 32
 
+# The predictor of an exponential Adams step is AB3 where |dt L| < 5 and
+# exponential Euler (AB1) where |dt L| >= 5; the corrector is AM3 on every
+# mode.  In the scalar model (L exact, a remainder -q L taken explicitly,
+# q = 1 - 1/lambda_max(gbar^-1 g'): 0.49 on run 1, 0.68 on run 2) AB3/AM3
+# is stable only for |q| <= 0.70 once |dt L| grows, and AB3 loses its
+# damping from |dt L| ~ 3 on: at q = 0.79 its amplification is 0.79 at
+# |dt L| = 5 and 0.996 at 20.  With this split the stable range is
+# q in [-0.93, 1], and a stiff mode's error shrinks by q^2 per step.  On
+# run 1 with metric.eps = 0.43 (q = 0.79) an AB2 split (at 3, 5 or 20) let
+# the initial layer's kink in N through to the Nyquist shell, past
+# TAIL_THRESHOLD by t = 0.35 (ETDRK4 peaks at 9.6e-7), and an AB1 split at
+# 20 left the u columns off by up to 100% at t >= 1 (1% with the split at 5).
+ADAMS_AB1_MIN_ABS_H = 5.0
+
 
 @dataclass(frozen=True)
 class StepControl:
@@ -106,7 +129,9 @@ class FlowState:
     phi_hat is rfftn(phi); gprime is g + Hess(phi) at phi, packed; dphi_dt
     is the flow right-hand side at phi; phi_tilde is phi minus its omega^n
     mean.  dt_try is the size the next step tries first (None: dt_max).
-    step_count counts the steps taken up to t.
+    step_count counts the steps taken up to t.  history is () or
+    (dt key, spectra): the remainder spectra N at the starts of the last one
+    or two steps, newest first, all taken at that dt key (see step).
     """
 
     t: float
@@ -117,6 +142,7 @@ class FlowState:
     dphi_dt: ScalarField
     step_count: int = 0
     dt_try: Optional[float] = None
+    history: tuple = ()
 
     @property
     def grid(self) -> TorusGrid:
@@ -154,7 +180,7 @@ def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
 def _state_at(phi_hat: np.ndarray, t: float, g: MetricField, fv: np.ndarray,
               w: VolumeWeights, eps_pd: float, stats: Optional[dict],
               phi: Optional[np.ndarray] = None, step_count: int = 0,
-              dt_try: Optional[float] = None) -> FlowState:
+              dt_try: Optional[float] = None, history: tuple = ()) -> FlowState:
     """The FlowState at spectrum phi_hat: one flow_rhs, and one irfftn unless
     the grid values phi are given.  Raises flow_rhs's PositivityViolation."""
     grid = g.grid
@@ -171,6 +197,7 @@ def _state_at(phi_hat: np.ndarray, t: float, g: MetricField, fv: np.ndarray,
         dphi_dt=ScalarField(grid, rhs),
         step_count=step_count,
         dt_try=dt_try,
+        history=history,
     )
 
 
@@ -232,6 +259,43 @@ def _etdrk4_coefficients(grid: TorusGrid, gbar_entries: tuple, dt: float):
     return out
 
 
+def _phi_functions(f1, f2, f3):
+    """phi_1, phi_2, phi_3 from the ETDRK4 f1, f2, f3 (scaled alike).
+
+    phi_1 = (E - 1)/h, phi_2 = (E - 1 - h)/h^2, phi_3 = (E - 1 - h - h^2/2)/h^3
+    are f1 + 4 f2 + f3, 2 f2 + f3 and (f2 + f3)/2."""
+    return f1 + 4.0 * f2 + f3, 2.0 * f2 + f3, 0.5 * (f2 + f3)
+
+
+def _adams_weights(f1, f2, f3, h):
+    """Exponential Adams predictor and corrector weights, each stacked (3,) + h.shape.
+
+    The predictor takes the AB3 weights (phi1 + 3/2 phi2 + phi3,
+    -2 phi2 - 2 phi3, phi2/2 + phi3) on N_n, N_{n-1}, N_{n-2}, and the
+    exponential Euler weights (phi1, 0, 0) where |h| >= ADAMS_AB1_MIN_ABS_H;
+    the AM3 corrector takes (phi2/2 + phi3, phi1 - 2 phi3, phi3 - phi2/2) on
+    N(predictor), N_n, N_{n-1}.  At h = 0 they are (23, -16, 5)/12 and
+    (5, 8, -1)/12.
+    """
+    p1, p2, p3 = _phi_functions(f1, f2, f3)
+    ab3 = np.abs(h) < ADAMS_AB1_MIN_ABS_H
+    beta = np.stack((np.where(ab3, p1 + 1.5 * p2 + p3, p1),
+                     np.where(ab3, -2.0 * (p2 + p3), 0.0),
+                     np.where(ab3, 0.5 * p2 + p3, 0.0)))
+    gamma = np.stack((0.5 * p2 + p3, p1 - 2.0 * p3, p3 - 0.5 * p2))
+    return beta, gamma
+
+
+@lru_cache(maxsize=8)
+def _adams_coefficients(grid: TorusGrid, gbar_entries: tuple, dt: float):
+    """dt times the _adams_weights of the cached ETDRK4 set for step dt, read-only."""
+    lin, _, _, _, f1, f2, f3 = _etdrk4_coefficients(grid, gbar_entries, dt)
+    out = _adams_weights(f1, f2, f3, dt * lin)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _frozen_metric_key(g: MetricField) -> tuple:
     """The metric gbar that defines L, as a hashable tuple of its packed entries.
 
@@ -267,28 +331,41 @@ def _dt_try(state: FlowState, ctrl: StepControl) -> float:
 def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
          w: VolumeWeights, t_land: Optional[float] = None,
          stats: Optional[dict] = None, gbar: Optional[tuple] = None) -> FlowState:
-    """One ETDRK4 step of size min(dt_try, t_land - t), dt_try <= dt_max.
+    """One step of size min(dt_try, t_land - t), dt_try <= dt_max.
+
+    When the state's history holds the remainders N_{n-1}, N_{n-2} of two
+    steps taken at this step's dt key, the step is an exponential Adams PECE
+    step: the predictor p = E u_n + dt sum_j beta_j N_{n-j} (AB3, exponential
+    Euler on the stiff modes; see _adams_weights), one flow_rhs at p, and the AM3
+    corrector E u_n + dt (gamma_0 N(p) + gamma_1 N_n + gamma_2 N_{n-1}) as
+    the new phi.  Otherwise (the first two steps, and any step whose dt
+    differs from the two before it) it is one ETDRK4 step, which starts the
+    history again.  The new state carries N_n in front of its history.
 
     The stages start from state.phi_hat and state.rhs_hat and pass rfft
     spectra to flow_rhs; only the new phi goes back to grid values, and its
     spectrum is handed on as the new state's phi_hat.  Any
-    PositivityViolation inside a stage halves dt and retries (without
-    clipping again), up to ctrl.retry_limit; persistent failure raises
+    PositivityViolation inside a stage, the predictor included, halves dt
+    and retries as an ETDRK4 step (without clipping again), up to
+    ctrl.retry_limit; persistent failure raises
     StepFailure with the time, step size and offending grid index.
     The new state's dt_try is the accepted dt when the step needed a
     halving, twice it (at most dt_max) when the first try was accepted, and
     unchanged when the accepted step was the landing clip.  So a run that needed halvings
     neither restarts every step from dt_max (building a coefficient set
     for each halving) nor has every step rejected once at twice the size
-    it can sustain.  ``stats``, when given, counts accepted steps, halvings
-    and flow_rhs calls and tracks the smallest and largest dt.
-    ``gbar`` is _frozen_metric_key(g), computed here when not given (run()
-    computes it once, like the volume weights w).
+    it can sustain.  ``stats``, when given, counts accepted steps, halvings,
+    flow_rhs calls and PECE steps (pc_steps), tracks the smallest and
+    largest dt and the largest relative predictor-corrector gap
+    max|c - p| / max|c| over the spectra (pc_gap_max, Milne's local-error
+    estimate).  ``gbar`` is _frozen_metric_key(g), computed here when not
+    given (run() computes it once, like the volume weights w).
 
-    The coefficients are looked up at dt rounded to 12 significant digits:
-    landing steps t_land - t differ from a multiple of emit_dt in their last
-    bits, and the rounding maps them to one cached coefficient set (an error
-    of at most 5e-13 relative in the step's exponential time).
+    The coefficients are looked up at dt rounded to 12 significant digits,
+    the step's dt key: landing steps t_land - t differ from a multiple of
+    emit_dt in their last bits, and the rounding maps them to one cached
+    coefficient set (an error of at most 5e-13 relative in the step's
+    exponential time) and lets them continue one history.
     """
     dt = _dt_try(state, ctrl)
     clipped = False
@@ -301,6 +378,7 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
         gbar = _frozen_metric_key(g)
     u0 = state.phi_hat
     k1 = state.rhs_hat
+    past_key, past = state.history or (None, ())
 
     def remainder(v_hat, lin, t):
         """N = rhs - L v in Fourier space, at the field whose rfft is v_hat."""
@@ -312,20 +390,29 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
     for halvings in range(ctrl.retry_limit + 1):
         if dt < ctrl.dt_min and not clipped:
             break
-        lin, E, E2, Q, f1, f2, f3 = _etdrk4_coefficients(grid, gbar, float(f"{dt:.12g}"))
+        key = float(f"{dt:.12g}")
+        lin, E, E2, Q, f1, f2, f3 = _etdrk4_coefficients(grid, gbar, key)
+        n0 = k1 - lin * u0
+        adams = halvings == 0 and key == past_key and len(past) == 2
         try:
-            n0 = k1 - lin * u0
-            a = E2 * u0 + Q * n0
-            na = remainder(a, lin, state.t + 0.5 * dt)
-            b = E2 * u0 + Q * na
-            nb = remainder(b, lin, state.t + 0.5 * dt)
-            c = E2 * a + Q * (2.0 * nb - n0)
-            nc = remainder(c, lin, state.t + dt)
-            phi1_hat = E * u0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+            if adams:
+                (b0, b1, b2), (c0, c1, c2) = _adams_coefficients(grid, gbar, key)
+                eu0 = E * u0
+                p = eu0 + b0 * n0 + b1 * past[0] + b2 * past[1]
+                phi1_hat = eu0 + c0 * remainder(p, lin, state.t + dt) + c1 * n0 + c2 * past[0]
+            else:
+                a = E2 * u0 + Q * n0
+                na = remainder(a, lin, state.t + 0.5 * dt)
+                b = E2 * u0 + Q * na
+                nb = remainder(b, lin, state.t + 0.5 * dt)
+                c = E2 * a + Q * (2.0 * nb - n0)
+                nc = remainder(c, lin, state.t + dt)
+                phi1_hat = E * u0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
             new = _state_at(phi1_hat, state.t + dt, g, fv, w, ctrl.eps_pd, stats,
                             step_count=state.step_count + 1,
                             dt_try=(state.dt_try if clipped else dt if halvings
-                                    else min(2.0 * dt, ctrl.dt_max)))
+                                    else min(2.0 * dt, ctrl.dt_max)),
+                            history=(key, (n0,) + past[:1] if key == past_key else (n0,)))
         except PositivityViolation as e:
             last_err = e
             _count(stats, "halvings")
@@ -334,6 +421,11 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
             continue
         if stats is not None:
             _record_step(stats, dt)
+            if adams:
+                _count(stats, "pc_steps")
+                scale = float(np.max(np.abs(phi1_hat)))
+                gap = float(np.max(np.abs(phi1_hat - p))) / scale if scale > 0 else 0.0
+                stats["pc_gap_max"] = max(stats.get("pc_gap_max", 0.0), gap)
         return new
     raise StepFailure(
         f"step failed after {ctrl.retry_limit} halvings at t={state.t:.6f} "
@@ -379,10 +471,11 @@ class RunResult:
     """Final state, the assembled monitor series and the stepper's counters.
 
     stats holds this run's steps (every step taken, a re-taken one too),
-    halvings, rhs_calls (every flow_rhs call), dense_emits (snapshots taken
-    inside a step), retakes (steps re-taken because a dense state left the
-    cone), dt_min and dt_max; it is kept out of monitors.csv and
-    summary.json, which stay byte-identical.
+    halvings, rhs_calls (every flow_rhs call), pc_steps (exponential Adams
+    steps) and pc_gap_max (their largest relative predictor-corrector gap),
+    dense_emits (snapshots taken inside a step), retakes (steps re-taken
+    because a dense state left the cone), dt_min and dt_max; it is kept out
+    of monitors.csv and summary.json, which stay byte-identical.
     """
 
     final: FlowState
@@ -411,8 +504,10 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
     total_emits = int(round(horizon / emit_dt))
     if total_emits < 1 or abs(total_emits * emit_dt - horizon) > 1e-9:
         raise ValueError(f"horizon {horizon} must be a positive multiple of emit_dt {emit_dt}")
+    pin_heap_thresholds(g.grid)
     w = volume_weights(g)
-    stats = {"steps": 0, "halvings": 0, "rhs_calls": 0, "dense_emits": 0, "retakes": 0}
+    stats = {"steps": 0, "halvings": 0, "rhs_calls": 0, "pc_steps": 0, "pc_gap_max": 0.0,
+             "dense_emits": 0, "retakes": 0}
     state = make_state(g, f, w, stats=stats)
     series = MonitorSeries(g, w, monitors, horizon, observers)
     gbar = _frozen_metric_key(g)

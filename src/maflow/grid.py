@@ -95,6 +95,11 @@ class TorusGrid:
         return out
 
 
+# The mmap threshold pin_heap_thresholds last set (0: none yet); glibc's
+# thresholds are process-wide, and so is this record of them.
+_pinned_heap_size = 0
+
+
 def pin_heap_thresholds(grid: TorusGrid):
     """Serve the grid's field-sized temporaries from the heap (glibc only).
 
@@ -103,16 +108,21 @@ def pin_heap_thresholds(grid: TorusGrid):
     only after such a block is freed, so a solve's speed depended on what
     had been freed before it.  Both are pinned here, at the size of a full
     complex n x n field (glibc caps it at 32 MiB) and twice that; grids
-    whose fields fit under the starting 128 KiB are left alone.
+    whose fields fit under the starting 128 KiB are left alone.  A pinned
+    threshold is never lowered, so a smaller grid solved after (or inside)
+    a larger one, like the oracle's half-grid level, keeps the larger pin.
     """
+    global _pinned_heap_size
     size = min(16 * grid.complex_dim ** 2 * grid.num_points, 32 << 20)
-    if size <= 128 << 10 or "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+    if (size <= max(128 << 10, _pinned_heap_size)
+            or "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {})):
         return
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(-1, 2 * size)  # M_TRIM_THRESHOLD
     mallopt(-3, size)  # M_MMAP_THRESHOLD
+    _pinned_heap_size = size
 
 
 @dataclass(frozen=True)

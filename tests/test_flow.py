@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,22 +124,38 @@ def test_step_size_is_dt_max_clipped_to_landing(grid1, nonkahler1):
     assert step(landed, StepControl(dt_max=10.0), nonkahler1, F, w, t_land=0.7).t == 0.7
 
 
+def _phi_at_1(g, F, dt, etdrk4_only):
+    """phi at t = 1 from steps of dt_max = dt; etdrk4_only clears each
+    state's history, so every step is an ETDRK4 step."""
+    w = volume_weights(g)
+    state = make_state(g, F, w)
+    while state.t < 1.0 - 1e-12:
+        if etdrk4_only:
+            state = dataclasses.replace(state, history=())
+        state = step(state, StepControl(dt_max=dt), g, F, w, t_land=1.0)
+    return state.phi.values
+
+
 def test_step_fourth_order_in_time(grid1, nonkahler1):
     # halving dt_max cuts the error against a dt/8 run by ~16x (ETDRK4)
     F, _ = build_forcing(grid1, nonkahler1,
                          ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
-    w = volume_weights(nonkahler1)
-
-    def phi_at_1(dt):
-        state = make_state(nonkahler1, F, w)
-        while state.t < 1.0 - 1e-12:
-            state = step(state, StepControl(dt_max=dt), nonkahler1, F, w, t_land=1.0)
-        return state.phi.values
-
-    ref = phi_at_1(0.1 / 8)
-    err_dt = np.max(np.abs(phi_at_1(0.1) - ref))
-    err_half = np.max(np.abs(phi_at_1(0.05) - ref))
+    ref = _phi_at_1(nonkahler1, F, 0.1 / 8, True)
+    err_dt = np.max(np.abs(_phi_at_1(nonkahler1, F, 0.1, True) - ref))
+    err_half = np.max(np.abs(_phi_at_1(nonkahler1, F, 0.05, True) - ref))
     assert err_half > 0 and err_dt >= 10 * err_half
+
+
+def test_adams_steps_third_order_in_time(grid1, nonkahler1):
+    # once dt is steady the steps are exponential Adams PECE steps: halving
+    # dt cuts the error against an ETDRK4 run at dt/8 by ~8x (6.4x measured
+    # from 0.05 to 0.025; a second-order scheme would give 4x)
+    F, _ = build_forcing(grid1, nonkahler1,
+                         ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
+    ref = _phi_at_1(nonkahler1, F, 0.1 / 8, True)
+    err_dt = np.max(np.abs(_phi_at_1(nonkahler1, F, 0.05, False) - ref))
+    err_half = np.max(np.abs(_phi_at_1(nonkahler1, F, 0.025, False) - ref))
+    assert err_half > 0 and err_dt >= 5.5 * err_half
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -356,6 +374,52 @@ def _weights_reference(h):
                                    (-4 - 3 * h - h * h + e * (4 - h)) / h3)]
 
 
+def _phi_reference(h):
+    """phi_1, phi_2, phi_3 at h in 80-digit decimal arithmetic (limits at 0)."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 80
+        h = Decimal(h)
+        if h == 0:
+            return [1.0, 0.5, 1.0 / 6.0]
+        e = h.exp()
+        return [float(v) for v in ((e - 1) / h, (e - 1 - h) / h ** 2,
+                                   (e - 1 - h - h * h / 2) / h ** 3)]
+
+
+def test_phi_functions_match_decimal_reference():
+    # phi_1..phi_3 as combinations of the ETDRK4 f1..f3, on both sides of
+    # the contour split, at the AB3 / exponential Euler split and far out
+    from maflow.flow import _etdrk4_weights, _phi_functions
+
+    hs = np.array([0.0, -1e-8, -0.69, -0.71, -2.69, -5.0, -20.0, -500.0, -3000.0])
+    got = np.array(_phi_functions(*_etdrk4_weights(hs)[1:]))
+    for i, h in enumerate(hs):
+        ref = np.array(_phi_reference(float(h)))
+        assert np.all(np.abs(got[:, i] - ref) <= 1e-14 * np.abs(ref)), h
+
+
+def test_adams_weights_at_zero_and_past_the_split():
+    # at h = 0 the exponential Adams weights are the classical AB3 and AM3
+    # ones; from |h| = ADAMS_AB1_MIN_ABS_H on the predictor is exponential
+    # Euler, (phi_1, 0, 0); the corrector keeps AM3 on every mode
+    from maflow.flow import (ADAMS_AB1_MIN_ABS_H, _adams_weights, _etdrk4_weights,
+                             _phi_functions)
+
+    hs = np.array([0.0, -0.999 * ADAMS_AB1_MIN_ABS_H, -ADAMS_AB1_MIN_ABS_H, -40.0])
+    f = _etdrk4_weights(hs)[1:]
+    beta, gamma = _adams_weights(*f, hs)
+    assert np.allclose(beta[:, 0], np.array([23.0, -16.0, 5.0]) / 12, rtol=1e-14, atol=0)
+    assert np.allclose(gamma[:, 0], np.array([5.0, 8.0, -1.0]) / 12, rtol=1e-14, atol=0)
+    p1 = _phi_functions(*f)[0]
+    assert np.all(beta[1:, 1] != 0.0)
+    assert np.array_equal(beta[:, 2:], np.stack((p1[2:], 0.0 * p1[2:], 0.0 * p1[2:])))
+    # each predictor's and the corrector's weights sum to phi_1: exact for constant N
+    assert np.allclose(beta.sum(axis=0), p1, rtol=1e-13, atol=0)
+    assert np.allclose(gamma.sum(axis=0), p1, rtol=1e-13, atol=0)
+
+
 def test_etdrk4_weights_match_decimal_reference():
     # both sides of the closed-form / contour split, and its edge
     from maflow.flow import _etdrk4_weights
@@ -380,18 +444,21 @@ def test_dt_max_within_emit_dt_lands_every_step_on_an_emission(grid1, nonkahler1
               monitors=small_suite(emit_dt=0.05, field_interval=0.25))
     assert res.stats["steps"] == res.final.step_count == 20
     assert res.stats["dense_emits"] == 0
-    assert res.stats["rhs_calls"] == 1 + 4 * 20
+    # two ETDRK4 start-up steps, then 18 exponential Adams steps of two each
+    assert res.stats["pc_steps"] == 18
+    assert res.stats["rhs_calls"] == 1 + 2 * 4 + 2 * 18
+    assert 0.0 < res.stats["pc_gap_max"] < 1e-2
 
 
 def test_steps_past_emissions_agree_with_emission_landing(grid1, nonkahler1):
     # dt_max = 2 emit_dt: every other snapshot is dense output, on the same
-    # clock; the gap is the step-size error of ETDRK4, not the interpolant's
+    # clock; the gap is the step-size error of the stepper, not the interpolant's
     F = _modes_problem(grid1, nonkahler1)
     suite = small_suite(emit_dt=0.05, field_interval=0.25)
     landed = run(nonkahler1, F, horizon=3.0, ctrl=StepControl(dt_max=0.05), monitors=suite)
     passed = run(nonkahler1, F, horizon=3.0, ctrl=StepControl(dt_max=0.1), monitors=suite)
     assert passed.stats["steps"] == 30 and passed.stats["dense_emits"] == 30
-    assert passed.stats["rhs_calls"] == 1 + 4 * 30 + 30
+    assert passed.stats["rhs_calls"] == 1 + 2 * 4 + 2 * 28 + 30
     assert [r.t for r in passed.series.records] == [r.t for r in landed.series.records]
     gap = np.max(np.abs(passed.final.phi_tilde.values - landed.final.phi_tilde.values))
     assert gap <= 1e-7
@@ -404,8 +471,10 @@ def test_steps_past_emissions_agree_with_emission_landing(grid1, nonkahler1):
 def test_run_transforms_each_rhs_once(monkeypatch, grid1, nonkahler1):
     # the state's rhs spectrum is a step's first stage and the dense output's
     # slope at both ends: rfftn runs once for phi(0), once per step for its
-    # start state's rhs, three times per step for the stage remainders, and
-    # once for the final state's rhs, which the last dense snapshot reads
+    # start state's rhs, three times per ETDRK4 step (the first two) for the
+    # stage remainders and once per exponential Adams step for the
+    # predictor's, and once for the final state's rhs, which the last dense
+    # snapshot reads
     import maflow.flow
 
     F = _modes_problem(grid1, nonkahler1)
@@ -415,7 +484,7 @@ def test_run_transforms_each_rhs_once(monkeypatch, grid1, nonkahler1):
     res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=0.1),
               monitors=small_suite(emit_dt=0.05, field_interval=0.25))
     assert res.stats["steps"] == 10 and res.stats["dense_emits"] == 10
-    assert len(calls) == 1 + 4 * 10 + 1
+    assert len(calls) == 1 + 4 * 2 + 2 * 8 + 1
 
 
 def test_dense_state_outside_the_cone_retakes_the_step(monkeypatch, grid1, nonkahler1):
@@ -461,3 +530,107 @@ def test_run_tail_alarm_fires_on_nan_spectrum(monkeypatch, grid1, nonkahler1, dt
     with pytest.raises(TailAlarm, match="nan exceeds .* at t=0.050"):
         run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=dt_max),
             monitors=small_suite(emit_dt=0.05, field_interval=0.25))
+
+
+# ------------------------------------------------- exponential Adams steps
+
+def _etdrk4_only(monkeypatch):
+    """Make every flow.step an ETDRK4 step by clearing its state's history."""
+    import maflow.flow
+
+    real = maflow.flow.step
+    monkeypatch.setattr(maflow.flow, "step", lambda state, *a, **kw: real(
+        dataclasses.replace(state, history=()), *a, **kw))
+
+
+def test_adams_stability_split_keeps_run1_at_q_079(monkeypatch):
+    # run 1 with metric.eps = 0.43 puts the remainder at q ~ 0.79, past the
+    # 0.70 that AB3/AM3 tolerates on its stiff modes: without the exponential
+    # Euler split the spectral tail alarm fires during the initial layer; with
+    # it the run finishes on ETDRK4's final phi_tilde (2.8e-13 apart measured;
+    # at t = 10 the two still differ by 6e-8 from their different orders), and
+    # from t = 1 on its u columns stay within 2e-2 of ETDRK4's (7.9e-3 and
+    # 9.3e-3 measured; 1.0 and 0.8 with the split at |dt L| = 20)
+    import maflow.flow
+    from maflow.config import config_from_kv
+    from maflow.runner import build_problem
+    from maflow.verification import RUN1_KV
+
+    cfg = config_from_kv(dict(RUN1_KV, **{"metric.eps": "0.43"}))
+    _, g, F, _ = build_problem(cfg)
+
+    def final(monitors=cfg.monitors):
+        return run(g, F, horizon=cfg.horizon, ctrl=cfg.step, monitors=monitors)
+
+    adams = final()
+    assert adams.stats["pc_steps"] == adams.stats["steps"] - 2
+    try:
+        monkeypatch.setattr(maflow.flow, "ADAMS_AB1_MIN_ABS_H", np.inf)
+        maflow.flow._adams_coefficients.cache_clear()
+        with pytest.raises(TailAlarm):
+            final()
+    finally:
+        maflow.flow._adams_coefficients.cache_clear()
+    monkeypatch.undo()
+    _etdrk4_only(monkeypatch)
+    etdrk4 = final()
+    assert etdrk4.stats["pc_steps"] == 0
+    gap = np.max(np.abs(adams.final.phi_tilde.values - etdrk4.final.phi_tilde.values))
+    assert gap <= 1e-10
+    for a, b in zip(adams.series.records, etdrk4.series.records):
+        if a.t >= 1.0:
+            for col in ("sup_dphidt", "osc_u"):
+                assert getattr(a, col) == pytest.approx(getattr(b, col), rel=2e-2), (a.t, col)
+
+
+def _steady_state(g, F, w, stats):
+    """The state after two dt = 0.1 steps, whose history lets the next step be PECE."""
+    state = make_state(g, F, w)
+    for k in (1, 2):
+        state = step(state, StepControl(), g, F, w, t_land=0.1 * k, stats=stats)
+    assert stats["pc_steps"] == 0 and len(state.history[1]) == 2
+    return state
+
+
+def test_adams_step_restarts_on_a_dt_change(grid1, nonkahler1):
+    # a PECE step needs two earlier steps at its dt key; a landing step of
+    # another size is ETDRK4 and starts the history again, at its own key
+    F = _modes_problem(grid1, nonkahler1)
+    w = volume_weights(nonkahler1)
+    stats = {"pc_steps": 0, "rhs_calls": 0}
+    state = _steady_state(nonkahler1, F, w, stats)
+    state = step(state, StepControl(), nonkahler1, F, w, t_land=0.3, stats=stats)
+    assert stats["pc_steps"] == 1 and stats["rhs_calls"] == 4 + 4 + 2
+    assert state.history[0] == 0.1 and len(state.history[1]) == 2
+    short = step(state, StepControl(), nonkahler1, F, w, t_land=0.35, stats=stats)
+    assert stats["pc_steps"] == 1 and stats["rhs_calls"] == 10 + 4
+    assert short.history[0] == 0.05 and len(short.history[1]) == 1
+
+
+def test_adams_predictor_outside_the_cone_halves_into_etdrk4(monkeypatch, grid1, nonkahler1):
+    # a PECE step whose predictor leaves the cone is re-taken through the
+    # halving path: at dt/2, as the ETDRK4 step a history-free state takes
+    import maflow.flow
+
+    F = _modes_problem(grid1, nonkahler1)
+    w = volume_weights(nonkahler1)
+    stats = {"pc_steps": 0, "halvings": 0}
+    state = _steady_state(nonkahler1, F, w, stats)
+    real = maflow.flow.flow_rhs
+    raised = []
+
+    def predictor_fails(phi_hat, g, fv, eps_pd=0.0, t=0.0):
+        if not raised:
+            raised.append(t)
+            raise PositivityViolation("forced", index=0)
+        return real(phi_hat, g, fv, eps_pd, t)
+
+    monkeypatch.setattr(maflow.flow, "flow_rhs", predictor_fails)
+    new = step(state, StepControl(), nonkahler1, F, w, stats=stats)
+    monkeypatch.undo()
+    assert raised == [pytest.approx(0.3)]
+    assert stats["halvings"] == 1 and stats["pc_steps"] == 0
+    ref = step(dataclasses.replace(state, history=()), StepControl(dt_max=0.05),
+               nonkahler1, F, w)
+    assert new.t == ref.t == pytest.approx(0.25)
+    assert np.array_equal(new.phi.values, ref.phi.values)

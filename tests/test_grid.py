@@ -254,7 +254,31 @@ def test_heap_thresholds_pinned_at_full_field_size(monkeypatch):
 
     monkeypatch.setattr(G.os, "confstr_names", {"CS_GNU_LIBC_VERSION": 2}, raising=False)
     monkeypatch.setattr(G.ctypes, "CDLL", FakeLibc)
+    monkeypatch.setattr(G, "_pinned_heap_size", 0)
     G.pin_heap_thresholds(TorusGrid(1, 64))
     assert calls == []
     G.pin_heap_thresholds(TorusGrid(2, 16))
     assert calls == [(-1, 8 << 20), (-3, 4 << 20)]
+
+
+def test_heap_thresholds_never_lowered(monkeypatch):
+    # flow.run and elliptic.solve pin their grid too, and the oracle's
+    # half-grid level solves N = 8 inside N = 16: a smaller grid after a
+    # larger one keeps the larger pin, and a larger one raises it
+    import maflow.grid as G
+
+    calls = []
+
+    class FakeLibc:
+        def __init__(self, name):
+            self.mallopt = lambda param, value: calls.append((param, value))
+
+    monkeypatch.setattr(G.os, "confstr_names", {"CS_GNU_LIBC_VERSION": 2}, raising=False)
+    monkeypatch.setattr(G.ctypes, "CDLL", FakeLibc)
+    monkeypatch.setattr(G, "_pinned_heap_size", 0)
+    G.pin_heap_thresholds(TorusGrid(2, 16))
+    G.pin_heap_thresholds(TorusGrid(2, 12))
+    G.pin_heap_thresholds(TorusGrid(2, 16))
+    assert calls == [(-1, 8 << 20), (-3, 4 << 20)]
+    G.pin_heap_thresholds(TorusGrid(2, 20))
+    assert calls[2:] == [(-1, 2 * 16 * 4 * 20 ** 4), (-3, 16 * 4 * 20 ** 4)]
