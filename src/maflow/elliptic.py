@@ -13,17 +13,25 @@ each Newton step solves the linearization
 on mean-zero fields.  The linear solve is BiCGStab; any Krylov method meeting
 the 1e-10 relative-residual contract would do.  Its preconditioner scales the
 residual pointwise by c(x) = n / tr(gbar g'^{-1}(x)) and then inverts the
-constant-coefficient Laplacian built from the grid mean gbar of g'.  Where
-g'^{-1}(x) is a multiple of gbar^{-1} (always for n = 1), the scale undoes that
-multiple, so the preconditioned operator is the identity plus a rank-one mean
-correction and BiCGStab converges in a few steps; for n = 2 only the
-trace-free anisotropy of g'^{-1} is left to the Krylov iteration.  The
-preconditioner returns the rfft spectrum S^-1 rfftn(c r) and the operator
-takes that spectrum straight into the Hessian, so each preconditioned apply
-costs one rfftn and one batched irfftn.  The Newton iterate phi is kept as
-its rfft spectrum too: a Krylov solve returns the spectrum of its solution,
-each line-search candidate is phi_hat + s psi_hat, and grid values of phi are
-formed once, for the returned phitilde_inf.
+constant-coefficient Laplacian, of symbol S, built from the grid mean gbar of
+g'; it returns the rfft spectrum y = S^-1 rfftn(c p).  Write
+g'^{-1} = alpha gbar^{-1} + A with alpha = 1/c, so A is trace-free against
+gbar.  S is nonzero off k = 0, so irfftn(S y) = c p - mean(c p) exactly and
+
+    Delta' y = p - alpha(x) mean(c p) + tr(A Hess y):
+
+the preconditioned operator is the identity, plus a correction that is a
+field (alpha(x) times a number), not a constant, plus the anisotropy.  For
+n = 1, A = 0 and a preconditioned apply runs no inverse transform, so
+BiCGStab converges in a few steps; for n = 2 only the trace-free anisotropy
+is left to the Krylov iteration, and tr(A Hess y) takes one batched irfftn of
+three fields (the trace-free condition eliminates A's first entry).  Each
+preconditioned apply thus costs one rfftn and, for n = 2, one 3-field
+irfftn; the general apply, used for the fresh residual of each Krylov solve
+and by linearization_check, adds one irfftn of S vh.  The Newton iterate phi
+is kept as its rfft spectrum too: a Krylov solve returns the spectrum of its
+solution, each line-search candidate is phi_hat + s psi_hat, and grid values
+of phi are formed once, for the returned phitilde_inf.
 
 Nested start: without an explicit initial field, and where the half grid is
 valid (N divisible by 4, N >= 16), solve first solves the same problem on
@@ -71,6 +79,7 @@ from .spectral import (
     mean_metric_symbol,
     prolong,
     rfftn,
+    trace_free_symbols,
 )
 
 # Newton stops once the sup residual is at most NEWTON_TOL, or fails after
@@ -80,7 +89,7 @@ from .spectral import (
 # times.
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITERS = 50
-KRYLOV_RTOL = 1e-12
+KRYLOV_RTOL = 1e-11
 KRYLOV_MAX_ITER = 400
 BACKTRACK_LIMIT = 30
 
@@ -89,14 +98,16 @@ BACKTRACK_LIMIT = 30
 class EllipticSolution:
     """Solution record with its residual certificate.
 
-    newton_iters counts this grid's Newton iterations; coarse is the
-    half-grid solution the iteration started from, or None.
+    newton_iters counts this grid's Newton iterations and krylov_applies
+    the operator applies of their Krylov solves; coarse is the half-grid
+    solution the iteration started from, or None.
     """
 
     b: float
     phi_tilde_inf: ScalarField
     residual_sup: float
     newton_iters: int
+    krylov_applies: int
     coarse: Optional["EllipticSolution"] = None
 
 
@@ -113,30 +124,53 @@ def _residual_field(phi_hat, g):
 class _Linearization:
     """Mean-projected Delta' with its pointwise-scaled spectral preconditioner.
 
-    Keeps the packed g'^{-1}, so apply is a real contraction with the packed
-    Hessian of its argument, and the scale c = n / tr(gbar g'^{-1}).
-    precondition maps a real field to an rfft spectrum and apply maps an rfft
-    spectrum to a real field, so the preconditioned operator
-    apply(precondition(r)) transforms r once forward and its Hessian once back.
+    Splits g'^{-1} = alpha gbar^{-1} + A with alpha = 1/c = tr(gbar g'^{-1}) / n,
+    so A is trace-free against gbar and vanishes for n = 1.  Then
+    Delta' v = alpha irfftn(S vh) + sum_j a_j irfftn(m_j vh), with S the
+    symbol of gbar^{i jbar} d_i d_jbar and m_j, a_j the trace-free rows and
+    coefficients of spectral.trace_free_symbols.  precondition maps a real
+    field p to the rfft spectrum y = S^-1 rfftn(c p), k = 0 entry zero, and
+    since S is nonzero off k = 0, irfftn(S y) = c p - mean(c p) exactly:
+    alpha irfftn(S y) = p - alpha(x) mean(c p), a field, not a constant.
+    apply(y, p) uses that identity and transforms only the n*n - 1
+    anisotropy rows (none for n = 1); apply(vh) is the general operator, which
+    transforms S vh as well.
     """
 
     def __init__(self, g: MetricField, gprime: np.ndarray):
         self.grid = g.grid
-        self.gp_inv = inverse_stack(gprime)
+        n = g.grid.complex_dim
+        coef = inverse_stack(gprime)
         g_mean = gprime.reshape(len(gprime), -1).mean(axis=1)
-        self._scale = g.grid.complex_dim / trace_pair(g_mean, self.gp_inv)
-        sym = mean_metric_symbol(g_mean, g.grid)
-        sym_inv = np.zeros_like(sym)
-        nz = sym != 0
-        sym_inv[nz] = 1.0 / sym[nz]
-        self._sym_inv = sym_inv
+        alpha = trace_pair(g_mean, coef) / n
+        # g'^{-1}'s buffer becomes [c, a_1 .. a_{n*n-1}], with a = (A_d, 2 Re A_b, 2 Im A_b)
+        for j, gbar_inv in enumerate(inverse_stack(g_mean)[1:], start=1):
+            coef[j] -= gbar_inv * alpha
+        coef[2:] *= 2.0
+        np.divide(1.0, alpha, out=coef[0])
+        self._scale, self._aniso = coef[0], coef[1:]
+        self._sym = mean_metric_symbol(g_mean, g.grid)
+        self._rows = trace_free_symbols(g_mean, g.grid)
+        self._sym_inv = np.zeros_like(self._sym)
+        nz = self._sym != 0
+        self._sym_inv[nz] = 1.0 / self._sym[nz]
 
-    def apply(self, vh: np.ndarray) -> np.ndarray:
+    def apply(self, vh: np.ndarray, pre: Optional[np.ndarray] = None) -> np.ndarray:
         """Mean-free Delta' v of the real field v whose rfft is vh.
 
-        The Hessian symbols vanish at k = 0, so the mean of v does not enter.
+        With pre, vh must be precondition(pre).  The Hessian symbols vanish
+        at k = 0, so the mean of v does not enter.
         """
-        lap = trace_pair(self.gp_inv, complex_hessian_values(vh, self.grid))
+        c = self._scale
+        # transform the anisotropy before lap exists: the solve's memory peaks
+        # in this transform, so lap is not held through it
+        h = complex_hessian_values(vh, self.grid, self._rows) if len(self._rows) else None
+        if pre is None:
+            lap = irfftn(self._sym * vh, self.grid.shape) / c
+        else:
+            lap = pre - (np.vdot(c, pre) / pre.size) / c
+        if h is not None:
+            lap += np.einsum("j...,j...->...", self._aniso, h)
         return lap - lap.mean()
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
@@ -148,20 +182,22 @@ def _bicgstab(op, b, rtol, max_iter):
     """Right-preconditioned BiCGStab on the mean-zero subspace.
 
     The residuals live on the grid and the iterate x as the rfft spectrum
-    that op.precondition returns.  Returns (solution spectrum,
-    relative_residual), the latter taken from a fresh apply of x, or the
-    first residual norm that is not finite; deterministic, no randomness.
+    that op.precondition returns; each apply gets its pre-image.  Returns
+    (solution spectrum, relative_residual, applies), the residual taken from
+    a fresh general apply of x, or the first residual norm that is not
+    finite; deterministic, no randomness.
     """
     b = b - b.mean()
     bnorm = float(np.linalg.norm(b))
     x = np.zeros(b.shape[:-1] + (b.shape[-1] // 2 + 1,), dtype=complex)
     if bnorm == 0.0:
-        return x, 0.0
+        return x, 0.0, 0
     r = b.copy()
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
+    applies = 0
     for _ in range(max_iter):
         rho_new = float(np.vdot(r_hat, r).real)
         if rho_new == 0.0:
@@ -170,7 +206,8 @@ def _bicgstab(op, b, rtol, max_iter):
         rho = rho_new
         p = r + beta * (p - omega * v)
         y = op.precondition(p)
-        v = op.apply(y)
+        v = op.apply(y, p)
+        applies += 1
         denom = float(np.vdot(r_hat, v).real)
         if denom == 0.0:
             break
@@ -178,12 +215,13 @@ def _bicgstab(op, b, rtol, max_iter):
         s = r - alpha * v
         rel = float(np.linalg.norm(s)) / bnorm
         if not np.isfinite(rel):
-            return x, rel
+            return x, rel, applies
         if rel < rtol:
             x = x + alpha * y
             break
         z = op.precondition(s)
-        t = op.apply(z)
+        t = op.apply(z, s)
+        applies += 1
         tt = float(np.vdot(t, t).real)
         if tt == 0.0:
             break
@@ -192,12 +230,12 @@ def _bicgstab(op, b, rtol, max_iter):
         r = s - omega * t
         rel = float(np.linalg.norm(r)) / bnorm
         if not np.isfinite(rel):
-            return x, rel
+            return x, rel, applies
         if rel < rtol:
             break
         if omega == 0.0:
             break
-    return x, float(np.linalg.norm(op.apply(x) - b)) / bnorm
+    return x, float(np.linalg.norm(op.apply(x) - b)) / bnorm, applies + 1
 
 
 def _start_spectrum(initial: Optional[ScalarField], grid: TorusGrid) -> np.ndarray:
@@ -260,7 +298,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
     resid = ratio - f.values - b
     res_sup = float(np.max(np.abs(resid)))
 
-    iters = 0
+    iters = krylov_applies = 0
     while res_sup > tol:
         if iters >= max_iters:
             raise MaxIterationsExceeded(
@@ -268,8 +306,9 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
         lin = _Linearization(g, gprime)
         # the Krylov solve, where the memory of a solve peaks, reads only lin
         gprime = gprime_c = psi_hat = None
-        psi_hat, rel = _bicgstab(lin, -resid, KRYLOV_RTOL, KRYLOV_MAX_ITER)
+        psi_hat, rel, applies = _bicgstab(lin, -resid, KRYLOV_RTOL, KRYLOV_MAX_ITER)
         lin = None
+        krylov_applies += applies
         if not rel <= 1e-10:
             raise LinearSolveStagnation(
                 f"Krylov relative residual {rel:.3e} above contract 1e-10")
@@ -308,6 +347,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
         phi_tilde_inf=ScalarField(grid, tilde),
         residual_sup=res_sup,
         newton_iters=iters,
+        krylov_applies=krylov_applies,
         coarse=coarse,
     )
 
@@ -328,3 +368,16 @@ def linearization_check(g: MetricField, phi: ScalarField, direction: ScalarField
     if scale == 0.0:
         return float(np.max(np.abs(fd)))
     return float(np.max(np.abs(fd - lap)) / scale)
+
+
+def preconditioned_apply_gap(g: MetricField, phi: ScalarField, direction: ScalarField) -> float:
+    """Relative sup-norm gap between the two ways _Linearization(g, g') applies
+    Delta' to y = precondition(d): the identity path apply(y, d) that
+    BiCGStab runs and the general apply(y) that linearization_check tests."""
+    _, gprime = _residual_field(rfftn(phi.values), g)
+    lin = _Linearization(g, gprime)
+    y = lin.precondition(direction.values)
+    general = lin.apply(y)
+    gap = float(np.max(np.abs(lin.apply(y, direction.values) - general)))
+    scale = float(np.max(np.abs(general)))
+    return gap / scale if scale > 0.0 else gap

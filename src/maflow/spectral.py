@@ -24,10 +24,11 @@ for b, so one batched real irfftn yields all n*n entries.
 The entry points take and return bare arrays: holo_gradient (the first
 derivatives d_i f, one irfftn per real axis; d/dx_{2i-1} f and d/dx_{2i} f
 are twice its real part and minus twice its imaginary part),
-complex_hessian_values, laplacian_values, spectral_tail and prolong (the
-zero-padded trigonometric interpolant from a coarser grid).  Like
-complex_hessian_values, spectral_tail takes the rfft spectrum of its field,
-which the flow's state already carries.
+complex_hessian_values (also for other symbol rows, such as
+trace_free_symbols), laplacian_values, spectral_tail, shell_amplitudes and
+prolong (the zero-padded trigonometric interpolant from a coarser grid).
+Like complex_hessian_values, spectral_tail and shell_amplitudes take the
+rfft spectrum of their field, which the flow's state already carries.
 
 All operations are pure functions of their inputs.  FFT work is routed
 through scipy.fft with the worker count read from MAFLOW_THREADS.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.fft as _sfft
@@ -155,14 +156,29 @@ def holo_gradient(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out
 
 
-def complex_hessian_values(fh: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def trace_free_symbols(g_mean: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Hessian symbol rows m_j = H_j - (gbar_j / gbar_a) H_a, j = 1 .. n*n - 1.
+
+    For a packed field A trace-free against the packed PD matrix g_mean
+    (tr(gbar A) = 0 fixes A_a), tr(A Hess f) = sum_j a_j m_j(f) with
+    a = (A_d, 2 Re A_b, 2 Im A_b), the weights of trace_pair.  Shape
+    (n*n - 1,) + rfft shape: no rows for n = 1.
+    """
+    sym = _hessian_symbol(grid.complex_dim, grid.points_per_axis)
+    ratio = np.asarray(g_mean[1:]) / g_mean[0]
+    return sym[1:] - ratio.reshape((-1,) + (1,) * (sym.ndim - 1)) * sym[0]
+
+
+def complex_hessian_values(fh: np.ndarray, grid: TorusGrid, rows=None) -> np.ndarray:
     """Packed complex Hessian d_i d_jbar f from fh = rfftn(f) of a real f.
 
     Returns the real array of shape (n*n,) + grid.shape of hermitian.py,
-    from one batched irfftn of the n*n real symbols times fh.
+    from one batched irfftn of the n*n real symbols times fh.  Other real,
+    even symbol rows (shape (m,) + rfft shape) give their m fields instead.
     """
-    sym = _hessian_symbol(grid.complex_dim, grid.points_per_axis)
-    return irfftn(sym * fh, grid.shape)
+    if rows is None:
+        rows = _hessian_symbol(grid.complex_dim, grid.points_per_axis)
+    return irfftn(rows * fh, grid.shape)
 
 
 def laplacian_values(values: np.ndarray, grid: TorusGrid, ginv: np.ndarray) -> np.ndarray:
@@ -191,6 +207,16 @@ def prolong(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return irfftn(fh * (N / M) ** values.ndim, grid.shape)
 
 
+def shell_amplitudes(fh: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Largest mode amplitude |fh| / num_points in each l-infinity shell
+    s = max_a |k_a| = 0 .. N/2 of a real field f from fh = rfftn(f)."""
+    _, k2 = _wavenumbers(grid.complex_dim, grid.points_per_axis)
+    shell = np.sqrt(reduce(np.maximum, k2)).astype(int)
+    amp = np.zeros(grid.points_per_axis // 2 + 1)
+    np.maximum.at(amp, shell.ravel(), np.abs(fh).ravel() / grid.num_points)
+    return amp
+
+
 def spectral_tail(fh: np.ndarray, grid: TorusGrid) -> float:
     """Relative amplitude of the Nyquist shell of a real field f from fh = rfftn(f).
 
@@ -199,14 +225,11 @@ def spectral_tail(fh: np.ndarray, grid: TorusGrid) -> float:
     largest amplitude among modes with any axis at the Nyquist index,
     relative to the largest amplitude overall (0 for the zero field).
     """
-    N = grid.points_per_axis
     fh = np.abs(fh) / grid.num_points
     peak = float(np.max(fh))
     if peak == 0.0:
         return 0.0
-    shell_mask = np.zeros(fh.shape, dtype=bool)
-    for a in range(grid.real_dim):
-        sl = [slice(None)] * grid.real_dim
-        sl[a] = N // 2
-        shell_mask[tuple(sl)] = True
-    return float(np.max(fh[shell_mask]) / peak)
+    # the shell is the union of one index plane per axis: views, no mask
+    tail = max(float(np.max(fh[(slice(None),) * a + (grid.points_per_axis // 2,)]))
+               for a in range(grid.real_dim))
+    return tail / peak

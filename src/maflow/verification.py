@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .config import config_from_kv
-from .elliptic import linearization_check
+from .elliptic import linearization_check, preconditioned_apply_gap
 from .errors import NonPositiveU
 from .hermitian import inverse_stack
 from .monitors import (
@@ -35,7 +35,7 @@ from .runner import (
     frame_decomposition_sweep,
     normal_frame_sweep,
 )
-from .spectral import laplacian_values
+from .spectral import laplacian_values, rfftn, shell_amplitudes
 
 RUN1_KV = {
     "mode": "flow",
@@ -68,6 +68,10 @@ RUN2_KV = {
     "flow.horizon": "20",
     "monitors.field_interval": "0.5",
 }
+
+
+# Shell amplitudes at most this fraction of the largest are round-off.
+SHELL_FLOOR = 1e-13
 
 
 @dataclass
@@ -207,7 +211,9 @@ def criterion_2(ctx) -> CriterionResult:
         "b_gap": b_err, "b_tolerance": 1e-6,
         "newton_iters": newton.solution.newton_iters,
         "newton_residual": newton.solution.residual_sup,
+        "krylov_applies": newton.solution.krylov_applies,
         **half_grid_gaps(newton.solution),
+        **shell_decay(newton.solution),
         "wall_time_s": total, "runtime_budget_s": 600.0,
     })
 
@@ -215,14 +221,39 @@ def criterion_2(ctx) -> CriterionResult:
 def half_grid_gaps(sol) -> dict:
     """Resolution witness of an oracle solution (reported, not gated): |b_N -
     b_{N/2}| and the sup phi_tilde gap on the points the two grids share,
-    against the half-grid solution Newton started from (None without one)."""
+    against the half-grid solution Newton started from, and that solution's
+    Krylov applies (None without one)."""
     coarse = sol.coarse
     if coarse is None:
-        return {"half_grid_b_gap": None, "half_grid_phi_tilde_gap": None}
+        return {"half_grid_b_gap": None, "half_grid_phi_tilde_gap": None,
+                "half_grid_krylov_applies": None}
     fine = sol.phi_tilde_inf
     shared = fine.values[(slice(None, None, 2),) * fine.grid.real_dim]
     gap = float(np.max(np.abs(shared - coarse.phi_tilde_inf.values)))
-    return {"half_grid_b_gap": abs(sol.b - coarse.b), "half_grid_phi_tilde_gap": gap}
+    return {"half_grid_b_gap": abs(sol.b - coarse.b), "half_grid_phi_tilde_gap": gap,
+            "half_grid_krylov_applies": coarse.krylov_applies}
+
+
+def shell_decay(sol) -> dict:
+    """Smoothness witness of an oracle solution (reported, not gated).
+
+    The largest mode amplitude of phi_tilde_inf in each l-infinity
+    wavenumber shell s = 3 .. N/2 - 1 (past run 2's forcing modes, short of
+    the Nyquist shell), and the factor per shell by which they fall: exp of
+    minus the least-squares slope of log amplitude against s, fitted up to
+    the first shell at the round-off floor (None with fewer than two shells).
+    """
+    phi = sol.phi_tilde_inf
+    amp = shell_amplitudes(rfftn(phi.values), phi.grid)
+    shells = []
+    for s in range(3, len(amp) - 1):
+        if amp[s] <= SHELL_FLOOR * amp.max():
+            break
+        shells.append(s)
+    factor = None
+    if len(shells) >= 2:
+        factor = float(np.exp(-np.polyfit(shells, np.log(amp[shells]), 1)[0]))
+    return {"shell_amplitudes": [float(a) for a in amp[3:-1]], "shell_decay_factor": factor}
 
 
 def criterion_3(ctx) -> CriterionResult:
@@ -336,12 +367,16 @@ def criterion_8(ctx) -> CriterionResult:
 
 
 def criterion_9(ctx) -> CriterionResult:
-    """Newton linearization against central differences, 20 seeded instances."""
+    """Newton linearization against central differences, 20 seeded instances.
+
+    Also reports, not gated, the worst gap between the preconditioned
+    apply's identity path and the general apply it replaces in BiCGStab.
+    """
     from .presets import MetricPreset, build_metric, random_band_limited
     from .grid import TorusGrid
 
     rng = np.random.default_rng(93)
-    worst = 0.0
+    worst = worst_gap = 0.0
     for k in range(20):
         n = 1 if k % 2 == 0 else 2
         grid = TorusGrid(n, 16 if n == 1 else 8)
@@ -351,9 +386,11 @@ def criterion_9(ctx) -> CriterionResult:
         direction = random_band_limited(grid, 1.0, 2, int(rng.integers(1 << 30)))
         err = linearization_check(g, phi, direction)
         worst = max(worst, err)
+        worst_gap = max(worst_gap, preconditioned_apply_gap(g, phi, direction))
     passed = worst <= 1e-5
     return CriterionResult(9, "Newton linearization check", passed, {
         "instances": 20, "worst_relative_error": worst, "tolerance": 1e-5,
+        "worst_preconditioned_apply_gap": worst_gap,
     })
 
 

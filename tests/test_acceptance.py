@@ -42,6 +42,8 @@ def test_criterion_02_flow_newton_agreement(ctx):
     # the half-grid resolution witness is reported (not gated) on run 2
     assert np.isfinite(res.measured["half_grid_b_gap"])
     assert np.isfinite(res.measured["half_grid_phi_tilde_gap"])
+    assert res.measured["krylov_applies"] > 0 and res.measured["half_grid_krylov_applies"] > 0
+    assert res.measured["shell_decay_factor"] > 1
 
 
 def test_criterion_03_exponential_decay(ctx):
@@ -90,6 +92,7 @@ def test_criterion_08_normal_frame(ctx):
 def test_criterion_09_linearization(ctx):
     res = _check(9, ctx)
     assert res.measured["worst_relative_error"] <= 1e-5
+    assert res.measured["worst_preconditioned_apply_gap"] <= 1e-12
 
 
 def test_criterion_10_liyau_harnack(ctx):

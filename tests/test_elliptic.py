@@ -3,7 +3,7 @@ import pytest
 
 import maflow.elliptic
 from maflow.config import config_from_kv
-from maflow.elliptic import linearization_check, solve
+from maflow.elliptic import linearization_check, preconditioned_apply_gap, solve
 from maflow.errors import (
     LinearSolveStagnation,
     MaflowError,
@@ -22,7 +22,7 @@ from maflow.presets import (
 )
 from maflow.runner import build_problem
 from maflow.spectral import rfftn
-from maflow.verification import RUN2_KV
+from maflow.verification import RUN2_KV, shell_decay
 
 from conftest import field_from
 
@@ -134,9 +134,10 @@ def test_residual_field_rejects_nan(grid2, nonkahler2):
 @pytest.mark.parametrize("n", [1, 2])
 def test_spectrum_in_preconditioned_apply_matches_round_trip(n, nonkahler1, nonkahler2):
     # precondition hands apply a spectrum; the real-space composition it
-    # replaces (precondition back to grid values, apply forward again) is
-    # kept here as the reference
-    from maflow.hermitian import trace_pair
+    # replaces (precondition back to grid values, contract the full packed
+    # g'^{-1} with the Hessian) is kept here as the reference for both the
+    # identity path apply(y, r) and the general apply(y)
+    from maflow.hermitian import inverse_stack, trace_pair
     from maflow.spectral import complex_hessian_values, irfftn, rfftn
 
     g = nonkahler1 if n == 1 else nonkahler2
@@ -144,6 +145,7 @@ def test_spectrum_in_preconditioned_apply_matches_round_trip(n, nonkahler1, nonk
     phi = random_band_limited(grid, 0.05, 2, seed=6).values
     _, gprime = maflow.elliptic._residual_field(rfftn(phi), g)
     lin = maflow.elliptic._Linearization(g, gprime)
+    gp_inv = inverse_stack(gprime)
     r = random_band_limited(grid, 1.0, 3, seed=7).values + 0.3
 
     def old_precondition(r):
@@ -152,19 +154,41 @@ def test_spectrum_in_preconditioned_apply_matches_round_trip(n, nonkahler1, nonk
 
     def old_apply(v):
         v = v - v.mean()
-        lap = trace_pair(lin.gp_inv, complex_hessian_values(rfftn(v), grid))
+        lap = trace_pair(gp_inv, complex_hessian_values(rfftn(v), grid))
         return lap - lap.mean()
 
     yh = lin.precondition(r)
     assert yh.shape == rfftn(r).shape and yh.flat[0] == 0
     ref = old_apply(old_precondition(lin._scale * r))
-    assert np.max(np.abs(lin.apply(yh) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for out in (lin.apply(yh, r), lin.apply(yh)):
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_n1_preconditioned_apply_runs_no_inverse_transform(monkeypatch, nonkahler1):
+    # for n = 1 g'^{-1} is alpha gbar^{-1}: the identity leaves nothing to transform
+    import maflow.spectral
+
+    g = nonkahler1
+    phi = random_band_limited(g.grid, 0.05, 2, seed=6).values
+    _, gprime = maflow.elliptic._residual_field(rfftn(phi), g)
+    lin = maflow.elliptic._Linearization(g, gprime)
+    r = random_band_limited(g.grid, 1.0, 3, seed=7).values
+    yh = lin.precondition(r)
+    general = lin.apply(yh)
+
+    def no_irfftn(*args, **kwargs):
+        raise AssertionError("irfftn in the n = 1 preconditioned apply")
+
+    for module in (maflow.spectral, maflow.elliptic):
+        monkeypatch.setattr(module, "irfftn", no_irfftn)
+    assert np.max(np.abs(lin.apply(yh, r) - general)) <= 1e-13 * np.max(np.abs(general))
 
 
 def test_solve_transforms_each_field_once(monkeypatch, grid2, nonkahler2):
     # the Newton iterate is kept as a spectrum: one rfftn of the initial phi,
-    # one per precondition and one irfftn for the returned phi_tilde_inf; the
-    # Hessian's own transforms run in spectral.py
+    # one per precondition, and one irfftn for the returned phi_tilde_inf plus
+    # one of S vh per Krylov solve's fresh residual; the Hessian's own
+    # transforms run in spectral.py
     calls = {}
 
     def counted(name, fn):
@@ -178,12 +202,26 @@ def test_solve_transforms_each_field_once(monkeypatch, grid2, nonkahler2):
         monkeypatch.setattr(E, name, counted(name, getattr(E, name)))
     monkeypatch.setattr(E._Linearization, "precondition",
                         counted("precondition", E._Linearization.precondition))
+    real_hessian = E.complex_hessian_values
+    rows = []
+
+    def hessian(fh, grid, *args, **kwargs):
+        out = real_hessian(fh, grid, *args, **kwargs)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(E, "complex_hessian_values", hessian)
     F = random_band_limited(grid2, 0.1, 1, seed=42)
     sol = solve(nonkahler2, F, tol=1e-10)
     assert sol.newton_iters >= 1
     assert calls["_bicgstab"] == sol.newton_iters
-    assert calls["irfftn"] == 1
+    assert calls["irfftn"] == 1 + calls["_bicgstab"]
     assert calls["rfftn"] == calls["precondition"] + 1
+    # each residual transforms the 4 packed Hessian entries and each Krylov
+    # apply, preconditioned or the fresh residual's, the 3 anisotropy rows
+    assert sol.krylov_applies == calls["precondition"] + calls["_bicgstab"]
+    assert len(rows) == calls["_residual_field"] + sol.krylov_applies
+    assert sum(rows) == 4 * calls["_residual_field"] + 3 * sol.krylov_applies
 
 
 def _count_applies(monkeypatch):
@@ -193,9 +231,9 @@ def _count_applies(monkeypatch):
     per_solve = []
     real_apply, real_bicgstab = E._Linearization.apply, E._bicgstab
 
-    def apply(self, vh):
+    def apply(self, vh, pre=None):
         per_solve[-1][1] += 1
-        return real_apply(self, vh)
+        return real_apply(self, vh, pre)
 
     def bicgstab(op, *args, **kwargs):
         per_solve.append([op.grid.points_per_axis, 0])
@@ -225,15 +263,20 @@ def test_scaled_preconditioner_is_exact_for_n1(monkeypatch, grid1, nonkahler1):
 
 def test_scaled_preconditioner_beats_unscaled_n2(monkeypatch, grid2, nonkahler2):
     # the unscaled constant-coefficient preconditioner is kept here as the
-    # reference; both must reach the same solution
+    # reference; both must reach the same solution.  Unscaled, the identity
+    # behind apply(y, pre) does not hold, so the reference runs the general
+    # apply on every call
     E = maflow.elliptic
     per_solve = _count_applies(monkeypatch)
     F = random_band_limited(grid2, 0.1, 1, seed=42)
     scaled = solve(nonkahler2, F, tol=1e-10)
     scaled_applies = sum(a for _, a in per_solve)
     per_solve.clear()
+    counted_apply = E._Linearization.apply
     monkeypatch.setattr(E._Linearization, "precondition",
                         lambda self, r: self._sym_inv * rfftn(r))
+    monkeypatch.setattr(E._Linearization, "apply",
+                        lambda self, vh, pre=None: counted_apply(self, vh))
     unscaled = solve(nonkahler2, F, tol=1e-10)
     assert scaled.newton_iters == unscaled.newton_iters >= 1
     assert abs(scaled.b - unscaled.b) <= 1e-12
@@ -246,9 +289,9 @@ def test_nan_in_krylov_apply_is_a_stagnation(monkeypatch, grid2, nonkahler2):
     real = maflow.elliptic._Linearization.apply
     applies = []
 
-    def nan_apply(self, vh):
+    def nan_apply(self, vh, pre=None):
         applies.append(None)
-        out = real(self, vh)
+        out = real(self, vh, pre)
         out[1, 2, 3, 4] = np.nan
         return out
 
@@ -291,6 +334,17 @@ def test_linearization_check_sees_the_newton_operator(monkeypatch, grid2, nonkah
     phi = random_band_limited(grid2, 0.08, 1, seed=3)
     direction = random_band_limited(grid2, 1.0, 1, seed=4)
     assert linearization_check(nonkahler2, phi, direction) >= 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_preconditioned_apply_identity_matches_general_apply(n, nonkahler1, nonkahler2):
+    # criterion 9 tests the general apply; BiCGStab runs the identity path
+    g = nonkahler1 if n == 1 else nonkahler2
+    rng = np.random.default_rng(93)
+    for _ in range(3):
+        phi = random_band_limited(g.grid, 0.08, 2, seed=int(rng.integers(1 << 30)))
+        direction = random_band_limited(g.grid, 1.0, 2, seed=int(rng.integers(1 << 30)))
+        assert preconditioned_apply_gap(g, phi, direction) <= 1e-12
 
 
 def test_flow_newton_agreement_small(grid1, nonkahler1):
@@ -345,6 +399,16 @@ def test_nested_start_agrees_with_zero_start(n, grid1, nonkahler1, run2_solution
 def test_nested_start_saves_full_grid_newton_iterations(run2_solutions):
     nested, zero, _ = run2_solutions
     assert nested.newton_iters < zero.newton_iters
+    assert 0 < nested.krylov_applies < zero.krylov_applies
+
+
+def test_shell_decay_of_run2_oracle(run2_solutions):
+    # the limit is smooth: its l-infinity shells past the forcing modes fall
+    nested, _, _ = run2_solutions
+    witness = shell_decay(nested)
+    assert len(witness["shell_amplitudes"]) == 5
+    factor = witness["shell_decay_factor"]
+    assert factor is not None and np.isfinite(factor) and factor > 1
 
 
 def test_no_half_grid_below_n16(grid2, nonkahler2):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maflow.grid import TorusGrid, integrate_values, volume_weights
-from maflow.hermitian import inverse_stack, unpack
+from maflow.hermitian import inverse_stack, pack, trace_pair, unpack
 from maflow.spectral import (
     complex_hessian_values,
     holo_gradient,
@@ -10,7 +10,9 @@ from maflow.spectral import (
     laplacian_values,
     prolong,
     rfftn,
+    shell_amplitudes,
     spectral_tail,
+    trace_free_symbols,
 )
 
 from conftest import field_from
@@ -212,6 +214,49 @@ def test_spectral_tail_flags_rough_fields(grid1):
     rng = np.random.default_rng(0)
     rough = rng.normal(size=grid1.shape)
     assert spectral_tail(rfftn(rough), grid1) > 1e-3
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 8)])
+def test_spectral_tail_matches_nyquist_mask_reference(grid):
+    # the shell read off one index plane per axis, against the boolean mask
+    # of every mode with any axis at the Nyquist index, bit for bit
+    N = grid.points_per_axis
+    fh = rfftn(np.random.default_rng(4).normal(size=grid.shape))
+    mask = np.zeros(fh.shape, dtype=bool)
+    for a in range(grid.real_dim):
+        sl = [slice(None)] * grid.real_dim
+        sl[a] = N // 2
+        mask[tuple(sl)] = True
+    amp = np.abs(fh) / grid.num_points
+    assert spectral_tail(fh, grid) == float(np.max(amp[mask]) / np.max(amp))
+
+
+def test_shell_amplitudes_sort_modes_by_linf_wavenumber(grid1):
+    f = field_from(grid1, lambda c: 1.0 + np.cos(3 * c[0]) + 0.1 * np.sin(c[0] - 5 * c[1]))
+    amp = shell_amplitudes(rfftn(f.values), grid1)
+    want = np.zeros(grid1.points_per_axis // 2 + 1)
+    want[[0, 3, 5]] = 1.0, 0.5, 0.05
+    assert amp.shape == want.shape
+    assert np.max(np.abs(amp - want)) <= 1e-14
+
+
+def test_trace_free_symbols_contract_trace_free_fields(grid2):
+    # A = P - (tr(gbar P) / n) gbar^{-1} is trace-free against gbar, and then
+    # tr(A Hess f) = sum_j a_j m_j(f) with a = (A_d, 2 Re A_b, 2 Im A_b)
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    g_mean = pack(m @ m.conj().T + np.eye(2))
+    p = rng.normal(size=(4,) + grid2.shape)
+    a = p - trace_pair(g_mean, p) / 2 * inverse_stack(g_mean)[(...,) + (None,) * 4]
+    assert np.max(np.abs(trace_pair(g_mean, a))) <= 1e-12
+    fh = rfftn(rng.normal(size=grid2.shape))
+    want = trace_pair(a, complex_hessian_values(fh, grid2))
+    rows = trace_free_symbols(g_mean, grid2)
+    assert rows.shape == (3,) + fh.shape
+    got = np.einsum("j...,j...->...", a[1:] * np.array([1.0, 2.0, 2.0])[:, None, None, None, None],
+                    complex_hessian_values(fh, grid2, rows))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert trace_free_symbols(np.array([1.3]), TorusGrid(1, 16)).shape == (0, 16, 9)
 
 
 def test_holo_index_validation(grid1, grid2):
