@@ -34,7 +34,6 @@ from .monitors import (
     MonitorSuite,
     contraction_and_decay,
     harnack_check,
-    liyau_quantity,
     monitor_Q,
     monitor_basic,
 )
@@ -51,6 +50,5 @@ __all__ = [
     "FlowState", "StepControl", "flow_rhs", "step", "run",
     "EllipticSolution", "solve", "linearization_check",
     "MonitorSuite", "HolderConfig", "DecayFit",
-    "monitor_basic", "monitor_Q", "liyau_quantity",
-    "harnack_check", "contraction_and_decay",
+    "monitor_basic", "monitor_Q", "harnack_check", "contraction_and_decay",
 ]

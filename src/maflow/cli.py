@@ -68,6 +68,7 @@ def _run_elliptic(cfg: RunConfig) -> int:
 
 
 def _run_verify(cfg: RunConfig) -> int:
+    from .runner import embedded_config
     from .verification import run_criteria
 
     results = run_criteria(cfg.verify_criteria or None)
@@ -76,7 +77,7 @@ def _run_verify(cfg: RunConfig) -> int:
         "mode": "verify",
         "criteria": [r.as_dict() for r in results],
         "all_passed": all(r.passed for r in results),
-        "config": dict(cfg.raw),
+        "config": embedded_config(cfg),
     }
     write_json(out / "verify_report.json", payload)
     for r in results:

@@ -35,7 +35,7 @@ from typing import Optional
 from .elliptic import NEWTON_MAX_ITERS, NEWTON_TOL
 from .errors import ConfigError
 from .flow import StepControl
-from .grid import LAMBDA_FLOOR, TorusGrid
+from .grid import LAMBDA_FLOOR, MAX_POINTS, TorusGrid
 from .monitors import HolderConfig, MonitorSuite
 from .presets import ForcingPreset, MetricPreset
 
@@ -70,6 +70,7 @@ class RunConfig:
     def __post_init__(self):
         horizon, emit_dt = self.horizon, self.monitors.emit_dt
         emits = horizon / emit_dt
+        modes = (2 * self.forcing.max_mode + 1) ** self.grid.real_dim
         for ok, what in (
             (self.mode in MODES, f"unknown mode '{self.mode}' (expected one of {MODES})"),
             (self.rng_seed >= 0, f"rng_seed must be non-negative, got {self.rng_seed}"),
@@ -82,6 +83,10 @@ class RunConfig:
             (emits <= MAX_EMITS,
              f"flow.horizon / monitors.emit_dt is {emits:.6g} emissions, "
              f"above the budget of {MAX_EMITS}"),
+            # a seeded forcing takes one coefficient per mode of its cube
+            (modes <= MAX_POINTS,
+             f"forcing.max_mode {self.forcing.max_mode} spans (2 max_mode + 1)^"
+             f"{self.grid.real_dim} modes, above the budget of {MAX_POINTS}"),
             # the contraction and decay fit of a flow run needs 3 emissions
             # spanning at least two unit times; reject a shorter run up front
             (self.mode != "flow" or horizon >= max(2.0, 2.0 * emit_dt),

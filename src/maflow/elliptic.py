@@ -10,41 +10,30 @@ each Newton step solves the linearization
 
     Delta' psi = -(G(phi) - b)
 
-on mean-zero fields.  The linear solve is BiCGStab; any Krylov method meeting
-the 1e-10 relative-residual contract would do.  Its preconditioner scales the
-residual pointwise by c(x) = n / tr(gbar g'^{-1}(x)) and then inverts the
-constant-coefficient Laplacian, of symbol S, built from the grid mean gbar of
-g'; it returns the rfft spectrum y = S^-1 rfftn(c p).  Write
-g'^{-1} = alpha gbar^{-1} + A with alpha = 1/c, so A is trace-free against
-gbar.  S is nonzero off k = 0, so irfftn(S y) = c p - mean(c p) exactly and
+on mean-zero fields, by BiCGStab to a 1e-10 relative residual.  Its
+preconditioner scales the residual pointwise by c(x) = n / tr(gbar g'^{-1}(x))
+and inverts the constant-coefficient Laplacian, of symbol S, of the grid mean
+gbar of g': y = S^-1 rfftn(c p).  With g'^{-1} = alpha gbar^{-1} + A, where
+alpha = 1/c and A is trace-free against gbar, S is nonzero off k = 0, so
 
     Delta' y = p - alpha(x) mean(c p) + tr(A Hess y):
 
-the preconditioned operator is the identity, plus a correction that is a
-field (alpha(x) times a number), not a constant, plus the anisotropy.  For
-n = 1, A = 0 and a preconditioned apply runs no inverse transform, so
-BiCGStab converges in a few steps; for n = 2 only the trace-free anisotropy
-is left to the Krylov iteration, and tr(A Hess y) takes one batched irfftn of
-three fields (the trace-free condition eliminates A's first entry).  Each
-preconditioned apply thus costs one rfftn and, for n = 2, one 3-field
-irfftn; the general apply, used for the fresh residual of each Krylov solve
-and by linearization_check, adds one irfftn of S vh.  The Newton iterate phi
-is kept as its rfft spectrum too: a Krylov solve returns the spectrum of its
-solution, each line-search candidate is phi_hat + s psi_hat, and grid values
-of phi are formed once, for the returned phitilde_inf.
+the identity, plus a field (alpha(x) times a number), plus the anisotropy.
+A preconditioned apply costs one rfftn and, for n = 2, one irfftn of the
+three fields of tr(A Hess y) (none for n = 1, where A = 0); the general
+apply adds one irfftn of S vh.  The Newton iterate is kept as its rfft
+spectrum; grid values of phi are formed once, for phitilde_inf.
 
 Nested start: without an explicit initial field, and where the half grid is
 valid (N divisible by 4, N >= 16), solve first solves the same problem on
 every other sample of g and F (recursively, with the same tol and
 max_iters) and starts Newton from the spectral prolongation of that
 solution.  The half-grid samples are a subset of the full ones, so the
-coarse metric passes its eigenvalue floor, and for band-limited data it
-samples the same continuum problem.  On run 2 (n = 2, N = 16) the N = 8
-level saves one of three full-grid Newton iterations.  If the half-grid
-solve raises, or its prolongation leaves the cone at the first residual,
-Newton starts from zero exactly as without a half grid.  The half-grid
-solution stays on the result (EllipticSolution.coarse) as a resolution
-witness; newton_iters counts the full grid only.
+coarse metric passes its eigenvalue floor.  If the half-grid solve raises,
+or its prolongation leaves the cone at the first residual, Newton starts
+from zero.  The half-grid solution stays on the result
+(EllipticSolution.coarse) as a resolution witness; newton_iters counts the
+full grid only.
 """
 
 from __future__ import annotations

@@ -1,46 +1,18 @@
 """Time integration of the parabolic complex Monge-Ampere flow.
 
-The evolution is
+The evolution
 
     d(phi)/dt = log det(g + Hess phi) / det g  -  F,      phi(., 0) = 0,
 
-split as d(phi)/dt = L phi + N(phi), where L = gbar^{i jbar} d_i d_jbar is
-the constant-coefficient Laplacian of gbar (the grid mean of g, scaled down
-to a lower bound of g; see _frozen_metric_key) and N is the remainder.
-L is applied exactly in Fourier space and N explicitly.  Once the two
-previous steps had the same dt, a step is an exponential Adams PECE step
-(Hochbruck & Ostermann 2010) on the remainders N of the last three step
-starts: an AB3 predictor (exponential Euler on the stiff modes, see
-ADAMS_AB1_MIN_ABS_H), one flow_rhs there and an AM3 corrector, so two
-flow_rhs per step with the step end's own.  ETDRK4 (Cox & Matthews 2002,
-N in four stages) is the self-starting step: it takes the first two steps,
-every step whose dt differs from the two before it (a landing clip, a
-halving, a re-take) and the halved retry of an Adams step that leaves the
-cone.  All weights combine the ETDRK4 phi-function coefficients, evaluated
-in closed form in real arithmetic, except on the modes with |dt L| < 0.7,
-whose closed forms cancel and which take a contour mean instead (Kassam &
-Trefethen 2005).  The stages stay in Fourier space:
-flow_rhs takes the rfft spectrum of phi, builds g' from it with one batched
-real irfftn (spectral.py) and works on g' in the packed real layout of
-hermitian.py, so only the step's result is transformed back to grid
-values.  FlowState carries that result's spectrum phi_hat, which the next
-step starts from and the spectral tail check reads, so phi is transformed
-forward once, in make_state; the rfft spectrum of its rhs is taken lazily,
-once, and serves as the next step's first stage and as a slope of the dense
-output below.  The stiffness of L sets no step cap.  Snapshots are emitted
-on a fixed time clock (multiples of emit_dt), which keeps monitor windows
-aligned and reruns bit-identical, but steps are not tied to it: each step
-tries dt_try (at most dt_max) and is clipped to land on the furthest
-emission time t + dt_try reaches.  Any stage that leaves the positive cone
-(or grazes it closer than eps_pd) halves dt and retries; the next step then
-tries the accepted size again, and only a step accepted at its first try
-doubles dt_try, up to dt_max.  Emission times strictly inside an accepted
-step are dense output: phi_hat is the cubic Hermite on the step's end
-spectra phi_hat and rfftn(dphi_dt), and one flow_rhs there gives u and g'
-(with the cone check).  Dense states only feed the monitors; stepping
-continues from the step's end.  A dense state outside the cone re-takes the
-step, landing on the first emission inside it.  While dt_try is at most
-emit_dt no step passes an emission, and every snapshot is a step end.
+is split as d(phi)/dt = L phi + N(phi): L = gbar^{i jbar} d_i d_jbar, the
+constant-coefficient Laplacian of a lower bound gbar of g (see
+_frozen_metric_key), is applied exactly in Fourier space and the remainder N
+explicitly, by exponential Adams PECE steps (Hochbruck & Ostermann 2010)
+started up by ETDRK4 (Cox & Matthews 2002); see step.  The stages pass rfft
+spectra, and FlowState carries phi's spectrum phi_hat.  Snapshots are
+emitted at the multiples of emit_dt.  Each step is clipped to land on the
+furthest emission time it reaches, and the emission times it passes are
+dense output (_dense_state).
 """
 
 from __future__ import annotations
@@ -114,8 +86,8 @@ class StepControl:
     retry_limit: int = 20
 
     def __post_init__(self):
-        if not (0 < self.dt_min <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_max")
+        if not (0 < self.dt_min <= self.dt_max < math.inf):
+            raise ValueError(f"need 0 < dt_min <= dt_max < inf, got {self.dt_min}, {self.dt_max}")
         if not (0 < self.eps_pd < math.inf):
             raise ValueError(f"eps_pd must be positive and finite, got {self.eps_pd}")
         if not (self.retry_limit >= 0):
@@ -240,25 +212,6 @@ def _etdrk4_weights(h: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _etdrk4_coefficients(grid: TorusGrid, gbar_entries: tuple, dt: float):
-    """Symbol of L and the ETDRK4 coefficients E, E2, Q, f1, f2, f3 for step dt.
-
-    L is the rfft symbol of gbar^{i jbar} d_i d_jbar, gbar given by its n*n
-    packed entries.  With h = dt * L, E = exp(h), E2 = exp(h/2) and Q, f1,
-    f2, f3 are dt times _etdrk4_weights(h).  The arrays are read-only: the
-    cache hands the same ones to every caller.
-    """
-    lin = mean_metric_symbol(np.array(gbar_entries), grid)
-    h = dt * lin
-    weights = _etdrk4_weights(h)
-    weights *= dt
-    out = (lin, np.exp(h), np.exp(0.5 * h), *weights)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
 def _phi_functions(f1, f2, f3):
     """phi_1, phi_2, phi_3 from the ETDRK4 f1, f2, f3 (scaled alike).
 
@@ -287,10 +240,21 @@ def _adams_weights(f1, f2, f3, h):
 
 
 @lru_cache(maxsize=8)
-def _adams_coefficients(grid: TorusGrid, gbar_entries: tuple, dt: float):
-    """dt times the _adams_weights of the cached ETDRK4 set for step dt, read-only."""
-    lin, _, _, _, f1, f2, f3 = _etdrk4_coefficients(grid, gbar_entries, dt)
-    out = _adams_weights(f1, f2, f3, dt * lin)
+def _etdrk4_coefficients(grid: TorusGrid, gbar_entries: tuple, dt: float):
+    """Symbol of L, the ETDRK4 coefficients E, E2, Q, f1, f2, f3 and the
+    exponential Adams weights beta, gamma for step dt.
+
+    L is the rfft symbol of gbar^{i jbar} d_i d_jbar, gbar given by its n*n
+    packed entries.  With h = dt * L, E = exp(h), E2 = exp(h/2), Q, f1, f2,
+    f3 are dt times _etdrk4_weights(h) and beta, gamma are _adams_weights of
+    those f1, f2, f3.  The arrays are read-only: the cache hands the same
+    ones to every caller.
+    """
+    lin = mean_metric_symbol(np.array(gbar_entries), grid)
+    h = dt * lin
+    weights = _etdrk4_weights(h)
+    weights *= dt
+    out = (lin, np.exp(h), np.exp(0.5 * h), *weights, *_adams_weights(*weights[1:], h))
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -333,39 +297,23 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
          stats: Optional[dict] = None, gbar: Optional[tuple] = None) -> FlowState:
     """One step of size min(dt_try, t_land - t), dt_try <= dt_max.
 
-    When the state's history holds the remainders N_{n-1}, N_{n-2} of two
-    steps taken at this step's dt key, the step is an exponential Adams PECE
-    step: the predictor p = E u_n + dt sum_j beta_j N_{n-j} (AB3, exponential
-    Euler on the stiff modes; see _adams_weights), one flow_rhs at p, and the AM3
-    corrector E u_n + dt (gamma_0 N(p) + gamma_1 N_n + gamma_2 N_{n-1}) as
-    the new phi.  Otherwise (the first two steps, and any step whose dt
-    differs from the two before it) it is one ETDRK4 step, which starts the
-    history again.  The new state carries N_n in front of its history.
+    When the state's history holds the remainders N of two steps taken at
+    this step's dt key, the step is an exponential Adams PECE step: the
+    predictor p = E u_n + dt sum_j beta_j N_{n-j}, one flow_rhs at p and the
+    corrector E u_n + dt (gamma_0 N(p) + gamma_1 N_n + gamma_2 N_{n-1}) (see
+    _adams_weights).  Otherwise it is one ETDRK4 step, which starts the
+    history again.  The dt key is dt rounded to 12 significant digits, so
+    landing steps that differ in their last bits share one coefficient set
+    and one history.
 
-    The stages start from state.phi_hat and state.rhs_hat and pass rfft
-    spectra to flow_rhs; only the new phi goes back to grid values, and its
-    spectrum is handed on as the new state's phi_hat.  Any
-    PositivityViolation inside a stage, the predictor included, halves dt
-    and retries as an ETDRK4 step (without clipping again), up to
-    ctrl.retry_limit; persistent failure raises
-    StepFailure with the time, step size and offending grid index.
-    The new state's dt_try is the accepted dt when the step needed a
-    halving, twice it (at most dt_max) when the first try was accepted, and
-    unchanged when the accepted step was the landing clip.  So a run that needed halvings
-    neither restarts every step from dt_max (building a coefficient set
-    for each halving) nor has every step rejected once at twice the size
-    it can sustain.  ``stats``, when given, counts accepted steps, halvings,
-    flow_rhs calls and PECE steps (pc_steps), tracks the smallest and
-    largest dt and the largest relative predictor-corrector gap
-    max|c - p| / max|c| over the spectra (pc_gap_max, Milne's local-error
-    estimate).  ``gbar`` is _frozen_metric_key(g), computed here when not
-    given (run() computes it once, like the volume weights w).
-
-    The coefficients are looked up at dt rounded to 12 significant digits,
-    the step's dt key: landing steps t_land - t differ from a multiple of
-    emit_dt in their last bits, and the rounding maps them to one cached
-    coefficient set (an error of at most 5e-13 relative in the step's
-    exponential time) and lets them continue one history.
+    A PositivityViolation in any stage halves dt and retries as an ETDRK4
+    step, without clipping, up to ctrl.retry_limit times; then StepFailure
+    names the time, dt and grid index.  The new state's dt_try is the
+    accepted dt after a halving, twice it (at most dt_max) after a first try,
+    and unchanged after a landing clip.  ``stats``, when given, counts steps,
+    halvings, rhs_calls and pc_steps and tracks dt_min, dt_max and pc_gap_max,
+    the largest max|c - p| / max|c| over the spectra (Milne's estimate).
+    ``gbar`` is _frozen_metric_key(g), computed here when not given.
     """
     dt = _dt_try(state, ctrl)
     clipped = False
@@ -391,15 +339,15 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
         if dt < ctrl.dt_min and not clipped:
             break
         key = float(f"{dt:.12g}")
-        lin, E, E2, Q, f1, f2, f3 = _etdrk4_coefficients(grid, gbar, key)
+        lin, E, E2, Q, f1, f2, f3, beta, gamma = _etdrk4_coefficients(grid, gbar, key)
         n0 = k1 - lin * u0
         adams = halvings == 0 and key == past_key and len(past) == 2
         try:
             if adams:
-                (b0, b1, b2), (c0, c1, c2) = _adams_coefficients(grid, gbar, key)
                 eu0 = E * u0
-                p = eu0 + b0 * n0 + b1 * past[0] + b2 * past[1]
-                phi1_hat = eu0 + c0 * remainder(p, lin, state.t + dt) + c1 * n0 + c2 * past[0]
+                p = eu0 + beta[0] * n0 + beta[1] * past[0] + beta[2] * past[1]
+                phi1_hat = (eu0 + gamma[0] * remainder(p, lin, state.t + dt)
+                            + gamma[1] * n0 + gamma[2] * past[0])
             else:
                 a = E2 * u0 + Q * n0
                 na = remainder(a, lin, state.t + 0.5 * dt)

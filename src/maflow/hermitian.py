@@ -7,9 +7,6 @@ evolving metric g' = g + Hess(phi), complex Hessians and inverses all use it,
 so every field is Hermitian by construction.  A single matrix packs to shape
 (n*n,).  The kernels below (determinant, smallest eigenvalue, log det,
 inverse, trace pairings, pencil eigenvalues) are closed forms on that array.
-Metric presets write packed rows directly; ``pack`` and ``unpack`` convert
-from and to full (..., n, n) complex matrices and are the tests' bridge to
-reference computations on full matrices.
 
 ``normal_frame`` builds holomorphic coordinates centered at a point in which
 the metric is the identity, the holomorphic derivatives of its diagonal
@@ -32,33 +29,6 @@ from .errors import EigRangeViolation, PositivityViolation, ShiftFailure
 # Fraction of the smallest eigenvalue reserved on the standard-basis weights
 # by frame_decompose; half of it is the positivity floor each call certifies.
 _DIAG_RESERVE = 0.1
-
-
-def pack(mats: np.ndarray) -> np.ndarray:
-    """Packed real entries of a Hermitian (..., n, n) stack, shape (n*n,) + ...
-
-    Reads the diagonal's real part and the upper off-diagonal entry only; the
-    caller is responsible for the input being Hermitian.  Only tests pack
-    full matrices: the package never forms them.
-    """
-    mats = np.asarray(mats)
-    if mats.shape[-1] == 1:
-        return np.ascontiguousarray(mats[..., 0, 0].real)[None]
-    b = mats[..., 0, 1]
-    return np.stack((mats[..., 0, 0].real, mats[..., 1, 1].real, b.real, b.imag))
-
-
-def unpack(p: np.ndarray) -> np.ndarray:
-    """Full Hermitian (..., n, n) complex stack of packed entries p (for tests'
-    full-matrix references)."""
-    n = 1 if len(p) == 1 else 2
-    out = np.empty(p.shape[1:] + (n, n), dtype=complex)
-    out[..., 0, 0] = p[0]
-    if n == 2:
-        out[..., 1, 1] = p[1]
-        out[..., 0, 1] = p[2] + 1j * p[3]
-        out[..., 1, 0] = p[2] - 1j * p[3]
-    return out
 
 
 def det_field(p: np.ndarray) -> np.ndarray:

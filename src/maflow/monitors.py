@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -102,9 +102,7 @@ class MonitorRecord:
     sup_dphitilde: float = 0.0       # internal, used by the decay fit
 
     def csv_values(self):
-        return (self.t, self.sup_dphidt, self.osc_u, self.trace_max,
-                self.eig_min, self.eig_max, self.Q_max, self.holder_seminorm,
-                self.liyau_max, self.mean_phitilde)
+        return tuple(getattr(self, c) for c in CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -220,12 +218,10 @@ class LiYauWindow:
     |d f|^2 is the pairing tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f).
     f_t is a centered difference across adjacent snapshots, so a value is
     produced at each interior snapshot time; only the last three snapshots
-    are held.
+    are held.  alpha_ly lies in (1, 2), as MonitorSuite checks.
     """
 
     def __init__(self, grid: TorusGrid, alpha_ly: float = 1.5):
-        if not (1.0 < alpha_ly < 2.0):
-            raise ValueError("alpha_ly must lie in (1, 2)")
         self.grid, self.alpha_ly = grid, alpha_ly
         self.window = []    # (t, f, g'^{-1}) of the last two snapshots between adds
         self.times, self.values = [], []
@@ -248,17 +244,6 @@ class LiYauWindow:
         if not self.times:
             raise InsufficientSnapshots("need >= 3 snapshots for centered time differences")
         return np.array(self.times), np.array(self.values)
-
-
-def liyau_quantity(times: Iterable[float], u_list: Iterable[np.ndarray],
-                   gpinv_list: Iterable[np.ndarray], grid: TorusGrid,
-                   alpha_ly: float = 1.5):
-    """(interior_times, values) of a LiYauWindow fed the given snapshots,
-    which may be iterators."""
-    window = LiYauWindow(grid, alpha_ly)
-    for t, u, gpinv in zip(times, u_list, gpinv_list):
-        window.add(t, u, gpinv)
-    return window.result()
 
 
 def _grad_sq(f: np.ndarray, gpinv: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -297,15 +282,15 @@ class HarnackResult:
     verifiable: bool
 
 
-def harnack_check(times: Sequence[float], u_list: Sequence[np.ndarray],
+def harnack_check(times: Sequence[float], sups: Sequence[float], infs: Sequence[float],
                   t1: float, t2: float) -> HarnackResult:
     """Check sup u(t1) <= inf u(t2) (t2/t1)^C2 exp(C3/(t2-t1) + C1 (t2-t1)).
 
-    Constants are fitted (non-negative least squares, then inflated so no
-    sampled pair violates) over all snapshot pairs s1 < s2 in the window;
-    the reported lhs/rhs belong to the requested (t1, t2).  Raises
-    NonPositiveU when no pair admits the logarithms; flags verifiable=False
-    when inf u(t2) <= 0.
+    sups and infs are sup u and inf u at each snapshot time.  Constants are
+    fitted (non-negative least squares, then inflated so no sampled pair
+    violates) over all snapshot pairs s1 < s2 in the window; the reported
+    lhs/rhs belong to the requested (t1, t2).  Raises NonPositiveU when no
+    pair admits the logarithms; flags verifiable=False when inf u(t2) <= 0.
     """
     rel = np.asarray(times, dtype=float)
     if not (0.0 < t1 < t2):
@@ -314,8 +299,8 @@ def harnack_check(times: Sequence[float], u_list: Sequence[np.ndarray],
     idx2 = int(np.argmin(np.abs(rel - t2)))
     if abs(rel[idx1] - t1) > 1e-9 or abs(rel[idx2] - t2) > 1e-9:
         raise ValueError("t1/t2 must coincide with snapshot times")
-    lhs = float(np.max(u_list[idx1]))
-    rhs = float(np.min(u_list[idx2]))
+    lhs = float(sups[idx1])
+    rhs = float(infs[idx2])
     if rhs <= 0 or lhs <= 0:
         return HarnackResult(lhs, rhs, None, verifiable=False)
 
@@ -324,8 +309,8 @@ def harnack_check(times: Sequence[float], u_list: Sequence[np.ndarray],
         if rel[a] <= 0:
             continue
         for b_ in range(a + 1, len(rel)):
-            sup_a = float(np.max(u_list[a]))
-            inf_b = float(np.min(u_list[b_]))
+            sup_a = float(sups[a])
+            inf_b = float(infs[b_])
             if sup_a <= 0 or inf_b <= 0:
                 continue
             s1, s2 = rel[a], rel[b_]

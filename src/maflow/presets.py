@@ -26,9 +26,12 @@ from .grid import (
     volume_weights,
 )
 from .hermitian import log_det_ratio, min_eig_field
-from .spectral import complex_hessian_values, holo_gradient, rfftn
+from .spectral import complex_hessian_values, rfftn
 
 METRIC_PRESETS = ("flat", "kahler_bump", "hermitian_nonkahler")
+# metric.scale bounds: det g, of degree n <= 2 in the scale, and the volume
+# weights' sum stay inside float64's range (at 1e300, n = 2 overflows them)
+SCALE_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,11 @@ class MetricPreset:
     def __post_init__(self):
         if self.name not in METRIC_PRESETS:
             raise ConfigError(f"unknown metric preset '{self.name}'")
+        lo, hi = SCALE_RANGE
         if not (math.isfinite(self.eps) and math.isfinite(self.amp)
-                and 0 < self.scale < math.inf):
-            raise ConfigError(f"metric eps and amp must be finite and scale positive and "
-                              f"finite, got {self.eps}, {self.amp}, {self.scale}")
+                and lo <= self.scale <= hi):
+            raise ConfigError(f"metric eps and amp must be finite and scale in [{lo:g}, {hi:g}], "
+                              f"got {self.eps}, {self.amp}, {self.scale}")
 
 
 def _flat_rows(n: int, scale: float) -> list:
@@ -97,22 +101,6 @@ def build_metric(grid: TorusGrid, preset: MetricPreset,
         rows = _nonkahler_rows(n, coords, preset.eps, preset.scale)
     entries = np.stack([np.broadcast_to(r, grid.shape) for r in rows])
     return MetricField(grid, entries, lambda_floor=lambda_floor)
-
-
-def kahler_defect(g: MetricField) -> float:
-    """Largest component of the torsion d(omega), zero iff the metric is Kaehler.
-
-    Computes T_{k i jbar} = d_k g_{i jbar} - d_i g_{k jbar} by spectral
-    differentiation of the packed entries; for n = 2 the components are
-    d_1 conj(b) - d_2 a (jbar = 1) and d_1 d - d_2 b (jbar = 2), with
-    b = g_{1 2bar}.  Meaningful for n >= 2.
-    """
-    if g.grid.complex_dim == 1:
-        return 0.0
-    a, d, b_re, b_im = (holo_gradient(e, g.grid) for e in g.entries)
-    t1 = b_re[..., 0] - 1j * b_im[..., 0] - a[..., 1]
-    t2 = d[..., 0] - (b_re[..., 1] + 1j * b_im[..., 1])
-    return max(float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
 
 
 FORCING_PRESETS = ("zero", "const", "modes", "manufactured")
@@ -210,7 +198,6 @@ def manufactured_potential(grid: TorusGrid, preset: ForcingPreset) -> ScalarFiel
 def build_forcing(grid: TorusGrid, g: MetricField, preset: ForcingPreset):
     """Materialize the forcing field; returns (F, exact) where exact is the
     manufactured-solution record (psi, psi_tilde, b) or None."""
-    w = volume_weights(g)
     if preset.kind == "zero":
         return ScalarField(grid, np.zeros(grid.shape)), None
     if preset.kind == "const":
@@ -221,6 +208,7 @@ def build_forcing(grid: TorusGrid, g: MetricField, preset: ForcingPreset):
     gprime = g.entries + complex_hessian_values(rfftn(psi.values), grid)
     check_cone(min_eig_field(gprime), 0.0, "manufactured metric g + Hess(psi)")
     ratio = log_det_ratio(gprime, g.entries)
+    w = volume_weights(g)
     c0 = integrate_values(ratio, w)
     f_vals = ratio - c0
     psi_tilde = psi.values - integrate_values(psi.values, w)

@@ -21,15 +21,6 @@ hermitian.py.  Every packed entry is a real, even Fourier multiplier:
 parts of -(1/4) conj(kappa_1) kappa_2 (kappa_i = k_{2i-1} + sqrt(-1) k_{2i})
 for b, so one batched real irfftn yields all n*n entries.
 
-The entry points take and return bare arrays: holo_gradient (the first
-derivatives d_i f, one irfftn per real axis; d/dx_{2i-1} f and d/dx_{2i} f
-are twice its real part and minus twice its imaginary part),
-complex_hessian_values (also for other symbol rows, such as
-trace_free_symbols), laplacian_values, spectral_tail, shell_amplitudes and
-prolong (the zero-padded trigonometric interpolant from a coarser grid).
-Like complex_hessian_values, spectral_tail and shell_amplitudes take the
-rfft spectrum of their field, which the flow's state already carries.
-
 All operations are pure functions of their inputs.  FFT work is routed
 through scipy.fft with the worker count read from MAFLOW_THREADS.
 """

@@ -57,6 +57,8 @@ def test_criterion_04_maximum_principle(ctx):
     res = _check(4, ctx)
     assert res.measured["run1_max_principle_slack"] <= 1e-8
     assert res.measured["run2_max_principle_slack"] <= 1e-8
+    for tag in ("run1", "run2"):
+        assert np.isfinite(res.measured[f"{tag}_max_principle_margin"])
     assert res.measured["run1_mean_phitilde_max"] <= 1e-12
     assert res.measured["run2_mean_phitilde_max"] <= 1e-12
 

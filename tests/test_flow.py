@@ -287,7 +287,7 @@ def test_step_spectrum_stages_match_round_trip(n, nonkahler1, nonkahler2):
     dt = 0.1
     new = step(state, StepControl(dt_max=dt), g, F, w)
 
-    lin, E, E2, Q, f1, f2, f3 = _etdrk4_coefficients(grid, _frozen_metric_key(g), dt)
+    lin, E, E2, Q, f1, f2, f3, _, _ = _etdrk4_coefficients(grid, _frozen_metric_key(g), dt)
 
     def remainder(v_hat):
         rhs, _ = flow_rhs(rfftn(irfftn(v_hat, grid.shape)), g, F.values)
@@ -566,11 +566,11 @@ def test_adams_stability_split_keeps_run1_at_q_079(monkeypatch):
     assert adams.stats["pc_steps"] == adams.stats["steps"] - 2
     try:
         monkeypatch.setattr(maflow.flow, "ADAMS_AB1_MIN_ABS_H", np.inf)
-        maflow.flow._adams_coefficients.cache_clear()
+        maflow.flow._etdrk4_coefficients.cache_clear()
         with pytest.raises(TailAlarm):
             final()
     finally:
-        maflow.flow._adams_coefficients.cache_clear()
+        maflow.flow._etdrk4_coefficients.cache_clear()
     monkeypatch.undo()
     _etdrk4_only(monkeypatch)
     etdrk4 = final()

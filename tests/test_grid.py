@@ -5,11 +5,12 @@ import pytest
 
 from maflow.errors import PositivityViolation
 from maflow.grid import MetricField, TorusGrid, integrate_values, volume_weights
-from maflow.hermitian import log_det, min_eig_field, pack, unpack
-from maflow.presets import MetricPreset, build_metric, kahler_defect, random_band_limited
+from maflow.hermitian import log_det, min_eig_field
+from maflow.presets import MetricPreset, build_metric, random_band_limited
 from maflow.spectral import rfftn, spectral_tail
 
 from conftest import field_from
+from reference import kahler_defect, pack, unpack
 
 
 def test_grid_invariants():
@@ -282,3 +283,18 @@ def test_heap_thresholds_never_lowered(monkeypatch):
     assert calls == [(-1, 8 << 20), (-3, 4 << 20)]
     G.pin_heap_thresholds(TorusGrid(2, 20))
     assert calls[2:] == [(-1, 2 * 16 * 4 * 20 ** 4), (-3, 16 * 4 * 20 ** 4)]
+
+
+def test_only_manufactured_forcing_builds_volume_weights(monkeypatch, nonkahler1):
+    # the omega^n weights normalize the manufactured F; the other kinds skip them
+    import maflow.presets
+    from maflow.presets import ForcingPreset, build_forcing
+
+    calls = []
+    monkeypatch.setattr(maflow.presets, "volume_weights",
+                        lambda g: calls.append(g) or volume_weights(g))
+    for kind in ("zero", "const", "modes"):
+        build_forcing(nonkahler1.grid, nonkahler1, ForcingPreset(kind))
+    assert calls == []
+    build_forcing(nonkahler1.grid, nonkahler1, ForcingPreset("manufactured"))
+    assert len(calls) == 1 and calls[0] is nonkahler1

@@ -8,13 +8,12 @@ from maflow.hermitian import (
     inverse_stack,
     log_det_ratio,
     normal_frame,
-    pack,
     trace_pair,
-    unpack,
 )
 from maflow.runner import fd_normal_frame_residual, random_normal_frame_instance
 
 from conftest import random_hermitian_pd
+from reference import pack, unpack
 
 
 # ---------------------------------------------------------------- log det

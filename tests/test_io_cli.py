@@ -319,6 +319,7 @@ def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
     "grid.period = 1e-300",
     "flow.horizon = 0.33",    # not a multiple of monitors.emit_dt
     "step.dt_min = 0",        # StepControl: need 0 < dt_min
+    "step.dt_max = inf",      # StepControl: dt_max must be finite
     "step.eps_pd = -1",
     "step.retry_limit = -1",
     "holder.sample_pairs = -1",
@@ -357,6 +358,90 @@ def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+# Generated bad values: each key takes every one of these.  1e300 is the
+# huge float; an int key reads it as a wrong type, so HUGE_INT is its huge value.
+HUGE_INT = "1000000000000"
+GENERATED = ("nan", "inf", "-1", "0", "1e300", HUGE_INT, "abc", "")
+SEEDS = "any non-negative integer seeds numpy's generator"
+SHAPE = ("finite; a metric it pushes below metric.lambda_floor is a config error at "
+         "set-up (the flat default does not read it)")
+# key -> (the generated values config_from_kv accepts, why each is valid)
+ACCEPTED = {
+    "rng_seed": (("0", HUGE_INT), SEEDS),
+    "out.dir": (GENERATED, "any text names a directory; empty means maflow-out"),
+    "metric.eps": (("-1", "0", "1e300", HUGE_INT), SHAPE),
+    "metric.amp": (("-1", "0", "1e300", HUGE_INT), SHAPE),
+    "metric.scale": ((HUGE_INT,), "inside presets.SCALE_RANGE"),
+    "metric.lambda_floor": (("1e300", HUGE_INT),
+                            "positive and finite; a metric below it is a config error "
+                            "at set-up"),
+    "forcing.value": (("-1", "0", "1e300", HUGE_INT),
+                      "finite; a constant F only moves phi by -F t"),
+    "forcing.amplitude": (("-1", "0", "1e300", HUGE_INT),
+                          "finite; a manufactured g + Hess(psi) outside the cone is a "
+                          "config error at set-up, a forcing the flow cannot follow a "
+                          "step failure (exit 3)"),
+    "forcing.max_mode": (("0",), "no modes: the seeded forcing is zero"),
+    "forcing.seed": (("0", HUGE_INT), SEEDS),
+    "step.dt_max": (("1e300", HUGE_INT),
+                    "a finite upper bound; each step is clipped to land on an emission"),
+    "step.eps_pd": (("1e300", HUGE_INT),
+                    "positive and finite; a guard above the eigenvalues of g' fails "
+                    "the first step (exit 3)"),
+    "step.retry_limit": (("0", HUGE_INT),
+                         "a bound on halvings, which also stop at step.dt_min"),
+    "monitors.field_interval": (("1e300", HUGE_INT),
+                                "a multiple of monitors.emit_dt: t = 0 is the only "
+                                "field snapshot"),
+    "monitors.A": (("1e300", HUGE_INT),
+                   "positive and finite; Q_max overflows to inf once "
+                   "A (sup phi_tilde - phi_tilde) passes 709"),
+    "monitors.shift_eps": (("1e300", HUGE_INT),
+                           "positive and finite; it shifts u in the Li-Yau diagnostic"),
+    "holder.epsilon": (("0", "1e300", HUGE_INT),
+                       "non-negative and finite; the Hoelder sample starts there, or "
+                       "is empty"),
+    "elliptic.tol": (("1e300", HUGE_INT), "an upper bound on the Newton residual"),
+    "elliptic.max_iters": ((HUGE_INT,),
+                           "an upper bound; Newton stops when it converges or its line "
+                           "search fails"),
+    "verify.criteria": (("",), "an empty list selects every criterion"),
+    "demo.eig_hi": (("1e300", HUGE_INT),
+                    "finite and above demo.eig_lo; the demo's 1e-12 reconstruction "
+                    "bound is absolute, so a wide range reports passed = false (exit 1)"),
+    "dump.fields": (("0",), "reads as false"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS))
+def test_generated_values_are_rejected_or_listed(tmp_path, capsys, key):
+    # an accepted value only goes through config_from_kv: no mode runs on it,
+    # so a work budget it would break is never started
+    assert set(ACCEPTED) <= set(_KEYS)
+    accepted = ACCEPTED.get(key, ((), ""))[0]
+    for value in GENERATED:
+        try:
+            config_from_kv({key: value})
+        except ConfigError:
+            assert value not in accepted, (key, value)
+        else:
+            assert value in accepted, (key, value)
+            continue
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"{key} = {value}\n")
+        out = tmp_path / "o"
+        if key == "mode":
+            # the CLI reads the mode from its first argument, which argparse checks
+            code = main([value, "--config", str(cfg_path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2 and "invalid choice" in err, (key, value)
+        else:
+            code = main(["flow", "--config", str(cfg_path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith("config error:"), (key, value, err)
+        assert "Traceback" not in err and not out.exists(), (key, value)
 
 
 def test_cli_solve_elliptic_bad_forcing_exit_2(tmp_path, capsys):
@@ -459,6 +544,8 @@ def test_cli_verify_quick_criteria(tmp_path):
     nums = [c["number"] for c in report["criteria"]]
     assert nums == [7, 8, 9]
     assert report["all_passed"]
+    # the output location is not part of the result, as in every other mode
+    assert report["config"] == {"verify.criteria": "7,8,9,7", "mode": "verify"}
 
 
 def test_cli_seed_override(tmp_path):

@@ -19,13 +19,14 @@ from maflow.monitors import (
     contraction_and_decay,
     envelope_fit_inverse_time,
     harnack_check,
-    liyau_quantity,
     monitor_Q,
     theta_at_integer_times,
 )
 from maflow.presets import ForcingPreset, MetricPreset, build_forcing, build_metric
 from maflow.spectral import complex_hessian_values, laplacian_values, rfftn
 from maflow.verification import UnitWindows
+
+from reference import liyau_quantity
 
 
 def small_suite(**kw):
@@ -250,7 +251,7 @@ def test_harnack_exponential_closed_form(grid1):
     # so the fit returns C1 = 1, C2 = C3 = 0
     times = [0.25, 0.5, 0.75, 1.0]
     us = [np.full(grid1.shape, np.exp(-t)) for t in times]
-    hr = harnack_check(times, us, 0.5, 1.0)
+    hr = harnack_check(times, [np.max(u) for u in us], [np.min(u) for u in us], 0.5, 1.0)
     assert hr.verifiable
     c1, c2, c3 = hr.constants
     assert c1 == pytest.approx(1.0, abs=1e-8)
@@ -262,14 +263,14 @@ def test_harnack_exponential_closed_form(grid1):
 def test_harnack_rejects_degenerate_window(grid1):
     us = [np.ones(grid1.shape)] * 3
     with pytest.raises(ValueError):
-        harnack_check([0.5, 0.75, 1.0], us, 1.0, 1.0)
+        harnack_check([0.5, 0.75, 1.0], [1.0] * 3, [1.0] * 3, 1.0, 1.0)
 
 
 def test_harnack_unverifiable_flag(grid1):
     times = [0.25, 0.5, 0.75, 1.0]
     us = [np.ones(grid1.shape) for _ in times]
     us[-1] = -np.ones(grid1.shape)
-    hr = harnack_check(times, us, 0.5, 1.0)
+    hr = harnack_check(times, [np.max(u) for u in us], [np.min(u) for u in us], 0.5, 1.0)
     assert not hr.verifiable
 
 
@@ -292,7 +293,8 @@ def _reference_unit_windows(rec, grid, alpha_ly, horizon):
                                          grid, alpha_ly=alpha_ly)
             out.env_t.extend(t_int.tolist())
             out.env_v.extend(vals.tolist())
-            out.consts.append(harnack_check(rel_t, fields, 0.5, 1.0).constants)
+            out.consts.append(harnack_check(rel_t, [np.max(f) for f in fields],
+                                            [np.min(f) for f in fields], 0.5, 1.0).constants)
         except NonPositiveU:
             out.nonpositive += 1
     return out
@@ -306,6 +308,36 @@ def test_unit_windows_match_recorded_surrogates(mfd):
     assert uw.harnack_ok and uw.harnack_consts == ref.consts
 
 
+def _unit_windows_peak(per_unit):
+    """UnitWindows fed two unit windows of a decaying u, per_unit snapshots
+    each, and the traced memory peak of feeding them."""
+    grid = TorusGrid(1, 64)
+    profile = 1.0 + 0.1 * np.cos(grid.axis_coordinates()[0]) * np.ones(grid.shape)
+    gprime = np.ones((1,) + grid.shape)
+    uw = UnitWindows(grid, 1.5, 3.0)
+    tracemalloc.start()
+    try:
+        for k in range(2 * per_unit + 1):
+            t = k / per_unit
+            uw(SimpleNamespace(t=t, dphi_dt=SimpleNamespace(values=np.exp(-t) * profile)),
+               gprime)
+        return uw, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unit_windows_memory_flat_in_snapshots_per_window():
+    # a window streams through one Li-Yau window: holding each snapshot's xi
+    # and g'^{-1} (64 KB here) would add ~2.3 MB over the 36 extra snapshots
+    uw4, peak4 = _unit_windows_peak(4)
+    uw40, peak40 = _unit_windows_peak(40)
+    for uw in (uw4, uw40):
+        assert (uw.windows, uw.nonpositive, uw.harnack_ok) == (2, 0, True)
+        assert len(uw.harnack_consts) == 2
+    assert len(uw40.env_t) == 2 * 38
+    assert peak40 <= 1.1 * peak4
+
+
 def test_xi_surrogates_on_run(mfd):
     # window 1 from the recorded snapshots: xi > 0 strictly off t = 0
     rec = mfd.rec
@@ -314,7 +346,7 @@ def test_xi_surrogates_on_run(mfd):
     fields = [sup0 - u for t, u in zip(rec.t, rec.u) if 0 < t <= 1.0]
     assert rel_t == [0.25, 0.5, 0.75, 1.0]
     assert all(np.min(f) > 0 for f in fields)
-    hr = harnack_check(rel_t, fields, 0.5, 1.0)
+    hr = harnack_check(rel_t, [np.max(f) for f in fields], [np.min(f) for f in fields], 0.5, 1.0)
     assert hr.verifiable and all(np.isfinite(hr.constants))
 
 

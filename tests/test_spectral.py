@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maflow.grid import TorusGrid, integrate_values, volume_weights
-from maflow.hermitian import inverse_stack, pack, trace_pair, unpack
+from maflow.hermitian import inverse_stack, trace_pair
 from maflow.spectral import (
     complex_hessian_values,
     holo_gradient,
@@ -16,6 +16,7 @@ from maflow.spectral import (
 )
 
 from conftest import field_from
+from reference import pack, unpack
 
 
 def d_axis(vals, grid, a):
@@ -340,7 +341,8 @@ def test_no_complex_to_complex_fft(monkeypatch):
     # and the torsion check run on real FFTs alone
     from maflow.flow import StepControl, run
     from maflow.monitors import HolderConfig, MonitorSuite
-    from maflow.presets import MetricPreset, build_metric, kahler_defect
+    from maflow.presets import MetricPreset, build_metric
+    from reference import kahler_defect
 
     def refuse(*args, **kwargs):
         raise AssertionError("complex-to-complex FFT called")
