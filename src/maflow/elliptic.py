@@ -10,10 +10,14 @@ each Newton step solves the linearization
 
     Delta' psi = -(G(phi) - b)
 
-on mean-zero fields, by BiCGStab to a 1e-10 relative residual.  Its
-preconditioner scales the residual pointwise by c(x) = n / tr(gbar g'^{-1}(x))
-and inverts the constant-coefficient Laplacian, of symbol S, of the grid mean
-gbar of g': y = S^-1 rfftn(c p).  With g'^{-1} = alpha gbar^{-1} + A, where
+on mean-zero fields by BiCGStab.  This is an inexact Newton method: the
+Krylov solve at sup residual r runs to the relative residual
+_forcing_term(r, tol), about r while r is large and 0.1 tol / r near the
+end, so the last step does not solve far past tol.  Newton still stops only
+at a sup residual of at most tol.  The preconditioner scales the residual
+pointwise by c(x) = n / tr(gbar g'^{-1}(x)) and inverts the
+constant-coefficient Laplacian, of symbol S, of the grid mean gbar of g':
+y = S^-1 rfftn(c p).  With g'^{-1} = alpha gbar^{-1} + A, where
 alpha = 1/c and A is trace-free against gbar, S is nonzero off k = 0, so
 
     Delta' y = p - alpha(x) mean(c p) + tr(A Hess y):
@@ -39,7 +43,7 @@ full grid only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -72,32 +76,67 @@ from .spectral import (
 )
 
 # Newton stops once the sup residual is at most NEWTON_TOL, or fails after
-# NEWTON_MAX_ITERS iterations (solve's defaults).  BiCGStab stops below
-# KRYLOV_RTOL relative residual (the contract is 1e-10) or after
+# NEWTON_MAX_ITERS iterations (solve's defaults).  Each Newton step's BiCGStab
+# stops below its forcing term, from KRYLOV_RTOL to FORCING_MAX relative
+# residual (the contract is 10 times the forcing term), or after
 # KRYLOV_MAX_ITER iterations; a Newton step halves at most BACKTRACK_LIMIT
 # times.
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITERS = 50
 KRYLOV_RTOL = 1e-11
+FORCING_MAX = 1e-2
 KRYLOV_MAX_ITER = 400
 BACKTRACK_LIMIT = 30
+
+
+def _forcing_term(res_sup: float, tol: float) -> float:
+    """Relative residual the Krylov solve of a Newton step at sup residual
+    res_sup > 0 runs to (forcing terms after Dembo, Eisenstat & Steihaug
+    1982 and Eisenstat & Walker 1996).
+
+    The res_sup term leaves a linear error of about res_sup^2, the order of
+    Newton's own, so convergence stays quadratic; 0.1 tol / res_sup stops the
+    last step from solving past tol; FORCING_MAX keeps early directions good
+    enough for the line search, and KRYLOV_RTOL is the floor.
+    """
+    return min(FORCING_MAX, max(res_sup, 0.1 * tol / res_sup, KRYLOV_RTOL))
+
+
+@dataclass(frozen=True)
+class NewtonStep:
+    """One Newton iteration: the sup residual it started from, the forcing
+    term its Krylov solve ran to, that solve's operator applies and achieved
+    relative residual, and the accepted step size."""
+
+    residual_sup: float
+    forcing: float
+    krylov_applies: int
+    krylov_rel: float
+    step_size: float
 
 
 @dataclass(frozen=True)
 class EllipticSolution:
     """Solution record with its residual certificate.
 
-    newton_iters counts this grid's Newton iterations and krylov_applies
-    the operator applies of their Krylov solves; coarse is the half-grid
-    solution the iteration started from, or None.
+    steps holds this grid's Newton iterations, newton_iters counts them and
+    krylov_applies sums the operator applies of their Krylov solves; coarse
+    is the half-grid solution the iteration started from, or None.
     """
 
     b: float
     phi_tilde_inf: ScalarField
     residual_sup: float
-    newton_iters: int
-    krylov_applies: int
+    steps: Tuple[NewtonStep, ...]
     coarse: Optional["EllipticSolution"] = None
+
+    @property
+    def newton_iters(self) -> int:
+        return len(self.steps)
+
+    @property
+    def krylov_applies(self) -> int:
+        return sum(s.krylov_applies for s in self.steps)
 
 
 def _residual_field(phi_hat, g):
@@ -287,20 +326,21 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
     resid = ratio - f.values - b
     res_sup = float(np.max(np.abs(resid)))
 
-    iters = krylov_applies = 0
+    steps = []
     while res_sup > tol:
-        if iters >= max_iters:
+        if len(steps) >= max_iters:
             raise MaxIterationsExceeded(
                 f"residual {res_sup:.3e} after {max_iters} Newton iterations")
+        eta = _forcing_term(res_sup, tol)
         lin = _Linearization(g, gprime)
         # the Krylov solve, where the memory of a solve peaks, reads only lin
         gprime = gprime_c = psi_hat = None
-        psi_hat, rel, applies = _bicgstab(lin, -resid, KRYLOV_RTOL, KRYLOV_MAX_ITER)
+        psi_hat, rel, applies = _bicgstab(lin, -resid, eta, KRYLOV_MAX_ITER)
         lin = None
-        krylov_applies += applies
-        if not rel <= 1e-10:
+        if not rel <= 10.0 * eta:
             raise LinearSolveStagnation(
-                f"Krylov relative residual {rel:.3e} above contract 1e-10")
+                f"Krylov relative residual {rel:.3e} above contract {10.0 * eta:.3e}")
+        res_start = res_sup
         step_size = 1.0
         accepted = False
         for _ in range(BACKTRACK_LIMIT):
@@ -322,7 +362,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
         if not accepted:
             raise LineSearchFailure(
                 f"no damped step reduced sup residual {res_sup:.3e}")
-        iters += 1
+        steps.append(NewtonStep(res_start, eta, applies, rel, step_size))
 
     phi = irfftn(phi_hat, grid.shape)
     tilde = phi - integrate_values(phi, w)
@@ -335,8 +375,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
         b=float(b),
         phi_tilde_inf=ScalarField(grid, tilde),
         residual_sup=res_sup,
-        newton_iters=iters,
-        krylov_applies=krylov_applies,
+        steps=tuple(steps),
         coarse=coarse,
     )
 

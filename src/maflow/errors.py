@@ -60,6 +60,10 @@ class NonPositiveU(MaflowError):
     """Li-Yau / Harnack diagnostics received a non-positive field."""
 
 
+class MonitorOverflow(MaflowError):
+    """A monitored quantity left the finite range (Q_max overflowed)."""
+
+
 class InsufficientSnapshots(MaflowError):
     """Not enough snapshots to evaluate a multi-snapshot monitor."""
 

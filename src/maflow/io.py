@@ -50,6 +50,8 @@ def load_scalar_field(path) -> ScalarField:
 
 
 def _json_default(obj):
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):

@@ -22,6 +22,7 @@ from scipy.optimize import nnls
 
 from .errors import (
     InsufficientSnapshots,
+    MonitorOverflow,
     NonPositiveU,
     SeriesTooShort,
 )
@@ -424,6 +425,10 @@ class MonitorSeries:
         trace_field = trace_pair(self.g_inv, state.gprime)
         basic = monitor_basic(state, self.g, trace_field, self.w)
         q_max = monitor_Q(state, trace_field, self.suite.A, self.sup_phitilde_run)
+        if not math.isfinite(q_max):
+            raise MonitorOverflow(
+                f"Q_max = {q_max} at t = {state.t:.6g}: exp(A (sup phi_tilde - phi_tilde)) "
+                f"overflows with monitors.A = {self.suite.A:.6g}")
         if self.sup_F is None:
             self.sup_F = basic["sup_dphidt"]  # phi(.,0) = 0 makes u(0) = -F
         j = len(self.records)

@@ -13,7 +13,7 @@ and the acceptance test module.  The two reference runs are frozen here:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -215,6 +215,7 @@ def criterion_2(ctx) -> CriterionResult:
         "newton_iters": newton.solution.newton_iters,
         "newton_residual": newton.solution.residual_sup,
         "krylov_applies": newton.solution.krylov_applies,
+        "newton_steps": [asdict(s) for s in newton.solution.steps],
         **half_grid_gaps(newton.solution),
         **shell_decay(newton.solution),
         "wall_time_s": total, "runtime_budget_s": 600.0,
@@ -225,16 +226,17 @@ def half_grid_gaps(sol) -> dict:
     """Resolution witness of an oracle solution (reported, not gated): |b_N -
     b_{N/2}| and the sup phi_tilde gap on the points the two grids share,
     against the half-grid solution Newton started from, and that solution's
-    Krylov applies (None without one)."""
+    Krylov applies and Newton steps (None without one)."""
     coarse = sol.coarse
     if coarse is None:
         return {"half_grid_b_gap": None, "half_grid_phi_tilde_gap": None,
-                "half_grid_krylov_applies": None}
+                "half_grid_krylov_applies": None, "half_grid_newton_steps": None}
     fine = sol.phi_tilde_inf
     shared = fine.values[(slice(None, None, 2),) * fine.grid.real_dim]
     gap = float(np.max(np.abs(shared - coarse.phi_tilde_inf.values)))
     return {"half_grid_b_gap": abs(sol.b - coarse.b), "half_grid_phi_tilde_gap": gap,
-            "half_grid_krylov_applies": coarse.krylov_applies}
+            "half_grid_krylov_applies": coarse.krylov_applies,
+            "half_grid_newton_steps": [asdict(s) for s in coarse.steps]}
 
 
 def shell_decay(sol) -> dict:

@@ -43,6 +43,14 @@ def test_criterion_02_flow_newton_agreement(ctx):
     assert np.isfinite(res.measured["half_grid_b_gap"])
     assert np.isfinite(res.measured["half_grid_phi_tilde_gap"])
     assert res.measured["krylov_applies"] > 0 and res.measured["half_grid_krylov_applies"] > 0
+    # one record per Newton iteration on each grid, which sum to the applies
+    for prefix in ("", "half_grid_"):
+        steps = res.measured[prefix + "newton_steps"]
+        assert sum(s["krylov_applies"] for s in steps) == res.measured[prefix + "krylov_applies"]
+        assert all(s["krylov_rel"] <= 10 * s["forcing"] for s in steps)
+        residuals = [s["residual_sup"] for s in steps]
+        assert residuals == sorted(residuals, reverse=True)
+    assert len(res.measured["newton_steps"]) == res.measured["newton_iters"]
     assert res.measured["shell_decay_factor"] > 1
 
 

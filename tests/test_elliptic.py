@@ -244,6 +244,12 @@ def _count_applies(monkeypatch):
     return per_solve
 
 
+def _pin_forcing(monkeypatch):
+    """Run every Krylov solve to the fixed KRYLOV_RTOL instead of the forcing terms."""
+    E = maflow.elliptic
+    monkeypatch.setattr(E, "_forcing_term", lambda res_sup, tol: E.KRYLOV_RTOL)
+
+
 def test_scaled_preconditioner_is_exact_for_n1(monkeypatch, grid1, nonkahler1):
     # for n = 1 the scaled preconditioned operator is the identity plus a
     # rank-one mean correction, so each Krylov solve needs a few applies
@@ -265,8 +271,10 @@ def test_scaled_preconditioner_beats_unscaled_n2(monkeypatch, grid2, nonkahler2)
     # the unscaled constant-coefficient preconditioner is kept here as the
     # reference; both must reach the same solution.  Unscaled, the identity
     # behind apply(y, pre) does not hold, so the reference runs the general
-    # apply on every call
+    # apply on every call.  Both solves run each Krylov solve to the fixed
+    # KRYLOV_RTOL, so the counts compare the preconditioners, not the forcing
     E = maflow.elliptic
+    _pin_forcing(monkeypatch)
     per_solve = _count_applies(monkeypatch)
     F = random_band_limited(grid2, 0.1, 1, seed=42)
     scaled = solve(nonkahler2, F, tol=1e-10)
@@ -281,6 +289,60 @@ def test_scaled_preconditioner_beats_unscaled_n2(monkeypatch, grid2, nonkahler2)
     assert scaled.newton_iters == unscaled.newton_iters >= 1
     assert abs(scaled.b - unscaled.b) <= 1e-12
     assert scaled_applies <= 0.8 * sum(a for _, a in per_solve)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-11, 1e-10, 1e-8, 1e-3])
+def test_forcing_term_bounds(tol):
+    E = maflow.elliptic
+    for res_sup in np.geomspace(1.01 * tol, 1e3, 200):
+        eta = E._forcing_term(res_sup, tol)
+        # floor and cap
+        assert E.KRYLOV_RTOL <= eta <= E.FORCING_MAX
+        # quadratic: the linear error eta * res_sup is at most Newton's own,
+        # res_sup^2, or the 0.1 tol the last step aims at (to round-off)
+        assert eta * res_sup <= (1 + 1e-14) * max(res_sup ** 2, 0.1 * tol)
+        # no oversolve: the linear error is at least 0.1 tol unless the cap binds
+        assert eta * res_sup >= (1 - 1e-14) * min(0.1 * tol, E.FORCING_MAX * res_sup)
+    # far from the solution the cap holds; the floor binds only for a tol
+    # below solve's 1e-12, where the eta of the last steps would fall under it
+    assert E._forcing_term(1.0, tol) == E.FORCING_MAX
+    assert E._forcing_term(1e-20, 1e-40) == E.KRYLOV_RTOL
+
+
+@pytest.fixture(scope="module")
+def run2_problem():
+    """Run 2's metric, forcing and elliptic.tol (n = 2, N = 16)."""
+    cfg = config_from_kv(dict(RUN2_KV))
+    _, g, F, _ = build_problem(cfg)
+    return g, F, cfg.elliptic_tol
+
+
+@pytest.mark.parametrize("case", ["nonkahler2", "run2"])
+def test_forcing_terms_match_the_fixed_krylov_tolerance(monkeypatch, case, nonkahler2,
+                                                        run2_problem):
+    if case == "run2":
+        g, F, tol = run2_problem
+    else:
+        g, F, tol = nonkahler2, random_band_limited(nonkahler2.grid, 0.1, 1, seed=42), 1e-10
+    forcing_term = maflow.elliptic._forcing_term
+    inexact = solve(g, F, tol=tol)
+    _pin_forcing(monkeypatch)
+    fixed = solve(g, F, tol=tol)
+    for a, b in ((inexact, fixed), (inexact.coarse, fixed.coarse)):
+        if a is None:
+            assert b is None
+            continue
+        assert a.residual_sup <= tol
+        assert a.newton_iters == b.newton_iters >= 1
+        assert abs(a.b - b.b) <= 1e-12
+        assert np.max(np.abs(a.phi_tilde_inf.values - b.phi_tilde_inf.values)) <= 1e-10
+        assert a.krylov_applies < b.krylov_applies
+        # each step's record: its forcing term, met within the 10x contract
+        for step in a.steps:
+            assert step.forcing == forcing_term(step.residual_sup, tol)
+            assert step.krylov_rel <= 10 * step.forcing and 0 < step.step_size <= 1
+        assert [s.forcing for s in b.steps] == [maflow.elliptic.KRYLOV_RTOL] * b.newton_iters
+    assert (inexact.coarse is not None) == (case == "run2")
 
 
 def test_nan_in_krylov_apply_is_a_stagnation(monkeypatch, grid2, nonkahler2):
@@ -366,11 +428,9 @@ def _zero(grid):
 
 
 @pytest.fixture(scope="module")
-def run2_solutions():
+def run2_solutions(run2_problem):
     """The oracle on run 2's data (n = 2, N = 16): nested and explicit zero starts."""
-    cfg = config_from_kv(dict(RUN2_KV))
-    _, g, F, _ = build_problem(cfg)
-    tol = cfg.elliptic_tol
+    g, F, tol = run2_problem
     return solve(g, F, tol=tol), solve(g, F, tol=tol, initial=_zero(g.grid)), tol
 
 

@@ -26,6 +26,18 @@ def test_scalar_field_roundtrip(tmp_path, grid1):
     assert np.array_equal(loaded.values, f.values)
 
 
+def test_write_json_numpy_bool(tmp_path):
+    # a finiteness check that fails chains passed to np.False_, which the
+    # report must write as false, not raise on
+    from maflow.io import write_json
+    from maflow.verification import CriterionResult
+
+    path = tmp_path / "report.json"
+    write_json(path, CriterionResult(5, "finite", True and np.isfinite(np.inf)).as_dict())
+    assert '"passed": false' in path.read_text()
+    assert json.loads(path.read_text())["passed"] is False
+
+
 def test_scalar_dump_header_format(tmp_path, grid1):
     f = field_from(grid1, lambda c: np.cos(c[0]))
     path = tmp_path / "f.dump"
@@ -396,8 +408,8 @@ ACCEPTED = {
                                 "a multiple of monitors.emit_dt: t = 0 is the only "
                                 "field snapshot"),
     "monitors.A": (("1e300", HUGE_INT),
-                   "positive and finite; Q_max overflows to inf once "
-                   "A (sup phi_tilde - phi_tilde) passes 709"),
+                   "positive and finite; a Q_max that overflows to inf once "
+                   "A (sup phi_tilde - phi_tilde) passes 709 stops the flow (exit 1)"),
     "monitors.shift_eps": (("1e300", HUGE_INT),
                            "positive and finite; it shifts u in the Li-Yau diagnostic"),
     "holder.epsilon": (("0", "1e300", HUGE_INT),
@@ -442,6 +454,32 @@ def test_generated_values_are_rejected_or_listed(tmp_path, capsys, key):
             err = capsys.readouterr().err
             assert code == 2 and err.startswith("config error:"), (key, value, err)
         assert "Traceback" not in err and not out.exists(), (key, value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_cli_q_max_overflow_exit_1(tmp_path, capsys):
+    # a huge A is a valid config value, but exp(A (sup phi_tilde - phi_tilde))
+    # overflows once phi_tilde varies: the flow stops at that emission
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FLOW_CFG + "monitors.A = 1e300\n")
+    out = tmp_path / "o"
+    code = main(["flow", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("verification failure: Q_max = inf at t = 0.1:")
+    assert "monitors.A = 1e+300" in err and "Traceback" not in err
+    assert not (out / "monitors.csv").exists()
+
+
+def test_cli_solve_elliptic_repeats_byte_identical(tmp_path):
+    # a small n = 2 oracle whose half-grid start runs (N = 16)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FLOW_CFG.replace("grid.n = 1", "grid.n = 2")
+                        .replace("metric.scale = 0.4", "metric.scale = 0.35"))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["solve-elliptic", "--config", str(cfg_path), "--out", str(out)]) == 0
+    for name in ("summary.json", "phi_tilde_inf.dump"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_cli_solve_elliptic_bad_forcing_exit_2(tmp_path, capsys):
