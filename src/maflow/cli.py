@@ -5,10 +5,11 @@ Usage::
     maflow <mode> --config <path> [--out <dir>] [--seed <u64>]
 
 Modes: flow, solve-elliptic, verify, decompose-demo, normal-frame-demo.
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 solver or
-step failure.  The env var MAFLOW_THREADS sets the FFT worker count; unset
-or 0 means scipy's default of one worker, and a value that is not a
-non-negative integer is a config error.
+Exit codes: 0 success, else the failing error class's exit_code (errors.py):
+1 verification failure, 2 config error, 3 solver or step failure.  The env
+var MAFLOW_THREADS sets the FFT worker count; unset or 0 means scipy's
+default of one worker, and a value that is not a non-negative integer is a
+config error.
 """
 
 from __future__ import annotations
@@ -18,19 +19,9 @@ import sys
 from pathlib import Path
 
 from .config import MODES, RunConfig, config_from_kv, parse_kv_text
-from .errors import ConfigError, MaflowError, StepFailure
-from .errors import (
-    LinearSolveStagnation,
-    LineSearchFailure,
-    MaxIterationsExceeded,
-    PositivityViolation,
-    TailAlarm,
-)
+from .errors import MaflowError
 from .io import dump_scalar_field, write_json, write_text
 from .spectral import _workers
-
-_SOLVER_ERRORS = (StepFailure, PositivityViolation, LineSearchFailure,
-                  MaxIterationsExceeded, LinearSolveStagnation, TailAlarm)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -99,6 +90,9 @@ def _run_demo(cfg: RunConfig) -> int:
     return 0 if report["passed"] else 1
 
 
+_RUNS = {"flow": _run_flow, "solve-elliptic": _run_elliptic, "verify": _run_verify}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="maflow", description=__doc__)
     parser.add_argument("mode", choices=MODES)
@@ -125,27 +119,10 @@ def main(argv=None) -> int:
             kv["out.dir"] = args.out
         cfg = config_from_kv(kv)
         _workers()  # a bad MAFLOW_THREADS fails here, before any work
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    try:
-        if cfg.mode == "flow":
-            return _run_flow(cfg)
-        if cfg.mode == "solve-elliptic":
-            return _run_elliptic(cfg)
-        if cfg.mode == "verify":
-            return _run_verify(cfg)
-        return _run_demo(cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except _SOLVER_ERRORS as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return 3
+        return _RUNS.get(cfg.mode, _run_demo)(cfg)
     except MaflowError as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return 1
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 def console_main():

@@ -23,7 +23,8 @@ value (a section such as ``StepControl``, or ``RunConfig`` itself), the
 constructor argument and the reader of its text.  A key left out of a config
 is not passed, so every default lives once, in the constructor that takes
 it; ``forcing.seed`` and the Hoelder sampler's seed default to ``rng_seed``.
-Each constructor checks its own values, and a bad one is a ConfigError.
+Each constructor checks its own values and raises ValueError on a bad one,
+which config_from_kv turns into a ConfigError.
 """
 
 from __future__ import annotations

@@ -149,6 +149,13 @@ def _residual_field(phi_hat, g):
     return log_det(gprime) - g.log_det, gprime
 
 
+def _projected_residual(ratio, f, w):
+    """b, the omega^n mean of G(phi) - F, then G(phi) - F - b and its sup."""
+    b = integrate_values(ratio - f.values, w)
+    resid = ratio - f.values - b
+    return b, resid, float(np.max(np.abs(resid)))
+
+
 class _Linearization:
     """Mean-projected Delta' with its pointwise-scaled spectral preconditioner.
 
@@ -322,9 +329,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
         coarse = None
         phi_hat = _start_spectrum(None, grid)
         ratio, gprime = _residual_field(phi_hat, g)
-    b = integrate_values(ratio - f.values, w)
-    resid = ratio - f.values - b
-    res_sup = float(np.max(np.abs(resid)))
+    b, resid, res_sup = _projected_residual(ratio, f, w)
 
     steps = []
     while res_sup > tol:
@@ -342,7 +347,6 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
                 f"Krylov relative residual {rel:.3e} above contract {10.0 * eta:.3e}")
         res_start = res_sup
         step_size = 1.0
-        accepted = False
         for _ in range(BACKTRACK_LIMIT):
             cand = phi_hat + step_size * psi_hat
             try:
@@ -350,16 +354,13 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
             except PositivityViolation:
                 step_size *= 0.5
                 continue
-            b_c = integrate_values(ratio_c - f.values, w)
-            resid_c = ratio_c - f.values - b_c
-            res_c = float(np.max(np.abs(resid_c)))
+            b_c, resid_c, res_c = _projected_residual(ratio_c, f, w)
             if res_c < res_sup:
                 phi_hat, ratio, gprime = cand, ratio_c, gprime_c
                 b, resid, res_sup = b_c, resid_c, res_c
-                accepted = True
                 break
             step_size *= 0.5
-        if not accepted:
+        else:
             raise LineSearchFailure(
                 f"no damped step reduced sup residual {res_sup:.3e}")
         steps.append(NewtonStep(res_start, eta, applies, rel, step_size))

@@ -1,15 +1,29 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package.  Each class carries the
+exit code the CLI returns for it and the label of its stderr line."""
 
 
 class MaflowError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+    label = "verification failure"
+
 
 class ConfigError(MaflowError):
     """Bad or unknown run configuration."""
 
+    exit_code = 2
+    label = "config error"
 
-class PositivityViolation(MaflowError):
+
+class SolverFailure(MaflowError):
+    """A solver or time step could not complete."""
+
+    exit_code = 3
+    label = "solver failure"
+
+
+class PositivityViolation(SolverFailure):
     """A matrix that must be positive definite is not.
 
     Carries the flat grid index of the offending sample (or None for a
@@ -22,11 +36,11 @@ class PositivityViolation(MaflowError):
         self.t = t
 
 
-class TailAlarm(MaflowError):
+class TailAlarm(SolverFailure):
     """Spectral tail of an evolved field exceeded the resolution threshold."""
 
 
-class StepFailure(MaflowError):
+class StepFailure(SolverFailure):
     """Time step could not complete within the retry budget."""
 
     def __init__(self, message, t=None, dt=None, index=None):
@@ -36,15 +50,15 @@ class StepFailure(MaflowError):
         self.index = index
 
 
-class LineSearchFailure(MaflowError):
+class LineSearchFailure(SolverFailure):
     """No damped Newton step inside the cone reduced the residual."""
 
 
-class MaxIterationsExceeded(MaflowError):
+class MaxIterationsExceeded(SolverFailure):
     """Newton iteration cap reached before the residual tolerance."""
 
 
-class LinearSolveStagnation(MaflowError):
+class LinearSolveStagnation(SolverFailure):
     """Inner Krylov solve failed its relative-residual contract."""
 
 

@@ -261,8 +261,8 @@ def frame_decompose(a: np.ndarray, eig_range: Tuple[float, float]) -> FrameDecom
         raise ShiftFailure(
             f"positivity floor not met (betas {betas}); eig_range too wide for the frame"
         )
-    recon = np.einsum("v,vi,vj->ij", betas, frame, np.conj(frame))
-    err = float(np.max(np.abs(recon - a)))
+    fd = FrameDecomposition(frame, betas, (float(np.min(betas)), float(np.max(betas))))
+    err = float(np.max(np.abs(fd.reconstruct() - a)))
     if err > 1e-11 * max(1.0, lam_hi):
         raise ShiftFailure(f"reconstruction residual {err:.3e} too large")
-    return FrameDecomposition(frame, betas, (float(np.min(betas)), float(np.max(betas))))
+    return fd

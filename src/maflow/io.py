@@ -61,9 +61,13 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def json_text(payload: dict) -> str:
+    """The text write_json writes for payload."""
+    return json.dumps(payload, indent=2, default=_json_default) + "\n"
+
+
 def write_json(path, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=False, default=_json_default)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(json_text(payload))
 
 
 def write_text(path, text: str):

@@ -148,7 +148,9 @@ def monitor_Q(state, trace_field: np.ndarray, A: float, sup_phitilde_run: float)
     the running supremum of phitilde over the run so far (the measurable
     analogue of the space-time supremum in the estimate).
     """
-    q = np.log(trace_field) + np.exp(A * (sup_phitilde_run - state.phi_tilde.values))
+    # an exponent past float64's range gives inf, which emit turns into MonitorOverflow
+    with np.errstate(over="ignore"):
+        q = np.log(trace_field) + np.exp(A * (sup_phitilde_run - state.phi_tilde.values))
     return float(np.max(q))
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .grid import (
     LAMBDA_FLOOR,
     MetricField,
@@ -49,12 +48,12 @@ class MetricPreset:
 
     def __post_init__(self):
         if self.name not in METRIC_PRESETS:
-            raise ConfigError(f"unknown metric preset '{self.name}'")
+            raise ValueError(f"unknown metric preset '{self.name}'")
         lo, hi = SCALE_RANGE
         if not (math.isfinite(self.eps) and math.isfinite(self.amp)
                 and lo <= self.scale <= hi):
-            raise ConfigError(f"metric eps and amp must be finite and scale in [{lo:g}, {hi:g}], "
-                              f"got {self.eps}, {self.amp}, {self.scale}")
+            raise ValueError(f"metric eps and amp must be finite and scale in [{lo:g}, {hi:g}], "
+                             f"got {self.eps}, {self.amp}, {self.scale}")
 
 
 def _flat_rows(n: int, scale: float) -> list:
@@ -126,16 +125,16 @@ class ForcingPreset:
 
     def __post_init__(self):
         if self.kind not in FORCING_PRESETS:
-            raise ConfigError(f"unknown forcing preset '{self.kind}'")
+            raise ValueError(f"unknown forcing preset '{self.kind}'")
         if self.psi_kind not in PSI_KINDS:
-            raise ConfigError(f"unknown forcing psi_kind '{self.psi_kind}'")
+            raise ValueError(f"unknown forcing psi_kind '{self.psi_kind}'")
         if not (math.isfinite(self.value) and math.isfinite(self.amplitude)):
-            raise ConfigError(f"forcing value and amplitude must be finite, "
-                              f"got {self.value}, {self.amplitude}")
+            raise ValueError(f"forcing value and amplitude must be finite, "
+                             f"got {self.value}, {self.amplitude}")
         if not (self.max_mode >= 0):
-            raise ConfigError(f"forcing max_mode must be non-negative, got {self.max_mode}")
+            raise ValueError(f"forcing max_mode must be non-negative, got {self.max_mode}")
         if not (self.seed >= 0):
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def random_band_limited(grid: TorusGrid, amplitude: float, max_mode: int,

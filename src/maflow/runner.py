@@ -111,6 +111,9 @@ def execute_elliptic(cfg: RunConfig) -> EllipticArtifacts:
     return EllipticArtifacts(cfg, g, forcing, exact, sol, summary, wall)
 
 
+RECONSTRUCTION_TOL = 1e-12   # pass bound on the sweep's worst reconstruction error
+
+
 def frame_decomposition_sweep(count: int, eig_range, seed: int):
     """Worst (reconstruction error, min beta, max beta, min standard-basis beta,
     frame contains the basis) of the frame decomposition over ``count`` seeded
@@ -147,7 +150,7 @@ def decompose_demo(cfg: RunConfig) -> dict:
         "worst_reconstruction": worst_recon,
         "C1_certified": min_beta,
         "C2_certified": max_beta,
-        "passed": bool(worst_recon <= 1e-12 and min_beta > 0),
+        "passed": bool(worst_recon <= RECONSTRUCTION_TOL and min_beta > 0),
         "config": embedded_config(cfg),
     }
 
@@ -167,6 +170,10 @@ def random_normal_frame_instance(rng):
     return g0, dg0, hess0
 
 
+# pass bounds on normal_frame_sweep's three residuals, in its order
+NORMAL_FRAME_TOLS = (1e-10, 1e-10, 1e-6)
+
+
 def normal_frame_sweep(count: int, seed: int):
     """Worst (metric identity, Hessian off-diagonal, FD derivative) residuals of
     the normal-frame construction over ``count`` seeded random instances."""
@@ -184,17 +191,22 @@ def normal_frame_sweep(count: int, seed: int):
     return worst_identity, worst_offdiag, worst_fd
 
 
+def normal_frame_passed(residuals) -> bool:
+    """normal_frame_sweep's residuals all within NORMAL_FRAME_TOLS."""
+    return all(r <= tol for r, tol in zip(residuals, NORMAL_FRAME_TOLS))
+
+
 def normal_frame_demo(cfg: RunConfig) -> dict:
     """Seeded random normal-frame constructions with their certified residuals."""
-    worst_metric, worst_offdiag, worst_fd = normal_frame_sweep(cfg.demo_count, cfg.rng_seed)
+    residuals = normal_frame_sweep(cfg.demo_count, cfg.rng_seed)
+    worst_metric, worst_offdiag, worst_fd = residuals
     return {
         "mode": "normal-frame-demo",
         "count": cfg.demo_count,
         "worst_metric_identity": worst_metric,
         "worst_hessian_offdiag": worst_offdiag,
         "worst_fd_derivative": worst_fd,
-        "passed": bool(worst_metric <= 1e-10 and worst_offdiag <= 1e-10
-                       and worst_fd <= 1e-6),
+        "passed": normal_frame_passed(residuals),
         "config": embedded_config(cfg),
     }
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -21,18 +22,24 @@ import numpy as np
 from .config import config_from_kv
 from .elliptic import linearization_check, preconditioned_apply_gap
 from .errors import NonPositiveU
+from .grid import TorusGrid
 from .hermitian import inverse_stack
+from .io import json_text
 from .monitors import (
     LiYauWindow,
     contraction_and_decay,
     envelope_fit_inverse_time,
     harnack_check,
 )
+from .presets import MetricPreset, build_metric, random_band_limited
 from .runner import (
     NORMAL_FRAME_FD_STEP,
+    NORMAL_FRAME_TOLS,
+    RECONSTRUCTION_TOL,
     execute_elliptic,
     execute_flow,
     frame_decomposition_sweep,
+    normal_frame_passed,
     normal_frame_sweep,
 )
 from .spectral import laplacian_values, rfftn, shell_amplitudes
@@ -152,43 +159,30 @@ class UnitWindows:
 class VerificationContext:
     """Caches the expensive shared runs across criteria."""
 
-    def __init__(self):
-        self._run1 = None
-        self._run2 = None
-        self._run2_repeat = None
-        self._run2_newton = None
-        self.run1_windows = None
-
+    @cached_property
     def run1(self):
         """Run 1, with criterion 10's UnitWindows attached as ``run1_windows``."""
-        if self._run1 is None:
-            cfg = config_from_kv(dict(RUN1_KV))
-            self.run1_windows = UnitWindows(cfg.grid, cfg.monitors.alpha_ly, cfg.horizon)
-            self._run1 = execute_flow(cfg, observers=(self.run1_windows,))
-        return self._run1
+        cfg = config_from_kv(dict(RUN1_KV))
+        self.run1_windows = UnitWindows(cfg.grid, cfg.monitors.alpha_ly, cfg.horizon)
+        return execute_flow(cfg, observers=(self.run1_windows,))
 
+    @cached_property
     def run2(self):
-        if self._run2 is None:
-            self._run2 = execute_flow(config_from_kv(dict(RUN2_KV)))
-        return self._run2
+        return execute_flow(config_from_kv(dict(RUN2_KV)))
 
+    @cached_property
     def run2_repeat(self):
         """A second, independent execution of run 2 (criterion 11)."""
-        if self._run2_repeat is None:
-            self._run2_repeat = execute_flow(config_from_kv(dict(RUN2_KV)))
-        return self._run2_repeat
+        return execute_flow(config_from_kv(dict(RUN2_KV)))
 
+    @cached_property
     def run2_newton(self):
-        if self._run2_newton is None:
-            kv = dict(RUN2_KV)
-            kv["mode"] = "solve-elliptic"
-            self._run2_newton = execute_elliptic(config_from_kv(kv))
-        return self._run2_newton
+        return execute_elliptic(config_from_kv(dict(RUN2_KV, mode="solve-elliptic")))
 
 
 def criterion_1(ctx) -> CriterionResult:
     """Manufactured-solution convergence of the flow."""
-    art = ctx.run1()
+    art = ctx.run1
     final = art.result.final
     err = float(np.max(np.abs(final.phi_tilde.values - art.exact.psi_tilde.values)))
     b_err = abs(art.summary["b_flow"] - art.exact.b)
@@ -202,8 +196,8 @@ def criterion_1(ctx) -> CriterionResult:
 
 def criterion_2(ctx) -> CriterionResult:
     """Flow-Newton oracle agreement."""
-    art = ctx.run2()
-    newton = ctx.run2_newton()
+    art = ctx.run2
+    newton = ctx.run2_newton
     err = float(np.max(np.abs(art.result.final.phi_tilde.values
                               - newton.solution.phi_tilde_inf.values)))
     b_err = abs(art.summary["b_flow"] - newton.solution.b)
@@ -263,7 +257,7 @@ def shell_decay(sol) -> dict:
 
 def criterion_3(ctx) -> CriterionResult:
     """Exponential decay and unit-time contraction in run 1."""
-    art = ctx.run1()
+    art = ctx.run1
     delta, fit = contraction_and_decay(art.result.series.records)
     passed = (fit.eta > 0) and (fit.r_squared >= 0.99) and (0 <= delta < 1) \
         and not fit.degenerate
@@ -282,7 +276,7 @@ def criterion_4(ctx) -> CriterionResult:
     """
     measured = {}
     passed = True
-    for tag, art in (("run1", ctx.run1()), ("run2", ctx.run2())):
+    for tag, art in (("run1", ctx.run1), ("run2", ctx.run2)):
         sup_f = float(np.max(np.abs(art.forcing.values)))
         recs = art.result.series.records
         worst_mp = max(r.sup_dphidt for r in recs) - sup_f
@@ -301,7 +295,7 @@ def criterion_5(ctx) -> CriterionResult:
     """Uniform parabolicity witnesses and the trace identity."""
     measured = {}
     passed = True
-    for tag, art in (("run1", ctx.run1()), ("run2", ctx.run2())):
+    for tag, art in (("run1", ctx.run1), ("run2", ctx.run2)):
         series = art.result.series
         recs = series.records
         eig_min = min(r.eig_min for r in recs)
@@ -322,7 +316,7 @@ def criterion_5(ctx) -> CriterionResult:
 
 def criterion_6(ctx) -> CriterionResult:
     """Hoelder boundedness witness on run 2."""
-    art = ctx.run2()
+    art = ctx.run2
     recs = art.result.series.records
     times = np.array([r.t for r in recs])
     hol = np.array([r.holder_seminorm for r in recs])
@@ -349,11 +343,11 @@ def criterion_7(ctx) -> CriterionResult:
     elapsed = time.perf_counter() - t0
     # positivity floor: delta = reserve fraction of lambda (0.1 * 0.2), margin 5e-3
     floor = 0.1 * lo * 5e-3
-    passed = (worst_recon <= 1e-12 and min_beta >= floor and frames_ok
+    passed = (worst_recon <= RECONSTRUCTION_TOL and min_beta >= floor and frames_ok
               and elapsed <= 5.0)
     return CriterionResult(7, "rank-one frame decomposition", passed, {
         "matrices": 1000, "worst_reconstruction": worst_recon,
-        "reconstruction_tolerance": 1e-12,
+        "reconstruction_tolerance": RECONSTRUCTION_TOL,
         "min_beta": min_beta, "beta_floor": floor,
         "min_standard_basis_beta": min_diag_beta,
         "frame_contains_basis": frames_ok,
@@ -364,16 +358,16 @@ def criterion_7(ctx) -> CriterionResult:
 def criterion_8(ctx) -> CriterionResult:
     """Normal-frame construction on 100 seeded random instances."""
     t0 = time.perf_counter()
-    worst_identity, worst_offdiag, worst_fd = normal_frame_sweep(100, 509)
+    residuals = normal_frame_sweep(100, 509)
     elapsed = time.perf_counter() - t0
-    passed = (worst_identity <= 1e-10 and worst_offdiag <= 1e-10
-              and worst_fd <= 1e-6 and elapsed <= 10.0)
+    worst_identity, worst_offdiag, worst_fd = residuals
+    passed = normal_frame_passed(residuals) and elapsed <= 10.0
     return CriterionResult(8, "holomorphic normal frame", passed, {
         "instances": 100,
         "worst_metric_identity": worst_identity,
         "worst_hessian_offdiag": worst_offdiag,
         "worst_fd_diag_derivative": worst_fd,
-        "fd_tolerance": 1e-6, "h_fd": NORMAL_FRAME_FD_STEP,
+        "fd_tolerance": NORMAL_FRAME_TOLS[2], "h_fd": NORMAL_FRAME_FD_STEP,
         "runtime_s": elapsed, "runtime_budget_s": 10.0,
     })
 
@@ -384,9 +378,6 @@ def criterion_9(ctx) -> CriterionResult:
     Also reports, not gated, the worst gap between the preconditioned
     apply's identity path and the general apply it replaces in BiCGStab.
     """
-    from .presets import MetricPreset, build_metric, random_band_limited
-    from .grid import TorusGrid
-
     rng = np.random.default_rng(93)
     worst = worst_gap = 0.0
     for k in range(20):
@@ -408,7 +399,7 @@ def criterion_9(ctx) -> CriterionResult:
 
 def criterion_10(ctx) -> CriterionResult:
     """Li-Yau envelope and Harnack inequality on run 1's unit-window surrogates."""
-    ctx.run1()
+    ctx.run1  # run 1's field snapshots fill ctx.run1_windows
     uw = ctx.run1_windows
     c1 = c2 = float("nan")
     envelope_holds = False
@@ -428,14 +419,10 @@ def criterion_10(ctx) -> CriterionResult:
 
 def criterion_11(ctx) -> CriterionResult:
     """Byte-identical CSV and JSON on repeating run 2."""
-    from .io import _json_default
-    import json
-
-    art = ctx.run2()
-    repeat = ctx.run2_repeat()
+    art = ctx.run2
+    repeat = ctx.run2_repeat
     csv_same = art.csv_text == repeat.csv_text
-    json_a = json.dumps(art.summary, indent=2, default=_json_default)
-    json_b = json.dumps(repeat.summary, indent=2, default=_json_default)
+    json_a, json_b = json_text(art.summary), json_text(repeat.summary)
     # wall-clock independent payloads only
     passed = csv_same and json_a == json_b
     return CriterionResult(11, "determinism (byte-identical artifacts)", passed, {

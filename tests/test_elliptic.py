@@ -6,6 +6,7 @@ from maflow.config import config_from_kv
 from maflow.elliptic import linearization_check, preconditioned_apply_gap, solve
 from maflow.errors import (
     LinearSolveStagnation,
+    LineSearchFailure,
     MaflowError,
     MaxIterationsExceeded,
     PositivityViolation,
@@ -510,3 +511,32 @@ def test_prolonged_start_outside_the_cone_restarts_from_zero(monkeypatch, grid1,
     assert sol.coarse is None
     assert sol.b == ref.b and sol.newton_iters == ref.newton_iters
     assert np.array_equal(sol.phi_tilde_inf.values, ref.phi_tilde_inf.values)
+
+
+def test_backtracking_halves_a_step_that_leaves_the_cone(monkeypatch, grid1, nonkahler1):
+    # a strong forcing from zero: the full first Newton step leaves the cone,
+    # its half stays inside and reduces the residual, and every later step is full
+    F = random_band_limited(grid1, 2.0, 2, 3)
+    real = maflow.elliptic._residual_field
+    cone_exits = []
+
+    def counting(phi_hat, g):
+        try:
+            return real(phi_hat, g)
+        except PositivityViolation:
+            cone_exits.append(None)
+            raise
+
+    monkeypatch.setattr(maflow.elliptic, "_residual_field", counting)
+    sol = solve(nonkahler1, F, tol=1e-10, initial=_zero(grid1))
+    assert [s.step_size for s in sol.steps] == [0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert len(cone_exits) == 1
+    assert sol.residual_sup <= 1e-10
+
+
+def test_line_search_failure_when_no_damped_step_reduces_the_residual(grid1, nonkahler1):
+    # a stronger forcing: Newton stalls at a sup residual of ~2.5e-5, where
+    # no halving of the step down to BACKTRACK_LIMIT reduces it
+    F = random_band_limited(grid1, 16.0, 2, 3)
+    with pytest.raises(LineSearchFailure, match="no damped step reduced sup residual"):
+        solve(nonkahler1, F, tol=1e-10, initial=_zero(grid1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maflow.errors import PositivityViolation
-from maflow.grid import MetricField, TorusGrid, integrate_values, volume_weights
+from maflow.grid import MetricField, ScalarField, TorusGrid, integrate_values, volume_weights
 from maflow.hermitian import log_det, min_eig_field
 from maflow.presets import MetricPreset, build_metric, random_band_limited
 from maflow.spectral import rfftn, spectral_tail
@@ -116,6 +116,22 @@ def test_metric_takes_packed_entries_only(grid1, grid2):
         MetricField(grid2, np.ones(grid2.shape + (2, 2)))
     with pytest.raises(ValueError, match="shape"):
         MetricField(grid1, np.ones(grid1.shape))
+
+
+def _with_value_at_one_point(grid, value):
+    values = np.zeros(grid.shape)
+    values[3, 5] = value
+    return values
+
+
+@pytest.mark.parametrize("values, match", [
+    (_with_value_at_one_point(TorusGrid(1, 16), np.nan), "non-finite"),
+    (_with_value_at_one_point(TorusGrid(1, 16), np.inf), "non-finite"),
+    (np.zeros((16, 8)), "shape"),
+])
+def test_scalar_field_rejects_non_finite_or_misshaped_values(grid1, values, match):
+    with pytest.raises(ValueError, match=match):
+        ScalarField(grid1, values)
 
 
 def test_metric_floor_error_names_grid_point(grid2):

@@ -94,6 +94,9 @@ def test_parse_kv_roundtrip():
 def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigError):
         parse_kv_text("grid.m = 3")
+    # config_from_kv checks its keys too: a caller may skip parse_kv_text
+    with pytest.raises(ConfigError, match="unknown configuration key 'grid.m'"):
+        config_from_kv({"grid.m": "3"})
 
 
 def test_parse_rejects_duplicate_and_bad_values():
@@ -299,29 +302,34 @@ def _error_classes(cls=MaflowError):
         yield from _error_classes(sub)
 
 
-def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
-    # the exit-code contract: config errors 2, solver and step failures 3,
-    # every other package error (a failed verification) 1
-    import maflow.runner
-    from maflow.cli import _SOLVER_ERRORS
+# the exit-code contract, written out: config errors 2, solver and step
+# failures 3, every other package error (a failed verification) 1
+EXIT_CODES = {
+    "MaflowError": 1, "ConfigError": 2, "SolverFailure": 3,
+    "PositivityViolation": 3, "TailAlarm": 3, "StepFailure": 3, "LineSearchFailure": 3,
+    "MaxIterationsExceeded": 3, "LinearSolveStagnation": 3,
+    "EigRangeViolation": 1, "ShiftFailure": 1, "NonPositiveU": 1, "MonitorOverflow": 1,
+    "InsufficientSnapshots": 1, "SeriesTooShort": 1,
+}
+LABELS = {1: "verification failure: ", 2: "config error: ", 3: "solver failure: "}
 
-    classes = list(_error_classes())
-    assert set(_SOLVER_ERRORS) <= set(classes)
+
+def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
+    import maflow.runner
+
+    classes = [MaflowError, *_error_classes()]
+    assert sorted(cls.__name__ for cls in classes) == sorted(EXIT_CODES)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(FLOW_CFG)
     for cls in classes:
-        in_config = issubclass(cls, ConfigError)
-        in_solver = issubclass(cls, _SOLVER_ERRORS)
-        assert not (in_config and in_solver), cls
-
         def fail(cfg, observers=(), cls=cls):
             raise cls(f"forced {cls.__name__}")
 
         monkeypatch.setattr(maflow.runner, "execute_flow", fail)
         code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert code == (2 if in_config else 3 if in_solver else 1), cls
+        assert code == EXIT_CODES[cls.__name__], cls
         err = capsys.readouterr().err
-        assert f"forced {cls.__name__}" in err and "Traceback" not in err
+        assert err == f"{LABELS[code]}forced {cls.__name__}\n", cls
 
 
 @pytest.mark.parametrize("line", [
@@ -362,6 +370,7 @@ def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
     "metric.preset = hermitian_nonkahler\nmetric.eps = 0.9",
     "metric.lambda_floor = 5",
     "forcing.kind = manufactured\nforcing.amplitude = 50",
+    "grid.n 2",               # a line without '='
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
     cfg_path = tmp_path / "bad.cfg"
@@ -456,10 +465,11 @@ def test_generated_values_are_rejected_or_listed(tmp_path, capsys, key):
         assert "Traceback" not in err and not out.exists(), (key, value)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_q_max_overflow_exit_1(tmp_path, capsys):
     # a huge A is a valid config value, but exp(A (sup phi_tilde - phi_tilde))
-    # overflows once phi_tilde varies: the flow stops at that emission
+    # overflows once phi_tilde varies: the flow stops at that emission, with
+    # no numpy warning before the error line
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(FLOW_CFG + "monitors.A = 1e300\n")
     out = tmp_path / "o"
@@ -468,6 +478,38 @@ def test_cli_q_max_overflow_exit_1(tmp_path, capsys):
     assert code == 1 and err.startswith("verification failure: Q_max = inf at t = 0.1:")
     assert "monitors.A = 1e+300" in err and "Traceback" not in err
     assert not (out / "monitors.csv").exists()
+
+
+def test_cli_newton_iteration_cap_exit_3(tmp_path, capsys):
+    # one Newton iteration is not enough for this forcing, on the half grid
+    # or from zero on the full grid
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FLOW_CFG + "elliptic.max_iters = 1\n")
+    out = tmp_path / "o"
+    code = main(["solve-elliptic", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("solver failure: residual ")
+    assert "after 1 Newton iterations" in err and "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
+def test_cli_flow_dumps_final_fields(tmp_path):
+    # dump.fields = true writes the final phi_tilde and u, the same bytes on a repeat
+    from maflow.runner import execute_flow
+
+    text = FLOW_CFG + "dump.fields = true\n"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == 0
+    final = execute_flow(config_from_kv(parse_kv_text(text))).result.final
+    for name, field in (("phi_tilde_final.dump", final.phi_tilde),
+                        ("dphi_dt_final.dump", final.dphi_dt)):
+        loaded = load_scalar_field(outs[0] / name)
+        assert loaded.grid == field.grid, name
+        assert np.array_equal(loaded.values, field.values), name
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_cli_solve_elliptic_repeats_byte_identical(tmp_path):
