@@ -6,10 +6,9 @@ Usage::
 
 Modes: flow, solve-elliptic, verify, decompose-demo, normal-frame-demo.
 Exit codes: 0 success, else the failing error class's exit_code (errors.py):
-1 verification failure, 2 config error, 3 solver or step failure.  The env
-var MAFLOW_THREADS sets the FFT worker count; unset or 0 means scipy's
-default of one worker, and a value that is not a non-negative integer is a
-config error.
+1 verification failure, 2 config error, 3 solver or step failure.  The
+config file and the options are the only inputs: no environment variable is
+read, and the FFTs run on one worker.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from pathlib import Path
 from .config import MODES, RunConfig, config_from_kv, parse_kv_text
 from .errors import MaflowError
 from .io import dump_scalar_field, write_json, write_text
-from .spectral import _workers
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -118,7 +116,6 @@ def main(argv=None) -> int:
         if args.out is not None:
             kv["out.dir"] = args.out
         cfg = config_from_kv(kv)
-        _workers()  # a bad MAFLOW_THREADS fails here, before any work
         return _RUNS.get(cfg.mode, _run_demo)(cfg)
     except MaflowError as e:
         print(f"{e.label}: {e}", file=sys.stderr)

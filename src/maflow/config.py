@@ -70,17 +70,13 @@ class RunConfig:
 
     def __post_init__(self):
         horizon, emit_dt = self.horizon, self.monitors.emit_dt
-        emits = horizon / emit_dt
+        emits = self.monitors.emissions(horizon)
         modes = (2 * self.forcing.max_mode + 1) ** self.grid.real_dim
         for ok, what in (
             (self.mode in MODES, f"unknown mode '{self.mode}' (expected one of {MODES})"),
             (self.rng_seed >= 0, f"rng_seed must be non-negative, got {self.rng_seed}"),
             (0 < self.lambda_floor < math.inf,
              f"metric.lambda_floor must be positive and finite, got {self.lambda_floor}"),
-            (math.isfinite(emits) and emits >= 0.5
-             and abs(round(emits) * emit_dt - horizon) <= 1e-9,
-             f"flow.horizon {horizon} must be a positive multiple of "
-             f"monitors.emit_dt {emit_dt}"),
             (emits <= MAX_EMITS,
              f"flow.horizon / monitors.emit_dt is {emits:.6g} emissions, "
              f"above the budget of {MAX_EMITS}"),
@@ -142,7 +138,6 @@ _KEYS = {
     "forcing.seed": (ForcingPreset, "seed", int),
     "forcing.psi_kind": (ForcingPreset, "psi_kind", str),
     "flow.horizon": (RunConfig, "horizon", float),
-    "step.dt_min": (StepControl, "dt_min", float),
     "step.dt_max": (StepControl, "dt_max", float),
     "step.eps_pd": (StepControl, "eps_pd", float),
     "step.retry_limit": (StepControl, "retry_limit", int),

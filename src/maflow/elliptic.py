@@ -339,7 +339,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
         eta = _forcing_term(res_sup, tol)
         lin = _Linearization(g, gprime)
         # the Krylov solve, where the memory of a solve peaks, reads only lin
-        gprime = gprime_c = psi_hat = None
+        ratio = ratio_c = gprime = gprime_c = psi_hat = None
         psi_hat, rel, applies = _bicgstab(lin, -resid, eta, KRYLOV_MAX_ITER)
         lin = None
         if not rel <= 10.0 * eta:
@@ -356,7 +356,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
                 continue
             b_c, resid_c, res_c = _projected_residual(ratio_c, f, w)
             if res_c < res_sup:
-                phi_hat, ratio, gprime = cand, ratio_c, gprime_c
+                phi_hat, gprime = cand, gprime_c
                 b, resid, res_sup = b_c, resid_c, res_c
                 break
             step_size *= 0.5
@@ -367,11 +367,6 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
 
     phi = irfftn(phi_hat, grid.shape)
     tilde = phi - integrate_values(phi, w)
-    # post-check, not assumption: b equals the mean of (log ratio - F)
-    b_check = integrate_values(ratio - f.values, w)
-    if not abs(b_check - b) <= 1e-12 * max(1.0, abs(b)):
-        raise MaflowError(f"post-check failed: b = {b!r} but the mean of the "
-                          f"log ratio minus F is {b_check!r}")
     return EllipticSolution(
         b=float(b),
         phi_tilde_inf=ScalarField(grid, tilde),

@@ -75,19 +75,22 @@ CONTOUR_POINTS = 32
 # 20 left the u columns off by up to 100% at t >= 1 (1% with the split at 5).
 ADAMS_AB1_MIN_ABS_H = 5.0
 
+# Halving stops below this step size, however large retry_limit is: with the
+# default retry_limit of 20, halving from dt_max = 0.1 ends at 9.5e-8.
+DT_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class StepControl:
     """Step-size policy and positivity guard."""
 
-    dt_min: float = 1e-12
     dt_max: float = 0.1
     eps_pd: float = 1e-6
     retry_limit: int = 20
 
     def __post_init__(self):
-        if not (0 < self.dt_min <= self.dt_max < math.inf):
-            raise ValueError(f"need 0 < dt_min <= dt_max < inf, got {self.dt_min}, {self.dt_max}")
+        if not (DT_FLOOR <= self.dt_max < math.inf):
+            raise ValueError(f"need {DT_FLOOR} <= dt_max < inf, got {self.dt_max}")
         if not (0 < self.eps_pd < math.inf):
             raise ValueError(f"eps_pd must be positive and finite, got {self.eps_pd}")
         if not (self.retry_limit >= 0):
@@ -307,8 +310,9 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
     and one history.
 
     A PositivityViolation in any stage halves dt and retries as an ETDRK4
-    step, without clipping, up to ctrl.retry_limit times; then StepFailure
-    names the time, dt and grid index.  The new state's dt_try is the
+    step, without clipping, up to ctrl.retry_limit times or until dt falls
+    below DT_FLOOR; then StepFailure names the halvings, the time, dt and
+    grid index.  The new state's dt_try is the
     accepted dt after a halving, twice it (at most dt_max) after a first try,
     and unchanged after a landing clip.  ``stats``, when given, counts steps,
     halvings, rhs_calls and pc_steps and tracks dt_min, dt_max and pc_gap_max,
@@ -336,8 +340,6 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
 
     last_err = None
     for halvings in range(ctrl.retry_limit + 1):
-        if dt < ctrl.dt_min and not clipped:
-            break
         key = float(f"{dt:.12g}")
         lin, E, E2, Q, f1, f2, f3, beta, gamma = _etdrk4_coefficients(grid, gbar, key)
         n0 = k1 - lin * u0
@@ -366,6 +368,8 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
             _count(stats, "halvings")
             dt *= 0.5
             clipped = False
+            if dt < DT_FLOOR:
+                break
             continue
         if stats is not None:
             _record_step(stats, dt)
@@ -376,7 +380,7 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
                 stats["pc_gap_max"] = max(stats.get("pc_gap_max", 0.0), gap)
         return new
     raise StepFailure(
-        f"step failed after {ctrl.retry_limit} halvings at t={state.t:.6f} "
+        f"step failed after {halvings} halvings at t={state.t:.6f} "
         f"(dt={dt:.3e}): {last_err}",
         t=state.t, dt=dt,
         index=getattr(last_err, "index", None),
@@ -449,9 +453,7 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
     if monitors is None:
         monitors = MonitorSuite()
     emit_dt = monitors.emit_dt
-    total_emits = int(round(horizon / emit_dt))
-    if total_emits < 1 or abs(total_emits * emit_dt - horizon) > 1e-9:
-        raise ValueError(f"horizon {horizon} must be a positive multiple of emit_dt {emit_dt}")
+    total_emits = monitors.emissions(horizon)
     pin_heap_thresholds(g.grid)
     w = volume_weights(g)
     stats = {"steps": 0, "halvings": 0, "rhs_calls": 0, "pc_steps": 0, "pc_gap_max": 0.0,

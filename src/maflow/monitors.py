@@ -85,6 +85,19 @@ class MonitorSuite:
         if not (0 < self.shift_eps < math.inf):
             raise ValueError(f"shift_eps must be positive and finite, got {self.shift_eps}")
 
+    def emissions(self, horizon: float) -> int:
+        """Emissions after t = 0 of a run to ``horizon``: its ratio to emit_dt.
+
+        Raises ValueError unless horizon is a positive multiple of emit_dt
+        (to 1e-9); NaN and inf fail before any rounding.
+        """
+        ratio = horizon / self.emit_dt
+        count = round(ratio) if math.isfinite(ratio) else 0
+        if count < 1 or abs(count * self.emit_dt - horizon) > 1e-9:
+            raise ValueError(f"flow.horizon {horizon} must be a positive multiple of "
+                             f"monitors.emit_dt {self.emit_dt}")
+        return count
+
 
 @dataclass
 class MonitorRecord:
@@ -259,20 +272,27 @@ def _grad_sq(f: np.ndarray, gpinv: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return trace_pair(gpinv, np.stack(outer))
 
 
-def envelope_fit_inverse_time(t_rel: np.ndarray, values: np.ndarray):
-    """Smallest-ish (C1, C2) with values <= C1 + C2 / t, certified to hold.
+def _certified_fit(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Non-negative coefficients c with basis @ c >= targets on every row.
 
-    Least squares in the basis (1, 1/t) with coefficients clipped to >= 0,
-    then C1 inflated by the worst residual so the envelope dominates.
+    Non-negative least squares on the targets clipped at 0, then c[0]
+    raised by the worst residual over the smallest entry of basis[:, 0]
+    (a positive column), so that no row is violated.
     """
+    coef, _ = nnls(basis, np.maximum(targets, 0.0))
+    worst = float(np.max(targets - basis @ coef))
+    if worst > 0:
+        coef[0] += worst / float(np.min(basis[:, 0]))
+    return coef
+
+
+def envelope_fit_inverse_time(t_rel: np.ndarray, values: np.ndarray):
+    """Smallest-ish (C1, C2) with values <= C1 + C2 / t, certified to hold:
+    _certified_fit in the basis (1, 1/t)."""
     t_rel = np.asarray(t_rel, dtype=float)
     basis = np.column_stack([np.ones_like(t_rel), 1.0 / t_rel])
-    coef, _ = nnls(basis, np.maximum(np.asarray(values, dtype=float), 0.0))
-    c1, c2 = float(coef[0]), float(coef[1])
-    slack = float(np.max(values - (c1 + c2 / t_rel)))
-    if slack > 0:
-        c1 += slack
-    return c1, c2
+    c1, c2 = _certified_fit(basis, np.asarray(values, dtype=float))
+    return float(c1), float(c2)
 
 
 @dataclass(frozen=True)
@@ -290,8 +310,8 @@ def harnack_check(times: Sequence[float], sups: Sequence[float], infs: Sequence[
     """Check sup u(t1) <= inf u(t2) (t2/t1)^C2 exp(C3/(t2-t1) + C1 (t2-t1)).
 
     sups and infs are sup u and inf u at each snapshot time.  Constants are
-    fitted (non-negative least squares, then inflated so no sampled pair
-    violates) over all snapshot pairs s1 < s2 in the window; the reported
+    fitted by _certified_fit, C1 raised so no sampled pair violates, over
+    all snapshot pairs s1 < s2 in the window; the reported
     lhs/rhs belong to the requested (t1, t2).  Raises NonPositiveU when no
     pair admits the logarithms; flags verifiable=False when inf u(t2) <= 0.
     """
@@ -321,17 +341,8 @@ def harnack_check(times: Sequence[float], sups: Sequence[float], infs: Sequence[
             targets.append(math.log(sup_a) - math.log(inf_b))
     if not rows:
         raise NonPositiveU("no snapshot pair admits positive sup/inf for the Harnack fit")
-    a_mat = np.array(rows)
-    b_vec = np.array(targets)
-    coef, _ = nnls(a_mat, np.maximum(b_vec, 0.0))
-    resid = b_vec - a_mat @ coef
-    worst = float(np.max(resid))
-    if worst > 0:
-        # absorb remaining violation into the (t2 - t1) coefficient
-        coef = coef.copy()
-        coef[0] += worst / float(np.min(a_mat[:, 0]))
-    return HarnackResult(lhs, rhs, (float(coef[0]), float(coef[1]), float(coef[2])),
-                         verifiable=True)
+    coef = _certified_fit(np.array(rows), np.array(targets))
+    return HarnackResult(lhs, rhs, tuple(float(c) for c in coef), verifiable=True)
 
 
 def theta_at_integer_times(times: np.ndarray, osc: np.ndarray):
@@ -416,7 +427,7 @@ class MonitorSeries:
         self.sup_phitilde_run = -np.inf
         self.sup_F = None
         self.field_every = round(suite.field_interval / suite.emit_dt)
-        count = sum(1 for j in range(0, round(horizon / suite.emit_dt) + 1, self.field_every)
+        count = sum(1 for j in range(0, suite.emissions(horizon) + 1, self.field_every)
                     if j * suite.emit_dt >= suite.holder.epsilon)
         self.holder = _HolderSample(count, g.grid, suite.holder) if count >= 2 else None
         self.liyau = LiYauWindow(g.grid, suite.alpha_ly)

@@ -21,56 +21,21 @@ hermitian.py.  Every packed entry is a real, even Fourier multiplier:
 parts of -(1/4) conj(kappa_1) kappa_2 (kappa_i = k_{2i-1} + sqrt(-1) k_{2i})
 for b, so one batched real irfftn yields all n*n entries.
 
-All operations are pure functions of their inputs.  FFT work is routed
-through scipy.fft with the worker count read from MAFLOW_THREADS.
+All operations are pure functions of their inputs.  The transforms are
+scipy.fft's, on its default of one worker; fftn and ifftn are imported
+only for perfbench/tracer.py, which wraps them by name.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.fft as _sfft
+from scipy.fft import fftn, ifftn, irfftn, rfftn  # noqa: F401  fftn, ifftn: see above
 
-from .errors import ConfigError
 from .grid import TorusGrid
 from .hermitian import inverse_stack, trace_pair
-
-
-def _workers():
-    """FFT worker count from MAFLOW_THREADS.
-
-    Unset or 0 passes workers=None, scipy's default of one worker; a
-    positive value runs that many.  Anything else raises ConfigError.
-    """
-    raw = os.environ.get("MAFLOW_THREADS", "0")
-    try:
-        v = int(raw)
-    except ValueError:
-        v = -1
-    if v < 0:
-        raise ConfigError(f"MAFLOW_THREADS must be a non-negative integer, got {raw!r}")
-    return v or None
-
-
-def fftn(a):
-    # no caller in the package; kept because perfbench/tracer.py wraps it by name
-    return _sfft.fftn(a, workers=_workers())
-
-
-def ifftn(a):
-    # no caller in the package; kept because perfbench/tracer.py wraps it by name
-    return _sfft.ifftn(a, workers=_workers())
-
-
-def rfftn(a):
-    return _sfft.rfftn(a, workers=_workers())
-
-
-def irfftn(a, shape):
-    return _sfft.irfftn(a, s=shape, workers=_workers())
 
 
 @lru_cache(maxsize=32)

@@ -7,7 +7,6 @@ from maflow.elliptic import linearization_check, preconditioned_apply_gap, solve
 from maflow.errors import (
     LinearSolveStagnation,
     LineSearchFailure,
-    MaflowError,
     MaxIterationsExceeded,
     PositivityViolation,
 )
@@ -96,33 +95,6 @@ def test_solve_rejects_unattainable_or_nan_tol(grid1, nonkahler1, tol):
                          ForcingPreset("modes", amplitude=0.08, max_mode=2, seed=3))
     with pytest.raises(ValueError, match="tol"):
         solve(nonkahler1, F, tol=tol)
-
-
-def test_solve_post_check_is_explicit(monkeypatch, grid1, nonkahler1):
-    # the b post-check must raise, not assert (asserts vanish under python -O):
-    # perturb the last quadrature call, which is the post-check's own
-    F, _ = build_forcing(grid1, nonkahler1,
-                         ForcingPreset("modes", amplitude=0.08, max_mode=2, seed=3))
-    real = maflow.elliptic.integrate_values
-    calls = []
-
-    def counting(values, w):
-        calls.append(None)
-        return real(values, w)
-
-    monkeypatch.setattr(maflow.elliptic, "integrate_values", counting)
-    solve(nonkahler1, F)
-    last = len(calls)
-    calls.clear()
-
-    def perturbed(values, w):
-        calls.append(None)
-        out = real(values, w)
-        return out + 1e-6 if len(calls) == last else out
-
-    monkeypatch.setattr(maflow.elliptic, "integrate_values", perturbed)
-    with pytest.raises(MaflowError, match="post-check"):
-        solve(nonkahler1, F)
 
 
 def test_residual_field_rejects_nan(grid2, nonkahler2):

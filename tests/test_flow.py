@@ -105,8 +105,8 @@ def test_step_failure_after_retry_limit():
     g = MetricField(grid, np.full((1,) + grid.shape, 2 * eps_pd), lambda_floor=1e-7)
     w = volume_weights(g)
     F = field_from(grid, lambda c: 1e4 * np.cos(c[0]))
-    # dt_min too large to allow rescue halvings
-    ctrl = StepControl(eps_pd=eps_pd, retry_limit=3, dt_min=1e-8, dt_max=1e-4)
+    # too few halvings to rescue the step
+    ctrl = StepControl(eps_pd=eps_pd, retry_limit=3, dt_max=1e-4)
     state = make_state(g, F, w)
     with pytest.raises(StepFailure):
         step(state, ctrl, g, F, w)

@@ -7,7 +7,7 @@ import pytest
 from maflow.cli import main
 from maflow.config import _KEYS, RunConfig, config_from_kv, parse_kv_text
 from maflow.errors import ConfigError, MaflowError
-from maflow.flow import StepControl
+from maflow.flow import DT_FLOOR, StepControl
 from maflow.grid import TorusGrid
 from maflow.monitors import HolderConfig, MonitorSuite
 from maflow.presets import ForcingPreset, MetricPreset
@@ -173,7 +173,6 @@ NON_DEFAULT = {
     "forcing.seed": ("7", 7),
     "forcing.psi_kind": ("peaked", "peaked"),
     "flow.horizon": ("7.5", 7.5),
-    "step.dt_min": ("1e-9", 1e-9),
     "step.dt_max": ("0.05", 0.05),
     "step.eps_pd": ("1e-4", 1e-4),
     "step.retry_limit": ("4", 4),
@@ -276,10 +275,8 @@ def test_cli_missing_config_exit_2(tmp_path):
     assert code == 2
 
 
-def test_cli_step_failure_exit_3(tmp_path):
-    # horizon reachable only through the cone boundary: huge constant-free forcing
-    cfg_path = tmp_path / "hard.cfg"
-    cfg_path.write_text("""
+# horizon reachable only through the cone boundary: huge constant-free forcing
+HARD_CFG = """
 grid.n = 1
 grid.N = 16
 metric.preset = flat
@@ -288,12 +285,30 @@ forcing.amplitude = 80.0
 forcing.max_mode = 1
 flow.horizon = 2
 step.retry_limit = 2
-step.dt_min = 1e-3
 step.dt_max = 0.05
 rng_seed = 3
-""")
+"""
+
+
+def test_cli_step_failure_exit_3(tmp_path):
+    cfg_path = tmp_path / "hard.cfg"
+    cfg_path.write_text(HARD_CFG)
     code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+def test_cli_step_failure_at_halving_floor_names_its_halvings(tmp_path, capsys):
+    # a retry limit that never binds: the accepted steps shrink towards the
+    # cone boundary, each first trying its predecessor's size, until a step
+    # fails at 0.05 / 2^34 and 0.05 / 2^35 and the next size is below
+    # flow.DT_FLOOR; the message counts that one halving, as retry_limit = 1 would
+    cfg_path = tmp_path / "hard.cfg"
+    cfg_path.write_text(HARD_CFG.replace("step.retry_limit = 2", "step.retry_limit = 1000000"))
+    code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: step failed after 1 halvings at t=0.048311 ")
+    assert f"(dt={0.05 / 2 ** 36:.3e})" in err and 0.05 / 2 ** 36 < DT_FLOOR
 
 
 def _error_classes(cls=MaflowError):
@@ -338,7 +353,7 @@ def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
     "grid.period = inf",
     "grid.period = 1e-300",
     "flow.horizon = 0.33",    # not a multiple of monitors.emit_dt
-    "step.dt_min = 0",        # StepControl: need 0 < dt_min
+    "step.dt_min = 0",        # the halving floor is flow.DT_FLOOR: an unknown key
     "step.dt_max = inf",      # StepControl: dt_max must be finite
     "step.eps_pd = -1",
     "step.retry_limit = -1",
@@ -412,7 +427,7 @@ ACCEPTED = {
                     "positive and finite; a guard above the eigenvalues of g' fails "
                     "the first step (exit 3)"),
     "step.retry_limit": (("0", HUGE_INT),
-                         "a bound on halvings, which also stop at step.dt_min"),
+                         "a bound on halvings, which also stop below flow.DT_FLOOR"),
     "monitors.field_interval": (("1e300", HUGE_INT),
                                 "a multiple of monitors.emit_dt: t = 0 is the only "
                                 "field snapshot"),
@@ -566,26 +581,16 @@ def test_cli_grid_period_key_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
-def test_cli_bad_maflow_threads_exit_2(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("MAFLOW_THREADS", value)
+def test_cli_ignores_maflow_threads(tmp_path, monkeypatch):
+    # the FFTs run on one worker whatever the environment says
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(FLOW_CFG)
-    code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "MAFLOW_THREADS" in err
-    assert "Traceback" not in err
-
-
-def test_maflow_threads_unset_or_zero_is_scipy_default(monkeypatch):
-    from maflow.spectral import _workers
     monkeypatch.delenv("MAFLOW_THREADS", raising=False)
-    assert _workers() is None
-    monkeypatch.setenv("MAFLOW_THREADS", "0")
-    assert _workers() is None
-    monkeypatch.setenv("MAFLOW_THREADS", "2")
-    assert _workers() == 2
+    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "unset")]) == 0
+    monkeypatch.setenv("MAFLOW_THREADS", "abc")
+    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "abc")]) == 0
+    assert ((tmp_path / "abc" / "monitors.csv").read_bytes()
+            == (tmp_path / "unset" / "monitors.csv").read_bytes())
 
 
 def test_package_exports_resolve():

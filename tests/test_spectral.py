@@ -361,3 +361,10 @@ def test_no_complex_to_complex_fft(monkeypatch):
     holo_gradient(res.final.phi.values, grid)
     laplacian_values(res.final.phi.values, grid, inverse_stack(g.entries))
     prolong(res.final.phi.values, TorusGrid(2, 16))
+
+
+def test_transforms_are_scipy_fft():
+    # no wrapper between the package and scipy.fft: the worker count is not a setting
+    import scipy.fft
+
+    assert rfftn is scipy.fft.rfftn and irfftn is scipy.fft.irfftn
