@@ -581,15 +581,16 @@ def test_cli_grid_period_key_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_ignores_maflow_threads(tmp_path, monkeypatch):
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "0"])
+def test_cli_ignores_maflow_threads(tmp_path, monkeypatch, value):
     # the FFTs run on one worker whatever the environment says
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(FLOW_CFG)
     monkeypatch.delenv("MAFLOW_THREADS", raising=False)
     assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "unset")]) == 0
-    monkeypatch.setenv("MAFLOW_THREADS", "abc")
-    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "abc")]) == 0
-    assert ((tmp_path / "abc" / "monitors.csv").read_bytes()
+    monkeypatch.setenv("MAFLOW_THREADS", value)
+    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "set")]) == 0
+    assert ((tmp_path / "set" / "monitors.csv").read_bytes()
             == (tmp_path / "unset" / "monitors.csv").read_bytes())
 
 
