@@ -139,8 +139,6 @@ _KEYS = {
     "forcing.psi_kind": (ForcingPreset, "psi_kind", str),
     "flow.horizon": (RunConfig, "horizon", float),
     "step.dt_max": (StepControl, "dt_max", float),
-    "step.eps_pd": (StepControl, "eps_pd", float),
-    "step.retry_limit": (StepControl, "retry_limit", int),
     "monitors.emit_dt": (MonitorSuite, "emit_dt", float),
     "monitors.field_interval": (MonitorSuite, "field_interval", float),
     "monitors.A": (MonitorSuite, "A", float),

@@ -41,7 +41,7 @@ class TailAlarm(SolverFailure):
 
 
 class StepFailure(SolverFailure):
-    """Time step could not complete within the retry budget."""
+    """Time step could not complete before its size fell to the halving floor."""
 
     def __init__(self, message, t=None, dt=None, index=None):
         super().__init__(message)

@@ -13,6 +13,10 @@ spectra, and FlowState carries phi's spectrum phi_hat.  Snapshots are
 emitted at the multiples of emit_dt.  Each step is clipped to land on the
 furthest emission time it reaches, and the emission times it passes are
 dense output (_dense_state).
+
+Step control is scale-free, as the flow is (the metric c g gives c phi(t / c)):
+the cone guard is EPS_PD times the smallest eigenvalue of g, and halving stops
+below dt_max * MIN_STEP_FRACTION.
 """
 
 from __future__ import annotations
@@ -75,26 +79,24 @@ CONTOUR_POINTS = 32
 # 20 left the u columns off by up to 100% at t >= 1 (1% with the split at 5).
 ADAMS_AB1_MIN_ABS_H = 5.0
 
-# Halving stops below this step size, however large retry_limit is: with the
-# default retry_limit of 20, halving from dt_max = 0.1 ends at 9.5e-8.
-DT_FLOOR = 1e-12
+# The cone guard: every eigenvalue of g' must exceed EPS_PD * lambda_min(g).
+EPS_PD = 1e-6
+
+# A rejected try halves dt while the half is at least dt_max * MIN_STEP_FRACTION,
+# so a step from dt_max makes at most 21 tries.
+MIN_STEP_FRACTION = 2.0 ** -20
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-size policy and positivity guard."""
+    """The step-size bound dt_max: no step is longer, and halving ends below
+    dt_max * MIN_STEP_FRACTION, which must not underflow to 0."""
 
     dt_max: float = 0.1
-    eps_pd: float = 1e-6
-    retry_limit: int = 20
 
     def __post_init__(self):
-        if not (DT_FLOOR <= self.dt_max < math.inf):
-            raise ValueError(f"need {DT_FLOOR} <= dt_max < inf, got {self.dt_max}")
-        if not (0 < self.eps_pd < math.inf):
-            raise ValueError(f"eps_pd must be positive and finite, got {self.eps_pd}")
-        if not (self.retry_limit >= 0):
-            raise ValueError(f"retry_limit must be non-negative, got {self.retry_limit}")
+        if not (self.dt_max * MIN_STEP_FRACTION > 0 and self.dt_max < math.inf):
+            raise ValueError(f"need 0 < dt_max * 2^-20 and dt_max < inf, got {self.dt_max}")
 
 
 @dataclass(frozen=True)
@@ -129,17 +131,16 @@ class FlowState:
         return rfftn(self.dphi_dt.values)
 
 
-def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray,
-             eps_pd: float = 0.0, t: float = 0.0):
+def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray, t: float = 0.0):
     """Right-hand side of the flow and the packed evolving metric g'.
 
     phi_hat is rfftn(phi).  Raises PositivityViolation (with the offending
     flat grid index) if any sample of g' = g + Hess(phi) has smallest
-    eigenvalue <= eps_pd or is NaN.
+    eigenvalue <= EPS_PD * g.min_eig or is NaN.
     """
     grid = g.grid
     gprime = g.entries + complex_hessian_values(phi_hat, grid)
-    check_cone(min_eig_field(gprime), eps_pd, "evolving metric", t)
+    check_cone(min_eig_field(gprime), EPS_PD * g.min_eig, "evolving metric", t)
     return log_det(gprime) - g.log_det - f_values, gprime
 
 
@@ -149,18 +150,18 @@ def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
     """Assemble a coherent FlowState from phi values (zero field by default)."""
     if phi_values is None:
         phi_values = np.zeros(g.grid.shape)
-    return _state_at(rfftn(phi_values), t, g, f.values, w, 0.0, stats, phi=phi_values)
+    return _state_at(rfftn(phi_values), t, g, f.values, w, stats, phi=phi_values)
 
 
 def _state_at(phi_hat: np.ndarray, t: float, g: MetricField, fv: np.ndarray,
-              w: VolumeWeights, eps_pd: float, stats: Optional[dict],
-              phi: Optional[np.ndarray] = None, step_count: int = 0,
-              dt_try: Optional[float] = None, history: tuple = ()) -> FlowState:
+              w: VolumeWeights, stats: Optional[dict], phi: Optional[np.ndarray] = None,
+              step_count: int = 0, dt_try: Optional[float] = None,
+              history: tuple = ()) -> FlowState:
     """The FlowState at spectrum phi_hat: one flow_rhs, and one irfftn unless
     the grid values phi are given.  Raises flow_rhs's PositivityViolation."""
     grid = g.grid
     _count(stats, "rhs_calls")
-    rhs, gprime = flow_rhs(phi_hat, g, fv, eps_pd, t)
+    rhs, gprime = flow_rhs(phi_hat, g, fv, t)
     if phi is None:
         phi = irfftn(phi_hat, grid.shape)
     return FlowState(
@@ -309,13 +310,14 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
     landing steps that differ in their last bits share one coefficient set
     and one history.
 
-    A PositivityViolation in any stage halves dt and retries as an ETDRK4
-    step, without clipping, up to ctrl.retry_limit times or until dt falls
-    below DT_FLOOR; then StepFailure names the halvings, the time, dt and
-    grid index.  The new state's dt_try is the
-    accepted dt after a halving, twice it (at most dt_max) after a first try,
-    and unchanged after a landing clip.  ``stats``, when given, counts steps,
-    halvings, rhs_calls and pc_steps and tracks dt_min, dt_max and pc_gap_max,
+    A PositivityViolation in any stage rejects the try: dt halves and the
+    step is retried as an ETDRK4 step, without clipping, while the half is
+    at least ctrl.dt_max * MIN_STEP_FRACTION.  Below that StepFailure names
+    the rejected tries, the time, the last dt tried and the grid point.
+    The new state's dt_try is the accepted dt after a halving, twice it (at
+    most dt_max) after a first try, and unchanged after a landing clip.
+    ``stats``, when given, counts steps, halvings (rejected tries), rhs_calls
+    and pc_steps and tracks dt_min, dt_max and pc_gap_max,
     the largest max|c - p| / max|c| over the spectra (Milne's estimate).
     ``gbar`` is _frozen_metric_key(g), computed here when not given.
     """
@@ -335,15 +337,15 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
     def remainder(v_hat, lin, t):
         """N = rhs - L v in Fourier space, at the field whose rfft is v_hat."""
         _count(stats, "rhs_calls")
-        rhs, _ = flow_rhs(v_hat, g, fv, ctrl.eps_pd, t)
+        rhs, _ = flow_rhs(v_hat, g, fv, t)
         return rfftn(rhs) - lin * v_hat
 
-    last_err = None
-    for halvings in range(ctrl.retry_limit + 1):
+    rejected = 0
+    while True:
         key = float(f"{dt:.12g}")
         lin, E, E2, Q, f1, f2, f3, beta, gamma = _etdrk4_coefficients(grid, gbar, key)
         n0 = k1 - lin * u0
-        adams = halvings == 0 and key == past_key and len(past) == 2
+        adams = not rejected and key == past_key and len(past) == 2
         try:
             if adams:
                 eu0 = E * u0
@@ -358,38 +360,33 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
                 c = E2 * a + Q * (2.0 * nb - n0)
                 nc = remainder(c, lin, state.t + dt)
                 phi1_hat = E * u0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-            new = _state_at(phi1_hat, state.t + dt, g, fv, w, ctrl.eps_pd, stats,
+            new = _state_at(phi1_hat, state.t + dt, g, fv, w, stats,
                             step_count=state.step_count + 1,
-                            dt_try=(state.dt_try if clipped else dt if halvings
+                            dt_try=(state.dt_try if clipped else dt if rejected
                                     else min(2.0 * dt, ctrl.dt_max)),
                             history=(key, (n0,) + past[:1] if key == past_key else (n0,)))
+            break
         except PositivityViolation as e:
-            last_err = e
+            rejected += 1
             _count(stats, "halvings")
+            if 0.5 * dt < ctrl.dt_max * MIN_STEP_FRACTION:
+                raise StepFailure(f"step failed after {rejected} rejected tries at "
+                                  f"t={state.t:.6f} (last dt={dt:.3e}): {e}",
+                                  t=state.t, dt=dt, index=e.index) from e
             dt *= 0.5
             clipped = False
-            if dt < DT_FLOOR:
-                break
-            continue
-        if stats is not None:
-            _record_step(stats, dt)
-            if adams:
-                _count(stats, "pc_steps")
-                scale = float(np.max(np.abs(phi1_hat)))
-                gap = float(np.max(np.abs(phi1_hat - p))) / scale if scale > 0 else 0.0
-                stats["pc_gap_max"] = max(stats.get("pc_gap_max", 0.0), gap)
-        return new
-    raise StepFailure(
-        f"step failed after {halvings} halvings at t={state.t:.6f} "
-        f"(dt={dt:.3e}): {last_err}",
-        t=state.t, dt=dt,
-        index=getattr(last_err, "index", None),
-    )
+    if stats is not None:
+        _record_step(stats, dt)
+        if adams:
+            _count(stats, "pc_steps")
+            scale = float(np.max(np.abs(phi1_hat)))
+            gap = float(np.max(np.abs(phi1_hat - p))) / scale if scale > 0 else 0.0
+            stats["pc_gap_max"] = max(stats.get("pc_gap_max", 0.0), gap)
+    return new
 
 
 def _dense_state(start: FlowState, end: FlowState, t: float, g: MetricField,
-                 fv: np.ndarray, w: VolumeWeights, eps_pd: float,
-                 stats: Optional[dict]) -> FlowState:
+                 fv: np.ndarray, w: VolumeWeights, stats: Optional[dict]) -> FlowState:
     """The state at start.t < t < end.t inside the step from start to end.
 
     phi_hat is the cubic Hermite in time on the step's end spectra phi_hat,
@@ -403,7 +400,7 @@ def _dense_state(start: FlowState, end: FlowState, t: float, g: MetricField,
                + (h * s * r * r) * start.rhs_hat
                + (s * s * (3.0 - 2.0 * s)) * end.phi_hat
                - (h * s * s * r) * end.rhs_hat)
-    return _state_at(phi_hat, t, g, fv, w, eps_pd, stats, step_count=start.step_count)
+    return _state_at(phi_hat, t, g, fv, w, stats, step_count=start.step_count)
 
 
 def _emit(series: "MonitorSeries", state: FlowState):
@@ -440,8 +437,8 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
     """Integrate from phi = 0 to t = horizon.
 
     Snapshots are emitted at every multiple of the monitor emit interval to
-    a MonitorSeries, which keeps no field and hands each field snapshot and
-    its g' to ``observers``.  Each step is clipped to land on the furthest
+    a MonitorSeries, which keeps no field and hands each field snapshot
+    state to ``observers``.  Each step is clipped to land on the furthest
     emission time that t + dt_try reaches; the emissions it passes are dense
     states (_dense_state), all built before any is emitted, so that one
     outside the cone re-takes the step from its start, landing on the first
@@ -472,7 +469,7 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
             k += 1
         new = step(state, ctrl, g, f, w, t_land=k * emit_dt, stats=stats, gbar=gbar)
         try:
-            dense = [_dense_state(state, new, i * emit_dt, g, f.values, w, ctrl.eps_pd, stats)
+            dense = [_dense_state(state, new, i * emit_dt, g, f.values, w, stats)
                      for i in range(j, k) if i * emit_dt < new.t - 1e-12]
         except PositivityViolation:
             _count(stats, "retakes")

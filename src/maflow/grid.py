@@ -172,20 +172,22 @@ class MetricField:
     ``entries`` are the packed samples g_{i jbar}, shape (n*n,) + grid.shape
     (see hermitian.py), so the field is Hermitian by construction; every
     eigenvalue must be at or above ``lambda_floor``.  ``log_det`` = log det g
-    is computed once here.
+    and ``min_eig``, its smallest eigenvalue, are computed once here.
     """
 
     grid: TorusGrid
     entries: np.ndarray = field(repr=False)
     lambda_floor: float = LAMBDA_FLOOR
     log_det: np.ndarray = field(init=False, repr=False, compare=False)
+    min_eig: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.complex_dim
         if self.entries.shape != (n * n,) + self.grid.shape:
             raise ValueError("metric entry array has wrong shape")
         mins = min_eig_field(self.entries)
-        if not np.all(mins >= self.lambda_floor):
+        min_eig = float(mins.min())
+        if not min_eig >= self.lambda_floor:
             idx = int(np.argmin(mins))
             raise PositivityViolation(
                 f"metric eigenvalue {mins.reshape(-1)[idx]:.3e} below floor "
@@ -193,6 +195,7 @@ class MetricField:
                 index=idx,
             )
         object.__setattr__(self, "log_det", log_det(self.entries))
+        object.__setattr__(self, "min_eig", min_eig)
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,10 @@ class MonitorSuite:
         if not (0 < self.emit_dt < math.inf and 0 < self.field_interval < math.inf):
             raise ValueError("emit_dt and field_interval must be positive and finite")
         ratio = self.field_interval / self.emit_dt
-        if abs(ratio - round(ratio)) > 1e-9:
+        if not (math.isfinite(ratio) and round(ratio) >= 1
+                and abs(ratio - round(ratio)) <= 1e-9):
             raise ValueError(
-                "field_interval must be an integer multiple of emit_dt "
+                "field_interval must be a positive integer multiple of emit_dt "
                 f"(got {self.field_interval} / {self.emit_dt})"
             )
         if not (1.0 < self.alpha_ly < 2.0):
@@ -410,8 +411,8 @@ class MonitorSeries:
     produced the state assembled (no transform or Hessian runs here).  It is
     fed to the Hoelder sample when the planned time j * emit_dt is >=
     holder.epsilon and to the Li-Yau window on u + (1 + shift_eps) sup|F|
-    (not at all when sup|F| = 0), then handed with the state to each
-    ``observer(state, gprime)``.  The planned times fix the Hoelder
+    (not at all when sup|F| = 0), then the state is handed to each
+    ``observer(state)``.  The planned times fix the Hoelder
     snapshot count before the run, hence ``horizon``.
     """
 
@@ -456,7 +457,7 @@ class MonitorSeries:
         if shift > 0:
             self.liyau.add(state.t, state.dphi_dt.values + shift, inverse_stack(state.gprime))
         for observer in self.observers:
-            observer(state, state.gprime)
+            observer(state)
 
     def finalize(self):
         """Carry the streamed Hoelder and Li-Yau values forward onto the records."""

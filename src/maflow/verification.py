@@ -120,7 +120,7 @@ class UnitWindows:
         self.liyau = None     # its LiYauWindow, None once an xi was non-positive
         self.extrema = []     # its (t, sup xi, inf xi)
 
-    def __call__(self, state, gprime):
+    def __call__(self, state):
         t, u = state.t, state.dphi_dt.values
         if self.open is not None:
             m, sup0 = self.open
@@ -129,7 +129,7 @@ class UnitWindows:
                 xi = sup0 - u
                 self.extrema.append((rel, float(np.max(xi)), float(np.min(xi))))
                 try:
-                    self.liyau.add(rel, xi, inverse_stack(gprime))
+                    self.liyau.add(rel, xi, inverse_stack(state.gprime))
                 except NonPositiveU:
                     self.liyau = None
             if rel >= 1.0 - 1e-9:

@@ -68,48 +68,76 @@ def test_step_constant_forcing_exact(grid1, nonkahler1):
     assert state.step_count == 20
 
 
-def test_step_halving_on_near_degenerate_metric():
-    # metric floor at 2 eps_pd: a strong forcing Hessian trips the guard,
-    # dt halvings are recorded, and the step still completes
+def _near_degenerate_problem():
+    """A metric of 2e-6 under the forcing 1e4 cos x: a step leaves the cone
+    unless dt is below ~1e-9, 17 rejected tries from 1e-4 and past the
+    halving floor from 0.1."""
     grid = TorusGrid(1, 16)
-    eps_pd = 1e-6
-    g = MetricField(grid, np.full((1,) + grid.shape, 2 * eps_pd), lambda_floor=1e-7)
+    g = MetricField(grid, np.full((1,) + grid.shape, 2e-6), lambda_floor=1e-7)
     w = volume_weights(g)
     F = field_from(grid, lambda c: 1e4 * np.cos(c[0]))
-    ctrl = StepControl(eps_pd=eps_pd, retry_limit=40)
-    state = make_state(g, F, w)
+    return g, F, w, make_state(g, F, w)
+
+
+def test_step_halving_on_near_degenerate_metric():
+    # a strong forcing Hessian trips the guard, dt halvings are recorded,
+    # and the step still completes
+    g, F, w, state = _near_degenerate_problem()
+    ctrl = StepControl(dt_max=1e-4)
     stats = {}
     new = step(state, ctrl, g, F, w, stats=stats)
     assert stats.get("halvings", 0) >= 1
     assert new.t > state.t
 
 
-def test_run_reports_stepper_stats():
-    # metric within a factor 2 of eps_pd: the full-size first steps graze the
-    # guard, halve, and the run still reaches the horizon
+def test_run_reports_stepper_stats(monkeypatch):
+    # the guard raised to 0.55 of the metric: the full-size first steps graze
+    # it, halve, and the run still reaches the horizon
+    import maflow.flow
+
     grid = TorusGrid(1, 16)
-    c = 2e-3
-    g = MetricField(grid, np.full((1,) + grid.shape, c), lambda_floor=1e-4)
+    g = MetricField(grid, np.full((1,) + grid.shape, 2e-3), lambda_floor=1e-4)
     F = field_from(grid, lambda x: 0.5 * np.cos(x[0]))
-    res = run(g, F, horizon=1.0, ctrl=StepControl(eps_pd=0.55 * c, retry_limit=5),
-              monitors=small_suite())
+    monkeypatch.setattr(maflow.flow, "EPS_PD", 0.55)
+    res = run(g, F, horizon=1.0, ctrl=StepControl(), monitors=small_suite())
     stats = res.stats
     assert stats["halvings"] >= 1
     assert stats["steps"] == res.final.step_count
     assert 0 < stats["dt_min"] < stats["dt_max"] <= 0.1 + 1e-12
 
 
-def test_step_failure_after_retry_limit():
-    grid = TorusGrid(1, 16)
-    eps_pd = 1e-6
-    g = MetricField(grid, np.full((1,) + grid.shape, 2 * eps_pd), lambda_floor=1e-7)
-    w = volume_weights(g)
-    F = field_from(grid, lambda c: 1e4 * np.cos(c[0]))
-    # too few halvings to rescue the step
-    ctrl = StepControl(eps_pd=eps_pd, retry_limit=3, dt_max=1e-4)
-    state = make_state(g, F, w)
-    with pytest.raises(StepFailure):
-        step(state, ctrl, g, F, w)
+def test_step_failure_at_the_halving_floor_names_the_last_try():
+    # from dt_max = 0.1 the halving floor comes first: 21 rejected tries,
+    # the last at 0.1 * 2^-20, which the message names with that count
+    g, F, w, state = _near_degenerate_problem()
+    stats = {}
+    with pytest.raises(StepFailure) as exc:
+        step(state, StepControl(), g, F, w, stats=stats)
+    assert stats["halvings"] == 21 and exc.value.dt == 0.1 * 2.0 ** -20
+    assert str(exc.value).startswith(
+        "step failed after 21 rejected tries at t=0.000000 (last dt=9.537e-08): ")
+
+
+def test_steps_are_scale_covariant(grid1, nonkahler1):
+    # the metric c g carries the solution c phi(t / c): ten steps of c dt on
+    # c g match ten steps of dt on g, with the cone guard and the halving
+    # floor scaled alike (an absolute guard of 1e-6 fails the first step)
+    c = 2.0 ** -30
+    cg = MetricField(grid1, c * nonkahler1.entries, lambda_floor=1e-12)
+    F, _ = build_forcing(grid1, nonkahler1,
+                         ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
+    ends = []
+    for g, dt in ((nonkahler1, 0.1), (cg, c * 0.1)):
+        w = volume_weights(g)
+        state = make_state(g, F, w)
+        for _ in range(10):
+            state = step(state, StepControl(dt_max=dt), g, F, w)
+        ends.append(state)
+    ref, scaled = ends
+    assert scaled.t == pytest.approx(c * ref.t, rel=1e-12)
+    phi, u = ref.phi.values, ref.dphi_dt.values
+    assert np.max(np.abs(scaled.phi.values / c - phi)) <= 1e-12 * np.max(np.abs(phi))
+    assert np.max(np.abs(scaled.dphi_dt.values - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_step_size_is_dt_max_clipped_to_landing(grid1, nonkahler1):
@@ -160,12 +188,12 @@ def test_adams_steps_third_order_in_time(grid1, nonkahler1):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_flow_rhs_rejects_nan(n, nonkahler1, nonkahler2):
-    # NaN compares false against eps_pd; the guard must still fire
+    # NaN compares false against the guard's floor; the guard must still fire
     g = nonkahler1 if n == 1 else nonkahler2
     phi = np.zeros(g.grid.shape)
     phi[(1,) * g.grid.real_dim] = np.nan
     with pytest.raises(PositivityViolation) as exc:
-        flow_rhs(rfftn(phi), g, np.zeros(g.grid.shape), eps_pd=1e-6)
+        flow_rhs(rfftn(phi), g, np.zeros(g.grid.shape))
     assert exc.value.index is not None
     assert "grid point (" in str(exc.value)
 
@@ -179,8 +207,8 @@ def test_step_nan_stage_ends_in_step_failure(monkeypatch, grid1, nonkahler1):
                         lambda a, shape: np.full(shape, np.nan))
     stats = {}
     with pytest.raises(StepFailure) as exc:
-        step(state, StepControl(retry_limit=3), nonkahler1, F, w, stats=stats)
-    assert stats["halvings"] == 4
+        step(state, StepControl(), nonkahler1, F, w, stats=stats)
+    assert stats["halvings"] == 21
     assert "grid point (0, 0)" in str(exc.value)
 
 
@@ -488,7 +516,7 @@ def test_run_transforms_each_rhs_once(monkeypatch, grid1, nonkahler1):
 
 
 def test_dense_state_outside_the_cone_retakes_the_step(monkeypatch, grid1, nonkahler1):
-    # the first dense state (t = 0.05) meets an eps_pd above every eigenvalue
+    # the first dense state (t = 0.05) meets a guard above every eigenvalue
     # of g', so the real cone check rejects it: the step is re-taken from
     # t = 0 onto that emission, and the run goes on on the emission clock
     import maflow.flow
@@ -497,11 +525,13 @@ def test_dense_state_outside_the_cone_retakes_the_step(monkeypatch, grid1, nonka
     real = maflow.flow._dense_state
     forced = []
 
-    def strict_once(start, end, t, g, fv, w, eps_pd, stats):
+    def strict_once(start, end, t, g, fv, w, stats):
         if not forced:
             forced.append(t)
-            eps_pd = 10.0
-        return real(start, end, t, g, fv, w, eps_pd, stats)
+            with monkeypatch.context() as m:
+                m.setattr(maflow.flow, "EPS_PD", 1e3)
+                return real(start, end, t, g, fv, w, stats)
+        return real(start, end, t, g, fv, w, stats)
 
     monkeypatch.setattr(maflow.flow, "_dense_state", strict_once)
     res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=0.1),
@@ -619,11 +649,11 @@ def test_adams_predictor_outside_the_cone_halves_into_etdrk4(monkeypatch, grid1,
     real = maflow.flow.flow_rhs
     raised = []
 
-    def predictor_fails(phi_hat, g, fv, eps_pd=0.0, t=0.0):
+    def predictor_fails(phi_hat, g, fv, t=0.0):
         if not raised:
             raised.append(t)
             raise PositivityViolation("forced", index=0)
-        return real(phi_hat, g, fv, eps_pd, t)
+        return real(phi_hat, g, fv, t)
 
     monkeypatch.setattr(maflow.flow, "flow_rhs", predictor_fails)
     new = step(state, StepControl(), nonkahler1, F, w, stats=stats)

@@ -7,7 +7,7 @@ import pytest
 from maflow.cli import main
 from maflow.config import _KEYS, RunConfig, config_from_kv, parse_kv_text
 from maflow.errors import ConfigError, MaflowError
-from maflow.flow import DT_FLOOR, StepControl
+from maflow.flow import StepControl
 from maflow.grid import TorusGrid
 from maflow.monitors import HolderConfig, MonitorSuite
 from maflow.presets import ForcingPreset, MetricPreset
@@ -116,8 +116,6 @@ def test_defaults():
     cfg = config_from_kv({})
     assert cfg.mode == "flow"
     assert cfg.step.dt_max == 0.1
-    assert cfg.step.eps_pd == 1e-6
-    assert cfg.step.retry_limit == 20
     assert cfg.monitors.holder.alpha == 0.5
     assert cfg.monitors.holder.epsilon == 0.5
     assert cfg.monitors.holder.sample_pairs == 20000
@@ -174,8 +172,6 @@ NON_DEFAULT = {
     "forcing.psi_kind": ("peaked", "peaked"),
     "flow.horizon": ("7.5", 7.5),
     "step.dt_max": ("0.05", 0.05),
-    "step.eps_pd": ("1e-4", 1e-4),
-    "step.retry_limit": ("4", 4),
     "monitors.emit_dt": ("0.05", 0.05),
     "monitors.field_interval": ("1.0", 1.0),
     "monitors.A": ("3.0", 3.0),
@@ -284,7 +280,6 @@ forcing.kind = modes
 forcing.amplitude = 80.0
 forcing.max_mode = 1
 flow.horizon = 2
-step.retry_limit = 2
 step.dt_max = 0.05
 rng_seed = 3
 """
@@ -298,17 +293,31 @@ def test_cli_step_failure_exit_3(tmp_path):
 
 
 def test_cli_step_failure_at_halving_floor_names_its_halvings(tmp_path, capsys):
-    # a retry limit that never binds: the accepted steps shrink towards the
-    # cone boundary, each first trying its predecessor's size, until a step
-    # fails at 0.05 / 2^34 and 0.05 / 2^35 and the next size is below
-    # flow.DT_FLOOR; the message counts that one halving, as retry_limit = 1 would
+    # the accepted steps shrink towards the cone boundary, each first trying
+    # its predecessor's size, until a step fails at 0.05 * 2^-18, 2^-19 and
+    # 2^-20, the halving floor; the message counts those three rejected
+    # tries and names the last size tried
     cfg_path = tmp_path / "hard.cfg"
-    cfg_path.write_text(HARD_CFG.replace("step.retry_limit = 2", "step.retry_limit = 1000000"))
+    cfg_path.write_text(HARD_CFG)
     code = main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("solver failure: step failed after 1 halvings at t=0.048311 ")
-    assert f"(dt={0.05 / 2 ** 36:.3e})" in err and 0.05 / 2 ** 36 < DT_FLOOR
+    assert err.startswith("solver failure: step failed after 3 rejected tries at t=0.048311 ")
+    assert f"(last dt={0.05 * 2 ** -20:.3e})" in err
+
+
+def test_cli_flow_on_a_tiny_flat_metric_is_stationary(tmp_path):
+    # zero forcing keeps phi = 0 on a flat metric at any scale: the cone guard
+    # follows the metric's own eigenvalues (1e-7 here), not a fixed 1e-6
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text("metric.scale = 1e-7\nmetric.lambda_floor = 1e-8\n")
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = (out / "monitors.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    u_columns = [header.index("sup_dphidt"), header.index("osc_u")]
+    assert len(rows) == 52
+    assert all(float(row.split(",")[i]) == 0.0 for row in rows[1:] for i in u_columns)
 
 
 def _error_classes(cls=MaflowError):
@@ -353,10 +362,11 @@ def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
     "grid.period = inf",
     "grid.period = 1e-300",
     "flow.horizon = 0.33",    # not a multiple of monitors.emit_dt
-    "step.dt_min = 0",        # the halving floor is flow.DT_FLOOR: an unknown key
-    "step.dt_max = inf",      # StepControl: dt_max must be finite
-    "step.eps_pd = -1",
+    "step.dt_min = 0",        # step.dt_max is the only step setting:
+    "step.eps_pd = -1",       # the others are unknown keys
     "step.retry_limit = -1",
+    "step.dt_max = inf",      # StepControl: dt_max must be finite
+    "step.dt_max = 1e-320",   # and dt_max * 2^-20 must not underflow to 0
     "holder.sample_pairs = -1",
     "holder.epsilon = nan",
     "forcing.max_mode = -1",
@@ -372,6 +382,7 @@ def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
     "monitors.shift_eps = -2",
     "monitors.emit_dt = nan",
     "monitors.field_interval = inf",
+    "monitors.field_interval = 1e-11",  # a ratio to emit_dt that rounds to 0
     "demo.eig_lo = 5\ndemo.eig_hi = 1",
     "demo.count = -1",
     "verify.criteria = 12",
@@ -396,10 +407,11 @@ def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
-# Generated bad values: each key takes every one of these.  1e300 is the
-# huge float; an int key reads it as a wrong type, so HUGE_INT is its huge value.
+# Generated bad values: each key takes every one of these.  1e-320 is a tiny
+# (subnormal) positive float and 1e300 the huge one; an int key reads it as a
+# wrong type, so HUGE_INT is its huge value.
 HUGE_INT = "1000000000000"
-GENERATED = ("nan", "inf", "-1", "0", "1e300", HUGE_INT, "abc", "")
+GENERATED = ("nan", "inf", "-1", "0", "1e-320", "1e300", HUGE_INT, "abc", "")
 SEEDS = "any non-negative integer seeds numpy's generator"
 SHAPE = ("finite; a metric it pushes below metric.lambda_floor is a config error at "
          "set-up (the flat default does not read it)")
@@ -407,15 +419,15 @@ SHAPE = ("finite; a metric it pushes below metric.lambda_floor is a config error
 ACCEPTED = {
     "rng_seed": (("0", HUGE_INT), SEEDS),
     "out.dir": (GENERATED, "any text names a directory; empty means maflow-out"),
-    "metric.eps": (("-1", "0", "1e300", HUGE_INT), SHAPE),
-    "metric.amp": (("-1", "0", "1e300", HUGE_INT), SHAPE),
+    "metric.eps": (("-1", "0", "1e-320", "1e300", HUGE_INT), SHAPE),
+    "metric.amp": (("-1", "0", "1e-320", "1e300", HUGE_INT), SHAPE),
     "metric.scale": ((HUGE_INT,), "inside presets.SCALE_RANGE"),
-    "metric.lambda_floor": (("1e300", HUGE_INT),
+    "metric.lambda_floor": (("1e-320", "1e300", HUGE_INT),
                             "positive and finite; a metric below it is a config error "
                             "at set-up"),
-    "forcing.value": (("-1", "0", "1e300", HUGE_INT),
+    "forcing.value": (("-1", "0", "1e-320", "1e300", HUGE_INT),
                       "finite; a constant F only moves phi by -F t"),
-    "forcing.amplitude": (("-1", "0", "1e300", HUGE_INT),
+    "forcing.amplitude": (("-1", "0", "1e-320", "1e300", HUGE_INT),
                           "finite; a manufactured g + Hess(psi) outside the cone is a "
                           "config error at set-up, a forcing the flow cannot follow a "
                           "step failure (exit 3)"),
@@ -423,20 +435,16 @@ ACCEPTED = {
     "forcing.seed": (("0", HUGE_INT), SEEDS),
     "step.dt_max": (("1e300", HUGE_INT),
                     "a finite upper bound; each step is clipped to land on an emission"),
-    "step.eps_pd": (("1e300", HUGE_INT),
-                    "positive and finite; a guard above the eigenvalues of g' fails "
-                    "the first step (exit 3)"),
-    "step.retry_limit": (("0", HUGE_INT),
-                         "a bound on halvings, which also stop below flow.DT_FLOOR"),
     "monitors.field_interval": (("1e300", HUGE_INT),
                                 "a multiple of monitors.emit_dt: t = 0 is the only "
                                 "field snapshot"),
-    "monitors.A": (("1e300", HUGE_INT),
+    "monitors.A": (("1e-320", "1e300", HUGE_INT),
                    "positive and finite; a Q_max that overflows to inf once "
                    "A (sup phi_tilde - phi_tilde) passes 709 stops the flow (exit 1)"),
-    "monitors.shift_eps": (("1e300", HUGE_INT),
+    "monitors.shift_eps": (("1e-320", "1e300", HUGE_INT),
                            "positive and finite; it shifts u in the Li-Yau diagnostic"),
-    "holder.epsilon": (("0", "1e300", HUGE_INT),
+    "holder.alpha": (("1e-320",), "inside (0, 1), the range of a Hoelder exponent"),
+    "holder.epsilon": (("0", "1e-320", "1e300", HUGE_INT),
                        "non-negative and finite; the Hoelder sample starts there, or "
                        "is empty"),
     "elliptic.tol": (("1e300", HUGE_INT), "an upper bound on the Newton residual"),
@@ -444,6 +452,8 @@ ACCEPTED = {
                            "an upper bound; Newton stops when it converges or its line "
                            "search fails"),
     "verify.criteria": (("",), "an empty list selects every criterion"),
+    "demo.eig_lo": (("1e-320",), "positive and below demo.eig_hi; the demo draws "
+                    "eigenvalues from that range"),
     "demo.eig_hi": (("1e300", HUGE_INT),
                     "finite and above demo.eig_lo; the demo's 1e-12 reconstruction "
                     "bound is absolute, so a wide range reports passed = false (exit 1)"),

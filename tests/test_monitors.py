@@ -40,11 +40,11 @@ class Recorder:
     def __init__(self):
         self.t, self.phi, self.u, self.gprime = [], [], [], []
 
-    def __call__(self, state, gprime):
+    def __call__(self, state):
         self.t.append(state.t)
         self.phi.append(state.phi.values.copy())
         self.u.append(state.dphi_dt.values.copy())
-        self.gprime.append(gprime.copy())
+        self.gprime.append(state.gprime.copy())
 
 
 @pytest.fixture(scope="module")
@@ -319,8 +319,8 @@ def _unit_windows_peak(per_unit):
     try:
         for k in range(2 * per_unit + 1):
             t = k / per_unit
-            uw(SimpleNamespace(t=t, dphi_dt=SimpleNamespace(values=np.exp(-t) * profile)),
-               gprime)
+            uw(SimpleNamespace(t=t, dphi_dt=SimpleNamespace(values=np.exp(-t) * profile),
+                               gprime=gprime))
         return uw, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -560,7 +560,7 @@ def _run_peak_bytes(horizon):
     tracemalloc.start()
     try:
         run(g, F, horizon=horizon, ctrl=StepControl(), monitors=suite,
-            observers=(lambda state, gprime: snaps.append(state.t),))
+            observers=(lambda state: snaps.append(state.t),))
         return len(snaps), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
