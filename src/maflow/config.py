@@ -42,6 +42,11 @@ from .presets import ForcingPreset, MetricPreset
 
 MODES = ("flow", "solve-elliptic", "verify", "decompose-demo", "normal-frame-demo")
 MAX_EMITS = 100_000        # emissions per run; acceptance run 1 has 601
+# Planned steps per run, flow.horizon / step.dt_max, before any halving: ten
+# per emission at MAX_EMITS.  Acceptance run 1 plans 300.  A step costs at
+# least one flow_rhs, so a run over this budget would not end in any useful
+# time (step.dt_max = 1e-9 on the default horizon plans 5e9 steps).
+MAX_STEPS = 10 * MAX_EMITS
 MAX_DEMO_COUNT = 10_000    # instances per demo; criteria 7 and 8 use 1000 and 100
 
 
@@ -71,6 +76,7 @@ class RunConfig:
     def __post_init__(self):
         horizon, emit_dt = self.horizon, self.monitors.emit_dt
         emits = self.monitors.emissions(horizon)
+        steps = horizon / self.step.dt_max
         modes = (2 * self.forcing.max_mode + 1) ** self.grid.real_dim
         for ok, what in (
             (self.mode in MODES, f"unknown mode '{self.mode}' (expected one of {MODES})"),
@@ -80,6 +86,9 @@ class RunConfig:
             (emits <= MAX_EMITS,
              f"flow.horizon / monitors.emit_dt is {emits:.6g} emissions, "
              f"above the budget of {MAX_EMITS}"),
+            (steps <= MAX_STEPS,
+             f"flow.horizon / step.dt_max is {steps:.6g} steps, "
+             f"above the budget of {MAX_STEPS}"),
             # a seeded forcing takes one coefficient per mode of its cube
             (modes <= MAX_POINTS,
              f"forcing.max_mode {self.forcing.max_mode} spans (2 max_mode + 1)^"

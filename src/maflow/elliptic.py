@@ -58,14 +58,14 @@ from .grid import (
     MetricField,
     ScalarField,
     TorusGrid,
-    check_cone,
+    cone_log_det,
     integrate_values,
-    min_eig_field,
     pin_heap_thresholds,
     volume_weights,
 )
-from .hermitian import inverse_stack, log_det, trace_pair
-from .hermitian import log_det_ratio  # noqa: F401  unused; perfbench/tracer.py patches it here
+from .hermitian import inverse_stack, trace_pair
+# unused here; perfbench/tracer.py patches them under this module
+from .hermitian import log_det_ratio, min_eig_field  # noqa: F401
 from .spectral import (
     complex_hessian_values,
     irfftn,
@@ -145,8 +145,9 @@ def _residual_field(phi_hat, g):
     Takes phi_hat = rfftn(phi), as complex_hessian_values does.
     """
     gprime = g.entries + complex_hessian_values(phi_hat, g.grid)
-    check_cone(min_eig_field(gprime), 0.0, "Newton iterate left the positive cone")
-    return log_det(gprime) - g.log_det, gprime
+    ratio = cone_log_det(gprime, 0.0, "Newton iterate left the positive cone")
+    ratio -= g.log_det
+    return ratio, gprime
 
 
 def _projected_residual(ratio, f, w):

@@ -34,14 +34,14 @@ from .grid import (
     ScalarField,
     TorusGrid,
     VolumeWeights,
-    check_cone,
+    cone_log_det,
     integrate_values,
     pin_heap_thresholds,
     volume_weights,
 )
-from .hermitian import generalized_eig_range, log_det, min_eig_field
+from .hermitian import generalized_eig_range
 # unused here; perfbench/tracer.py patches them under this module
-from .hermitian import det_field, trace_inverse  # noqa: F401
+from .hermitian import det_field, min_eig_field, trace_inverse  # noqa: F401
 from .spectral import (
     complex_hessian_values,
     irfftn,
@@ -136,12 +136,15 @@ def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray, t: float
 
     phi_hat is rfftn(phi).  Raises PositivityViolation (with the offending
     flat grid index) if any sample of g' = g + Hess(phi) has smallest
-    eigenvalue <= EPS_PD * g.min_eig or is NaN.
+    eigenvalue <= EPS_PD * g.min_eig or is NaN.  g' is built in the
+    Hessian's buffer, and the cone check shares log det's passes.
     """
-    grid = g.grid
-    gprime = g.entries + complex_hessian_values(phi_hat, grid)
-    check_cone(min_eig_field(gprime), EPS_PD * g.min_eig, "evolving metric", t)
-    return log_det(gprime) - g.log_det - f_values, gprime
+    gprime = complex_hessian_values(phi_hat, g.grid)
+    gprime += g.entries
+    u = cone_log_det(gprime, EPS_PD * g.min_eig, "evolving metric", t)
+    u -= g.log_det
+    u -= f_values
+    return u, gprime
 
 
 def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
@@ -456,7 +459,7 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
     stats = {"steps": 0, "halvings": 0, "rhs_calls": 0, "pc_steps": 0, "pc_gap_max": 0.0,
              "dense_emits": 0, "retakes": 0}
     state = make_state(g, f, w, stats=stats)
-    series = MonitorSeries(g, w, monitors, horizon, observers)
+    series = MonitorSeries(g, f, w, monitors, horizon, observers)
     gbar = _frozen_metric_key(g)
 
     series.emit(state)

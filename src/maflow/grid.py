@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PositivityViolation
-from .hermitian import det_field, log_det, min_eig_field
+from .hermitian import det_field, log_det, log_det_above, min_eig_field
 
 # Default floor for the smallest metric eigenvalue over the grid.
 LAMBDA_FLOOR = 0.1
@@ -146,14 +146,22 @@ def grid_point(index: int, shape: tuple) -> tuple:
     return tuple(int(i) for i in np.unravel_index(index, shape))
 
 
-def check_cone(mins: np.ndarray, floor: float, what: str, t: Optional[float] = None):
-    """Raise PositivityViolation unless every smallest eigenvalue exceeds floor.
+def cone_log_det(p: np.ndarray, floor: float, what: str,
+                 t: Optional[float] = None) -> np.ndarray:
+    """log det of each sample of the packed field p, once every eigenvalue
+    of every sample is checked to exceed floor >= 0.
 
-    mins is a field of pointwise smallest eigenvalues.  Written as
-    `not (min > floor)` so that a NaN fails the guard too; the message names
-    ``what``, the time t (when given) and the grid point of the first
-    failing sample.
+    hermitian.log_det_above decides the cone and takes log det in one set of
+    passes.  Where it declines, the check runs again on min_eig_field, so
+    that a failure is worded from the smallest eigenvalues: a
+    PositivityViolation naming ``what``, the time t (when given) and the
+    grid point of the first failing sample.  The guard is written as
+    `not (min > floor)`, so a NaN fails it too.
     """
+    out = log_det_above(p, floor)
+    if out is not None:
+        return out
+    mins = min_eig_field(p)
     gmin = mins.min()
     if not gmin > floor:
         idx = int(np.argmin(mins))  # the first NaN, if there is one
@@ -163,6 +171,7 @@ def check_cone(mins: np.ndarray, floor: float, what: str, t: Optional[float] = N
             f"{grid_point(idx, mins.shape)}",
             index=idx, t=t,
         )
+    return log_det(p)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ so every field is Hermitian by construction.  A single matrix packs to shape
 (n*n,).  The kernels below (determinant, smallest eigenvalue, log det,
 inverse, trace pairings, pencil eigenvalues) are closed forms on that array.
 
+``log_det_above`` is the one log-det path of a solve: the Cholesky pivots
+of p give log det and certify, by reductions alone, that every eigenvalue
+exceeds a floor (grid.cone_log_det checks exactly where they cannot).  The
+pencil g^{-1} g' has closed-form eigenvalues from its trace and determinant
+(``pencil_eig_range``); a flow state holds both, as tr_g g' and exp(u + F).
+
 ``normal_frame`` builds holomorphic coordinates centered at a point in which
 the metric is the identity, the holomorphic derivatives of its diagonal
 entries vanish, and a given Hermitian form is diagonal.
@@ -20,7 +26,7 @@ include the standard basis.  Both lemmas work on single full matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +69,37 @@ def log_det(p: np.ndarray) -> np.ndarray:
             index=int(np.argmin(ok)),
         )
     return np.log(a) if len(p) == 1 else np.log(a) + np.log(s)
+
+
+def log_det_above(p: np.ndarray, floor: float) -> Optional[np.ndarray]:
+    """log det of each packed Hermitian sample, once every eigenvalue of
+    every sample is certified to exceed floor >= 0; None where the
+    certificate fails, and at any NaN or infinite entry.
+
+    log det is log_det's formula on the Cholesky pivots a and
+    s = d - |b|^2 / a, so its value is log_det's to the bit.  The same
+    pivots certify the cone by reductions alone: the last pivot of
+    p - floor I is s - floor - (d - s) floor / (a - floor), which exceeds
+    min s - floor (1 + max d / (min a - floor)) wherever a > floor.  The
+    certificate fails only within a factor of about max d / min a of the
+    floor; there the caller decides (grid.cone_log_det).
+    """
+    a = p[0]
+    a_min = a.min()
+    if not (a_min > floor and a.max() < np.inf):
+        return None
+    if len(p) == 1:
+        return np.log(a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = p[2] * p[2]
+        s += p[3] * p[3]
+        np.divide(s, a, out=s)
+        np.subtract(p[1], s, out=s)
+        if not s.min() > floor * (1.0 + p[1].max() / (a_min - floor)):
+            return None
+        out = np.log(a)
+        out += np.log(s, out=s)
+    return out
 
 
 def log_det_ratio(gp: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -110,7 +147,13 @@ def generalized_eig_range(g: np.ndarray, gp: np.ndarray):
         return r, r
     det_g = det_field(g)
     tr = (g[1] * gp[0] + g[0] * gp[1] - 2.0 * (g[2] * gp[2] + g[3] * gp[3])) / det_g
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det_field(gp) / det_g, 0.0))
+    return pencil_eig_range(tr, det_field(gp) / det_g)
+
+
+def pencil_eig_range(tr: np.ndarray, det: np.ndarray):
+    """The two eigenvalues (low, high) of each real-spectrum 2 x 2 pencil of
+    trace tr and determinant det: (tr -+ sqrt(max(tr^2 - 4 det, 0))) / 2."""
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     return 0.5 * (tr - disc), 0.5 * (tr + disc)
 
 

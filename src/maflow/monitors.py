@@ -2,11 +2,14 @@
 
 Each monitor reports a measured witness (bounds, contraction factors, decay
 rates) rather than assuming any constant.  Scalars are recorded at every
-snapshot.  The field-based diagnostics (Hoelder seminorm, Li-Yau quantity)
-stream: every field snapshot's g', the one the flow state carries, is folded
-at emission into the Hoelder sample and a three-snapshot Li-Yau window,
-handed to any extra observers and dropped, so memory does not grow with the
-snapshot count.
+snapshot from what the flow state already holds: u, phi_tilde and g'.  The
+pencil g^{-1} g' needs no pass of its own: its trace is the trace field
+tr_g g' that trace_max and Q read, and its determinant is exp(u + F), since
+u = log det g' - log det g - F.  The field-based diagnostics (Hoelder
+seminorm, Li-Yau quantity) stream: every field snapshot's g' is folded at
+emission into the Hoelder sample and a three-snapshot Li-Yau window, handed
+to any extra observers and dropped, so memory does not grow with the
+snapshot count.  The Li-Yau window inverts only the g' whose value is due.
 finalize carries their values forward between evaluations, so every CSV row
 stays finite.
 """
@@ -26,10 +29,12 @@ from .errors import (
     NonPositiveU,
     SeriesTooShort,
 )
-from .grid import MAX_POINTS, MetricField, TorusGrid, VolumeWeights, integrate_values
-from .hermitian import generalized_eig_range, inverse_stack, trace_pair
+from .grid import MAX_POINTS, MetricField, ScalarField, TorusGrid, VolumeWeights, integrate_values
+from .hermitian import inverse_stack, pencil_eig_range, trace_pair
 from .spectral import holo_gradient
-from .spectral import complex_hessian_values  # noqa: F401  unused; perfbench/tracer.py patches it
+# unused here; perfbench/tracer.py patches them under this module
+from .hermitian import generalized_eig_range  # noqa: F401
+from .spectral import complex_hessian_values  # noqa: F401
 
 CSV_COLUMNS = (
     "t", "sup_dphidt", "osc_u", "trace_max", "eig_min", "eig_max",
@@ -132,22 +137,27 @@ class DecayFit:
     n_samples: int = 0
 
 
-def monitor_basic(state, g: MetricField, trace_field: np.ndarray,
+def monitor_basic(state, trace_field: np.ndarray, f_values: np.ndarray,
                   w: VolumeWeights) -> dict:
     """Zeroth/first/second-order witnesses at one snapshot.
 
-    ``trace_field`` is tr_g g' at every grid point.
+    ``trace_field`` is tr_g g' at every grid point and ``f_values`` the
+    forcing F.  The eigenvalues of g^{-1} g' are the roots of the pencil of
+    trace tr_g g' and determinant exp(u + F) (for n = 1, tr_g g' itself).
+    The sups of |u| and |u - mean u| are attained at the extremes of u, so
+    they are read from max u and min u.
     """
     u = state.dphi_dt.values
-    sup_u = float(np.max(np.abs(u)))
+    u_max, u_min = float(np.max(u)), float(np.min(u))
     mean_u = integrate_values(u, w)
-    sup_ut = float(np.max(np.abs(u - mean_u)))
-    osc = float(np.max(u) - np.min(u))
-    emin, emax = generalized_eig_range(g.entries, state.gprime)
+    if len(state.gprime) == 1:
+        emin = emax = trace_field
+    else:
+        emin, emax = pencil_eig_range(trace_field, np.exp(u + f_values))
     return {
-        "sup_dphidt": sup_u,
-        "sup_dphitilde": sup_ut,
-        "osc_u": osc,
+        "sup_dphidt": max(abs(u_max), abs(u_min)),
+        "sup_dphitilde": max(abs(u_max - mean_u), abs(u_min - mean_u)),
+        "osc_u": u_max - u_min,
         "trace_max": float(np.max(trace_field)),
         "eig_min": float(np.min(emin)),
         "eig_max": float(np.max(emax)),
@@ -187,25 +197,34 @@ class _HolderSample:
     The cfg.sample_pairs pairs of (snapshot, grid point) are drawn up front
     over the indices of the ``count`` snapshots to come; ``add`` takes each
     snapshot's time and packed g' in order and keeps only its sampled
-    entries, two (pairs, n*n) buffers in all.  A quotient's numerator is
-    max(|da|, |dd|, |db|).
+    entries, two (pairs, n*n) buffers in all.  Each end's pair indices are
+    sorted by snapshot once, so a snapshot's pairs are one slice.  A
+    quotient's numerator is max(|da|, |dd|, |db|).
     """
 
     def __init__(self, count: int, grid: TorusGrid, cfg: HolderConfig):
         m = cfg.sample_pairs
         rng = np.random.default_rng(cfg.rng_seed)
         self.sa, self.sb = [rng.integers(0, count, size=m) for _ in range(2)]
-        self.pa, self.pb = [rng.integers(0, grid.num_points, size=m) for _ in range(2)]
-        self.space_dist = _torus_pair_distance(grid, self.pa, self.pb)
+        pa, pb = [rng.integers(0, grid.num_points, size=m) for _ in range(2)]
+        self.space_dist = _torus_pair_distance(grid, pa, pb)
+        # per end: pair indices by snapshot, their grid points, snapshot j's slice bounds
+        self.ends = []
+        for snap, pts in ((self.sa, pa), (self.sb, pb)):
+            order = np.argsort(snap)
+            self.ends.append((order, pts[order],
+                              np.searchsorted(snap[order], np.arange(count + 1))))
         self.count, self.times = count, []
         self.alpha, self.n = cfg.alpha, grid.complex_dim
         self.ga, self.gb = np.zeros((2, m, self.n ** 2))
 
     def add(self, t: float, gprime: np.ndarray):
-        flat = gprime.reshape(len(gprime), -1)
-        for snap, pts, buf in ((self.sa, self.pa, self.ga), (self.sb, self.pb, self.gb)):
-            hit = snap == len(self.times)
-            buf[hit] = flat[:, pts[hit]].T
+        j = len(self.times)
+        if j < self.count:   # an extra snapshot only counts, and quotients raises
+            flat = gprime.reshape(len(gprime), -1)
+            for (order, pts, bounds), buf in zip(self.ends, (self.ga, self.gb)):
+                lo, hi = bounds[j], bounds[j + 1]
+                buf[order[lo:hi]] = flat[:, pts[lo:hi]].T
         self.times.append(t)
 
     def quotients(self):
@@ -230,30 +249,34 @@ class LiYauWindow:
     """Li-Yau quantity t (|d f|^2 - alpha f_t), maximized over the grid,
     over a stream of snapshots.
 
-    ``add(t, u, gpinv)`` takes one snapshot: u > 0 at every point
-    (NonPositiveU otherwise), f = log u, and gpinv the packed g'^{-1}, so
+    ``add(t, u, gprime)`` takes one snapshot: u > 0 at every point
+    (NonPositiveU otherwise), f = log u, and gprime the packed g', so
     |d f|^2 is the pairing tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f).
     f_t is a centered difference across adjacent snapshots, so a value is
-    produced at each interior snapshot time; only the last three snapshots
-    are held.  alpha_ly lies in (1, 2), as MonitorSuite checks.
+    produced at each interior snapshot time, from the inverse of that
+    snapshot's g' alone.  Between adds the window holds the last two
+    snapshots' f and the newest g'.  alpha_ly lies in (1, 2), as
+    MonitorSuite checks.
     """
 
     def __init__(self, grid: TorusGrid, alpha_ly: float = 1.5):
         self.grid, self.alpha_ly = grid, alpha_ly
-        self.window = []    # (t, f, g'^{-1}) of the last two snapshots between adds
+        self.window = []      # (t, f) of the last two snapshots between adds
+        self.gprime = None    # the newest snapshot's g', used once it is the middle
         self.times, self.values = [], []
 
-    def add(self, t: float, u: np.ndarray, gpinv: np.ndarray):
+    def add(self, t: float, u: np.ndarray, gprime: np.ndarray):
         if np.min(u) <= 0:
             raise NonPositiveU(f"non-positive u (min {np.min(u):.3e}) in Li-Yau diagnostic")
-        self.window.append((t, np.log(u), gpinv))
+        self.window.append((t, np.log(u)))
+        gp1, self.gprime = self.gprime, gprime
         if len(self.window) < 3:
             return
-        (t0, f0, _), (t1, f1, gpinv1), (t2, f2, _) = self.window
-        del self.window[0]   # its g'^{-1} is not needed while the next one is built
+        (t0, f0), (t1, f1), (t2, f2) = self.window
+        del self.window[0]
         f_t = (f2 - f0) / (t2 - t0)
         self.times.append(t1)
-        self.values.append(float(t1 * np.max(_grad_sq(f1, gpinv1, self.grid)
+        self.values.append(float(t1 * np.max(_grad_sq(f1, inverse_stack(gp1), self.grid)
                                              - self.alpha_ly * f_t)))
 
     def result(self):
@@ -406,6 +429,7 @@ def _carry_forward(records: Sequence[MonitorRecord], attr: str,
 class MonitorSeries:
     """Ordered monitor records of a run; field estimators fed at emission.
 
+    Each emitted state is one of the run on metric g and forcing f.
     Emission j is a field snapshot when j is a multiple of field_interval /
     emit_dt.  Its g' = g + Hess(phi) is state.gprime, the one the step that
     produced the state assembled (no transform or Hessian runs here).  It is
@@ -416,9 +440,10 @@ class MonitorSeries:
     snapshot count before the run, hence ``horizon``.
     """
 
-    def __init__(self, g: MetricField, w: VolumeWeights, suite: MonitorSuite,
-                 horizon: float, observers: Sequence[Callable] = ()):
+    def __init__(self, g: MetricField, f: ScalarField, w: VolumeWeights,
+                 suite: MonitorSuite, horizon: float, observers: Sequence[Callable] = ()):
         self.g = g
+        self.f_values = f.values
         self.w = w
         self.suite = suite
         self.observers = tuple(observers)
@@ -426,7 +451,7 @@ class MonitorSeries:
         self.records: List[MonitorRecord] = []
         self.field_snaps: list = []   # always empty: fields are folded in at emission
         self.sup_phitilde_run = -np.inf
-        self.sup_F = None
+        self.sup_F = float(np.max(np.abs(f.values)))
         self.field_every = round(suite.field_interval / suite.emit_dt)
         count = sum(1 for j in range(0, suite.emissions(horizon) + 1, self.field_every)
                     if j * suite.emit_dt >= suite.holder.epsilon)
@@ -437,14 +462,12 @@ class MonitorSeries:
         self.sup_phitilde_run = max(self.sup_phitilde_run,
                                     float(np.max(state.phi_tilde.values)))
         trace_field = trace_pair(self.g_inv, state.gprime)
-        basic = monitor_basic(state, self.g, trace_field, self.w)
+        basic = monitor_basic(state, trace_field, self.f_values, self.w)
         q_max = monitor_Q(state, trace_field, self.suite.A, self.sup_phitilde_run)
         if not math.isfinite(q_max):
             raise MonitorOverflow(
                 f"Q_max = {q_max} at t = {state.t:.6g}: exp(A (sup phi_tilde - phi_tilde)) "
                 f"overflows with monitors.A = {self.suite.A:.6g}")
-        if self.sup_F is None:
-            self.sup_F = basic["sup_dphidt"]  # phi(.,0) = 0 makes u(0) = -F
         j = len(self.records)
         self.records.append(MonitorRecord(
             t=state.t, Q_max=q_max, holder_seminorm=0.0, liyau_max=0.0, **basic,
@@ -455,7 +478,7 @@ class MonitorSeries:
             self.holder.add(state.t, state.gprime)
         shift = (1.0 + self.suite.shift_eps) * self.sup_F
         if shift > 0:
-            self.liyau.add(state.t, state.dphi_dt.values + shift, inverse_stack(state.gprime))
+            self.liyau.add(state.t, state.dphi_dt.values + shift, state.gprime)
         for observer in self.observers:
             observer(state)
 

@@ -106,7 +106,7 @@ class UnitWindows:
     snapshot at t = m-1 when the oscillation of u there is at least 1e-10.
     Each snapshot at 0 < t <= 1 (xi vanishes at the argmax for t = 0) feeds
     the positive surrogate xi_m(x, t) = sup_y u(y, m-1) - u(x, m-1+t) and
-    g'^{-1} to the window's LiYauWindow and keeps (t, sup xi, inf xi) for the
+    g' to the window's LiYauWindow and keeps (t, sup xi, inf xi) for the
     Harnack fit.  At t = 1 the window's Li-Yau values are kept and the
     Harnack check on (0.5, 1) runs, unless some xi was non-positive.
     """
@@ -129,7 +129,7 @@ class UnitWindows:
                 xi = sup0 - u
                 self.extrema.append((rel, float(np.max(xi)), float(np.min(xi))))
                 try:
-                    self.liyau.add(rel, xi, inverse_stack(state.gprime))
+                    self.liyau.add(rel, xi, state.gprime)
                 except NonPositiveU:
                     self.liyau = None
             if rel >= 1.0 - 1e-9:

@@ -57,11 +57,11 @@ def kahler_defect(g: MetricField) -> float:
 
 
 def liyau_quantity(times: Iterable[float], u_list: Iterable[np.ndarray],
-                   gpinv_list: Iterable[np.ndarray], grid: TorusGrid,
+                   gprime_list: Iterable[np.ndarray], grid: TorusGrid,
                    alpha_ly: float = 1.5):
-    """(interior_times, values) of a LiYauWindow fed the given snapshots,
-    which may be iterators."""
+    """(interior_times, values) of a LiYauWindow fed the given snapshots
+    (packed g', not its inverse), which may be iterators."""
     window = LiYauWindow(grid, alpha_ly)
-    for t, u, gpinv in zip(times, u_list, gpinv_list):
-        window.add(t, u, gpinv)
+    for t, u, gprime in zip(times, u_list, gprime_list):
+        window.add(t, u, gprime)
     return window.result()

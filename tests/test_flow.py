@@ -203,8 +203,9 @@ def test_step_nan_stage_ends_in_step_failure(monkeypatch, grid1, nonkahler1):
     w = volume_weights(nonkahler1)
     F = field_from(grid1, lambda c: 0.05 * np.cos(c[0]))
     state = make_state(nonkahler1, F, w)
+    # a batched transform keeps its leading axes: the Hessian's is (n*n,) + grid
     monkeypatch.setattr("maflow.spectral.irfftn",
-                        lambda a, shape: np.full(shape, np.nan))
+                        lambda a, shape: np.full(a.shape[:-len(shape)] + shape, np.nan))
     stats = {}
     with pytest.raises(StepFailure) as exc:
         step(state, StepControl(), nonkahler1, F, w, stats=stats)

@@ -268,3 +268,73 @@ def test_packed_log_det_names_the_bad_sample():
     with pytest.raises(PositivityViolation) as exc:
         log_det_ratio(pack(mats), pack(_pd_stack(2, count=10)))
     assert exc.value.index == 7
+
+
+# ---------------------------------------------------------------- cone and log det
+
+def _cone_reference(p, floor):
+    """log det after the separate cone check: min_eig_field, then log_det."""
+    from maflow.hermitian import log_det, min_eig_field
+    return log_det(p) if min_eig_field(p).min() > floor else None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_log_det_above_matches_min_eig_and_log_det(n):
+    # the kernel returns log_det's bits only inside the cone, and certifies
+    # any floor well below the smallest eigenvalue; cone_log_det, which
+    # decides exactly where the kernel declines, matches the separate check
+    # at every floor, including just below and just above the eigenvalue
+    from maflow.grid import cone_log_det
+    from maflow.hermitian import log_det_above, min_eig_field
+
+    rng = np.random.default_rng(40 + n)
+    for trial in range(20):
+        p = pack(_pd_stack(n, count=200, seed=trial))
+        lam = float(min_eig_field(p).min())
+        for floor in (0.0, 1e-6 * lam, lam * (1 - 1e-9), lam * (1 + 1e-9), 2 * lam):
+            got, want = log_det_above(p, floor), _cone_reference(p, floor)
+            if got is not None:
+                assert want is not None and np.array_equal(got, want), (trial, floor)
+            if floor <= 1e-6 * lam:
+                assert got is not None, (trial, floor)
+            if want is None:
+                with pytest.raises(PositivityViolation):
+                    cone_log_det(p, floor, "field")
+            else:
+                assert np.array_equal(cone_log_det(p, floor, "field"), want)
+        # an indefinite sample anywhere is outside the cone at every floor >= 0
+        bad = p.copy()
+        bad[0, rng.integers(200)] = -1.0
+        assert log_det_above(bad, 0.0) is None and _cone_reference(bad, 0.0) is None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_log_det_above_rejects_non_finite_entries(n, value):
+    from maflow.hermitian import log_det_above, min_eig_field
+
+    for row in range(n * n):
+        p = pack(_pd_stack(n, count=30, seed=9))
+        p[row, 11] = value
+        assert log_det_above(p, 0.0) is None, row
+        assert log_det_above(p, 1e-6) is None, row
+        # the guard it replaces rejects them too, except +inf for n = 1,
+        # whose smallest eigenvalue is that entry
+        if not (n == 1 and value == np.inf):
+            with np.errstate(invalid="ignore"):
+                assert not min_eig_field(p).min() > 0.0, row
+
+
+def test_cone_log_det_words_a_failure_from_the_smallest_eigenvalue():
+    from maflow.grid import cone_log_det
+
+    mats = _pd_stack(2, count=12)
+    mats[4] = np.diag([0.5, 2e-7])
+    p = pack(mats).reshape(4, 3, 4)
+    with pytest.raises(PositivityViolation) as exc:
+        cone_log_det(p, 1e-6, "evolving metric", t=0.25)
+    assert exc.value.index == 4 and exc.value.t == 0.25
+    assert str(exc.value) == ("evolving metric at t=0.250000: eigenvalue 2.000e-07 not "
+                              "above 1.000e-06 at grid point (1, 0)")
+    assert np.array_equal(cone_log_det(p, 1e-7, "evolving metric"),
+                          _cone_reference(p, 1e-7))

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -306,6 +307,21 @@ def test_cli_step_failure_at_halving_floor_names_its_halvings(tmp_path, capsys):
     assert f"(last dt={0.05 * 2 ** -20:.3e})" in err
 
 
+def test_cli_step_budget_exit_2_before_any_step(tmp_path, capsys):
+    # the default horizon of 5 at step.dt_max = 1e-9 plans 5e9 steps; without
+    # a budget the run would step on for hours and write nothing
+    cfg_path = tmp_path / "tiny_dt.cfg"
+    cfg_path.write_text("step.dt_max = 1e-9\n")
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = main(["flow", "--config", str(cfg_path), "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("config error: flow.horizon / step.dt_max is 5e+09 steps, "
+                   "above the budget of 1000000\n")
+
+
 def test_cli_flow_on_a_tiny_flat_metric_is_stationary(tmp_path):
     # zero forcing keeps phi = 0 on a flat metric at any scale: the cone guard
     # follows the metric's own eigenvalues (1e-7 here), not a fixed 1e-6
@@ -408,10 +424,11 @@ def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
 
 
 # Generated bad values: each key takes every one of these.  1e-320 is a tiny
-# (subnormal) positive float and 1e300 the huge one; an int key reads it as a
-# wrong type, so HUGE_INT is its huge value.
+# (subnormal) positive float, 1e-9 a small normal one (as step.dt_max it plans
+# 5e9 steps, past config.MAX_STEPS) and 1e300 the huge one; an int key reads
+# it as a wrong type, so HUGE_INT is its huge value.
 HUGE_INT = "1000000000000"
-GENERATED = ("nan", "inf", "-1", "0", "1e-320", "1e300", HUGE_INT, "abc", "")
+GENERATED = ("nan", "inf", "-1", "0", "1e-320", "1e-9", "1e300", HUGE_INT, "abc", "")
 SEEDS = "any non-negative integer seeds numpy's generator"
 SHAPE = ("finite; a metric it pushes below metric.lambda_floor is a config error at "
          "set-up (the flat default does not read it)")
@@ -419,40 +436,42 @@ SHAPE = ("finite; a metric it pushes below metric.lambda_floor is a config error
 ACCEPTED = {
     "rng_seed": (("0", HUGE_INT), SEEDS),
     "out.dir": (GENERATED, "any text names a directory; empty means maflow-out"),
-    "metric.eps": (("-1", "0", "1e-320", "1e300", HUGE_INT), SHAPE),
-    "metric.amp": (("-1", "0", "1e-320", "1e300", HUGE_INT), SHAPE),
-    "metric.scale": ((HUGE_INT,), "inside presets.SCALE_RANGE"),
-    "metric.lambda_floor": (("1e-320", "1e300", HUGE_INT),
+    "metric.eps": (("-1", "0", "1e-320", "1e-9", "1e300", HUGE_INT), SHAPE),
+    "metric.amp": (("-1", "0", "1e-320", "1e-9", "1e300", HUGE_INT), SHAPE),
+    "metric.scale": (("1e-9", HUGE_INT), "inside presets.SCALE_RANGE"),
+    "metric.lambda_floor": (("1e-320", "1e-9", "1e300", HUGE_INT),
                             "positive and finite; a metric below it is a config error "
                             "at set-up"),
-    "forcing.value": (("-1", "0", "1e-320", "1e300", HUGE_INT),
+    "forcing.value": (("-1", "0", "1e-320", "1e-9", "1e300", HUGE_INT),
                       "finite; a constant F only moves phi by -F t"),
-    "forcing.amplitude": (("-1", "0", "1e-320", "1e300", HUGE_INT),
+    "forcing.amplitude": (("-1", "0", "1e-320", "1e-9", "1e300", HUGE_INT),
                           "finite; a manufactured g + Hess(psi) outside the cone is a "
                           "config error at set-up, a forcing the flow cannot follow a "
                           "step failure (exit 3)"),
     "forcing.max_mode": (("0",), "no modes: the seeded forcing is zero"),
     "forcing.seed": (("0", HUGE_INT), SEEDS),
     "step.dt_max": (("1e300", HUGE_INT),
-                    "a finite upper bound; each step is clipped to land on an emission"),
+                    "a finite upper bound; each step is clipped to land on an emission "
+                    "(a small one plans more than config.MAX_STEPS steps)"),
     "monitors.field_interval": (("1e300", HUGE_INT),
                                 "a multiple of monitors.emit_dt: t = 0 is the only "
                                 "field snapshot"),
-    "monitors.A": (("1e-320", "1e300", HUGE_INT),
+    "monitors.A": (("1e-320", "1e-9", "1e300", HUGE_INT),
                    "positive and finite; a Q_max that overflows to inf once "
                    "A (sup phi_tilde - phi_tilde) passes 709 stops the flow (exit 1)"),
-    "monitors.shift_eps": (("1e-320", "1e300", HUGE_INT),
+    "monitors.shift_eps": (("1e-320", "1e-9", "1e300", HUGE_INT),
                            "positive and finite; it shifts u in the Li-Yau diagnostic"),
-    "holder.alpha": (("1e-320",), "inside (0, 1), the range of a Hoelder exponent"),
-    "holder.epsilon": (("0", "1e-320", "1e300", HUGE_INT),
+    "holder.alpha": (("1e-320", "1e-9"), "inside (0, 1), the range of a Hoelder exponent"),
+    "holder.epsilon": (("0", "1e-320", "1e-9", "1e300", HUGE_INT),
                        "non-negative and finite; the Hoelder sample starts there, or "
                        "is empty"),
-    "elliptic.tol": (("1e300", HUGE_INT), "an upper bound on the Newton residual"),
+    "elliptic.tol": (("1e-9", "1e300", HUGE_INT), "an upper bound on the Newton residual, "
+                     "at least 1e-12"),
     "elliptic.max_iters": ((HUGE_INT,),
                            "an upper bound; Newton stops when it converges or its line "
                            "search fails"),
     "verify.criteria": (("",), "an empty list selects every criterion"),
-    "demo.eig_lo": (("1e-320",), "positive and below demo.eig_hi; the demo draws "
+    "demo.eig_lo": (("1e-320", "1e-9"), "positive and below demo.eig_hi; the demo draws "
                     "eigenvalues from that range"),
     "demo.eig_hi": (("1e300", HUGE_INT),
                     "finite and above demo.eig_lo; the demo's 1e-12 reconstruction "

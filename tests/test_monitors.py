@@ -141,7 +141,7 @@ def test_wrong_snapshot_count_raises(grid1, flat1):
     # epsilon = 0.5; a series that sees only the emissions up to t = 1 has two
     w = volume_weights(flat1)
     F = ScalarField(grid1, np.zeros(grid1.shape))
-    series = MonitorSeries(flat1, w, MonitorSuite(), horizon=2.0)
+    series = MonitorSeries(flat1, F, w, MonitorSuite(), horizon=2.0)
     assert series.holder.count == 4
     for j in range(11):
         series.emit(make_state(flat1, F, w, t=j * 0.1))
@@ -209,35 +209,31 @@ def test_holder_column_running_max(mfd_run):
 # ----------------------------------------------------------------- Li-Yau
 
 def test_liyau_constant_u(grid1, flat1):
-    ginv = inverse_stack(flat1.entries)
     us = [np.full(grid1.shape, 2.0)] * 3
-    t, v = liyau_quantity([0.5, 1.0, 1.5], us, [ginv] * 3, grid1, alpha_ly=1.5)
+    t, v = liyau_quantity([0.5, 1.0, 1.5], us, [flat1.entries] * 3, grid1, alpha_ly=1.5)
     assert np.max(np.abs(v)) <= 1e-12
 
 
 def test_liyau_exponential_closed_form(grid1, flat1):
     # u = e^{-t}: |df|^2 = 0, f_t = -1, so the quantity is alpha * t
-    ginv = inverse_stack(flat1.entries)
     times = [0.5, 1.0, 1.5, 2.0]
     us = [np.full(grid1.shape, np.exp(-t)) for t in times]
-    t, v = liyau_quantity(times, us, [ginv] * 4, grid1, alpha_ly=1.5)
+    t, v = liyau_quantity(times, us, [flat1.entries] * 4, grid1, alpha_ly=1.5)
     assert np.allclose(v, 1.5 * t, atol=1e-10)
 
 
 def test_liyau_nonpositive_raises(grid1, flat1):
-    ginv = inverse_stack(flat1.entries)
     us = [np.full(grid1.shape, 1.0), np.full(grid1.shape, -0.1),
           np.full(grid1.shape, 1.0)]
     with pytest.raises(NonPositiveU):
-        liyau_quantity([0.5, 1.0, 1.5], us, [ginv] * 3, grid1)
+        liyau_quantity([0.5, 1.0, 1.5], us, [flat1.entries] * 3, grid1)
 
 
 def test_liyau_envelope_on_run(mfd):
     shift = 1.5 * float(np.max(np.abs(mfd.F.values)))
     rec = mfd.rec
     us = [u + shift for u in rec.u]
-    gpinvs = [inverse_stack(gp) for gp in rec.gprime]
-    t_int, vals = liyau_quantity(rec.t, us, gpinvs, mfd.g.grid, alpha_ly=1.5)
+    t_int, vals = liyau_quantity(rec.t, us, rec.gprime, mfd.g.grid, alpha_ly=1.5)
     mask = t_int > 0
     c1, c2 = envelope_fit_inverse_time(t_int[mask], vals[mask])
     assert np.isfinite(c1) and np.isfinite(c2)
@@ -288,8 +284,7 @@ def _reference_unit_windows(rec, grid, alpha_ly, horizon):
         rel_t = [rec.t[i] - (m - 1) for i in inside]
         fields = [float(np.max(u0)) - rec.u[i] for i in inside]
         try:
-            t_int, vals = liyau_quantity(rel_t, fields,
-                                         [inverse_stack(rec.gprime[i]) for i in inside],
+            t_int, vals = liyau_quantity(rel_t, fields, [rec.gprime[i] for i in inside],
                                          grid, alpha_ly=alpha_ly)
             out.env_t.extend(t_int.tolist())
             out.env_v.extend(vals.tolist())
@@ -328,7 +323,7 @@ def _unit_windows_peak(per_unit):
 
 def test_unit_windows_memory_flat_in_snapshots_per_window():
     # a window streams through one Li-Yau window: holding each snapshot's xi
-    # and g'^{-1} (64 KB here) would add ~2.3 MB over the 36 extra snapshots
+    # and g' (64 KB here) would add ~2.3 MB over the 36 extra snapshots
     uw4, peak4 = _unit_windows_peak(4)
     uw40, peak40 = _unit_windows_peak(40)
     for uw in (uw4, uw40):
@@ -537,17 +532,48 @@ def test_finalize_matches_two_pass_reference(n2_run):
     assert series.field_snaps == []
 
 
+@pytest.mark.parametrize("which", ["mfd", "n2_run"])
+def test_emitted_eig_range_matches_the_pencil_of_g_and_gprime(request, which):
+    # emit reads the pencil's trace and determinant from the state (tr_g g'
+    # and exp(u + F)); generalized_eig_range forms both from g and g'
+    from maflow.hermitian import generalized_eig_range
+
+    if which == "mfd":
+        fix = request.getfixturevalue("mfd")
+        series, rec = fix.res.series, fix.rec
+    else:
+        res, _, rec = request.getfixturevalue("n2_run")
+        series = res.series
+    by_t = {r.t: r for r in series.records}
+    for t, gp in zip(rec.t, rec.gprime):
+        lo, hi = generalized_eig_range(series.g.entries, gp)
+        r = by_t[t]
+        assert abs(r.eig_min - float(np.min(lo))) <= 1e-12 * float(np.min(lo))
+        assert abs(r.eig_max - float(np.max(hi))) <= 1e-12 * float(np.max(hi))
+
+
+def test_liyau_window_keeps_one_gprime_between_adds(n2_run):
+    from maflow.monitors import LiYauWindow
+
+    res, F, rec = n2_run
+    window = LiYauWindow(res.series.g.grid)
+    shift = 1.5 * float(np.max(np.abs(F.values)))
+    for t, u, gp in zip(rec.t, rec.u, rec.gprime):
+        window.add(t, u + shift, gp)
+        assert window.gprime is gp and all(len(entry) == 2 for entry in window.window)
+    assert len(window.times) == len(rec.t) - 2
+
+
 def test_liyau_accepts_iterators(n2_run):
     res, F, rec = n2_run
     grid = res.series.g.grid
     shift = 1.5 * float(np.max(np.abs(F.values)))
     us = [u + shift for u in rec.u]
-    gpinvs = [inverse_stack(gp) for gp in rec.gprime]
-    t_list, v_list = liyau_quantity(rec.t, us, gpinvs, grid)
-    t_gen, v_gen = liyau_quantity(iter(rec.t), (u for u in us), iter(gpinvs), grid)
+    t_list, v_list = liyau_quantity(rec.t, us, rec.gprime, grid)
+    t_gen, v_gen = liyau_quantity(iter(rec.t), (u for u in us), iter(rec.gprime), grid)
     assert np.array_equal(t_list, t_gen) and np.array_equal(v_list, v_gen)
     with pytest.raises(InsufficientSnapshots):
-        liyau_quantity(iter(rec.t[:2]), iter(us[:2]), iter(gpinvs[:2]), grid)
+        liyau_quantity(iter(rec.t[:2]), iter(us[:2]), iter(rec.gprime[:2]), grid)
 
 
 def _run_peak_bytes(horizon):

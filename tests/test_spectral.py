@@ -368,3 +368,22 @@ def test_transforms_are_scipy_fft():
     import scipy.fft
 
     assert rfftn is scipy.fft.rfftn and irfftn is scipy.fft.irfftn
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+def test_holo_gradient_batch_equals_per_axis_transforms(n, N):
+    # one batched irfftn of the 2n derivative spectra gives the bits of 2n
+    # separate ones
+    from scipy.fft import irfftn, rfftn
+
+    from maflow.spectral import _wavenumbers
+
+    grid = TorusGrid(n, N)
+    vals = np.random.default_rng(n).standard_normal(grid.shape)
+    fh = rfftn(vals)
+    k_odd, _ = _wavenumbers(n, N)
+    got = holo_gradient(vals, grid)
+    for i in range(n):
+        re = 0.5 * irfftn(1j * k_odd[2 * i] * fh, grid.shape)
+        im = -0.5 * irfftn(1j * k_odd[2 * i + 1] * fh, grid.shape)
+        assert np.array_equal(got[..., i].real, re) and np.array_equal(got[..., i].imag, im)
