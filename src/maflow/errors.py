@@ -75,7 +75,7 @@ class NonPositiveU(MaflowError):
 
 
 class MonitorOverflow(MaflowError):
-    """A monitored quantity left the finite range (Q_max overflowed)."""
+    """A monitored quantity left the finite range (Q_max or the Li-Yau shift)."""
 
 
 class InsufficientSnapshots(MaflowError):

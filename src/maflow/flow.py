@@ -9,10 +9,11 @@ constant-coefficient Laplacian of a lower bound gbar of g (see
 _frozen_metric_key), is applied exactly in Fourier space and the remainder N
 explicitly, by exponential Adams PECE steps (Hochbruck & Ostermann 2010)
 started up by ETDRK4 (Cox & Matthews 2002); see step.  The stages pass rfft
-spectra, and FlowState carries phi's spectrum phi_hat.  Snapshots are
-emitted at the multiples of emit_dt.  Each step is clipped to land on the
-furthest emission time it reaches, and the emission times it passes are
-dense output (_dense_state).
+spectra, and FlowState carries phi's spectrum phi_hat and its run's inputs
+(a FlowRun, built once by make_state).  Snapshots are emitted at the
+multiples of emit_dt.  Each step is clipped to land on the furthest emission
+time it reaches, and the emission times it passes are dense output
+(_dense_state).
 
 Step control is scale-free, as the flow is (the metric c g gives c phi(t / c)):
 the cone guard is EPS_PD times the smallest eigenvalue of g, and halving stops
@@ -99,16 +100,31 @@ class StepControl:
             raise ValueError(f"need 0 < dt_max * 2^-20 and dt_max < inf, got {self.dt_max}")
 
 
+@dataclass(frozen=True, eq=False)
+class FlowRun:
+    """What the states of one run share: metric g, forcing values, omega^n
+    weights w, gbar = _frozen_metric_key(g) and the counters (see RunResult)."""
+
+    g: MetricField
+    f_values: np.ndarray
+    w: VolumeWeights
+    gbar: tuple
+    stats: dict = field(default_factory=lambda: {
+        "steps": 0, "halvings": 0, "rhs_calls": 0, "pc_steps": 0, "pc_gap_max": 0.0,
+        "dense_emits": 0, "retakes": 0})
+
+
 @dataclass(frozen=True)
 class FlowState:
     """Snapshot of the evolution with coherent caches.
 
-    phi_hat is rfftn(phi); gprime is g + Hess(phi) at phi, packed; dphi_dt
-    is the flow right-hand side at phi; phi_tilde is phi minus its omega^n
-    mean.  dt_try is the size the next step tries first (None: dt_max).
-    step_count counts the steps taken up to t.  history is () or
-    (dt key, spectra): the remainder spectra N at the starts of the last one
-    or two steps, newest first, all taken at that dt key (see step).
+    flow_run is the run the state belongs to.  phi_hat is rfftn(phi);
+    gprime is g + Hess(phi) at phi, packed; dphi_dt is the flow right-hand
+    side at phi; phi_tilde is phi minus its omega^n mean.  dt_try is the
+    size the next step tries first (None: dt_max).  step_count counts the
+    steps taken up to t.  history is () or (dt key, spectra): the remainder
+    spectra N at the starts of the last one or two steps, newest first, all
+    taken at that dt key (see step).
     """
 
     t: float
@@ -117,6 +133,7 @@ class FlowState:
     phi_tilde: ScalarField
     gprime: np.ndarray
     dphi_dt: ScalarField
+    flow_run: FlowRun
     step_count: int = 0
     dt_try: Optional[float] = None
     history: tuple = ()
@@ -147,37 +164,47 @@ def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray, t: float
     return u, gprime
 
 
-def make_state(g: MetricField, f: ScalarField, w: VolumeWeights,
-               phi_values: Optional[np.ndarray] = None, t: float = 0.0,
-               stats: Optional[dict] = None) -> FlowState:
-    """Assemble a coherent FlowState from phi values (zero field by default)."""
+def make_state(g: MetricField, f: ScalarField, phi_values: Optional[np.ndarray] = None,
+               t: float = 0.0) -> FlowState:
+    """The first state of a new run on g and f, at phi values (default 0)."""
     if phi_values is None:
         phi_values = np.zeros(g.grid.shape)
-    return _state_at(rfftn(phi_values), t, g, f.values, w, stats, phi=phi_values)
+    flow_run = FlowRun(g, f.values, volume_weights(g), _frozen_metric_key(g))
+    return _state_at(flow_run, rfftn(phi_values), t, phi=phi_values)
 
 
-def _state_at(phi_hat: np.ndarray, t: float, g: MetricField, fv: np.ndarray,
-              w: VolumeWeights, stats: Optional[dict], phi: Optional[np.ndarray] = None,
-              step_count: int = 0, dt_try: Optional[float] = None,
-              history: tuple = ()) -> FlowState:
-    """The FlowState at spectrum phi_hat: one flow_rhs, and one irfftn unless
-    the grid values phi are given.  Raises flow_rhs's PositivityViolation."""
-    grid = g.grid
-    _count(stats, "rhs_calls")
-    rhs, gprime = flow_rhs(phi_hat, g, fv, t)
+def _state_at(flow_run: FlowRun, phi_hat: np.ndarray, t: float,
+              phi: Optional[np.ndarray] = None, step_count: int = 0,
+              dt_try: Optional[float] = None, history: tuple = ()) -> FlowState:
+    """The state of flow_run at spectrum phi_hat: one flow_rhs, and one irfftn
+    unless the grid values phi are given.  Raises flow_rhs's PositivityViolation."""
+    grid = flow_run.g.grid
+    flow_run.stats["rhs_calls"] += 1
+    rhs, gprime = flow_rhs(phi_hat, flow_run.g, flow_run.f_values, t)
     if phi is None:
         phi = irfftn(phi_hat, grid.shape)
     return FlowState(
         t=t,
         phi=ScalarField(grid, phi),
         phi_hat=phi_hat,
-        phi_tilde=ScalarField(grid, phi - integrate_values(phi, w)),
+        phi_tilde=ScalarField(grid, phi - integrate_values(phi, flow_run.w)),
         gprime=gprime,
         dphi_dt=ScalarField(grid, rhs),
+        flow_run=flow_run,
         step_count=step_count,
         dt_try=dt_try,
         history=history,
     )
+
+
+def _cox_matthews(h):
+    """Q, f1, f2, f3 over dt in closed form at h, real or complex (see _etdrk4_weights)."""
+    e = np.exp(h)
+    h3 = h ** 3
+    return ((np.exp(0.5 * h) - 1.0) / h,
+            (-4.0 - h + e * (4.0 - 3.0 * h + h * h)) / h3,
+            (2.0 + h + e * (h - 2.0)) / h3,
+            (-4.0 - 3.0 * h - h * h + e * (4.0 - h)) / h3)
 
 
 def _etdrk4_weights(h: np.ndarray) -> np.ndarray:
@@ -197,24 +224,13 @@ def _etdrk4_weights(h: np.ndarray) -> np.ndarray:
     """
     out = np.empty((4,) + h.shape)
     near = np.abs(h) < CONTOUR_MAX_ABS_H
-    hf = h[~near]
-    e = np.exp(hf)
-    h3 = hf ** 3
-    out[:, ~near] = ((np.exp(0.5 * hf) - 1.0) / hf,
-                     (-4.0 - hf + e * (4.0 - 3.0 * hf + hf * hf)) / h3,
-                     (2.0 + hf + e * (hf - 2.0)) / h3,
-                     (-4.0 - 3.0 * hf - hf * hf + e * (4.0 - hf)) / h3)
+    out[:, ~near] = _cox_matthews(h[~near])
     hn = h[near]
     acc = np.zeros((4,) + hn.shape)
     half = CONTOUR_POINTS // 2
     for j in range(half):
-        z = hn + np.exp(1j * np.pi * (j + 0.5) / half)
-        ez = np.exp(z)
-        z3 = z ** 3
-        acc[0] += ((np.exp(0.5 * z) - 1.0) / z).real
-        acc[1] += ((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3).real
-        acc[2] += ((2.0 + z + ez * (z - 2.0)) / z3).real
-        acc[3] += ((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3).real
+        for a, v in zip(acc, _cox_matthews(hn + np.exp(1j * np.pi * (j + 0.5) / half))):
+            a += v.real
     out[:, near] = acc / half
     return out
 
@@ -283,25 +299,12 @@ def _frozen_metric_key(g: MetricField) -> tuple:
     return tuple((s * g_mean).tolist())
 
 
-def _count(stats: Optional[dict], key: str):
-    if stats is not None:
-        stats[key] = stats.get(key, 0) + 1
-
-
-def _record_step(stats: dict, dt: float):
-    _count(stats, "steps")
-    stats["dt_min"] = min(stats.get("dt_min", dt), dt)
-    stats["dt_max"] = max(stats.get("dt_max", dt), dt)
-
-
 def _dt_try(state: FlowState, ctrl: StepControl) -> float:
     """The size a step from state tries first."""
     return ctrl.dt_max if state.dt_try is None else min(state.dt_try, ctrl.dt_max)
 
 
-def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
-         w: VolumeWeights, t_land: Optional[float] = None,
-         stats: Optional[dict] = None, gbar: Optional[tuple] = None) -> FlowState:
+def step(state: FlowState, ctrl: StepControl, t_land: Optional[float] = None) -> FlowState:
     """One step of size min(dt_try, t_land - t), dt_try <= dt_max.
 
     When the state's history holds the remainders N of two steps taken at
@@ -319,34 +322,32 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
     the rejected tries, the time, the last dt tried and the grid point.
     The new state's dt_try is the accepted dt after a halving, twice it (at
     most dt_max) after a first try, and unchanged after a landing clip.
-    ``stats``, when given, counts steps, halvings (rejected tries), rhs_calls
-    and pc_steps and tracks dt_min, dt_max and pc_gap_max,
-    the largest max|c - p| / max|c| over the spectra (Milne's estimate).
-    ``gbar`` is _frozen_metric_key(g), computed here when not given.
+    g, F and gbar are the state's flow_run's; its stats count steps,
+    halvings (rejected tries), rhs_calls and pc_steps and track dt_min,
+    dt_max and pc_gap_max, the largest max|c - p| / max|c| over the spectra
+    (Milne's estimate).
     """
     dt = _dt_try(state, ctrl)
     clipped = False
     if t_land is not None and state.t + dt >= t_land - 1e-15:
         dt = t_land - state.t
         clipped = True
-    grid = state.grid
-    fv = f.values
-    if gbar is None:
-        gbar = _frozen_metric_key(g)
+    flow_run = state.flow_run
+    g, fv, stats = flow_run.g, flow_run.f_values, flow_run.stats
     u0 = state.phi_hat
     k1 = state.rhs_hat
     past_key, past = state.history or (None, ())
 
     def remainder(v_hat, lin, t):
         """N = rhs - L v in Fourier space, at the field whose rfft is v_hat."""
-        _count(stats, "rhs_calls")
+        stats["rhs_calls"] += 1
         rhs, _ = flow_rhs(v_hat, g, fv, t)
         return rfftn(rhs) - lin * v_hat
 
     rejected = 0
     while True:
         key = float(f"{dt:.12g}")
-        lin, E, E2, Q, f1, f2, f3, beta, gamma = _etdrk4_coefficients(grid, gbar, key)
+        lin, E, E2, Q, f1, f2, f3, beta, gamma = _etdrk4_coefficients(g.grid, flow_run.gbar, key)
         n0 = k1 - lin * u0
         adams = not rejected and key == past_key and len(past) == 2
         try:
@@ -363,7 +364,7 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
                 c = E2 * a + Q * (2.0 * nb - n0)
                 nc = remainder(c, lin, state.t + dt)
                 phi1_hat = E * u0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-            new = _state_at(phi1_hat, state.t + dt, g, fv, w, stats,
+            new = _state_at(flow_run, phi1_hat, state.t + dt,
                             step_count=state.step_count + 1,
                             dt_try=(state.dt_try if clipped else dt if rejected
                                     else min(2.0 * dt, ctrl.dt_max)),
@@ -371,25 +372,25 @@ def step(state: FlowState, ctrl: StepControl, g: MetricField, f: ScalarField,
             break
         except PositivityViolation as e:
             rejected += 1
-            _count(stats, "halvings")
+            stats["halvings"] += 1
             if 0.5 * dt < ctrl.dt_max * MIN_STEP_FRACTION:
                 raise StepFailure(f"step failed after {rejected} rejected tries at "
                                   f"t={state.t:.6f} (last dt={dt:.3e}): {e}",
                                   t=state.t, dt=dt, index=e.index) from e
             dt *= 0.5
             clipped = False
-    if stats is not None:
-        _record_step(stats, dt)
-        if adams:
-            _count(stats, "pc_steps")
-            scale = float(np.max(np.abs(phi1_hat)))
-            gap = float(np.max(np.abs(phi1_hat - p))) / scale if scale > 0 else 0.0
-            stats["pc_gap_max"] = max(stats.get("pc_gap_max", 0.0), gap)
+    stats["steps"] += 1
+    stats["dt_min"] = min(stats.get("dt_min", dt), dt)
+    stats["dt_max"] = max(stats.get("dt_max", dt), dt)
+    if adams:
+        stats["pc_steps"] += 1
+        scale = float(np.max(np.abs(phi1_hat)))
+        gap = float(np.max(np.abs(phi1_hat - p))) / scale if scale > 0 else 0.0
+        stats["pc_gap_max"] = max(stats["pc_gap_max"], gap)
     return new
 
 
-def _dense_state(start: FlowState, end: FlowState, t: float, g: MetricField,
-                 fv: np.ndarray, w: VolumeWeights, stats: Optional[dict]) -> FlowState:
+def _dense_state(start: FlowState, end: FlowState, t: float) -> FlowState:
     """The state at start.t < t < end.t inside the step from start to end.
 
     phi_hat is the cubic Hermite in time on the step's end spectra phi_hat,
@@ -403,7 +404,7 @@ def _dense_state(start: FlowState, end: FlowState, t: float, g: MetricField,
                + (h * s * r * r) * start.rhs_hat
                + (s * s * (3.0 - 2.0 * s)) * end.phi_hat
                - (h * s * s * r) * end.rhs_hat)
-    return _state_at(phi_hat, t, g, fv, w, stats, step_count=start.step_count)
+    return _state_at(start.flow_run, phi_hat, t, step_count=start.step_count)
 
 
 def _emit(series: "MonitorSeries", state: FlowState):
@@ -422,17 +423,17 @@ def _emit(series: "MonitorSeries", state: FlowState):
 class RunResult:
     """Final state, the assembled monitor series and the stepper's counters.
 
-    stats holds this run's steps (every step taken, a re-taken one too),
-    halvings, rhs_calls (every flow_rhs call), pc_steps (exponential Adams
-    steps) and pc_gap_max (their largest relative predictor-corrector gap),
-    dense_emits (snapshots taken inside a step), retakes (steps re-taken
-    because a dense state left the cone), dt_min and dt_max; it is kept out
-    of monitors.csv and summary.json, which stay byte-identical.
+    stats is the run's FlowRun.stats: steps (every step taken, a re-taken
+    one too), halvings, rhs_calls (every flow_rhs call), pc_steps
+    (exponential Adams steps) and pc_gap_max (their largest relative
+    predictor-corrector gap), dense_emits (snapshots taken inside a step),
+    retakes (steps re-taken because a dense state left the cone), dt_min
+    and dt_max; it is kept out of monitors.csv and summary.json.
     """
 
     final: FlowState
     series: "MonitorSeries"
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
 
 def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
@@ -455,12 +456,9 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
     emit_dt = monitors.emit_dt
     total_emits = monitors.emissions(horizon)
     pin_heap_thresholds(g.grid)
-    w = volume_weights(g)
-    stats = {"steps": 0, "halvings": 0, "rhs_calls": 0, "pc_steps": 0, "pc_gap_max": 0.0,
-             "dense_emits": 0, "retakes": 0}
-    state = make_state(g, f, w, stats=stats)
-    series = MonitorSeries(g, f, w, monitors, horizon, observers)
-    gbar = _frozen_metric_key(g)
+    state = make_state(g, f)
+    stats = state.flow_run.stats
+    series = MonitorSeries(state.flow_run, monitors, horizon, observers)
 
     series.emit(state)
     j = 1  # the next emission is at j * emit_dt
@@ -470,13 +468,13 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
         k = j
         while k < total_emits and (k + 1) * emit_dt <= reach:
             k += 1
-        new = step(state, ctrl, g, f, w, t_land=k * emit_dt, stats=stats, gbar=gbar)
+        new = step(state, ctrl, t_land=k * emit_dt)
         try:
-            dense = [_dense_state(state, new, i * emit_dt, g, f.values, w, stats)
+            dense = [_dense_state(state, new, i * emit_dt)
                      for i in range(j, k) if i * emit_dt < new.t - 1e-12]
         except PositivityViolation:
-            _count(stats, "retakes")
-            new = step(state, ctrl, g, f, w, t_land=j * emit_dt, stats=stats, gbar=gbar)
+            stats["retakes"] += 1
+            new = step(state, ctrl, t_land=j * emit_dt)
             dense = []
         for snap in dense:
             _emit(series, snap)

@@ -29,7 +29,7 @@ from .errors import (
     NonPositiveU,
     SeriesTooShort,
 )
-from .grid import MAX_POINTS, MetricField, ScalarField, TorusGrid, VolumeWeights, integrate_values
+from .grid import MAX_POINTS, TorusGrid, integrate_values
 from .hermitian import inverse_stack, pencil_eig_range, trace_pair
 from .spectral import holo_gradient
 # unused here; perfbench/tracer.py patches them under this module
@@ -137,23 +137,23 @@ class DecayFit:
     n_samples: int = 0
 
 
-def monitor_basic(state, trace_field: np.ndarray, f_values: np.ndarray,
-                  w: VolumeWeights) -> dict:
+def monitor_basic(state, trace_field: np.ndarray) -> dict:
     """Zeroth/first/second-order witnesses at one snapshot.
 
-    ``trace_field`` is tr_g g' at every grid point and ``f_values`` the
-    forcing F.  The eigenvalues of g^{-1} g' are the roots of the pencil of
-    trace tr_g g' and determinant exp(u + F) (for n = 1, tr_g g' itself).
-    The sups of |u| and |u - mean u| are attained at the extremes of u, so
-    they are read from max u and min u.
+    ``trace_field`` is tr_g g' at every grid point; F and the weights w are
+    the state's flow_run's.  The eigenvalues of g^{-1} g' are the roots of
+    the pencil of trace tr_g g' and determinant exp(u + F) (for n = 1,
+    tr_g g' itself).  The sups of |u| and |u - mean u| are attained at the
+    extremes of u, so they are read from max u and min u.
     """
+    w = state.flow_run.w
     u = state.dphi_dt.values
     u_max, u_min = float(np.max(u)), float(np.min(u))
     mean_u = integrate_values(u, w)
     if len(state.gprime) == 1:
         emin = emax = trace_field
     else:
-        emin, emax = pencil_eig_range(trace_field, np.exp(u + f_values))
+        emin, emax = pencil_eig_range(trace_field, np.exp(u + state.flow_run.f_values))
     return {
         "sup_dphidt": max(abs(u_max), abs(u_min)),
         "sup_dphitilde": max(abs(u_max - mean_u), abs(u_min - mean_u)),
@@ -429,29 +429,35 @@ def _carry_forward(records: Sequence[MonitorRecord], attr: str,
 class MonitorSeries:
     """Ordered monitor records of a run; field estimators fed at emission.
 
-    Each emitted state is one of the run on metric g and forcing f.
-    Emission j is a field snapshot when j is a multiple of field_interval /
-    emit_dt.  Its g' = g + Hess(phi) is state.gprime, the one the step that
-    produced the state assembled (no transform or Hessian runs here).  It is
-    fed to the Hoelder sample when the planned time j * emit_dt is >=
-    holder.epsilon and to the Li-Yau window on u + (1 + shift_eps) sup|F|
+    Each emitted state belongs to flow_run (a flow.FlowRun), whose metric
+    g, forcing F and weights w the monitors read.  Emission j is a field
+    snapshot when j is a multiple of field_interval / emit_dt.  Its g' =
+    g + Hess(phi) is state.gprime, the one the step that produced the state
+    assembled (no transform or Hessian runs here).  It is fed to the
+    Hoelder sample when the planned time j * emit_dt is >= holder.epsilon
+    and to the Li-Yau window on u + shift, shift = (1 + shift_eps) sup|F|
     (not at all when sup|F| = 0), then the state is handed to each
-    ``observer(state)``.  The planned times fix the Hoelder
-    snapshot count before the run, hence ``horizon``.
+    ``observer(state)``.  The planned times fix the Hoelder snapshot count
+    before the run, hence ``horizon``.  A shift past float64's range raises
+    MonitorOverflow here, before the run takes a step.
     """
 
-    def __init__(self, g: MetricField, f: ScalarField, w: VolumeWeights,
-                 suite: MonitorSuite, horizon: float, observers: Sequence[Callable] = ()):
-        self.g = g
-        self.f_values = f.values
-        self.w = w
+    def __init__(self, flow_run, suite: MonitorSuite, horizon: float,
+                 observers: Sequence[Callable] = ()):
+        g = flow_run.g
+        self.flow_run = flow_run
         self.suite = suite
         self.observers = tuple(observers)
         self.g_inv = inverse_stack(g.entries)
         self.records: List[MonitorRecord] = []
         self.field_snaps: list = []   # always empty: fields are folded in at emission
         self.sup_phitilde_run = -np.inf
-        self.sup_F = float(np.max(np.abs(f.values)))
+        sup_f = float(np.max(np.abs(flow_run.f_values)))
+        self.shift = (1.0 + suite.shift_eps) * sup_f
+        if not math.isfinite(self.shift):
+            raise MonitorOverflow(
+                f"Li-Yau shift (1 + shift_eps) sup|F| = {self.shift} overflows with "
+                f"monitors.shift_eps = {suite.shift_eps:.6g} and sup|F| = {sup_f:.6g}")
         self.field_every = round(suite.field_interval / suite.emit_dt)
         count = sum(1 for j in range(0, suite.emissions(horizon) + 1, self.field_every)
                     if j * suite.emit_dt >= suite.holder.epsilon)
@@ -462,7 +468,7 @@ class MonitorSeries:
         self.sup_phitilde_run = max(self.sup_phitilde_run,
                                     float(np.max(state.phi_tilde.values)))
         trace_field = trace_pair(self.g_inv, state.gprime)
-        basic = monitor_basic(state, trace_field, self.f_values, self.w)
+        basic = monitor_basic(state, trace_field)
         q_max = monitor_Q(state, trace_field, self.suite.A, self.sup_phitilde_run)
         if not math.isfinite(q_max):
             raise MonitorOverflow(
@@ -476,9 +482,8 @@ class MonitorSeries:
             return
         if self.holder is not None and j * self.suite.emit_dt >= self.suite.holder.epsilon:
             self.holder.add(state.t, state.gprime)
-        shift = (1.0 + self.suite.shift_eps) * self.sup_F
-        if shift > 0:
-            self.liyau.add(state.t, state.dphi_dt.values + shift, state.gprime)
+        if self.shift > 0:
+            self.liyau.add(state.t, state.dphi_dt.values + self.shift, state.gprime)
         for observer in self.observers:
             observer(state)
 

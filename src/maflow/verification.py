@@ -22,8 +22,8 @@ import numpy as np
 from .config import config_from_kv
 from .elliptic import linearization_check, preconditioned_apply_gap
 from .errors import NonPositiveU
-from .grid import TorusGrid
-from .hermitian import inverse_stack
+from .grid import TorusGrid, integrate_values, volume_weights
+from .hermitian import inverse_stack, log_det_ratio
 from .io import json_text
 from .monitors import (
     LiYauWindow,
@@ -42,7 +42,7 @@ from .runner import (
     normal_frame_passed,
     normal_frame_sweep,
 )
-from .spectral import laplacian_values, rfftn, shell_amplitudes
+from .spectral import complex_hessian_values, laplacian_values, rfftn, shell_amplitudes
 
 RUN1_KV = {
     "mode": "flow",
@@ -210,10 +210,26 @@ def criterion_2(ctx) -> CriterionResult:
         "newton_residual": newton.solution.residual_sup,
         "krylov_applies": newton.solution.krylov_applies,
         "newton_steps": [asdict(s) for s in newton.solution.steps],
+        **recomputed_b(newton),
         **half_grid_gaps(newton.solution),
         **shell_decay(newton.solution),
         "wall_time_s": total, "runtime_budget_s": 600.0,
     })
+
+
+def recomputed_b(art) -> dict:
+    """b checked apart from the oracle's own passes (reported, not gated).
+
+    r = log det(g + Hess phi) - log det g - F, with a fresh Hessian of the
+    returned phi = phi_tilde_inf: the gap between the oracle's b and the
+    omega^n mean of r, and the sup of r minus that mean.
+    """
+    g, phi = art.g, art.solution.phi_tilde_inf
+    gprime = g.entries + complex_hessian_values(rfftn(phi.values), g.grid)
+    r = log_det_ratio(gprime, g.entries) - art.forcing.values
+    b = integrate_values(r, volume_weights(g))
+    return {"b_recomputed_gap": abs(b - art.solution.b),
+            "residual_recomputed_sup": float(np.max(np.abs(r - b)))}
 
 
 def half_grid_gaps(sol) -> dict:

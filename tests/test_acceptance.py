@@ -52,6 +52,9 @@ def test_criterion_02_flow_newton_agreement(ctx):
         assert residuals == sorted(residuals, reverse=True)
     assert len(res.measured["newton_steps"]) == res.measured["newton_iters"]
     assert res.measured["shell_decay_factor"] > 1
+    # b and the residual from a fresh Hessian of the returned phi_tilde_inf
+    assert res.measured["b_recomputed_gap"] <= 1e-12
+    assert res.measured["residual_recomputed_sup"] <= ctx.run2_newton.config.elliptic_tol
 
 
 def test_criterion_03_exponential_decay(ctx):

@@ -57,36 +57,31 @@ def test_flow_rhs_positivity_error_carries_index(grid1):
 
 
 def test_step_constant_forcing_exact(grid1, nonkahler1):
-    w = volume_weights(nonkahler1)
     F = ScalarField(grid1, np.full(grid1.shape, 0.7))
     ctrl = StepControl()
-    state = make_state(nonkahler1, F, w)
+    state = make_state(nonkahler1, F)
     for _ in range(20):
-        state = step(state, ctrl, nonkahler1, F, w)
+        state = step(state, ctrl)
     assert np.max(np.abs(state.phi.values + 0.7 * state.t)) <= 1e-12
     assert np.max(np.abs(state.phi_tilde.values)) <= 1e-12
     assert state.step_count == 20
 
 
 def _near_degenerate_problem():
-    """A metric of 2e-6 under the forcing 1e4 cos x: a step leaves the cone
-    unless dt is below ~1e-9, 17 rejected tries from 1e-4 and past the
-    halving floor from 0.1."""
+    """The first state on a metric of 2e-6 under the forcing 1e4 cos x: a
+    step leaves the cone unless dt is below ~1e-9, 17 rejected tries from
+    1e-4 and past the halving floor from 0.1."""
     grid = TorusGrid(1, 16)
     g = MetricField(grid, np.full((1,) + grid.shape, 2e-6), lambda_floor=1e-7)
-    w = volume_weights(g)
-    F = field_from(grid, lambda c: 1e4 * np.cos(c[0]))
-    return g, F, w, make_state(g, F, w)
+    return make_state(g, field_from(grid, lambda c: 1e4 * np.cos(c[0])))
 
 
 def test_step_halving_on_near_degenerate_metric():
     # a strong forcing Hessian trips the guard, dt halvings are recorded,
     # and the step still completes
-    g, F, w, state = _near_degenerate_problem()
-    ctrl = StepControl(dt_max=1e-4)
-    stats = {}
-    new = step(state, ctrl, g, F, w, stats=stats)
-    assert stats.get("halvings", 0) >= 1
+    state = _near_degenerate_problem()
+    new = step(state, StepControl(dt_max=1e-4))
+    assert state.flow_run.stats["halvings"] >= 1
     assert new.t > state.t
 
 
@@ -106,14 +101,38 @@ def test_run_reports_stepper_stats(monkeypatch):
     assert 0 < stats["dt_min"] < stats["dt_max"] <= 0.1 + 1e-12
 
 
+def test_run_stats_keys_and_types(grid1, nonkahler1):
+    # RunResult.stats is the run's FlowRun.stats: the counters in this order,
+    # pc_gap_max a float from the start, dt_min and dt_max from the first step
+    res = run(nonkahler1, _modes_problem(grid1, nonkahler1), horizon=1.0, ctrl=StepControl(),
+              monitors=small_suite())
+    assert res.stats is res.final.flow_run.stats
+    assert [(k, type(v)) for k, v in res.stats.items()] == [
+        ("steps", int), ("halvings", int), ("rhs_calls", int), ("pc_steps", int),
+        ("pc_gap_max", float), ("dense_emits", int), ("retakes", int),
+        ("dt_min", float), ("dt_max", float)]
+
+
+def test_frozen_metric_key_runs_once_per_make_state(monkeypatch, grid1, nonkahler1):
+    # gbar is taken when make_state builds the run; the steps read it from there
+    import maflow.flow
+
+    real = maflow.flow._frozen_metric_key
+    calls = []
+    monkeypatch.setattr(maflow.flow, "_frozen_metric_key", lambda g: calls.append(1) or real(g))
+    state = make_state(nonkahler1, _modes_problem(grid1, nonkahler1))
+    for _ in range(5):
+        state = step(state, StepControl())
+    assert len(calls) == 1 and state.flow_run.stats["steps"] == 5
+
+
 def test_step_failure_at_the_halving_floor_names_the_last_try():
     # from dt_max = 0.1 the halving floor comes first: 21 rejected tries,
     # the last at 0.1 * 2^-20, which the message names with that count
-    g, F, w, state = _near_degenerate_problem()
-    stats = {}
+    state = _near_degenerate_problem()
     with pytest.raises(StepFailure) as exc:
-        step(state, StepControl(), g, F, w, stats=stats)
-    assert stats["halvings"] == 21 and exc.value.dt == 0.1 * 2.0 ** -20
+        step(state, StepControl())
+    assert state.flow_run.stats["halvings"] == 21 and exc.value.dt == 0.1 * 2.0 ** -20
     assert str(exc.value).startswith(
         "step failed after 21 rejected tries at t=0.000000 (last dt=9.537e-08): ")
 
@@ -128,10 +147,9 @@ def test_steps_are_scale_covariant(grid1, nonkahler1):
                          ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
     ends = []
     for g, dt in ((nonkahler1, 0.1), (cg, c * 0.1)):
-        w = volume_weights(g)
-        state = make_state(g, F, w)
+        state = make_state(g, F)
         for _ in range(10):
-            state = step(state, StepControl(dt_max=dt), g, F, w)
+            state = step(state, StepControl(dt_max=dt))
         ends.append(state)
     ref, scaled = ends
     assert scaled.t == pytest.approx(c * ref.t, rel=1e-12)
@@ -142,25 +160,23 @@ def test_steps_are_scale_covariant(grid1, nonkahler1):
 
 def test_step_size_is_dt_max_clipped_to_landing(grid1, nonkahler1):
     # dt = min(dt_max, t_land - t): no stiffness cap, whatever the grid spacing
-    w = volume_weights(nonkahler1)
     F = field_from(grid1, lambda c: 0.05 * np.cos(c[0]))
-    state = make_state(nonkahler1, F, w)
-    assert step(state, StepControl(dt_max=0.3), nonkahler1, F, w).t == 0.3
-    assert step(state, StepControl(dt_max=0.3), nonkahler1, F, w, t_land=0.5).t == 0.3
-    landed = step(state, StepControl(dt_max=0.3), nonkahler1, F, w, t_land=0.2)
+    state = make_state(nonkahler1, F)
+    assert step(state, StepControl(dt_max=0.3)).t == 0.3
+    assert step(state, StepControl(dt_max=0.3), t_land=0.5).t == 0.3
+    landed = step(state, StepControl(dt_max=0.3), t_land=0.2)
     assert landed.t == 0.2
-    assert step(landed, StepControl(dt_max=10.0), nonkahler1, F, w, t_land=0.7).t == 0.7
+    assert step(landed, StepControl(dt_max=10.0), t_land=0.7).t == 0.7
 
 
 def _phi_at_1(g, F, dt, etdrk4_only):
     """phi at t = 1 from steps of dt_max = dt; etdrk4_only clears each
     state's history, so every step is an ETDRK4 step."""
-    w = volume_weights(g)
-    state = make_state(g, F, w)
+    state = make_state(g, F)
     while state.t < 1.0 - 1e-12:
         if etdrk4_only:
             state = dataclasses.replace(state, history=())
-        state = step(state, StepControl(dt_max=dt), g, F, w, t_land=1.0)
+        state = step(state, StepControl(dt_max=dt), t_land=1.0)
     return state.phi.values
 
 
@@ -200,16 +216,14 @@ def test_flow_rhs_rejects_nan(n, nonkahler1, nonkahler2):
 
 def test_step_nan_stage_ends_in_step_failure(monkeypatch, grid1, nonkahler1):
     # a stage that turns non-finite halves dt like a cone violation, then fails
-    w = volume_weights(nonkahler1)
     F = field_from(grid1, lambda c: 0.05 * np.cos(c[0]))
-    state = make_state(nonkahler1, F, w)
+    state = make_state(nonkahler1, F)
     # a batched transform keeps its leading axes: the Hessian's is (n*n,) + grid
     monkeypatch.setattr("maflow.spectral.irfftn",
                         lambda a, shape: np.full(a.shape[:-len(shape)] + shape, np.nan))
-    stats = {}
     with pytest.raises(StepFailure) as exc:
-        step(state, StepControl(), nonkahler1, F, w, stats=stats)
-    assert stats["halvings"] == 21
+        step(state, StepControl())
+    assert state.flow_run.stats["halvings"] == 21
     assert "grid point (0, 0)" in str(exc.value)
 
 
@@ -308,13 +322,12 @@ def test_step_spectrum_stages_match_round_trip(n, nonkahler1, nonkahler2):
 
     g = nonkahler1 if n == 1 else nonkahler2
     grid = g.grid
-    w = volume_weights(g)
     F, _ = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
     phi0 = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.02, max_mode=2,
                                                 seed=9))[0].values
-    state = make_state(g, F, w, phi_values=phi0)
+    state = make_state(g, F, phi_values=phi0)
     dt = 0.1
-    new = step(state, StepControl(dt_max=dt), g, F, w)
+    new = step(state, StepControl(dt_max=dt))
 
     lin, E, E2, Q, f1, f2, f3, _, _ = _etdrk4_coefficients(grid, _frozen_metric_key(g), dt)
 
@@ -345,16 +358,14 @@ def test_halving_chain_reuses_coefficients():
 
     grid = TorusGrid(1, 16)
     g = MetricField(grid, np.full((1,) + grid.shape, 1e-3), lambda_floor=1e-4)
-    w = volume_weights(g)
     F = field_from(grid, lambda c: 2.0 * np.cos(c[0]))
     ctrl = StepControl()
-    state = make_state(g, F, w)
+    state = make_state(g, F)
     _etdrk4_coefficients.cache_clear()
-    stats = {}
     while state.t < 0.05 - 1e-12:
-        state = step(state, ctrl, g, F, w, t_land=0.05, stats=stats)
+        state = step(state, ctrl, t_land=0.05)
     assert state.t == pytest.approx(0.05, abs=1e-12)
-    assert 1 <= stats["halvings"] < 2000
+    assert 1 <= state.flow_run.stats["halvings"] < 2000
     assert _etdrk4_coefficients.cache_info().misses < 50
 
 
@@ -363,15 +374,13 @@ def test_step_transforms_rhs_stages_only(monkeypatch, grid1, nonkahler1):
     # cached rhs and the three stage remainders, nothing else
     import maflow.flow
 
-    w = volume_weights(nonkahler1)
     F = field_from(grid1, lambda c: 0.05 * np.cos(c[0]))
-    state = make_state(nonkahler1, F, w)
+    state = make_state(nonkahler1, F)
     real = maflow.flow.rfftn
     calls = []
     monkeypatch.setattr(maflow.flow, "rfftn", lambda a: calls.append(1) or real(a))
-    stats = {}
-    step(state, StepControl(), nonkahler1, F, w, stats=stats)
-    assert stats.get("halvings", 0) == 0
+    step(state, StepControl())
+    assert state.flow_run.stats["halvings"] == 0
     assert len(calls) == 4
 
 
@@ -379,10 +388,9 @@ def test_step_transforms_rhs_stages_only(monkeypatch, grid1, nonkahler1):
 def test_state_phi_hat_is_spectrum_of_phi(n, nonkahler1, nonkahler2):
     g = nonkahler1 if n == 1 else nonkahler2
     F, _ = build_forcing(g.grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
-    w = volume_weights(g)
-    state = make_state(g, F, w)
+    state = make_state(g, F)
     for _ in range(5):
-        state = step(state, StepControl(), g, F, w)
+        state = step(state, StepControl())
         ref = rfftn(state.phi.values)
         assert np.max(np.abs(state.phi_hat - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -526,13 +534,13 @@ def test_dense_state_outside_the_cone_retakes_the_step(monkeypatch, grid1, nonka
     real = maflow.flow._dense_state
     forced = []
 
-    def strict_once(start, end, t, g, fv, w, stats):
+    def strict_once(start, end, t):
         if not forced:
             forced.append(t)
             with monkeypatch.context() as m:
                 m.setattr(maflow.flow, "EPS_PD", 1e3)
-                return real(start, end, t, g, fv, w, stats)
-        return real(start, end, t, g, fv, w, stats)
+                return real(start, end, t)
+        return real(start, end, t)
 
     monkeypatch.setattr(maflow.flow, "_dense_state", strict_once)
     res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=0.1),
@@ -614,12 +622,12 @@ def test_adams_stability_split_keeps_run1_at_q_079(monkeypatch):
                 assert getattr(a, col) == pytest.approx(getattr(b, col), rel=2e-2), (a.t, col)
 
 
-def _steady_state(g, F, w, stats):
+def _steady_state(g, F):
     """The state after two dt = 0.1 steps, whose history lets the next step be PECE."""
-    state = make_state(g, F, w)
+    state = make_state(g, F)
     for k in (1, 2):
-        state = step(state, StepControl(), g, F, w, t_land=0.1 * k, stats=stats)
-    assert stats["pc_steps"] == 0 and len(state.history[1]) == 2
+        state = step(state, StepControl(), t_land=0.1 * k)
+    assert state.flow_run.stats["pc_steps"] == 0 and len(state.history[1]) == 2
     return state
 
 
@@ -627,14 +635,13 @@ def test_adams_step_restarts_on_a_dt_change(grid1, nonkahler1):
     # a PECE step needs two earlier steps at its dt key; a landing step of
     # another size is ETDRK4 and starts the history again, at its own key
     F = _modes_problem(grid1, nonkahler1)
-    w = volume_weights(nonkahler1)
-    stats = {"pc_steps": 0, "rhs_calls": 0}
-    state = _steady_state(nonkahler1, F, w, stats)
-    state = step(state, StepControl(), nonkahler1, F, w, t_land=0.3, stats=stats)
-    assert stats["pc_steps"] == 1 and stats["rhs_calls"] == 4 + 4 + 2
+    state = _steady_state(nonkahler1, F)
+    stats = state.flow_run.stats
+    state = step(state, StepControl(), t_land=0.3)
+    assert stats["pc_steps"] == 1 and stats["rhs_calls"] == 1 + 4 + 4 + 2
     assert state.history[0] == 0.1 and len(state.history[1]) == 2
-    short = step(state, StepControl(), nonkahler1, F, w, t_land=0.35, stats=stats)
-    assert stats["pc_steps"] == 1 and stats["rhs_calls"] == 10 + 4
+    short = step(state, StepControl(), t_land=0.35)
+    assert stats["pc_steps"] == 1 and stats["rhs_calls"] == 11 + 4
     assert short.history[0] == 0.05 and len(short.history[1]) == 1
 
 
@@ -644,9 +651,8 @@ def test_adams_predictor_outside_the_cone_halves_into_etdrk4(monkeypatch, grid1,
     import maflow.flow
 
     F = _modes_problem(grid1, nonkahler1)
-    w = volume_weights(nonkahler1)
-    stats = {"pc_steps": 0, "halvings": 0}
-    state = _steady_state(nonkahler1, F, w, stats)
+    state = _steady_state(nonkahler1, F)
+    stats = state.flow_run.stats
     real = maflow.flow.flow_rhs
     raised = []
 
@@ -657,11 +663,10 @@ def test_adams_predictor_outside_the_cone_halves_into_etdrk4(monkeypatch, grid1,
         return real(phi_hat, g, fv, t)
 
     monkeypatch.setattr(maflow.flow, "flow_rhs", predictor_fails)
-    new = step(state, StepControl(), nonkahler1, F, w, stats=stats)
+    new = step(state, StepControl())
     monkeypatch.undo()
     assert raised == [pytest.approx(0.3)]
     assert stats["halvings"] == 1 and stats["pc_steps"] == 0
-    ref = step(dataclasses.replace(state, history=()), StepControl(dt_max=0.05),
-               nonkahler1, F, w)
+    ref = step(dataclasses.replace(state, history=()), StepControl(dt_max=0.05))
     assert new.t == ref.t == pytest.approx(0.25)
     assert np.array_equal(new.phi.values, ref.phi.values)

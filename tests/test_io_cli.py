@@ -524,6 +524,25 @@ def test_cli_q_max_overflow_exit_1(tmp_path, capsys):
     assert not (out / "monitors.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_liyau_shift_overflow_exit_1(tmp_path, capsys):
+    # a huge shift_eps is a valid config value, but (1 + shift_eps) sup|F|
+    # is inf, and u + inf would turn the Li-Yau column into nan: the series
+    # refuses it before the first step, with one error line and no warning
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("grid.n = 1\ngrid.N = 16\nmetric.preset = hermitian_nonkahler\n"
+                        "forcing.kind = const\nforcing.value = 2\nflow.horizon = 2\n"
+                        "monitors.shift_eps = 1e308\n")
+    out = tmp_path / "o"
+    code = main(["flow", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith("verification failure: Li-Yau shift (1 + shift_eps) sup|F| = inf")
+    assert "monitors.shift_eps = 1e+308 and sup|F| = 2\n" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not (out / "monitors.csv").exists()
+
+
 def test_cli_newton_iteration_cap_exit_3(tmp_path, capsys):
     # one Newton iteration is not enough for this forcing, on the half grid
     # or from zero on the full grid

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import pytest
 from maflow import flow
 from maflow.errors import InsufficientSnapshots, NonPositiveU, SeriesTooShort
 from maflow.flow import StepControl, make_state, run
-from maflow.grid import ScalarField, TorusGrid, volume_weights
+from maflow.grid import ScalarField, TorusGrid
 from maflow.hermitian import inverse_stack, trace_pair
 from maflow.monitors import (
     CSV_COLUMNS,
@@ -93,9 +94,8 @@ def test_oscillation_nonincreasing(mfd_run):
 # ----------------------------------------------------------------- Q monitor
 
 def test_monitor_Q_stationary(grid1, flat1):
-    w = volume_weights(flat1)
     F = ScalarField(grid1, np.zeros(grid1.shape))
-    state = make_state(flat1, F, w)
+    state = make_state(flat1, F)
     trace_field = trace_pair(inverse_stack(flat1.entries), state.gprime)
     q = monitor_Q(state, trace_field, A=2.0, sup_phitilde_run=0.0)
     assert q == pytest.approx(np.log(1.0) + 1.0, abs=1e-13)
@@ -139,12 +139,11 @@ def test_holder_insufficient_snapshots(grid1, flat1):
 def test_wrong_snapshot_count_raises(grid1, flat1):
     # horizon 2 plans field snapshots at 0, 0.5, .., 2, four of them past
     # epsilon = 0.5; a series that sees only the emissions up to t = 1 has two
-    w = volume_weights(flat1)
-    F = ScalarField(grid1, np.zeros(grid1.shape))
-    series = MonitorSeries(flat1, F, w, MonitorSuite(), horizon=2.0)
+    state = make_state(flat1, ScalarField(grid1, np.zeros(grid1.shape)))
+    series = MonitorSeries(state.flow_run, MonitorSuite(), horizon=2.0)
     assert series.holder.count == 4
     for j in range(11):
-        series.emit(make_state(flat1, F, w, t=j * 0.1))
+        series.emit(dataclasses.replace(state, t=j * 0.1))
     with pytest.raises(InsufficientSnapshots):
         series.finalize()
     sample = _HolderSample(2, grid1, HolderConfig(rng_seed=3))
@@ -163,11 +162,10 @@ def test_holder_single_mode_vs_exhaustive():
     bump = 0.1 * np.cos(coords[0])
     phi_vals = np.broadcast_to(-0.4 * np.cos(coords[0]), grid.shape).copy()
     # g' entries 1 + 0.1 cos(x1): encode via a synthetic state
-    w = volume_weights(g)
     F = ScalarField(grid, np.zeros(grid.shape))
     states = []
     for t in (0.6, 1.0):
-        st = make_state(g, F, w, phi_values=phi_vals, t=t)
+        st = make_state(g, F, phi_values=phi_vals, t=t)
         states.append(st)
     alpha = 0.5
     cfg = HolderConfig(alpha=alpha, epsilon=0.5, sample_pairs=200000, rng_seed=12)
@@ -507,13 +505,13 @@ def n2_run():
 def test_finalize_matches_two_pass_reference(n2_run):
     res, F, rec = n2_run
     series = res.series
-    cfg, grid = series.suite.holder, series.g.grid
+    cfg, grid = series.suite.holder, series.flow_run.g.grid
     assert rec.t == [0.0, 0.5, 1.0, 1.5, 2.0]
     # the series folds in the g' the state carries; it is g + Hess(phi) to
     # round-off (the step assembles it from its own spectrum of phi)
     gps = rec.gprime
     for phi, gp in zip(rec.phi, gps):
-        rebuilt = series.g.entries + complex_hessian_values(rfftn(phi), grid)
+        rebuilt = series.flow_run.g.entries + complex_hessian_values(rfftn(phi), grid)
         assert np.max(np.abs(rebuilt - gp)) <= 1e-13
     eligible = [i for i, t in enumerate(rec.t) if t >= cfg.epsilon]
     times = np.array([rec.t[i] for i in eligible])
@@ -546,7 +544,7 @@ def test_emitted_eig_range_matches_the_pencil_of_g_and_gprime(request, which):
         series = res.series
     by_t = {r.t: r for r in series.records}
     for t, gp in zip(rec.t, rec.gprime):
-        lo, hi = generalized_eig_range(series.g.entries, gp)
+        lo, hi = generalized_eig_range(series.flow_run.g.entries, gp)
         r = by_t[t]
         assert abs(r.eig_min - float(np.min(lo))) <= 1e-12 * float(np.min(lo))
         assert abs(r.eig_max - float(np.max(hi))) <= 1e-12 * float(np.max(hi))
@@ -556,7 +554,7 @@ def test_liyau_window_keeps_one_gprime_between_adds(n2_run):
     from maflow.monitors import LiYauWindow
 
     res, F, rec = n2_run
-    window = LiYauWindow(res.series.g.grid)
+    window = LiYauWindow(res.series.flow_run.g.grid)
     shift = 1.5 * float(np.max(np.abs(F.values)))
     for t, u, gp in zip(rec.t, rec.u, rec.gprime):
         window.add(t, u + shift, gp)
@@ -566,7 +564,7 @@ def test_liyau_window_keeps_one_gprime_between_adds(n2_run):
 
 def test_liyau_accepts_iterators(n2_run):
     res, F, rec = n2_run
-    grid = res.series.g.grid
+    grid = res.series.flow_run.g.grid
     shift = 1.5 * float(np.max(np.abs(F.values)))
     us = [u + shift for u in rec.u]
     t_list, v_list = liyau_quantity(rec.t, us, rec.gprime, grid)
