@@ -33,10 +33,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .elliptic import NEWTON_MAX_ITERS, NEWTON_TOL
+from .elliptic import NEWTON_TOL
 from .errors import ConfigError
 from .flow import StepControl
-from .grid import LAMBDA_FLOOR, MAX_POINTS, TorusGrid
+from .grid import MAX_POINTS, TorusGrid
 from .monitors import HolderConfig, MonitorSuite
 from .presets import ForcingPreset, MetricPreset
 
@@ -59,13 +59,11 @@ class RunConfig:
     out_dir: Optional[str] = None
     grid: TorusGrid = field(default_factory=TorusGrid)
     metric: MetricPreset = field(default_factory=MetricPreset)
-    lambda_floor: float = LAMBDA_FLOOR
     forcing: ForcingPreset = field(default_factory=ForcingPreset)
     horizon: float = 5.0
     step: StepControl = field(default_factory=StepControl)
     monitors: MonitorSuite = field(default_factory=MonitorSuite)
     elliptic_tol: float = NEWTON_TOL
-    elliptic_max_iters: int = NEWTON_MAX_ITERS
     verify_criteria: tuple = ()
     demo_count: int = 100
     demo_eig_lo: float = 0.2
@@ -81,8 +79,6 @@ class RunConfig:
         for ok, what in (
             (self.mode in MODES, f"unknown mode '{self.mode}' (expected one of {MODES})"),
             (self.rng_seed >= 0, f"rng_seed must be non-negative, got {self.rng_seed}"),
-            (0 < self.lambda_floor < math.inf,
-             f"metric.lambda_floor must be positive and finite, got {self.lambda_floor}"),
             (emits <= MAX_EMITS,
              f"flow.horizon / monitors.emit_dt is {emits:.6g} emissions, "
              f"above the budget of {MAX_EMITS}"),
@@ -101,8 +97,6 @@ class RunConfig:
             # solve() rejects a tolerance below attainable round-off
             (1e-12 <= self.elliptic_tol < math.inf,
              f"elliptic.tol must be finite and >= 1e-12, got {self.elliptic_tol}"),
-            (self.elliptic_max_iters >= 1,
-             f"elliptic.max_iters must be at least 1, got {self.elliptic_max_iters}"),
             (all(1 <= k <= 11 for k in self.verify_criteria),
              f"verify.criteria must name criteria 1-11, got {self.verify_criteria}"),
             (1 <= self.demo_count <= MAX_DEMO_COUNT,
@@ -139,7 +133,6 @@ _KEYS = {
     "metric.eps": (MetricPreset, "eps", float),
     "metric.amp": (MetricPreset, "amp", float),
     "metric.scale": (MetricPreset, "scale", float),
-    "metric.lambda_floor": (RunConfig, "lambda_floor", float),
     "forcing.kind": (ForcingPreset, "kind", str),
     "forcing.value": (ForcingPreset, "value", float),
     "forcing.amplitude": (ForcingPreset, "amplitude", float),
@@ -152,12 +145,10 @@ _KEYS = {
     "monitors.field_interval": (MonitorSuite, "field_interval", float),
     "monitors.A": (MonitorSuite, "A", float),
     "monitors.alpha_ly": (MonitorSuite, "alpha_ly", float),
-    "monitors.shift_eps": (MonitorSuite, "shift_eps", float),
     "holder.alpha": (HolderConfig, "alpha", float),
     "holder.epsilon": (HolderConfig, "epsilon", float),
     "holder.sample_pairs": (HolderConfig, "sample_pairs", int),
     "elliptic.tol": (RunConfig, "elliptic_tol", float),
-    "elliptic.max_iters": (RunConfig, "elliptic_max_iters", int),
     "verify.criteria": (RunConfig, "verify_criteria", _criteria),
     "demo.count": (RunConfig, "demo_count", int),
     "demo.eig_lo": (RunConfig, "demo_eig_lo", float),

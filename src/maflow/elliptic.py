@@ -30,14 +30,13 @@ spectrum; grid values of phi are formed once, for phitilde_inf.
 
 Nested start: without an explicit initial field, and where the half grid is
 valid (N divisible by 4, N >= 16), solve first solves the same problem on
-every other sample of g and F (recursively, with the same tol and
-max_iters) and starts Newton from the spectral prolongation of that
-solution.  The half-grid samples are a subset of the full ones, so the
-coarse metric passes its eigenvalue floor.  If the half-grid solve raises,
-or its prolongation leaves the cone at the first residual, Newton starts
-from zero.  The half-grid solution stays on the result
-(EllipticSolution.coarse) as a resolution witness; newton_iters counts the
-full grid only.
+every other sample of g and F (recursively, with the same tol) and starts
+Newton from the spectral prolongation of that solution.  The half-grid
+samples are a subset of the full ones, so the coarse metric is positive
+definite too.  If the half-grid solve raises, or its prolongation leaves the
+cone at the first residual, Newton starts from zero.  The half-grid solution
+stays on the result (EllipticSolution.coarse) as a resolution witness;
+newton_iters counts the full grid only.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ from .spectral import (
     trace_free_symbols,
 )
 
-# Newton stops once the sup residual is at most NEWTON_TOL, or fails after
-# NEWTON_MAX_ITERS iterations (solve's defaults).  Each Newton step's BiCGStab
+# Newton stops once the sup residual is at most tol (NEWTON_TOL by default),
+# or fails after NEWTON_MAX_ITERS iterations.  Each Newton step's BiCGStab
 # stops below its forcing term, from KRYLOV_RTOL to FORCING_MAX relative
 # residual (the contract is 10 times the forcing term), or after
 # KRYLOV_MAX_ITER iterations; a Newton step halves at most BACKTRACK_LIMIT
@@ -280,8 +279,7 @@ def _start_spectrum(initial: Optional[ScalarField], grid: TorusGrid) -> np.ndarr
                  else initial.values - initial.values.mean())
 
 
-def _half_grid_solution(g: MetricField, f: ScalarField, tol: float,
-                        max_iters: int) -> Optional[EllipticSolution]:
+def _half_grid_solution(g: MetricField, f: ScalarField, tol: float) -> Optional[EllipticSolution]:
     """solve on every other sample of g and f, or None.
 
     None when the half grid is not valid (N/2 odd or below 8) or its solve
@@ -297,13 +295,13 @@ def _half_grid_solution(g: MetricField, f: ScalarField, tol: float,
     entries = np.ascontiguousarray(g.entries[(slice(None),) + every_other])
     f_half = ScalarField(half, np.ascontiguousarray(f.values[every_other]))
     try:
-        return solve(MetricField(half, entries, g.lambda_floor), f_half, tol, max_iters)
+        return solve(MetricField(half, entries), f_half, tol)
     except MaflowError:
         return None
 
 
 def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
-          max_iters: int = NEWTON_MAX_ITERS, initial: ScalarField = None) -> EllipticSolution:
+          initial: ScalarField = None) -> EllipticSolution:
     """Damped Newton iteration with mean-zero projection.
 
     At each iterate b is the omega^n mean of G(phi); the update solves the
@@ -317,7 +315,7 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
     grid = g.grid
     pin_heap_thresholds(grid)
     w = volume_weights(g)
-    coarse = _half_grid_solution(g, f, tol, max_iters) if initial is None else None
+    coarse = _half_grid_solution(g, f, tol) if initial is None else None
     phi_hat = _start_spectrum(initial if coarse is None else
                               ScalarField(grid, prolong(coarse.phi_tilde_inf.values, grid)),
                               grid)
@@ -334,9 +332,9 @@ def solve(g: MetricField, f: ScalarField, tol: float = NEWTON_TOL,
 
     steps = []
     while res_sup > tol:
-        if len(steps) >= max_iters:
+        if len(steps) >= NEWTON_MAX_ITERS:
             raise MaxIterationsExceeded(
-                f"residual {res_sup:.3e} after {max_iters} Newton iterations")
+                f"residual {res_sup:.3e} after {NEWTON_MAX_ITERS} Newton iterations")
         eta = _forcing_term(res_sup, tol)
         lin = _Linearization(g, gprime)
         # the Krylov solve, where the memory of a solve peaks, reads only lin

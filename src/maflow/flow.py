@@ -111,7 +111,7 @@ class FlowRun:
     gbar: tuple
     stats: dict = field(default_factory=lambda: {
         "steps": 0, "halvings": 0, "rhs_calls": 0, "pc_steps": 0, "pc_gap_max": 0.0,
-        "dense_emits": 0, "retakes": 0})
+        "dense_emits": 0, "retakes": 0, "dt_min": math.inf, "dt_max": 0.0})
 
 
 @dataclass(frozen=True)
@@ -380,8 +380,8 @@ def step(state: FlowState, ctrl: StepControl, t_land: Optional[float] = None) ->
             dt *= 0.5
             clipped = False
     stats["steps"] += 1
-    stats["dt_min"] = min(stats.get("dt_min", dt), dt)
-    stats["dt_max"] = max(stats.get("dt_max", dt), dt)
+    stats["dt_min"] = min(stats["dt_min"], dt)
+    stats["dt_max"] = max(stats["dt_max"], dt)
     if adams:
         stats["pc_steps"] += 1
         scale = float(np.max(np.abs(phi1_hat)))
@@ -428,7 +428,8 @@ class RunResult:
     (exponential Adams steps) and pc_gap_max (their largest relative
     predictor-corrector gap), dense_emits (snapshots taken inside a step),
     retakes (steps re-taken because a dense state left the cone), dt_min
-    and dt_max; it is kept out of monitors.csv and summary.json.
+    and dt_max (inf and 0.0 before the first step); it is kept out of
+    monitors.csv and summary.json.
     """
 
     final: FlowState

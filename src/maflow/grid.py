@@ -29,9 +29,6 @@ import numpy as np
 from .errors import PositivityViolation
 from .hermitian import det_field, log_det, log_det_above, min_eig_field
 
-# Default floor for the smallest metric eigenvalue over the grid.
-LAMBDA_FLOOR = 0.1
-
 # Cap on N^{2n} grid points (memory budget).
 MAX_POINTS = 1 << 22
 
@@ -180,13 +177,12 @@ class MetricField:
 
     ``entries`` are the packed samples g_{i jbar}, shape (n*n,) + grid.shape
     (see hermitian.py), so the field is Hermitian by construction; every
-    eigenvalue must be at or above ``lambda_floor``.  ``log_det`` = log det g
+    eigenvalue must be positive (a NaN fails too).  ``log_det`` = log det g
     and ``min_eig``, its smallest eigenvalue, are computed once here.
     """
 
     grid: TorusGrid
     entries: np.ndarray = field(repr=False)
-    lambda_floor: float = LAMBDA_FLOOR
     log_det: np.ndarray = field(init=False, repr=False, compare=False)
     min_eig: float = field(init=False, repr=False, compare=False)
 
@@ -196,11 +192,11 @@ class MetricField:
             raise ValueError("metric entry array has wrong shape")
         mins = min_eig_field(self.entries)
         min_eig = float(mins.min())
-        if not min_eig >= self.lambda_floor:
+        if not min_eig > 0:
             idx = int(np.argmin(mins))
             raise PositivityViolation(
-                f"metric eigenvalue {mins.reshape(-1)[idx]:.3e} below floor "
-                f"{self.lambda_floor:.3e} at grid point {grid_point(idx, mins.shape)}",
+                f"metric eigenvalue {mins.reshape(-1)[idx]:.3e} not positive at grid point "
+                f"{grid_point(idx, mins.shape)}",
                 index=idx,
             )
         object.__setattr__(self, "log_det", log_det(self.entries))

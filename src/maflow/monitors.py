@@ -41,6 +41,10 @@ CSV_COLUMNS = (
     "Q_max", "holder_seminorm", "liyau_max", "mean_phitilde",
 )
 
+# The Li-Yau column runs on u + (1 + LIYAU_SHIFT_EPS) sup|F|: by the maximum
+# principle |u| <= sup|F|, so the shifted field is at least LIYAU_SHIFT_EPS sup|F| > 0.
+LIYAU_SHIFT_EPS = 0.5
+
 
 @dataclass(frozen=True)
 class HolderConfig:
@@ -71,7 +75,6 @@ class MonitorSuite:
     field_interval: float = 0.5
     A: float = 2.0
     alpha_ly: float = 1.5
-    shift_eps: float = 0.5
     holder: HolderConfig = dc_field(default_factory=HolderConfig)
 
     def __post_init__(self):
@@ -88,8 +91,6 @@ class MonitorSuite:
             raise ValueError("alpha_ly must lie in (1, 2)")
         if not (0 < self.A < math.inf):
             raise ValueError(f"A must be positive and finite, got {self.A}")
-        if not (0 < self.shift_eps < math.inf):
-            raise ValueError(f"shift_eps must be positive and finite, got {self.shift_eps}")
 
     def emissions(self, horizon: float) -> int:
         """Emissions after t = 0 of a run to ``horizon``: its ratio to emit_dt.
@@ -435,7 +436,7 @@ class MonitorSeries:
     g + Hess(phi) is state.gprime, the one the step that produced the state
     assembled (no transform or Hessian runs here).  It is fed to the
     Hoelder sample when the planned time j * emit_dt is >= holder.epsilon
-    and to the Li-Yau window on u + shift, shift = (1 + shift_eps) sup|F|
+    and to the Li-Yau window on u + shift, shift = (1 + LIYAU_SHIFT_EPS) sup|F|
     (not at all when sup|F| = 0), then the state is handed to each
     ``observer(state)``.  The planned times fix the Hoelder snapshot count
     before the run, hence ``horizon``.  A shift past float64's range raises
@@ -453,11 +454,11 @@ class MonitorSeries:
         self.field_snaps: list = []   # always empty: fields are folded in at emission
         self.sup_phitilde_run = -np.inf
         sup_f = float(np.max(np.abs(flow_run.f_values)))
-        self.shift = (1.0 + suite.shift_eps) * sup_f
+        self.shift = (1.0 + LIYAU_SHIFT_EPS) * sup_f
         if not math.isfinite(self.shift):
             raise MonitorOverflow(
-                f"Li-Yau shift (1 + shift_eps) sup|F| = {self.shift} overflows with "
-                f"monitors.shift_eps = {suite.shift_eps:.6g} and sup|F| = {sup_f:.6g}")
+                f"Li-Yau shift {1.0 + LIYAU_SHIFT_EPS:g} sup|F| = {self.shift} overflows "
+                f"with sup|F| = {sup_f:.6g}")
         self.field_every = round(suite.field_interval / suite.emit_dt)
         count = sum(1 for j in range(0, suite.emissions(horizon) + 1, self.field_every)
                     if j * suite.emit_dt >= suite.holder.epsilon)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    LAMBDA_FLOOR,
     MetricField,
     ScalarField,
     TorusGrid,
@@ -88,8 +87,7 @@ def _nonkahler_rows(n: int, coords, eps: float, scale: float) -> list:
             scale * 0.5 * eps * np.sin(coords[3])]
 
 
-def build_metric(grid: TorusGrid, preset: MetricPreset,
-                 lambda_floor: float = LAMBDA_FLOOR) -> MetricField:
+def build_metric(grid: TorusGrid, preset: MetricPreset) -> MetricField:
     """Evaluate a named preset's packed entries on the grid and validate them."""
     n, coords = grid.complex_dim, grid.axis_coordinates()
     if preset.name == "flat":
@@ -99,7 +97,7 @@ def build_metric(grid: TorusGrid, preset: MetricPreset,
     else:
         rows = _nonkahler_rows(n, coords, preset.eps, preset.scale)
     entries = np.stack([np.broadcast_to(r, grid.shape) for r in rows])
-    return MetricField(grid, entries, lambda_floor=lambda_floor)
+    return MetricField(grid, entries)
 
 
 FORCING_PRESETS = ("zero", "const", "modes", "manufactured")

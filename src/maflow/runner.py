@@ -12,7 +12,8 @@ from .config import RunConfig
 from .elliptic import EllipticSolution, solve
 from .errors import ConfigError, PositivityViolation
 from .flow import RunResult, run
-from .grid import MetricField, ScalarField, integrate_values, pin_heap_thresholds, volume_weights
+from .grid import MetricField, ScalarField, integrate_values, pin_heap_thresholds
+from .grid import volume_weights  # noqa: F401  unused; perfbench/tracer.py patches it here
 from .hermitian import frame_decompose, normal_frame
 from .monitors import contraction_and_decay
 from .presets import ManufacturedSolution, build_forcing, build_metric
@@ -40,13 +41,13 @@ def embedded_config(cfg: RunConfig) -> dict:
 
 
 def build_problem(cfg: RunConfig):
-    """Grid, metric and forcing of a run.  A metric below its floor or a
-    manufactured g + Hess(psi) outside the cone is a bad config value, so its
-    PositivityViolation becomes a ConfigError."""
+    """Grid, metric and forcing of a run.  A metric that is not positive
+    definite or a manufactured g + Hess(psi) outside the cone is a bad config
+    value, so its PositivityViolation becomes a ConfigError."""
     grid = cfg.grid
     pin_heap_thresholds(grid)
     try:
-        g = build_metric(grid, cfg.metric, lambda_floor=cfg.lambda_floor)
+        g = build_metric(grid, cfg.metric)
         forcing, exact = build_forcing(grid, g, cfg.forcing)
     except PositivityViolation as e:
         raise ConfigError(str(e)) from e
@@ -63,8 +64,7 @@ def execute_flow(cfg: RunConfig, observers=()) -> FlowArtifacts:
     series = result.series
     csv_text = series.to_csv()
 
-    w = volume_weights(g)
-    b_flow = integrate_values(result.final.dphi_dt.values, w)
+    b_flow = integrate_values(result.final.dphi_dt.values, result.final.flow_run.w)
     delta, fit = contraction_and_decay(series.records)
     summary = {
         "mode": "flow",
@@ -99,7 +99,7 @@ class EllipticArtifacts:
 def execute_elliptic(cfg: RunConfig) -> EllipticArtifacts:
     grid, g, forcing, exact = build_problem(cfg)
     t0 = time.perf_counter()
-    sol = solve(g, forcing, tol=cfg.elliptic_tol, max_iters=cfg.elliptic_max_iters)
+    sol = solve(g, forcing, tol=cfg.elliptic_tol)
     wall = time.perf_counter() - t0
     summary = {
         "mode": "solve-elliptic",

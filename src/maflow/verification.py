@@ -190,6 +190,7 @@ def criterion_1(ctx) -> CriterionResult:
     return CriterionResult(1, "manufactured-solution convergence", passed, {
         "phi_tilde_sup_error": err, "tolerance": 1e-6,
         "b_error": b_err, "b_tolerance": 1e-8,
+        **flow_limit_bound(art, err),
         "flow_wall_time_s": art.wall_time, "runtime_budget_s": 60.0,
     })
 
@@ -206,6 +207,7 @@ def criterion_2(ctx) -> CriterionResult:
     return CriterionResult(2, "flow-Newton oracle agreement", passed, {
         "phi_tilde_gap": err, "tolerance": 1e-5,
         "b_gap": b_err, "b_tolerance": 1e-6,
+        **flow_limit_bound(art, err),
         "newton_iters": newton.solution.newton_iters,
         "newton_residual": newton.solution.residual_sup,
         "krylov_applies": newton.solution.krylov_applies,
@@ -215,6 +217,17 @@ def criterion_2(ctx) -> CriterionResult:
         **shell_decay(newton.solution),
         "wall_time_s": total, "runtime_budget_s": 600.0,
     })
+
+
+def flow_limit_bound(art, gap: float) -> dict:
+    """osc_u(T) / eta, a flow-only bound on the distance to the limit, and its
+    ratio to the measured sup phi_tilde gap (reported, not gated; None without
+    a positive eta or gap): phi_tilde(inf) - phi_tilde(T) is the time integral
+    from T on of u - mean u, at most osc_u, which decays at the fitted eta."""
+    eta = art.summary["eta"]
+    bound = art.result.series.records[-1].osc_u / eta if eta > 0 else None
+    ratio = bound / gap if bound is not None and gap > 0 else None
+    return {"flow_limit_bound": bound, "flow_limit_bound_ratio": ratio}
 
 
 def recomputed_b(art) -> dict:

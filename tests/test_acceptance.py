@@ -32,6 +32,9 @@ def test_criterion_01_manufactured_convergence(ctx):
     assert res.measured["phi_tilde_sup_error"] <= 1e-6
     assert res.measured["b_error"] <= 1e-8
     assert res.measured["flow_wall_time_s"] <= 60.0
+    # the flow's own bound osc_u(T) / eta on its distance to the limit holds
+    assert res.measured["phi_tilde_sup_error"] <= res.measured["flow_limit_bound"]
+    assert res.measured["flow_limit_bound_ratio"] >= 1
 
 
 def test_criterion_02_flow_newton_agreement(ctx):
@@ -39,6 +42,8 @@ def test_criterion_02_flow_newton_agreement(ctx):
     assert res.measured["phi_tilde_gap"] <= 1e-5
     assert res.measured["b_gap"] <= 1e-6
     assert res.measured["wall_time_s"] <= 600.0
+    assert res.measured["phi_tilde_gap"] <= res.measured["flow_limit_bound"]
+    assert res.measured["flow_limit_bound_ratio"] >= 1
     # the half-grid resolution witness is reported (not gated) on run 2
     assert np.isfinite(res.measured["half_grid_b_gap"])
     assert np.isfinite(res.measured["half_grid_phi_tilde_gap"])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def _near_degenerate_problem():
     step leaves the cone unless dt is below ~1e-9, 17 rejected tries from
     1e-4 and past the halving floor from 0.1."""
     grid = TorusGrid(1, 16)
-    g = MetricField(grid, np.full((1,) + grid.shape, 2e-6), lambda_floor=1e-7)
+    g = MetricField(grid, np.full((1,) + grid.shape, 2e-6))
     return make_state(g, field_from(grid, lambda c: 1e4 * np.cos(c[0])))
 
 
@@ -91,7 +92,7 @@ def test_run_reports_stepper_stats(monkeypatch):
     import maflow.flow
 
     grid = TorusGrid(1, 16)
-    g = MetricField(grid, np.full((1,) + grid.shape, 2e-3), lambda_floor=1e-4)
+    g = MetricField(grid, np.full((1,) + grid.shape, 2e-3))
     F = field_from(grid, lambda x: 0.5 * np.cos(x[0]))
     monkeypatch.setattr(maflow.flow, "EPS_PD", 0.55)
     res = run(g, F, horizon=1.0, ctrl=StepControl(), monitors=small_suite())
@@ -102,15 +103,19 @@ def test_run_reports_stepper_stats(monkeypatch):
 
 
 def test_run_stats_keys_and_types(grid1, nonkahler1):
-    # RunResult.stats is the run's FlowRun.stats: the counters in this order,
-    # pc_gap_max a float from the start, dt_min and dt_max from the first step
-    res = run(nonkahler1, _modes_problem(grid1, nonkahler1), horizon=1.0, ctrl=StepControl(),
-              monitors=small_suite())
+    # RunResult.stats is the run's FlowRun.stats: FlowRun creates every
+    # counter, in this order, before the first step (dt_min inf, dt_max 0.0)
+    F = _modes_problem(grid1, nonkahler1)
+    keys = [("steps", int), ("halvings", int), ("rhs_calls", int), ("pc_steps", int),
+            ("pc_gap_max", float), ("dense_emits", int), ("retakes", int),
+            ("dt_min", float), ("dt_max", float)]
+    fresh = make_state(nonkahler1, F).flow_run.stats
+    assert [(k, type(v)) for k, v in fresh.items()] == keys
+    assert fresh["dt_min"] == math.inf and fresh["dt_max"] == 0.0
+    res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(), monitors=small_suite())
     assert res.stats is res.final.flow_run.stats
-    assert [(k, type(v)) for k, v in res.stats.items()] == [
-        ("steps", int), ("halvings", int), ("rhs_calls", int), ("pc_steps", int),
-        ("pc_gap_max", float), ("dense_emits", int), ("retakes", int),
-        ("dt_min", float), ("dt_max", float)]
+    assert [(k, type(v)) for k, v in res.stats.items()] == keys
+    assert 0 < res.stats["dt_min"] <= res.stats["dt_max"] <= 0.1 + 1e-12
 
 
 def test_frozen_metric_key_runs_once_per_make_state(monkeypatch, grid1, nonkahler1):
@@ -142,7 +147,7 @@ def test_steps_are_scale_covariant(grid1, nonkahler1):
     # c g match ten steps of dt on g, with the cone guard and the halving
     # floor scaled alike (an absolute guard of 1e-6 fails the first step)
     c = 2.0 ** -30
-    cg = MetricField(grid1, c * nonkahler1.entries, lambda_floor=1e-12)
+    cg = MetricField(grid1, c * nonkahler1.entries)
     F, _ = build_forcing(grid1, nonkahler1,
                          ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
     ends = []
@@ -357,7 +362,7 @@ def test_halving_chain_reuses_coefficients():
     from maflow.flow import _etdrk4_coefficients
 
     grid = TorusGrid(1, 16)
-    g = MetricField(grid, np.full((1,) + grid.shape, 1e-3), lambda_floor=1e-4)
+    g = MetricField(grid, np.full((1,) + grid.shape, 1e-3))
     F = field_from(grid, lambda c: 2.0 * np.cos(c[0]))
     ctrl = StepControl()
     state = make_state(g, F)

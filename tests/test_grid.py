@@ -137,11 +137,22 @@ def test_scalar_field_rejects_non_finite_or_misshaped_values(grid1, values, matc
 def test_metric_floor_error_names_grid_point(grid2):
     entries = np.zeros((4,) + grid2.shape)
     entries[0] = entries[1] = 1.0
-    entries[1, 1, 2, 3, 4] = 0.05
+    entries[1, 1, 2, 3, 4] = -0.05
     with pytest.raises(PositivityViolation) as exc:
         MetricField(grid2, entries)
     assert exc.value.index == np.ravel_multi_index((1, 2, 3, 4), grid2.shape)
-    assert "grid point (1, 2, 3, 4)" in str(exc.value)
+    assert str(exc.value) == "metric eigenvalue -5.000e-02 not positive at grid point (1, 2, 3, 4)"
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_metric_needs_positive_eigenvalues(grid1, value):
+    # the only floor is 0: a tiny positive metric is valid, a zero or NaN
+    # sample is not
+    assert MetricField(grid1, np.full((1,) + grid1.shape, 1e-300)).min_eig == 1e-300
+    entries = np.ones((1,) + grid1.shape)
+    entries[0, 3, 5] = value
+    with pytest.raises(PositivityViolation, match=r"not positive at grid point \(3, 5\)"):
+        MetricField(grid1, entries)
 
 
 def _flat_def(grid, scale):

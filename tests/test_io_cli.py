@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,7 +166,6 @@ NON_DEFAULT = {
     "metric.eps": ("0.2", 0.2),
     "metric.amp": ("0.25", 0.25),
     "metric.scale": ("0.5", 0.5),
-    "metric.lambda_floor": ("0.05", 0.05),
     "forcing.kind": ("modes", "modes"),
     "forcing.value": ("0.5", 0.5),
     "forcing.amplitude": ("0.02", 0.02),
@@ -177,12 +178,10 @@ NON_DEFAULT = {
     "monitors.field_interval": ("1.0", 1.0),
     "monitors.A": ("3.0", 3.0),
     "monitors.alpha_ly": ("1.25", 1.25),
-    "monitors.shift_eps": ("0.25", 0.25),
     "holder.alpha": ("0.25", 0.25),
     "holder.epsilon": ("1.0", 1.0),
     "holder.sample_pairs": ("500", 500),
     "elliptic.tol": ("1e-9", 1e-9),
-    "elliptic.max_iters": ("7", 7),
     "verify.criteria": ("7,8", (7, 8)),
     "demo.count": ("3", 3),
     "demo.eig_lo": ("0.5", 0.5),
@@ -205,6 +204,14 @@ def test_each_key_lands_on_its_argument(key):
     assert getattr(_owner(cfg, target), arg) == value
     assert getattr(_owner(config_from_kv({}), target), arg) != value
     assert cfg.raw == {key: text}
+
+
+def test_readme_counts_the_keys():
+    # README states the size of the key table; a key added or removed must
+    # update it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    counts = re.findall(r"`_KEYS`, (\d+) keys", readme)
+    assert counts == [str(len(_KEYS))]
 
 
 # ----------------------------------------------------------------- CLI
@@ -326,7 +333,7 @@ def test_cli_flow_on_a_tiny_flat_metric_is_stationary(tmp_path):
     # zero forcing keeps phi = 0 on a flat metric at any scale: the cone guard
     # follows the metric's own eigenvalues (1e-7 here), not a fixed 1e-6
     cfg_path = tmp_path / "tiny.cfg"
-    cfg_path.write_text("metric.scale = 1e-7\nmetric.lambda_floor = 1e-8\n")
+    cfg_path.write_text("metric.scale = 1e-7\n")
     out = tmp_path / "out"
     assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == 0
     rows = (out / "monitors.csv").read_text().splitlines()
@@ -334,6 +341,31 @@ def test_cli_flow_on_a_tiny_flat_metric_is_stationary(tmp_path):
     u_columns = [header.index("sup_dphidt"), header.index("osc_u")]
     assert len(rows) == 52
     assert all(float(row.split(",")[i]) == 0.0 for row in rows[1:] for i in u_columns)
+
+
+def test_cli_flow_on_a_small_metric_needs_no_second_key(tmp_path):
+    # a metric need only be positive definite: FLOW_CFG's metric at scale
+    # 0.05, below any fixed eigenvalue floor of 0.1, runs as it is, and
+    # decays faster than at 0.4 (eta 4.9 against 0.78): the flow's time
+    # scale goes with the metric's
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(FLOW_CFG.replace("metric.scale = 0.4", "metric.scale = 0.05"))
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["eta"] > 4
+
+
+def test_cli_non_positive_definite_metric_exit_2(tmp_path, capsys):
+    # a bump of amplitude 10 takes g = 1 - 2.5 (cos x + 0.5 sin y) below 0:
+    # a config error that names the grid point, before any step
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("metric.preset = kahler_bump\nmetric.amp = 10\n")
+    out = tmp_path / "o"
+    code = main(["flow", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error: metric eigenvalue -")
+    assert "not positive at grid point (" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def _error_classes(cls=MaflowError):
@@ -393,9 +425,7 @@ def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
     "rng_seed = -5",
     "metric.scale = -1",
     "metric.eps = nan",
-    "metric.lambda_floor = -1",
     "monitors.A = nan",
-    "monitors.shift_eps = -2",
     "monitors.emit_dt = nan",
     "monitors.field_interval = inf",
     "monitors.field_interval = 1e-11",  # a ratio to emit_dt that rounds to 0
@@ -404,13 +434,17 @@ def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
     "verify.criteria = 12",
     "elliptic.tol = 1e-13",
     "elliptic.tol = nan",
-    "elliptic.max_iters = -1",
     "dump.fields = maybe",
     "holder.sample_pairs = 1000000000000",  # above grid.MAX_POINTS
     "grid.max_points = 5000000",  # the memory budget is a constant: an unknown key
+    # a metric need only be positive definite, and the Li-Yau shift and the
+    # Newton budget are constants: these are unknown keys too
+    "metric.lambda_floor = -1",
+    "metric.lambda_floor = 5",
+    "monitors.shift_eps = -2",
+    "elliptic.max_iters = -1",
     # valid values whose metric or manufactured forcing fails during set-up
     "metric.preset = hermitian_nonkahler\nmetric.eps = 0.9",
-    "metric.lambda_floor = 5",
     "forcing.kind = manufactured\nforcing.amplitude = 50",
     "grid.n 2",               # a line without '='
 ])
@@ -430,7 +464,7 @@ def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
 HUGE_INT = "1000000000000"
 GENERATED = ("nan", "inf", "-1", "0", "1e-320", "1e-9", "1e300", HUGE_INT, "abc", "")
 SEEDS = "any non-negative integer seeds numpy's generator"
-SHAPE = ("finite; a metric it pushes below metric.lambda_floor is a config error at "
+SHAPE = ("finite; a metric it makes not positive definite is a config error at "
          "set-up (the flat default does not read it)")
 # key -> (the generated values config_from_kv accepts, why each is valid)
 ACCEPTED = {
@@ -439,9 +473,6 @@ ACCEPTED = {
     "metric.eps": (("-1", "0", "1e-320", "1e-9", "1e300", HUGE_INT), SHAPE),
     "metric.amp": (("-1", "0", "1e-320", "1e-9", "1e300", HUGE_INT), SHAPE),
     "metric.scale": (("1e-9", HUGE_INT), "inside presets.SCALE_RANGE"),
-    "metric.lambda_floor": (("1e-320", "1e-9", "1e300", HUGE_INT),
-                            "positive and finite; a metric below it is a config error "
-                            "at set-up"),
     "forcing.value": (("-1", "0", "1e-320", "1e-9", "1e300", HUGE_INT),
                       "finite; a constant F only moves phi by -F t"),
     "forcing.amplitude": (("-1", "0", "1e-320", "1e-9", "1e300", HUGE_INT),
@@ -459,17 +490,12 @@ ACCEPTED = {
     "monitors.A": (("1e-320", "1e-9", "1e300", HUGE_INT),
                    "positive and finite; a Q_max that overflows to inf once "
                    "A (sup phi_tilde - phi_tilde) passes 709 stops the flow (exit 1)"),
-    "monitors.shift_eps": (("1e-320", "1e-9", "1e300", HUGE_INT),
-                           "positive and finite; it shifts u in the Li-Yau diagnostic"),
     "holder.alpha": (("1e-320", "1e-9"), "inside (0, 1), the range of a Hoelder exponent"),
     "holder.epsilon": (("0", "1e-320", "1e-9", "1e300", HUGE_INT),
                        "non-negative and finite; the Hoelder sample starts there, or "
                        "is empty"),
     "elliptic.tol": (("1e-9", "1e300", HUGE_INT), "an upper bound on the Newton residual, "
                      "at least 1e-12"),
-    "elliptic.max_iters": ((HUGE_INT,),
-                           "an upper bound; Newton stops when it converges or its line "
-                           "search fails"),
     "verify.criteria": (("",), "an empty list selects every criterion"),
     "demo.eig_lo": (("1e-320", "1e-9"), "positive and below demo.eig_hi; the demo draws "
                     "eigenvalues from that range"),
@@ -480,11 +506,15 @@ ACCEPTED = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(_KEYS))
+# keys that became constants: every value of theirs is an unknown key
+REMOVED_KEYS = ("metric.lambda_floor", "monitors.shift_eps", "elliptic.max_iters")
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS) + list(REMOVED_KEYS))
 def test_generated_values_are_rejected_or_listed(tmp_path, capsys, key):
     # an accepted value only goes through config_from_kv: no mode runs on it,
     # so a work budget it would break is never started
-    assert set(ACCEPTED) <= set(_KEYS)
+    assert set(ACCEPTED) <= set(_KEYS) and not set(REMOVED_KEYS) & set(_KEYS)
     accepted = ACCEPTED.get(key, ((), ""))[0]
     for value in GENERATED:
         try:
@@ -506,6 +536,7 @@ def test_generated_values_are_rejected_or_listed(tmp_path, capsys, key):
             code = main(["flow", "--config", str(cfg_path), "--out", str(out)])
             err = capsys.readouterr().err
             assert code == 2 and err.startswith("config error:"), (key, value, err)
+            assert (key in _KEYS) != ("unknown configuration key" in err), (key, value, err)
         assert "Traceback" not in err and not out.exists(), (key, value)
 
 
@@ -526,33 +557,35 @@ def test_cli_q_max_overflow_exit_1(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_liyau_shift_overflow_exit_1(tmp_path, capsys):
-    # a huge shift_eps is a valid config value, but (1 + shift_eps) sup|F|
+    # a huge finite F is a valid config value, but the Li-Yau shift 1.5 sup|F|
     # is inf, and u + inf would turn the Li-Yau column into nan: the series
     # refuses it before the first step, with one error line and no warning
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("grid.n = 1\ngrid.N = 16\nmetric.preset = hermitian_nonkahler\n"
-                        "forcing.kind = const\nforcing.value = 2\nflow.horizon = 2\n"
-                        "monitors.shift_eps = 1e308\n")
+                        "forcing.kind = const\nforcing.value = 1.5e308\nflow.horizon = 2\n")
     out = tmp_path / "o"
     code = main(["flow", "--config", str(cfg_path), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1 and err.count("\n") == 1
-    assert err.startswith("verification failure: Li-Yau shift (1 + shift_eps) sup|F| = inf")
-    assert "monitors.shift_eps = 1e+308 and sup|F| = 2\n" in err
+    assert err == ("verification failure: Li-Yau shift 1.5 sup|F| = inf overflows "
+                   "with sup|F| = 1.5e+308\n")
     assert "RuntimeWarning" not in err and "Traceback" not in err
     assert not (out / "monitors.csv").exists()
 
 
 def test_cli_newton_iteration_cap_exit_3(tmp_path, capsys):
-    # one Newton iteration is not enough for this forcing, on the half grid
-    # or from zero on the full grid
+    # a strong forcing that direct Newton does not solve from zero (N = 8 has
+    # no half grid): its residual is still 3.5 when the budget of
+    # elliptic.NEWTON_MAX_ITERS = 50 iterations runs out
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(FLOW_CFG + "elliptic.max_iters = 1\n")
+    cfg_path.write_text("grid.n = 2\ngrid.N = 8\nmetric.preset = hermitian_nonkahler\n"
+                        "metric.eps = 0.3\nforcing.kind = modes\nforcing.amplitude = 8\n"
+                        "forcing.max_mode = 2\nforcing.seed = 3\n")
     out = tmp_path / "o"
     code = main(["solve-elliptic", "--config", str(cfg_path), "--out", str(out)])
     err = capsys.readouterr().err
-    assert code == 3 and err.startswith("solver failure: residual ")
-    assert "after 1 Newton iterations" in err and "Traceback" not in err
+    assert code == 3
+    assert err == "solver failure: residual 3.503e+00 after 50 Newton iterations\n"
     assert not (out / "summary.json").exists()
 
 
@@ -573,6 +606,22 @@ def test_cli_flow_dumps_final_fields(tmp_path):
         assert loaded.grid == field.grid, name
         assert np.array_equal(loaded.values, field.values), name
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_execute_flow_builds_the_volume_weights_once(monkeypatch):
+    # b_flow integrates against the run's own omega^n weights (FlowRun.w);
+    # a modes forcing builds none of its own
+    import maflow.flow
+    import maflow.presets
+    import maflow.runner
+    from maflow.grid import volume_weights as real
+    from maflow.runner import execute_flow
+
+    calls = []
+    for module in (maflow.flow, maflow.presets, maflow.runner):
+        monkeypatch.setattr(module, "volume_weights", lambda g: calls.append(g) or real(g))
+    art = execute_flow(config_from_kv(parse_kv_text(FLOW_CFG)))
+    assert len(calls) == 1 and calls[0] is art.g
 
 
 def test_cli_solve_elliptic_repeats_byte_identical(tmp_path):
