@@ -46,6 +46,7 @@ from .hermitian import det_field, min_eig_field, trace_inverse  # noqa: F401
 from .spectral import (
     complex_hessian_values,
     irfftn,
+    matrix_hessian_values,
     mean_metric_symbol,
     rfftn,
     spectral_tail,
@@ -148,15 +149,24 @@ class FlowState:
         return rfftn(self.dphi_dt.values)
 
 
-def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray, t: float = 0.0):
+def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray, t: float = 0.0,
+             phi: Optional[np.ndarray] = None):
     """Right-hand side of the flow and the packed evolving metric g'.
 
-    phi_hat is rfftn(phi).  Raises PositivityViolation (with the offending
-    flat grid index) if any sample of g' = g + Hess(phi) has smallest
-    eigenvalue <= EPS_PD * g.min_eig or is NaN.  g' is built in the
+    phi_hat is rfftn(phi) and phi, if given, phi's grid values.  For n = 1
+    Hess(phi) is one irfftn of phi_hat's multipliers; for n = 2 it is
+    matrix_hessian_values of phi, taken with one irfftn if not given, which
+    costs less than the 4-field irfftn.  Raises PositivityViolation (with the
+    offending flat grid index) if any sample of g' = g + Hess(phi) has
+    smallest eigenvalue <= EPS_PD * g.min_eig or is NaN.  g' is built in the
     Hessian's buffer, and the cone check shares log det's passes.
     """
-    gprime = complex_hessian_values(phi_hat, g.grid)
+    if g.grid.complex_dim == 1:
+        gprime = complex_hessian_values(phi_hat, g.grid)
+    else:
+        if phi is None:
+            phi = irfftn(phi_hat, g.grid.shape)
+        gprime = matrix_hessian_values(phi, g.grid)
     gprime += g.entries
     u = cone_log_det(gprime, EPS_PD * g.min_eig, "evolving metric", t)
     u -= g.log_det
@@ -176,13 +186,14 @@ def make_state(g: MetricField, f: ScalarField, phi_values: Optional[np.ndarray] 
 def _state_at(flow_run: FlowRun, phi_hat: np.ndarray, t: float,
               phi: Optional[np.ndarray] = None, step_count: int = 0,
               dt_try: Optional[float] = None, history: tuple = ()) -> FlowState:
-    """The state of flow_run at spectrum phi_hat: one flow_rhs, and one irfftn
-    unless the grid values phi are given.  Raises flow_rhs's PositivityViolation."""
+    """The state of flow_run at spectrum phi_hat: one irfftn unless the grid
+    values phi are given, then one flow_rhs that reads them.  Raises
+    flow_rhs's PositivityViolation."""
     grid = flow_run.g.grid
-    flow_run.stats["rhs_calls"] += 1
-    rhs, gprime = flow_rhs(phi_hat, flow_run.g, flow_run.f_values, t)
     if phi is None:
         phi = irfftn(phi_hat, grid.shape)
+    flow_run.stats["rhs_calls"] += 1
+    rhs, gprime = flow_rhs(phi_hat, flow_run.g, flow_run.f_values, t, phi)
     return FlowState(
         t=t,
         phi=ScalarField(grid, phi),
@@ -200,7 +211,7 @@ def _state_at(flow_run: FlowRun, phi_hat: np.ndarray, t: float,
 def _cox_matthews(h):
     """Q, f1, f2, f3 over dt in closed form at h, real or complex (see _etdrk4_weights)."""
     e = np.exp(h)
-    h3 = h ** 3
+    h3 = h * h * h
     return ((np.exp(0.5 * h) - 1.0) / h,
             (-4.0 - h + e * (4.0 - 3.0 * h + h * h)) / h3,
             (2.0 + h + e * (h - 2.0)) / h3,
@@ -339,7 +350,8 @@ def step(state: FlowState, ctrl: StepControl, t_land: Optional[float] = None) ->
     past_key, past = state.history or (None, ())
 
     def remainder(v_hat, lin, t):
-        """N = rhs - L v in Fourier space, at the field whose rfft is v_hat."""
+        """N = rhs - L v in Fourier space, at the field whose rfft is v_hat
+        (for n = 2, flow_rhs takes that field's values with one irfftn)."""
         stats["rhs_calls"] += 1
         rhs, _ = flow_rhs(v_hat, g, fv, t)
         return rfftn(rhs) - lin * v_hat

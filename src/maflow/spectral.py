@@ -19,7 +19,10 @@ which the flow's stages already hold, and returned in the packed layout of
 hermitian.py.  Every packed entry is a real, even Fourier multiplier:
 -(1/4)|kappa_i|^2 on the diagonal and, for n = 2, the real and imaginary
 parts of -(1/4) conj(kappa_1) kappa_2 (kappa_i = k_{2i-1} + sqrt(-1) k_{2i})
-for b, so one batched real irfftn yields all n*n entries.
+for b, so one batched real irfftn yields all n*n entries.  The n = 2 flow
+takes the same Hessian from f's grid values instead (matrix_hessian_values):
+the per-axis multipliers, with the same Nyquist rules, become real N x N
+matrices applied along the axes, again with no complex-to-complex transform.
 
 All operations are pure functions of their inputs.  The transforms are
 scipy.fft's, on its default of one worker; fftn and ifftn are imported
@@ -32,7 +35,7 @@ import itertools
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.fft import fftn, ifftn, irfftn, rfftn  # noqa: F401  fftn, ifftn: see above
+from scipy.fft import fftn, ifftn, irfft, irfftn, rfft, rfftn  # noqa: F401  fftn, ifftn: see above
 
 from .grid import TorusGrid
 from .hermitian import inverse_stack, trace_pair
@@ -131,6 +134,58 @@ def complex_hessian_values(fh: np.ndarray, grid: TorusGrid, rows=None) -> np.nda
     if rows is None:
         rows = _hessian_symbol(grid.complex_dim, grid.points_per_axis)
     return irfftn(rows * fh, grid.shape)
+
+
+@lru_cache(maxsize=32)
+def _derivative_matrices(N: int):
+    """Real N x N matrices (D1, D2) of d/dx / 2 and d^2/dx^2 / 4 on one axis.
+
+    Column j is the derivative of the j-th unit vector, taken with the rfft
+    multipliers of _wavenumbers: sqrt(-1) k / 2 with the Nyquist entry zeroed
+    and -k^2 / 4 with the true Nyquist magnitude.  The halves and quarters
+    are exact, so D1 along two axes and D2 along one are the Hessian
+    symbols' factors to round-off.
+    """
+    k_odd, k2 = (w[-1].ravel() for w in _wavenumbers(1, N))
+    eye_hat = rfft(np.eye(N), axis=0)
+    mats = tuple(irfft(sym[:, None] * eye_hat, N, axis=0)
+                 for sym in (0.5j * k_odd, -0.25 * k2))
+    for m in mats:
+        m.setflags(write=False)
+    return mats
+
+
+def _along(mat: np.ndarray, values: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """mat applied along one axis of values, as one BLAS matmul on a reshaped view."""
+    N = len(mat)
+    if axis == values.ndim - 1:
+        a, b, shape = values.reshape(-1, N), mat.T, (-1, N)
+    else:
+        a, b, shape = mat, values.reshape(N ** axis, N, -1), (N ** axis, N, -1)
+    res = np.matmul(a, b, out=None if out is None else out.reshape(shape))
+    return res.reshape(values.shape)
+
+
+def matrix_hessian_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Packed complex Hessian d_i d_jbar f from the grid values of a real f, n = 2.
+
+    The operator of complex_hessian_values, applied as the real matrices of
+    _derivative_matrices along the axes: a = (D2_1 + D2_2) f, d = (D2_3 + D2_4) f
+    and, from p = D1_1 f and q = D1_2 f, Re b = D1_3 p + D1_4 q and
+    Im b = D1_4 p - D1_3 q (X_a: X along real axis a).  For N up to a few
+    dozen this costs less than the batched irfftn of the four spectra.
+    """
+    D1, D2 = _derivative_matrices(grid.points_per_axis)
+    out = np.empty((4,) + values.shape)
+    for i in (0, 1):
+        _along(D2, values, 2 * i, out[i])
+        out[i] += _along(D2, values, 2 * i + 1)
+    p, q = _along(D1, values, 0), _along(D1, values, 1)
+    _along(D1, p, 2, out[2])
+    out[2] += _along(D1, q, 3)
+    _along(D1, p, 3, out[3])
+    out[3] -= _along(D1, q, 2)
+    return out
 
 
 def laplacian_values(values: np.ndarray, grid: TorusGrid, ginv: np.ndarray) -> np.ndarray:

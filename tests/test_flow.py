@@ -661,11 +661,11 @@ def test_adams_predictor_outside_the_cone_halves_into_etdrk4(monkeypatch, grid1,
     real = maflow.flow.flow_rhs
     raised = []
 
-    def predictor_fails(phi_hat, g, fv, t=0.0):
+    def predictor_fails(phi_hat, g, fv, t=0.0, phi=None):
         if not raised:
             raised.append(t)
             raise PositivityViolation("forced", index=0)
-        return real(phi_hat, g, fv, t)
+        return real(phi_hat, g, fv, t, phi)
 
     monkeypatch.setattr(maflow.flow, "flow_rhs", predictor_fails)
     new = step(state, StepControl())
@@ -675,3 +675,64 @@ def test_adams_predictor_outside_the_cone_halves_into_etdrk4(monkeypatch, grid1,
     ref = step(dataclasses.replace(state, history=()), StepControl(dt_max=0.05))
     assert new.t == ref.t == pytest.approx(0.25)
     assert np.array_equal(new.phi.values, ref.phi.values)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_flow_rhs_takes_one_transform(n, monkeypatch, nonkahler1, nonkahler2):
+    # n = 2: each flow_rhs after the first state reads phi from exactly one
+    # 1-field irfftn, its stage's own or the one _state_at takes before it,
+    # and no batched Hessian transform runs; n = 1 keeps one spectral
+    # Hessian per flow_rhs
+    import maflow.flow
+    import maflow.spectral
+    from maflow.flow import _dense_state
+
+    g = nonkahler1 if n == 1 else nonkahler2
+    F = _modes_problem(g.grid, g)
+    state = make_state(g, F)
+    events = []
+
+    def spy(module, name, before, after=None):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(before(*args))
+            out = real(*args, **kwargs)
+            if after:
+                events.append(after)
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    def fields(x, shape):
+        return ("irfftn", int(np.prod(x.shape[:x.ndim - len(shape)])))
+
+    spy(maflow.flow, "irfftn", fields)
+    spy(maflow.spectral, "irfftn", fields)
+    spy(maflow.flow, "complex_hessian_values", lambda *a: ("hessian",))
+    spy(maflow.flow, "flow_rhs", lambda *a: ("rhs",), ("end",))
+    for k in range(1, 5):
+        new = step(state, StepControl(), t_land=0.1 * k)
+        if k == 4:
+            _dense_state(state, new, 0.35)
+        state = new
+    monkeypatch.undo()
+
+    per_rhs = []  # (transforms since the previous flow_rhs, calls inside this one)
+    outside, inside = [], None
+    for ev in events:
+        if ev == ("rhs",):
+            inside = []
+        elif ev == ("end",):
+            per_rhs.append((outside, inside))
+            outside, inside = [], None
+        else:
+            (outside if inside is None else inside).append(ev)
+    # 2 ETDRK4 steps (3 stages and a state each), 2 Adams steps (1 and 1)
+    # and a dense state
+    assert state.flow_run.stats["pc_steps"] == 2
+    assert len(per_rhs) == state.flow_run.stats["rhs_calls"] - 1 == 13
+    if n == 2:
+        assert outside == []
+        assert all(before + within == [("irfftn", 1)] for before, within in per_rhs)
+    else:
+        assert all(within == [("hessian",), ("irfftn", 1)] for _, within in per_rhs)

@@ -636,6 +636,33 @@ def test_cli_solve_elliptic_repeats_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_cli_flow_n2_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the n = 2 flow's Hessian is BLAS matmuls: run 2 to horizon 2 must write
+    # the same monitors.csv on one OpenBLAS thread and on two (each run is a
+    # fresh process, since OpenBLAS reads the setting when numpy loads)
+    import os
+    import subprocess
+    import sys
+
+    from maflow.verification import RUN2_KV
+
+    kv = dict(RUN2_KV, **{"flow.horizon": "2"})
+    cfg_path = tmp_path / "run2.cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items() if k != "mode"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    csv = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "maflow.cli", "flow", "--config",
+                               str(cfg_path), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        csv.append((out / "monitors.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
 def test_cli_solve_elliptic_bad_forcing_exit_2(tmp_path, capsys):
     # g + Hess(psi) of a too strong manufactured psi leaves the cone: a config
     # error that names the grid point, not a solver failure

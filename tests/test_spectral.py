@@ -8,6 +8,7 @@ from maflow.spectral import (
     holo_gradient,
     irfftn,
     laplacian_values,
+    matrix_hessian_values,
     prolong,
     rfftn,
     shell_amplitudes,
@@ -298,13 +299,54 @@ def _c2c_hessian(vals, grid):
 ORACLE_GRIDS = [TorusGrid(1, 16), TorusGrid(2, 8), TorusGrid(2, 16)]
 
 
-@pytest.mark.parametrize("grid", ORACLE_GRIDS)
+@pytest.mark.parametrize("grid", ORACLE_GRIDS + [TorusGrid(2, 24)])
 def test_packed_hessian_matches_c2c_oracle(grid):
-    # white noise exercises every mode, the Nyquist shell included
+    # white noise exercises every mode, the Nyquist shell included; the n = 2
+    # flow's matrix Hessian is held to the same oracle
     vals = np.random.default_rng(8).normal(size=grid.shape)
     want = _c2c_hessian(vals, grid)
     got = unpack(complex_hessian_values(rfftn(vals), grid))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if grid.complex_dim == 2:
+        got = unpack(matrix_hessian_values(vals, grid))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_matrix_hessian_exact_for_trig_polynomials(N):
+    # f = sum_m c_m cos(k_m . x + theta_m) with every |k_a| < N/2 has
+    # d_a d_b f = -sum_m k_a k_b c_m cos(k_m . x + theta_m)
+    grid = TorusGrid(2, N)
+    rng = np.random.default_rng(N)
+    modes = [(rng.integers(-N // 2 + 1, N // 2, size=4), rng.normal(), rng.uniform(0, 6))
+             for _ in range(6)]
+    coords = [np.broadcast_to(c, grid.shape) for c in grid.axis_coordinates()]
+    f = np.zeros(grid.shape)
+    dd = np.zeros((4, 4) + grid.shape)
+    for k, c, theta in modes:
+        wave = c * np.cos(sum(ka * xa for ka, xa in zip(k, coords)) + theta)
+        f += wave
+        dd -= np.multiply.outer(np.outer(k, k), wave)
+    want = 0.25 * np.stack((dd[0, 0] + dd[1, 1], dd[2, 2] + dd[3, 3],
+                            dd[0, 2] + dd[1, 3], dd[0, 3] - dd[1, 2]))
+    got = matrix_hessian_values(f, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_matrix_hessian_of_nyquist_modes():
+    # the odd factor zeroes the Nyquist mode, so the mixed entries vanish,
+    # while the even one keeps its true magnitude (N/2)^2 on the diagonal
+    N = 8
+    grid = TorusGrid(2, N)
+    x0, _, x2, _ = grid.axis_coordinates()
+    for f, da, dd in ((np.cos(N // 2 * x0), 1.0, 0.0),
+                      (np.cos(N // 2 * x0) * np.cos(N // 2 * x2), 1.0, 1.0)):
+        f = np.broadcast_to(f, grid.shape)
+        a, d, b_re, b_im = matrix_hessian_values(f, grid)
+        quarter = (N // 2) ** 2 / 4
+        assert np.max(np.abs(a + da * quarter * f)) <= 1e-12
+        assert np.max(np.abs(d + dd * quarter * f)) <= 1e-12
+        assert np.max(np.abs(b_re)) <= 1e-12 and np.max(np.abs(b_im)) <= 1e-12
 
 
 def _c2c_first_derivatives(vals, grid):
