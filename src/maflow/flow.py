@@ -363,19 +363,29 @@ def step(state: FlowState, ctrl: StepControl, t_land: Optional[float] = None) ->
         n0 = k1 - lin * u0
         adams = not rejected and key == past_key and len(past) == 2
         try:
+            # each stage spectrum is dropped once its last use is past, so
+            # none is held while _state_at builds the new state's fields
             if adams:
                 eu0 = E * u0
                 p = eu0 + beta[0] * n0 + beta[1] * past[0] + beta[2] * past[1]
                 phi1_hat = (eu0 + gamma[0] * remainder(p, lin, state.t + dt)
                             + gamma[1] * n0 + gamma[2] * past[0])
+                del eu0
+                scale = float(np.max(np.abs(phi1_hat)))
+                gap = float(np.max(np.abs(phi1_hat - p))) / scale if scale > 0 else 0.0
+                del p
             else:
                 a = E2 * u0 + Q * n0
                 na = remainder(a, lin, state.t + 0.5 * dt)
                 b = E2 * u0 + Q * na
                 nb = remainder(b, lin, state.t + 0.5 * dt)
+                del b
                 c = E2 * a + Q * (2.0 * nb - n0)
+                del a
                 nc = remainder(c, lin, state.t + dt)
+                del c
                 phi1_hat = E * u0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+                del na, nb, nc
             new = _state_at(flow_run, phi1_hat, state.t + dt,
                             step_count=state.step_count + 1,
                             dt_try=(state.dt_try if clipped else dt if rejected
@@ -396,8 +406,6 @@ def step(state: FlowState, ctrl: StepControl, t_land: Optional[float] = None) ->
     stats["dt_max"] = max(stats["dt_max"], dt)
     if adams:
         stats["pc_steps"] += 1
-        scale = float(np.max(np.abs(phi1_hat)))
-        gap = float(np.max(np.abs(phi1_hat - p))) / scale if scale > 0 else 0.0
         stats["pc_gap_max"] = max(stats["pc_gap_max"], gap)
     return new
 

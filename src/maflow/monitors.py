@@ -9,9 +9,9 @@ u = log det g' - log det g - F.  The field-based diagnostics (Hoelder
 seminorm, Li-Yau quantity) stream: every field snapshot's g' is folded at
 emission into the Hoelder sample and a three-snapshot Li-Yau window, handed
 to any extra observers and dropped, so memory does not grow with the
-snapshot count.  The Li-Yau window inverts only the g' whose value is due.
-finalize carries their values forward between evaluations, so every CSV row
-stays finite.
+snapshot count.  The Li-Yau window reads |d f|^2 from g' itself, in closed
+form, and forms no inverse or complex gradient field.  finalize carries
+their values forward between evaluations, so every CSV row stays finite.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from .errors import (
     SeriesTooShort,
 )
 from .grid import MAX_POINTS, TorusGrid, integrate_values
-from .hermitian import inverse_stack, pencil_eig_range, trace_pair
-from .spectral import holo_gradient
+from .hermitian import det_field, inverse_stack, pencil_eig_range, trace_pair
+from .spectral import half_derivatives
 # unused here; perfbench/tracer.py patches them under this module
 from .hermitian import generalized_eig_range  # noqa: F401
-from .spectral import complex_hessian_values  # noqa: F401
+from .spectral import complex_hessian_values, holo_gradient  # noqa: F401
 
 CSV_COLUMNS = (
     "t", "sup_dphidt", "osc_u", "trace_max", "eig_min", "eig_max",
@@ -251,10 +251,11 @@ class LiYauWindow:
     over a stream of snapshots.
 
     ``add(t, u, gprime)`` takes one snapshot: u > 0 at every point
-    (NonPositiveU otherwise), f = log u, and gprime the packed g', so
-    |d f|^2 is the pairing tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f).
-    f_t is a centered difference across adjacent snapshots, so a value is
-    produced at each interior snapshot time, from the inverse of that
+    (NonPositiveU otherwise, a NaN included), f = log u, and gprime the
+    packed g', so |d f|^2 is the pairing tr(g'^{-1} v v^*) with
+    v = (d_1 f, .., d_n f), formed by _grad_sq from f's half-derivatives and
+    g' directly.  f_t is a centered difference across adjacent snapshots,
+    so a value is produced at each interior snapshot time, from that
     snapshot's g' alone.  Between adds the window holds the last two
     snapshots' f and the newest g'.  alpha_ly lies in (1, 2), as
     MonitorSuite checks.
@@ -267,7 +268,7 @@ class LiYauWindow:
         self.times, self.values = [], []
 
     def add(self, t: float, u: np.ndarray, gprime: np.ndarray):
-        if np.min(u) <= 0:
+        if not np.min(u) > 0:   # written so that a NaN fails too
             raise NonPositiveU(f"non-positive u (min {np.min(u):.3e}) in Li-Yau diagnostic")
         self.window.append((t, np.log(u)))
         gp1, self.gprime = self.gprime, gprime
@@ -275,10 +276,10 @@ class LiYauWindow:
             return
         (t0, f0), (t1, f1), (t2, f2) = self.window
         del self.window[0]
+        grad_sq = _grad_sq(f1, gp1, self.grid)   # its buffers are gone before f_t is made
         f_t = (f2 - f0) / (t2 - t0)
         self.times.append(t1)
-        self.values.append(float(t1 * np.max(_grad_sq(f1, inverse_stack(gp1), self.grid)
-                                             - self.alpha_ly * f_t)))
+        self.values.append(float(t1 * np.max(grad_sq - self.alpha_ly * f_t)))
 
     def result(self):
         """(interior_times, values); InsufficientSnapshots before three adds."""
@@ -287,14 +288,35 @@ class LiYauWindow:
         return np.array(self.times), np.array(self.values)
 
 
-def _grad_sq(f: np.ndarray, gpinv: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """|d f|^2 = tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f), packed g'^{-1}."""
-    v = holo_gradient(f, grid)
-    outer = [np.abs(v[..., i]) ** 2 for i in range(grid.complex_dim)]
+def _grad_sq(f: np.ndarray, gprime: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """|d f|^2 = tr(g'^{-1} v v^*) with v = (d_1 f, .., d_n f), from the packed g'.
+
+    With d_i f = x_i - sqrt(-1) y_i (half_derivatives' rows x_1, y_1, ..) and
+    g' = (a, d, b), it is (x^2 + y^2) / a for n = 1 and, for n = 2,
+    (d |d_1 f|^2 + a |d_2 f|^2 - 2 Re(b conj(d_1 f conj(d_2 f)))) / (a d - |b|^2),
+    where d_1 f conj(d_2 f) = x_1 x_2 + y_1 y_2 + sqrt(-1) (x_1 y_2 - x_2 y_1):
+    no inverse field and no complex array.
+    """
+    x = half_derivatives(f, grid)
+    num = x[0] * x[0]
+    num += x[1] * x[1]
     if grid.complex_dim == 2:
-        cross = v[..., 0] * np.conj(v[..., 1])
-        outer += [cross.real, cross.imag]
-    return trace_pair(gpinv, np.stack(outer))
+        a, d, b_re, b_im = gprime
+        num *= d
+        term = x[2] * x[2]
+        term += x[3] * x[3]
+        term *= a
+        num += term
+        np.multiply(x[0], x[2], out=term)
+        term += x[1] * x[3]
+        term *= b_re
+        term += b_im * (x[0] * x[3] - x[2] * x[1])
+        term *= 2.0
+        num -= term
+        del term
+    del x   # the derivatives go before det_field's temporaries are made
+    num /= det_field(gprime)
+    return num
 
 
 def _certified_fit(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -23,6 +23,10 @@ for b, so one batched real irfftn yields all n*n entries.  The n = 2 flow
 takes the same Hessian from f's grid values instead (matrix_hessian_values):
 the per-axis multipliers, with the same Nyquist rules, become real N x N
 matrices applied along the axes, again with no complex-to-complex transform.
+The 2n real half-derivatives of the Li-Yau monitor (half_derivatives) are
+split the same way: the matrices for n = 2, one batched irfftn for n = 1.
+holo_gradient, the complex stack of the d_i f, serves the tests as the
+transform-based reference.
 
 All operations are pure functions of their inputs.  The transforms are
 scipy.fft's, on its default of one worker; fftn and ifftn are imported
@@ -186,6 +190,26 @@ def matrix_hessian_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     _along(D1, p, 3, out[3])
     out[3] -= _along(D1, q, 2)
     return out
+
+
+def half_derivatives(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The 2n real half-derivatives (d/dx_a) f / 2 of a real f, shape (2n,) + grid.shape.
+
+    With x_a the a-th row (a = 1 .. 2n), d_i f = x_{2i-1} - sqrt(-1) x_{2i}.
+    The multiplier is sqrt(-1) k / 2 with the Nyquist entry zeroed.  For n = 2
+    it is D1 of _derivative_matrices along each axis, four matmuls and no
+    transform; for n = 1 it is one batched irfftn, which gives the bits of
+    holo_gradient's real and imaginary parts (up to the sign of the latter).
+    """
+    if grid.complex_dim == 2:
+        D1, _ = _derivative_matrices(grid.points_per_axis)
+        out = np.empty((4,) + values.shape)
+        for a in range(4):
+            _along(D1, values, a, out[a])
+        return out
+    fh = rfftn(values)
+    k_odd, _ = _wavenumbers(1, grid.points_per_axis)
+    return irfftn(np.stack([0.5j * k * fh for k in k_odd]), grid.shape)
 
 
 def laplacian_values(values: np.ndarray, grid: TorusGrid, ginv: np.ndarray) -> np.ndarray:

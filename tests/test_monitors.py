@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maflow import flow
+from maflow.config import config_from_kv
 from maflow.errors import InsufficientSnapshots, NonPositiveU, SeriesTooShort
 from maflow.flow import StepControl, make_state, run
 from maflow.grid import ScalarField, TorusGrid
@@ -13,9 +14,11 @@ from maflow.hermitian import inverse_stack, trace_pair
 from maflow.monitors import (
     CSV_COLUMNS,
     HolderConfig,
+    LiYauWindow,
     MonitorRecord,
     MonitorSeries,
     MonitorSuite,
+    _grad_sq,
     _HolderSample,
     contraction_and_decay,
     envelope_fit_inverse_time,
@@ -24,10 +27,11 @@ from maflow.monitors import (
     theta_at_integer_times,
 )
 from maflow.presets import ForcingPreset, MetricPreset, build_forcing, build_metric
+from maflow.runner import build_problem
 from maflow.spectral import complex_hessian_values, laplacian_values, rfftn
-from maflow.verification import UnitWindows
+from maflow.verification import RUN2_KV, UnitWindows
 
-from reference import liyau_quantity
+from reference import liyau_quantity, unpack
 
 
 def small_suite(**kw):
@@ -223,6 +227,15 @@ def test_liyau_exponential_closed_form(grid1, flat1):
 def test_liyau_nonpositive_raises(grid1, flat1):
     us = [np.full(grid1.shape, 1.0), np.full(grid1.shape, -0.1),
           np.full(grid1.shape, 1.0)]
+    with pytest.raises(NonPositiveU):
+        liyau_quantity([0.5, 1.0, 1.5], us, [flat1.entries] * 3, grid1)
+
+
+def test_liyau_nan_u_raises(grid1, flat1):
+    # one NaN fails the guard too: it would reach log and the column otherwise
+    mid = np.full(grid1.shape, 1.0)
+    mid[3, 5] = np.nan
+    us = [np.full(grid1.shape, 1.0), mid, np.full(grid1.shape, 1.0)]
     with pytest.raises(NonPositiveU):
         liyau_quantity([0.5, 1.0, 1.5], us, [flat1.entries] * 3, grid1)
 
@@ -465,20 +478,25 @@ def _reference_holder_pairs(times, gp_entries, grid, cfg):
     return np.maximum(times[sa], times[sb]), quot
 
 
+def _reference_grad_sq(f, gpinv, grid):
+    """|d f|^2 = tr(g'^{-1} v v^*) from the complex gradient v = holo_gradient(f)
+    and the packed inverse g'^{-1}."""
+    from maflow.spectral import holo_gradient
+    v = holo_gradient(f, grid)
+    outer = [np.abs(v[..., i]) ** 2 for i in range(grid.complex_dim)]
+    if grid.complex_dim == 2:
+        cross = v[..., 0] * np.conj(v[..., 1])
+        outer += [cross.real, cross.imag]
+    return trace_pair(gpinv, np.stack(outer))
+
+
 def _reference_liyau(times, u_list, gpinv_list, grid, alpha_ly):
     """List-based Li-Yau quantity: every log u and gradient held at once."""
-    from maflow.spectral import holo_gradient
     fs = [np.log(u) for u in u_list]
-    grads = [holo_gradient(f, grid) for f in fs]
     out_t, out_v = [], []
     for j in range(1, len(times) - 1):
         f_t = (fs[j + 1] - fs[j - 1]) / (times[j + 1] - times[j - 1])
-        v = grads[j]
-        outer = [np.abs(v[..., i]) ** 2 for i in range(grid.complex_dim)]
-        if grid.complex_dim == 2:
-            cross = v[..., 0] * np.conj(v[..., 1])
-            outer += [cross.real, cross.imag]
-        grad2 = trace_pair(gpinv_list[j], np.stack(outer))
+        grad2 = _reference_grad_sq(fs[j], gpinv_list[j], grid)
         out_t.append(times[j])
         out_v.append(float(times[j] * np.max(grad2 - alpha_ly * f_t)))
     return np.array(out_t), np.array(out_v)
@@ -524,8 +542,12 @@ def test_finalize_matches_two_pass_reference(n2_run):
     shift = 1.5 * float(np.max(np.abs(F.values)))
     t_int, vals = _reference_liyau(rec.t, [u + shift for u in rec.u],
                                    [inverse_stack(gp) for gp in gps], grid, 1.5)
-    liyau_ref = _carried(series.records, t_int, vals)
-    assert [r.liyau_max for r in series.records] == liyau_ref
+    liyau_ref = np.array(_carried(series.records, t_int, vals))
+    # the window forms |d f|^2 in closed form from g', the reference from the
+    # inverse of g' and a complex gradient: they agree to round-off, not bits
+    liyau = np.array([r.liyau_max for r in series.records])
+    assert np.max(np.abs(liyau - liyau_ref)) <= 1e-13 * np.max(np.abs(liyau_ref))
+    assert np.array_equal(liyau == 0.0, liyau_ref == 0.0)
     assert any(v != 0.0 for v in liyau_ref)
     assert series.field_snaps == []
 
@@ -551,8 +573,6 @@ def test_emitted_eig_range_matches_the_pencil_of_g_and_gprime(request, which):
 
 
 def test_liyau_window_keeps_one_gprime_between_adds(n2_run):
-    from maflow.monitors import LiYauWindow
-
     res, F, rec = n2_run
     window = LiYauWindow(res.series.flow_run.g.grid)
     shift = 1.5 * float(np.max(np.abs(F.values)))
@@ -572,6 +592,90 @@ def test_liyau_accepts_iterators(n2_run):
     assert np.array_equal(t_list, t_gen) and np.array_equal(v_list, v_gen)
     with pytest.raises(InsufficientSnapshots):
         liyau_quantity(iter(rec.t[:2]), iter(us[:2]), iter(rec.gprime[:2]), grid)
+
+
+def _noise_gprime(grid, rng):
+    """A packed PD g' of white-noise entries, with |b|^2 between 0.45 and 0.5 of a d."""
+    a, d = np.exp(0.3 * rng.standard_normal((2,) + grid.shape))
+    if grid.complex_dim == 1:
+        return a[None]
+    r = np.sqrt(rng.uniform(0.45, 0.5, grid.shape) * a * d)
+    theta = rng.uniform(0.0, 2 * np.pi, grid.shape)
+    return np.stack((a, d, r * np.cos(theta), r * np.sin(theta)))
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 8), (2, 16), (2, 24)])
+def test_grad_sq_matches_inverse_and_complex_gradient(n, N):
+    # white noise exercises every mode, the Nyquist shell included
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(N)
+    f = rng.standard_normal(grid.shape)
+    gprime = _noise_gprime(grid, rng)
+    want = _reference_grad_sq(f, inverse_stack(gprime), grid)
+    got = _grad_sq(f, gprime, grid)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8), (2, 16)])
+def test_grad_sq_exact_for_trig_polynomials(n, N):
+    # f = sum_m c_m cos(k_m . x + theta_m) with every |k_a| < N/2 has
+    # d_i f = -(k_{2i-1} - sqrt(-1) k_{2i}) / 2 sum_m c_m sin(k_m . x + theta_m),
+    # and |d f|^2 = v^* g'^{-1} v by a dense solve
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(N + n)
+    coords = [np.broadcast_to(c, grid.shape) for c in grid.axis_coordinates()]
+    f = np.zeros(grid.shape)
+    v = np.zeros(grid.shape + (n,), dtype=complex)
+    for _ in range(6):
+        k = rng.integers(-N // 2 + 1, N // 2, size=2 * n)
+        c, theta = rng.normal(), rng.uniform(0, 6)
+        phase = sum(ka * xa for ka, xa in zip(k, coords)) + theta
+        f += c * np.cos(phase)
+        for i in range(n):
+            v[..., i] -= 0.5 * (k[2 * i] - 1j * k[2 * i + 1]) * c * np.sin(phase)
+    gprime = _noise_gprime(grid, rng)
+    sol = np.linalg.solve(unpack(gprime), v[..., None])[..., 0]
+    want = np.einsum("...i,...i->...", np.conj(v), sol).real
+    got = _grad_sq(f, gprime, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_liyau_add_allocates_few_fields(n2_run):
+    # an evaluating add at n = 2, N = 16 peaks at 9 fields above its entry
+    # (log u, f_t, the four half-derivatives and |d f|^2's buffers); with the
+    # inverse of g', a complex gradient and its stacked outer products it took 21
+    res, F, rec = n2_run
+    shift = 1.5 * float(np.max(np.abs(F.values)))
+    us = [u + shift for u in rec.u[:3]]
+    window = LiYauWindow(res.series.flow_run.g.grid)
+    for t, u, gp in zip(rec.t[:2], us, rec.gprime):
+        window.add(t, u, gp)
+    tracemalloc.start()
+    try:
+        window.add(rec.t[2], us[2], rec.gprime[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(window.times) == 1
+    assert peak <= 12 * us[0].nbytes
+
+
+def test_run2_traced_peak():
+    # run 2's problem to horizon 2 peaks at 24.0 MB traced, its ETDRK4
+    # coefficient set built inside (a one-step run fills the symbol tables
+    # first).  Holding the stage spectra through _state_at and the Li-Yau
+    # window's inverse g' and complex gradient, it peaked at 29.5 MB.
+    cfg = config_from_kv(dict(RUN2_KV, **{"flow.horizon": "2"}))
+    _, g, F, _ = build_problem(cfg)
+    run(g, F, horizon=0.1, ctrl=cfg.step, monitors=cfg.monitors)
+    flow._etdrk4_coefficients.cache_clear()
+    tracemalloc.start()
+    try:
+        run(g, F, horizon=2.0, ctrl=cfg.step, monitors=cfg.monitors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26e6
 
 
 def _run_peak_bytes(horizon):

@@ -5,6 +5,7 @@ from maflow.grid import TorusGrid, integrate_values, volume_weights
 from maflow.hermitian import inverse_stack, trace_pair
 from maflow.spectral import (
     complex_hessian_values,
+    half_derivatives,
     holo_gradient,
     irfftn,
     laplacian_values,
@@ -347,6 +348,42 @@ def test_matrix_hessian_of_nyquist_modes():
         assert np.max(np.abs(a + da * quarter * f)) <= 1e-12
         assert np.max(np.abs(d + dd * quarter * f)) <= 1e-12
         assert np.max(np.abs(b_re)) <= 1e-12 and np.max(np.abs(b_im)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 8), (2, 16), (2, 24)])
+def test_half_derivatives_are_holo_gradient_parts(n, N):
+    # d_i f = x_{2i-1} - sqrt(-1) x_{2i}; white noise exercises every mode, the
+    # Nyquist shell included.  The n = 1 transform gives holo_gradient's bits,
+    # the n = 2 matrices agree to round-off
+    grid = TorusGrid(n, N)
+    vals = np.random.default_rng(N).standard_normal(grid.shape)
+    v = holo_gradient(vals, grid)
+    want = np.stack([p for i in range(n) for p in (v[..., i].real, -v[..., i].imag)])
+    got = half_derivatives(vals, grid)
+    if n == 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8), (2, 16)])
+def test_half_derivatives_exact_for_trig_polynomials(n, N):
+    # f = sum_m c_m cos(k_m . x + theta_m) with every |k_a| < N/2 has
+    # d/dx_a f / 2 = -(k_a / 2) sum_m c_m sin(k_m . x + theta_m); a Nyquist
+    # mode added along each axis leaves them unchanged (its odd factor is zeroed)
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(N + n)
+    coords = [np.broadcast_to(c, grid.shape) for c in grid.axis_coordinates()]
+    f = sum(np.cos(N // 2 * x) for x in coords)
+    want = np.zeros((2 * n,) + grid.shape)
+    for _ in range(6):
+        k = rng.integers(-N // 2 + 1, N // 2, size=2 * n)
+        c, theta = rng.normal(), rng.uniform(0, 6)
+        phase = sum(ka * xa for ka, xa in zip(k, coords)) + theta
+        f = f + c * np.cos(phase)
+        want -= np.multiply.outer(0.5 * k, c * np.sin(phase))
+    got = half_derivatives(f, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _c2c_first_derivatives(vals, grid):
