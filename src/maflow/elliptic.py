@@ -23,10 +23,10 @@ alpha = 1/c and A is trace-free against gbar, S is nonzero off k = 0, so
     Delta' y = p - alpha(x) mean(c p) + tr(A Hess y):
 
 the identity, plus a field (alpha(x) times a number), plus the anisotropy.
-A preconditioned apply costs one rfftn and, for n = 2, one irfftn of the
-three fields of tr(A Hess y) (none for n = 1, where A = 0); the general
-apply adds one irfftn of S vh.  The Newton iterate is kept as its rfft
-spectrum; grid values of phi are formed once, for phitilde_inf.
+A preconditioned apply costs one rfftn and, for n = 2, one 1-field irfftn
+of y, whose values give Hess y by spectral.matrix_hessian_values (none for
+n = 1, where A = 0); the general apply adds one irfftn of S vh for n = 1.
+The Newton iterate is kept as its rfft spectrum.
 
 Nested start: without an explicit initial field, and where the half grid is
 valid (N divisible by 4, N >= 16), solve first solves the same problem on
@@ -66,12 +66,12 @@ from .hermitian import inverse_stack, trace_pair
 # unused here; perfbench/tracer.py patches them under this module
 from .hermitian import log_det_ratio, min_eig_field  # noqa: F401
 from .spectral import (
+    _hessian_symbol,
     complex_hessian_values,
     irfftn,
-    mean_metric_symbol,
+    matrix_hessian_values,
     prolong,
     rfftn,
-    trace_free_symbols,
 )
 
 # Newton stops once the sup residual is at most tol (NEWTON_TOL by default),
@@ -141,9 +141,13 @@ class EllipticSolution:
 def _residual_field(phi_hat, g):
     """G(phi) = log det ratio and the assembled (packed) evolving metric.
 
-    Takes phi_hat = rfftn(phi), as complex_hessian_values does.
+    Takes phi_hat = rfftn(phi), and Hess phi as flow.flow_rhs does.
     """
-    gprime = g.entries + complex_hessian_values(phi_hat, g.grid)
+    if g.grid.complex_dim == 1:
+        gprime = complex_hessian_values(phi_hat, g.grid)
+    else:
+        gprime = matrix_hessian_values(irfftn(phi_hat, g.grid.shape), g.grid)
+    gprime += g.entries
     ratio = cone_log_det(gprime, 0.0, "Newton iterate left the positive cone")
     ratio -= g.log_det
     return ratio, gprime
@@ -160,16 +164,17 @@ class _Linearization:
     """Mean-projected Delta' with its pointwise-scaled spectral preconditioner.
 
     Splits g'^{-1} = alpha gbar^{-1} + A with alpha = 1/c = tr(gbar g'^{-1}) / n,
-    so A is trace-free against gbar and vanishes for n = 1.  Then
-    Delta' v = alpha irfftn(S vh) + sum_j a_j irfftn(m_j vh), with S the
-    symbol of gbar^{i jbar} d_i d_jbar and m_j, a_j the trace-free rows and
-    coefficients of spectral.trace_free_symbols.  precondition maps a real
-    field p to the rfft spectrum y = S^-1 rfftn(c p), k = 0 entry zero, and
-    since S is nonzero off k = 0, irfftn(S y) = c p - mean(c p) exactly:
+    so A is trace-free against gbar and vanishes for n = 1.  With H = Hess v,
+    Delta' v = alpha tr(gbar^{-1} H) + sum_j a_j (H_j - r_j H_a): tr(gbar A) = 0
+    fixes A_a, a = (A_d, 2 Re A_b, 2 Im A_b) are trace_pair's weights and
+    r = gbar[1:] / gbar_a.  tr(gbar^{-1} H) = irfftn(S vh), with S the symbol
+    of gbar^{i jbar} d_i d_jbar.  precondition maps a real field p to the rfft
+    spectrum y = S^-1 rfftn(c p), k = 0 entry zero, and since S is nonzero
+    off k = 0, irfftn(S y) = c p - mean(c p) exactly:
     alpha irfftn(S y) = p - alpha(x) mean(c p), a field, not a constant.
-    apply(y, p) uses that identity and transforms only the n*n - 1
-    anisotropy rows (none for n = 1); apply(vh) is the general operator, which
-    transforms S vh as well.
+    apply(y, p) uses that identity; for n = 2 it and the general apply(vh)
+    take H from matrix_hessian_values after one 1-field irfftn of vh.  For
+    n = 1 apply(y, p) transforms nothing and apply(vh) transforms S vh.
     """
 
     def __init__(self, g: MetricField, gprime: np.ndarray):
@@ -177,15 +182,16 @@ class _Linearization:
         n = g.grid.complex_dim
         coef = inverse_stack(gprime)
         g_mean = gprime.reshape(len(gprime), -1).mean(axis=1)
+        self._gbar_inv = inverse_stack(g_mean)
         alpha = trace_pair(g_mean, coef) / n
         # g'^{-1}'s buffer becomes [c, a_1 .. a_{n*n-1}], with a = (A_d, 2 Re A_b, 2 Im A_b)
-        for j, gbar_inv in enumerate(inverse_stack(g_mean)[1:], start=1):
+        for j, gbar_inv in enumerate(self._gbar_inv[1:], start=1):
             coef[j] -= gbar_inv * alpha
         coef[2:] *= 2.0
         np.divide(1.0, alpha, out=coef[0])
         self._scale, self._aniso = coef[0], coef[1:]
-        self._sym = mean_metric_symbol(g_mean, g.grid)
-        self._rows = trace_free_symbols(g_mean, g.grid)
+        self._ratio = g_mean[1:] / g_mean[0]
+        self._sym = trace_pair(self._gbar_inv, _hessian_symbol(n, g.grid.points_per_axis))
         self._sym_inv = np.zeros_like(self._sym)
         nz = self._sym != 0
         self._sym_inv[nz] = 1.0 / self._sym[nz]
@@ -193,19 +199,24 @@ class _Linearization:
     def apply(self, vh: np.ndarray, pre: Optional[np.ndarray] = None) -> np.ndarray:
         """Mean-free Delta' v of the real field v whose rfft is vh.
 
-        With pre, vh must be precondition(pre).  The Hessian symbols vanish
-        at k = 0, so the mean of v does not enter.
+        With pre, vh must be precondition(pre).  The Hessian annihilates
+        constants, so the mean of v does not enter.
         """
         c = self._scale
-        # transform the anisotropy before lap exists: the solve's memory peaks
-        # in this transform, so lap is not held through it
-        h = complex_hessian_values(vh, self.grid, self._rows) if len(self._rows) else None
-        if pre is None:
+        # form H before lap exists: the solve's memory peaks in this Hessian,
+        # so lap is not held through it
+        h = (matrix_hessian_values(irfftn(vh, self.grid.shape), self.grid)
+             if len(self._aniso) else None)
+        if pre is not None:
+            lap = pre - (np.vdot(c, pre) / pre.size) / c
+        elif h is None:
             lap = irfftn(self._sym * vh, self.grid.shape) / c
         else:
-            lap = pre - (np.vdot(c, pre) / pre.size) / c
+            lap = trace_pair(self._gbar_inv, h) / c
         if h is not None:
-            lap += np.einsum("j...,j...->...", self._aniso, h)
+            for h_j, r_j in zip(h[1:], self._ratio):
+                h_j -= r_j * h[0]
+            lap += np.einsum("j...,j...->...", self._aniso, h[1:])
         return lap - lap.mean()
 
     def precondition(self, r: np.ndarray) -> np.ndarray:

@@ -19,9 +19,10 @@ which the flow's stages already hold, and returned in the packed layout of
 hermitian.py.  Every packed entry is a real, even Fourier multiplier:
 -(1/4)|kappa_i|^2 on the diagonal and, for n = 2, the real and imaginary
 parts of -(1/4) conj(kappa_1) kappa_2 (kappa_i = k_{2i-1} + sqrt(-1) k_{2i})
-for b, so one batched real irfftn yields all n*n entries.  The n = 2 flow
-takes the same Hessian from f's grid values instead (matrix_hessian_values):
-the per-axis multipliers, with the same Nyquist rules, become real N x N
+for b, so one batched real irfftn yields all n*n entries; it serves n = 1
+and the verification cross-checks.  Every n = 2 Hessian of the flow and the
+oracle comes from f's grid values instead (matrix_hessian_values): the
+per-axis multipliers, with the same Nyquist rules, become real N x N
 matrices applied along the axes, again with no complex-to-complex transform.
 The 2n real half-derivatives of the Li-Yau monitor (half_derivatives) are
 split the same way: the matrices for n = 2, one batched irfftn for n = 1.
@@ -115,29 +116,13 @@ def holo_gradient(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out
 
 
-def trace_free_symbols(g_mean: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Hessian symbol rows m_j = H_j - (gbar_j / gbar_a) H_a, j = 1 .. n*n - 1.
-
-    For a packed field A trace-free against the packed PD matrix g_mean
-    (tr(gbar A) = 0 fixes A_a), tr(A Hess f) = sum_j a_j m_j(f) with
-    a = (A_d, 2 Re A_b, 2 Im A_b), the weights of trace_pair.  Shape
-    (n*n - 1,) + rfft shape: no rows for n = 1.
-    """
-    sym = _hessian_symbol(grid.complex_dim, grid.points_per_axis)
-    ratio = np.asarray(g_mean[1:]) / g_mean[0]
-    return sym[1:] - ratio.reshape((-1,) + (1,) * (sym.ndim - 1)) * sym[0]
-
-
-def complex_hessian_values(fh: np.ndarray, grid: TorusGrid, rows=None) -> np.ndarray:
+def complex_hessian_values(fh: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Packed complex Hessian d_i d_jbar f from fh = rfftn(f) of a real f.
 
     Returns the real array of shape (n*n,) + grid.shape of hermitian.py,
-    from one batched irfftn of the n*n real symbols times fh.  Other real,
-    even symbol rows (shape (m,) + rfft shape) give their m fields instead.
+    from one batched irfftn of the n*n real symbols times fh.
     """
-    if rows is None:
-        rows = _hessian_symbol(grid.complex_dim, grid.points_per_axis)
-    return irfftn(rows * fh, grid.shape)
+    return irfftn(_hessian_symbol(grid.complex_dim, grid.points_per_axis) * fh, grid.shape)
 
 
 @lru_cache(maxsize=32)

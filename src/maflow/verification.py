@@ -235,7 +235,9 @@ def recomputed_b(art) -> dict:
 
     r = log det(g + Hess phi) - log det g - F, with a fresh Hessian of the
     returned phi = phi_tilde_inf: the gap between the oracle's b and the
-    omega^n mean of r, and the sup of r minus that mean.
+    omega^n mean of r, and the sup of r minus that mean.  The Hessian is the
+    spectral one on purpose: the n = 2 oracle's comes from the per-axis
+    matrices, so this is a second, independent implementation.
     """
     g, phi = art.g, art.solution.phi_tilde_inf
     gprime = g.entries + complex_hessian_values(rfftn(phi.values), g.grid)

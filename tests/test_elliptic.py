@@ -22,7 +22,7 @@ from maflow.presets import (
 )
 from maflow.runner import build_problem
 from maflow.spectral import rfftn
-from maflow.verification import RUN2_KV, shell_decay
+from maflow.verification import RUN1_KV, RUN2_KV, shell_decay
 
 from conftest import field_from
 
@@ -137,6 +137,46 @@ def test_spectrum_in_preconditioned_apply_matches_round_trip(n, nonkahler1, nonk
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("N", [8, 16])
+def test_n2_matrix_hessians_match_the_symbol_reference(N):
+    # the residual's g' and both Krylov applies take Hess from the per-axis
+    # matrices; the 4-field spectral Hessian is the reference, on white noise,
+    # which fills the Nyquist shell, and a non-Kaehler g'
+    from maflow.hermitian import inverse_stack, trace_pair
+    from maflow.spectral import complex_hessian_values
+
+    grid = TorusGrid(2, N)
+    g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.3))
+    rng = np.random.default_rng(N)
+    phi_hat = rfftn(0.002 * rng.normal(size=grid.shape))
+    _, gprime = maflow.elliptic._residual_field(phi_hat, g)
+    want = g.entries + complex_hessian_values(phi_hat, grid)
+    assert np.max(np.abs(gprime - want)) <= 1e-13 * np.max(np.abs(want))
+    lin = maflow.elliptic._Linearization(g, gprime)
+    p = rng.normal(size=grid.shape)
+    yh = lin.precondition(p)
+    ref = trace_pair(inverse_stack(gprime), complex_hessian_values(yh, grid))
+    ref -= ref.mean()
+    for out in (lin.apply(yh, p), lin.apply(yh)):
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kv", [
+    dict(RUN2_KV, **{"metric.preset": "kahler_bump"}),
+    dict(RUN1_KV, **{"grid.N": "16", "forcing.kind": "modes", "forcing.amplitude": "2",
+                     "forcing.max_mode": "2", "forcing.seed": "5"}),
+], ids=["kahler_bump_n2", "n1"])
+def test_kahler_b_meets_its_closed_form(kv):
+    # if d omega = 0 (every n = 1 metric, and kahler_bump), the integral of
+    # det(g + Hess phi) is that of det g for every phi, so e^(F + b) has
+    # omega^n mean 1: b = -log(mean e^F), a truth that needs neither Hessian
+    _, g, F, _ = build_problem(config_from_kv(kv))
+    sol = solve(g, F)
+    assert sol.newton_iters >= 1
+    exact = -np.log(integrate_values(np.exp(F.values), volume_weights(g)))
+    assert abs(sol.b - exact) <= 1e-13
+
+
 def test_n1_preconditioned_apply_runs_no_inverse_transform(monkeypatch, nonkahler1):
     # for n = 1 g'^{-1} is alpha gbar^{-1}: the identity leaves nothing to transform
     import maflow.spectral
@@ -158,10 +198,12 @@ def test_n1_preconditioned_apply_runs_no_inverse_transform(monkeypatch, nonkahle
 
 
 def test_solve_transforms_each_field_once(monkeypatch, grid2, nonkahler2):
-    # the Newton iterate is kept as a spectrum: one rfftn of the initial phi,
-    # one per precondition, and one irfftn for the returned phi_tilde_inf plus
-    # one of S vh per Krylov solve's fresh residual; the Hessian's own
-    # transforms run in spectral.py
+    # the Newton iterate is kept as a spectrum: one rfftn of the initial phi
+    # and one per precondition.  For n = 2 each residual and each Krylov
+    # apply, preconditioned or the fresh residual's general one, takes one
+    # 1-field irfftn for matrix_hessian_values (no irfftn of S vh), and one
+    # more irfftn gives the returned phi_tilde_inf; the spectral Hessian
+    # does not run
     calls = {}
 
     def counted(name, fn):
@@ -171,30 +213,30 @@ def test_solve_transforms_each_field_once(monkeypatch, grid2, nonkahler2):
         return wrapper
 
     E = maflow.elliptic
-    for name in ("rfftn", "irfftn", "_residual_field", "_bicgstab"):
+    for name in ("rfftn", "_residual_field", "_bicgstab", "matrix_hessian_values"):
         monkeypatch.setattr(E, name, counted(name, getattr(E, name)))
     monkeypatch.setattr(E._Linearization, "precondition",
                         counted("precondition", E._Linearization.precondition))
-    real_hessian = E.complex_hessian_values
-    rows = []
+    real_irfftn = E.irfftn
+    fields = []
 
-    def hessian(fh, grid, *args, **kwargs):
-        out = real_hessian(fh, grid, *args, **kwargs)
-        rows.append(len(out))
-        return out
+    def irfftn(x, *args, **kwargs):
+        fields.append(x.shape[:-grid2.real_dim])
+        return real_irfftn(x, *args, **kwargs)
 
-    monkeypatch.setattr(E, "complex_hessian_values", hessian)
+    def no_spectral_hessian(*args, **kwargs):
+        raise AssertionError("spectral Hessian in the n = 2 oracle")
+
+    monkeypatch.setattr(E, "irfftn", irfftn)
+    monkeypatch.setattr(E, "complex_hessian_values", no_spectral_hessian)
     F = random_band_limited(grid2, 0.1, 1, seed=42)
     sol = solve(nonkahler2, F, tol=1e-10)
     assert sol.newton_iters >= 1
     assert calls["_bicgstab"] == sol.newton_iters
-    assert calls["irfftn"] == 1 + calls["_bicgstab"]
     assert calls["rfftn"] == calls["precondition"] + 1
-    # each residual transforms the 4 packed Hessian entries and each Krylov
-    # apply, preconditioned or the fresh residual's, the 3 anisotropy rows
     assert sol.krylov_applies == calls["precondition"] + calls["_bicgstab"]
-    assert len(rows) == calls["_residual_field"] + sol.krylov_applies
-    assert sum(rows) == 4 * calls["_residual_field"] + 3 * sol.krylov_applies
+    assert calls["matrix_hessian_values"] == calls["_residual_field"] + sol.krylov_applies
+    assert fields == [()] * (calls["matrix_hessian_values"] + 1)
 
 
 def _count_applies(monkeypatch):

@@ -585,7 +585,7 @@ def test_cli_newton_iteration_cap_exit_3(tmp_path, capsys):
     code = main(["solve-elliptic", "--config", str(cfg_path), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
-    assert err == "solver failure: residual 3.503e+00 after 50 Newton iterations\n"
+    assert err == "solver failure: residual 3.496e+00 after 50 Newton iterations\n"
     assert not (out / "summary.json").exists()
 
 

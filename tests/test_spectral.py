@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maflow.grid import TorusGrid, integrate_values, volume_weights
-from maflow.hermitian import inverse_stack, trace_pair
+from maflow.hermitian import inverse_stack
 from maflow.spectral import (
     complex_hessian_values,
     half_derivatives,
@@ -14,11 +14,10 @@ from maflow.spectral import (
     rfftn,
     shell_amplitudes,
     spectral_tail,
-    trace_free_symbols,
 )
 
 from conftest import field_from
-from reference import pack, unpack
+from reference import unpack
 
 
 def d_axis(vals, grid, a):
@@ -241,25 +240,6 @@ def test_shell_amplitudes_sort_modes_by_linf_wavenumber(grid1):
     want[[0, 3, 5]] = 1.0, 0.5, 0.05
     assert amp.shape == want.shape
     assert np.max(np.abs(amp - want)) <= 1e-14
-
-
-def test_trace_free_symbols_contract_trace_free_fields(grid2):
-    # A = P - (tr(gbar P) / n) gbar^{-1} is trace-free against gbar, and then
-    # tr(A Hess f) = sum_j a_j m_j(f) with a = (A_d, 2 Re A_b, 2 Im A_b)
-    rng = np.random.default_rng(12)
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    g_mean = pack(m @ m.conj().T + np.eye(2))
-    p = rng.normal(size=(4,) + grid2.shape)
-    a = p - trace_pair(g_mean, p) / 2 * inverse_stack(g_mean)[(...,) + (None,) * 4]
-    assert np.max(np.abs(trace_pair(g_mean, a))) <= 1e-12
-    fh = rfftn(rng.normal(size=grid2.shape))
-    want = trace_pair(a, complex_hessian_values(fh, grid2))
-    rows = trace_free_symbols(g_mean, grid2)
-    assert rows.shape == (3,) + fh.shape
-    got = np.einsum("j...,j...->...", a[1:] * np.array([1.0, 2.0, 2.0])[:, None, None, None, None],
-                    complex_hessian_values(fh, grid2, rows))
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert trace_free_symbols(np.array([1.3]), TorusGrid(1, 16)).shape == (0, 16, 9)
 
 
 def test_holo_index_validation(grid1, grid2):
