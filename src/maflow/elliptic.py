@@ -66,10 +66,10 @@ from .hermitian import inverse_stack, trace_pair
 # unused here; perfbench/tracer.py patches them under this module
 from .hermitian import log_det_ratio, min_eig_field  # noqa: F401
 from .spectral import (
-    _hessian_symbol,
     complex_hessian_values,
     irfftn,
     matrix_hessian_values,
+    mean_metric_symbol,
     prolong,
     rfftn,
 )
@@ -191,7 +191,7 @@ class _Linearization:
         np.divide(1.0, alpha, out=coef[0])
         self._scale, self._aniso = coef[0], coef[1:]
         self._ratio = g_mean[1:] / g_mean[0]
-        self._sym = trace_pair(self._gbar_inv, _hessian_symbol(n, g.grid.points_per_axis))
+        self._sym = mean_metric_symbol(g_mean, self.grid)
         self._sym_inv = np.zeros_like(self._sym)
         nz = self._sym != 0
         self._sym_inv[nz] = 1.0 / self._sym[nz]

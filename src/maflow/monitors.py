@@ -12,6 +12,10 @@ to any extra observers and dropped, so memory does not grow with the
 snapshot count.  The Li-Yau window reads |d f|^2 from g' itself, in closed
 form, and forms no inverse or complex gradient field.  finalize carries
 their values forward between evaluations, so every CSV row stays finite.
+
+A run loads numpy and scipy.fft only.  scipy.optimize (with scipy.linalg,
+sparse and spatial, about 22 MB of resident memory) loads at the first
+certified fit, which only verify's Harnack and envelope checks make.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import (
     InsufficientSnapshots,
@@ -326,6 +329,9 @@ def _certified_fit(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
     raised by the worst residual over the smallest entry of basis[:, 0]
     (a positive column), so that no row is violated.
     """
+    # imported here: scipy.optimize pulls in scipy.linalg, sparse and spatial
+    from scipy.optimize import nnls
+
     coef, _ = nnls(basis, np.maximum(targets, 0.0))
     worst = float(np.max(targets - basis @ coef))
     if worst > 0:

@@ -69,9 +69,9 @@ def _wavenumbers(n: int, N: int):
     return [_axis(k_odd, a) for a in range(d)], [_axis(k * k, a) for a in range(d)]
 
 
-@lru_cache(maxsize=32)
-def _hessian_symbol(n: int, N: int) -> np.ndarray:
-    """Real rfft symbols of the packed complex Hessian, shape (n*n,) + rfft shape.
+def _hessian_rows(n: int, N: int) -> list:
+    """Real rfft symbols of the packed complex Hessian, one broadcastable
+    array per packed entry.
 
     Diagonal entries -(1/4)(k_{2i-1}^2 + k_{2i}^2) keep the true Nyquist
     magnitude (even powers); the two parts of -(1/4) conj(kappa_1) kappa_2
@@ -83,8 +83,14 @@ def _hessian_symbol(n: int, N: int) -> np.ndarray:
     if n == 2:
         rows += [-0.25 * (k[0] * k[2] + k[1] * k[3]),
                  -0.25 * (k[0] * k[3] - k[1] * k[2])]
+    return rows
+
+
+@lru_cache(maxsize=32)
+def _hessian_symbol(n: int, N: int) -> np.ndarray:
+    """_hessian_rows stacked at full size, shape (n*n,) + rfft shape."""
     shape = (N,) * (2 * n - 1) + (N // 2 + 1,)
-    sym = np.stack([np.broadcast_to(r, shape) for r in rows])
+    sym = np.stack([np.broadcast_to(r, shape) for r in _hessian_rows(n, N)])
     sym.setflags(write=False)
     return sym
 
@@ -93,10 +99,12 @@ def mean_metric_symbol(g_mean: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """rfft symbol of the constant-coefficient Laplacian gbar^{i jbar} d_i d_jbar.
 
     g_mean is one packed Hermitian PD matrix, shape (n*n,); the symbol is
-    real and <= 0, with the Nyquist conventions of the Hessian symbols.
+    real and <= 0, with the Nyquist conventions of the Hessian symbols.  It
+    is formed from the broadcastable rows, so no stacked symbol is made or
+    cached; the values are those of trace_pair with _hessian_symbol.
     """
     return trace_pair(inverse_stack(g_mean),
-                      _hessian_symbol(grid.complex_dim, grid.points_per_axis))
+                      _hessian_rows(grid.complex_dim, grid.points_per_axis))
 
 
 def holo_gradient(values: np.ndarray, grid: TorusGrid) -> np.ndarray:

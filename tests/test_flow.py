@@ -736,3 +736,23 @@ def test_each_flow_rhs_takes_one_transform(n, monkeypatch, nonkahler1, nonkahler
         assert all(before + within == [("irfftn", 1)] for before, within in per_rhs)
     else:
         assert all(within == [("hessian",), ("irfftn", 1)] for _, within in per_rhs)
+
+
+def test_run1_keeps_the_volume_at_every_field_snapshot():
+    # at n = 1 d omega = 0, so the integral of det g' is that of det g for
+    # every phi, and exp(u + F) = det g' / det g has omega mean 1; run 1's
+    # discrete Hessian keeps this to round-off at every field snapshot
+    from maflow.config import config_from_kv
+    from maflow.runner import execute_flow
+    from maflow.verification import RUN1_KV
+
+    gaps = []
+
+    def volume(state):
+        run_ = state.flow_run
+        ratio = np.exp(state.dphi_dt.values + run_.f_values)
+        gaps.append(abs(integrate_values(ratio, run_.w) - 1.0))
+
+    execute_flow(config_from_kv(dict(RUN1_KV)), observers=(volume,))
+    assert len(gaps) == 121
+    assert max(gaps) <= 1e-14

@@ -1,13 +1,18 @@
-"""Every import in a maflow module is used, or kept for perfbench's tracer.
+"""Every import in a maflow module is used, or kept for perfbench's tracer,
+and a run loads no scipy subpackage beyond scipy.fft.
 
-The check reads each module under src/maflow (``__init__.py`` re-exports, so
-it is left out) with ``ast``, so it needs no linter.  An imported name the
-module never reads is allowed only on a ``noqa: F401`` line and only if
-perfbench/tracer.py's PATCHES wraps that name in that module.  The tracer
-is imported from its own directory, unchanged.
+The unused-import check reads each module under src/maflow
+(``__init__.py`` re-exports, so it is left out) with ``ast``, so it needs no
+linter.  An imported name the module never reads is allowed only on a
+``noqa: F401`` line and only if perfbench/tracer.py's PATCHES wraps that
+name in that module.  The tracer is imported from its own directory,
+unchanged.  The scipy check runs a flow and an oracle solve in a fresh
+interpreter and reads its sys.modules.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,3 +84,28 @@ def test_the_guard_flags_an_unused_import(tmp_path):
                     "from .grid import (\n    TorusGrid,\n    ScalarField,  # noqa: F401\n)\n\n\n"
                     "def f(x: \"Optional[TorusGrid]\") -> None:\n    return np.sum(x)\n")
     assert _unused_imports(path) == [(1, "os", False), (4, "ScalarField", True)]
+
+
+RUN_IN_A_FRESH_INTERPRETER = """
+import sys
+from maflow import runner
+from maflow.config import config_from_kv
+from maflow.verification import RUN1_KV, RUN2_KV
+
+runner.execute_flow(config_from_kv(dict(RUN1_KV, **{"flow.horizon": "2"})))
+runner.execute_elliptic(config_from_kv(dict(RUN2_KV, mode="solve-elliptic")))
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_a_run_loads_no_scipy_beyond_fft():
+    # scipy.optimize, with scipy.linalg, sparse and spatial, adds ~22 MB of
+    # resident memory to every process; only verify's certified fits need it
+    # (scipy.special comes with scipy.fft)
+    proc = subprocess.run([sys.executable, "-c", RUN_IN_A_FRESH_INTERPRETER],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, check=True, timeout=120)
+    loaded = set(proc.stdout.split())
+    assert "scipy.fft" in loaded
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.spatial")
+    assert not [m for m in heavy if m in loaded]

@@ -446,3 +446,42 @@ def test_holo_gradient_batch_equals_per_axis_transforms(n, N):
         re = 0.5 * irfftn(1j * k_odd[2 * i] * fh, grid.shape)
         im = -0.5 * irfftn(1j * k_odd[2 * i + 1] * fh, grid.shape)
         assert np.array_equal(got[..., i].real, re) and np.array_equal(got[..., i].imag, im)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mean_metric_symbol_is_the_stacked_symbol_bit_for_bit(n, nonkahler1, nonkahler2):
+    # the Laplacian symbol comes from the broadcast rows, never from the
+    # cached 4-field stack, and the two give the same bits; so does the
+    # Newton linearization's symbol, which mean_metric_symbol builds too
+    from maflow.elliptic import _Linearization
+    from maflow.hermitian import trace_pair
+    from maflow.spectral import _hessian_symbol, mean_metric_symbol
+
+    g = nonkahler1 if n == 1 else nonkahler2
+    grid = g.grid
+    g_mean = g.entries.reshape(len(g.entries), -1).mean(axis=1)
+    stacked = trace_pair(inverse_stack(g_mean), _hessian_symbol(n, grid.points_per_axis))
+    sym = mean_metric_symbol(g_mean, grid)
+    assert sym.shape == rfftn(np.zeros(grid.shape)).shape
+    assert np.array_equal(sym, stacked)
+    assert np.array_equal(_Linearization(g, g.entries)._sym, stacked)
+
+
+def test_n2_flow_and_oracle_stack_no_hessian_symbol():
+    # every n = 2 Hessian of the flow and the oracle comes from the per-axis
+    # matrices and every Laplacian symbol from the broadcast rows, so neither
+    # makes (and caches) the 4-field symbol stack
+    import maflow.flow
+    from maflow.config import config_from_kv
+    from maflow.elliptic import solve
+    from maflow.runner import build_problem
+    from maflow.spectral import _hessian_symbol
+    from maflow.verification import RUN2_KV
+
+    cfg = config_from_kv(dict(RUN2_KV))
+    _, g, F, _ = build_problem(cfg)
+    _hessian_symbol.cache_clear()
+    maflow.flow._etdrk4_coefficients.cache_clear()   # so the flow forms its symbol
+    maflow.flow.run(g, F, horizon=1.0, ctrl=cfg.step, monitors=cfg.monitors)
+    solve(g, F)
+    assert _hessian_symbol.cache_info().misses == 0
