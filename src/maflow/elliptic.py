@@ -157,7 +157,7 @@ def _projected_residual(ratio, f, w):
     """b, the omega^n mean of G(phi) - F, then G(phi) - F - b and its sup."""
     b = integrate_values(ratio - f.values, w)
     resid = ratio - f.values - b
-    return b, resid, float(np.max(np.abs(resid)))
+    return b, resid, float(np.abs(resid).max())
 
 
 class _Linearization:

@@ -371,8 +371,8 @@ def step(state: FlowState, ctrl: StepControl, t_land: Optional[float] = None) ->
                 phi1_hat = (eu0 + gamma[0] * remainder(p, lin, state.t + dt)
                             + gamma[1] * n0 + gamma[2] * past[0])
                 del eu0
-                scale = float(np.max(np.abs(phi1_hat)))
-                gap = float(np.max(np.abs(phi1_hat - p))) / scale if scale > 0 else 0.0
+                scale = float(np.abs(phi1_hat).max())
+                gap = float(np.abs(phi1_hat - p).max()) / scale if scale > 0 else 0.0
                 del p
             else:
                 a = E2 * u0 + Q * n0

@@ -134,7 +134,7 @@ class ScalarField:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("scalar field contains non-finite values")
 
 
@@ -231,4 +231,4 @@ def volume_weights(g: MetricField) -> VolumeWeights:
 def integrate_values(values: np.ndarray, w: VolumeWeights) -> float:
     """Mean of a value array against the normalized omega^n measure (exact
     for constants)."""
-    return float(np.sum(values * w.w))
+    return float((values * w.w).sum())

@@ -152,7 +152,7 @@ def monitor_basic(state, trace_field: np.ndarray) -> dict:
     """
     w = state.flow_run.w
     u = state.dphi_dt.values
-    u_max, u_min = float(np.max(u)), float(np.min(u))
+    u_max, u_min = float(u.max()), float(u.min())
     mean_u = integrate_values(u, w)
     if len(state.gprime) == 1:
         emin = emax = trace_field
@@ -162,9 +162,9 @@ def monitor_basic(state, trace_field: np.ndarray) -> dict:
         "sup_dphidt": max(abs(u_max), abs(u_min)),
         "sup_dphitilde": max(abs(u_max - mean_u), abs(u_min - mean_u)),
         "osc_u": u_max - u_min,
-        "trace_max": float(np.max(trace_field)),
-        "eig_min": float(np.min(emin)),
-        "eig_max": float(np.max(emax)),
+        "trace_max": float(trace_field.max()),
+        "eig_min": float(emin.min()),
+        "eig_max": float(emax.max()),
         "mean_phitilde": integrate_values(state.phi_tilde.values, w),
     }
 
@@ -179,7 +179,7 @@ def monitor_Q(state, trace_field: np.ndarray, A: float, sup_phitilde_run: float)
     # an exponent past float64's range gives inf, which emit turns into MonitorOverflow
     with np.errstate(over="ignore"):
         q = np.log(trace_field) + np.exp(A * (sup_phitilde_run - state.phi_tilde.values))
-    return float(np.max(q))
+    return float(q.max())
 
 
 def _torus_pair_distance(grid: TorusGrid, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
@@ -271,8 +271,8 @@ class LiYauWindow:
         self.times, self.values = [], []
 
     def add(self, t: float, u: np.ndarray, gprime: np.ndarray):
-        if not np.min(u) > 0:   # written so that a NaN fails too
-            raise NonPositiveU(f"non-positive u (min {np.min(u):.3e}) in Li-Yau diagnostic")
+        if not u.min() > 0:   # written so that a NaN fails too
+            raise NonPositiveU(f"non-positive u (min {u.min():.3e}) in Li-Yau diagnostic")
         self.window.append((t, np.log(u)))
         gp1, self.gprime = self.gprime, gprime
         if len(self.window) < 3:
@@ -282,7 +282,7 @@ class LiYauWindow:
         grad_sq = _grad_sq(f1, gp1, self.grid)   # its buffers are gone before f_t is made
         f_t = (f2 - f0) / (t2 - t0)
         self.times.append(t1)
-        self.values.append(float(t1 * np.max(grad_sq - self.alpha_ly * f_t)))
+        self.values.append(float(t1 * (grad_sq - self.alpha_ly * f_t).max()))
 
     def result(self):
         """(interior_times, values); InsufficientSnapshots before three adds."""
@@ -495,7 +495,7 @@ class MonitorSeries:
 
     def emit(self, state):
         self.sup_phitilde_run = max(self.sup_phitilde_run,
-                                    float(np.max(state.phi_tilde.values)))
+                                    float(state.phi_tilde.values.max()))
         trace_field = trace_pair(self.g_inv, state.gprime)
         basic = monitor_basic(state, trace_field)
         q_max = monitor_Q(state, trace_field, self.suite.A, self.sup_phitilde_run)

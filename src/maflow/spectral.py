@@ -29,9 +29,12 @@ split the same way: the matrices for n = 2, one batched irfftn for n = 1.
 holo_gradient, the complex stack of the d_i f, serves the tests as the
 transform-based reference.
 
-All operations are pure functions of their inputs.  The transforms are
-scipy.fft's, on its default of one worker; fftn and ifftn are imported
-only for perfbench/tracer.py, which wraps them by name.
+All operations are pure functions of their inputs.  rfftn and irfftn call
+the pocketfft extension that scipy.fft wraps, with the arguments scipy.fft's
+own rfftn and irfftn pass it (one worker), so their bits are scipy.fft's
+without its per-call dispatch; every caller reaches them by these names.
+fftn and ifftn are imported only for perfbench/tracer.py, which wraps them
+by name; rfft and irfft build the cached derivative matrices.
 """
 
 from __future__ import annotations
@@ -40,10 +43,22 @@ import itertools
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.fft import fftn, ifftn, irfft, irfftn, rfft, rfftn  # noqa: F401  fftn, ifftn: see above
+from scipy.fft import fftn, ifftn, irfft, rfft  # noqa: F401  fftn, ifftn: see above
+from scipy.fft._pocketfft import pypocketfft
 
 from .grid import TorusGrid
 from .hermitian import inverse_stack, trace_pair
+
+
+def rfftn(x: np.ndarray) -> np.ndarray:
+    """rfft spectrum of a real float64 array over all its axes: scipy.fft.rfftn(x)."""
+    return pypocketfft.r2c(x, range(x.ndim), True, 0, None, 1)
+
+
+def irfftn(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """Real array of the given shape from the rfft spectrum x over its last
+    len(shape) axes (leading axes batch): scipy.fft.irfftn(x, shape)."""
+    return pypocketfft.c2r(x, range(x.ndim - len(shape), x.ndim), shape[-1], False, 2, None, 1)
 
 
 @lru_cache(maxsize=32)
@@ -250,10 +265,10 @@ def spectral_tail(fh: np.ndarray, grid: TorusGrid) -> float:
     relative to the largest amplitude overall (0 for the zero field).
     """
     fh = np.abs(fh) / grid.num_points
-    peak = float(np.max(fh))
+    peak = float(fh.max())
     if peak == 0.0:
         return 0.0
     # the shell is the union of one index plane per axis: views, no mask
-    tail = max(float(np.max(fh[(slice(None),) * a + (grid.points_per_axis // 2,)]))
+    tail = max(float(fh[(slice(None),) * a + (grid.points_per_axis // 2,)].max())
                for a in range(grid.real_dim))
     return tail / peak

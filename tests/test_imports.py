@@ -1,13 +1,16 @@
 """Every import in a maflow module is used, or kept for perfbench's tracer,
-and a run loads no scipy subpackage beyond scipy.fft.
+only spectral.py imports from scipy.fft, and a run loads no scipy
+subpackage beyond scipy.fft.
 
 The unused-import check reads each module under src/maflow
 (``__init__.py`` re-exports, so it is left out) with ``ast``, so it needs no
 linter.  An imported name the module never reads is allowed only on a
 ``noqa: F401`` line and only if perfbench/tracer.py's PATCHES wraps that
 name in that module.  The tracer is imported from its own directory,
-unchanged.  The scipy check runs a flow and an oracle solve in a fresh
-interpreter and reads its sys.modules.
+unchanged.  spectral.rfftn and irfftn call pocketfft directly; the scipy.fft
+check keeps every other module on them (and so on the tracer's spans)
+rather than on scipy.fft's dispatching functions.  The scipy check runs a
+flow and an oracle solve in a fresh interpreter and reads its sys.modules.
 """
 
 import ast
@@ -84,6 +87,35 @@ def test_the_guard_flags_an_unused_import(tmp_path):
                     "from .grid import (\n    TorusGrid,\n    ScalarField,  # noqa: F401\n)\n\n\n"
                     "def f(x: \"Optional[TorusGrid]\") -> None:\n    return np.sum(x)\n")
     assert _unused_imports(path) == [(1, "os", False), (4, "ScalarField", True)]
+
+
+def _imports_from_scipy_fft(path):
+    """Line of each import of scipy.fft or one of its submodules in the module."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(m == "scipy.fft" or m.startswith("scipy.fft.") for m in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_spectral_imports_from_scipy_fft():
+    paths = sorted((ROOT / "src" / "maflow").glob("*.py"))
+    found = {p.name for p in paths if _imports_from_scipy_fft(p)}
+    assert found == {"spectral.py"}
+
+
+def test_the_scipy_fft_guard_flags_every_import_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import scipy\nimport scipy.fft\nfrom scipy import fft\n"
+                    "from scipy.fft import rfftn\nfrom scipy.fft._pocketfft import pypocketfft\n"
+                    "from scipy import special\nimport numpy.fft\n")
+    assert _imports_from_scipy_fft(path) == [2, 3, 4, 5]
 
 
 RUN_IN_A_FRESH_INTERPRETER = """

@@ -422,11 +422,30 @@ def test_no_complex_to_complex_fft(monkeypatch):
     prolong(res.final.phi.values, TorusGrid(2, 16))
 
 
-def test_transforms_are_scipy_fft():
-    # no wrapper between the package and scipy.fft: the worker count is not a setting
+def test_transforms_are_scipy_fft_bit_for_bit():
+    # rfftn and irfftn call pocketfft as scipy.fft does, on one worker and
+    # with no setting: the same bits on every shape the program transforms,
+    # single fields and the batched stacks of complex_hessian_values (n*n),
+    # half_derivatives and holo_gradient (2n); and neither writes its input,
+    # since step reuses a stage spectrum after transforming it back
     import scipy.fft
 
-    assert rfftn is scipy.fft.rfftn and irfftn is scipy.fft.irfftn
+    from maflow.spectral import _hessian_symbol, _wavenumbers
+
+    rng = np.random.default_rng(28)
+    for n, N in [(1, 16), (1, 64), (2, 8), (2, 16)]:
+        shape = TorusGrid(n, N).shape
+        x = rng.standard_normal(shape)
+        x0 = x.copy()
+        xh = rfftn(x)
+        assert np.array_equal(x, x0)
+        assert np.array_equal(xh, scipy.fft.rfftn(x))
+        k_odd, _ = _wavenumbers(n, N)
+        for spectra in (xh, _hessian_symbol(n, N) * xh, np.stack([0.5j * k * xh for k in k_odd])):
+            spectra0 = spectra.copy()
+            back = irfftn(spectra, shape)
+            assert np.array_equal(spectra, spectra0)
+            assert np.array_equal(back, scipy.fft.irfftn(spectra, shape))
 
 
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
