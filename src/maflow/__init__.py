@@ -30,7 +30,6 @@ from .flow import FlowState, StepControl, flow_rhs, run, step
 from .elliptic import EllipticSolution, linearization_check, solve
 from .monitors import (
     DecayFit,
-    HolderConfig,
     MonitorSuite,
     contraction_and_decay,
     harnack_check,
@@ -49,6 +48,6 @@ __all__ = [
     "MetricPreset", "ForcingPreset", "build_metric", "build_forcing",
     "FlowState", "StepControl", "flow_rhs", "step", "run",
     "EllipticSolution", "solve", "linearization_check",
-    "MonitorSuite", "HolderConfig", "DecayFit",
+    "MonitorSuite", "DecayFit",
     "monitor_basic", "monitor_Q", "harnack_check", "contraction_and_decay",
 ]

@@ -23,6 +23,8 @@ value (a section such as ``StepControl``, or ``RunConfig`` itself), the
 constructor argument and the reader of its text.  A key left out of a config
 is not passed, so every default lives once, in the constructor that takes
 it; ``forcing.seed`` and the Hoelder sampler's seed default to ``rng_seed``.
+The monitors' constants (``monitors.Q_A``, ``LIYAU_ALPHA``, ``HOLDER_*``)
+and the demo's eigenvalue range (``runner.DEMO_EIG_RANGE``) are not keys.
 Each constructor checks its own values and raises ValueError on a bad one,
 which config_from_kv turns into a ConfigError.
 """
@@ -37,7 +39,7 @@ from .elliptic import NEWTON_TOL
 from .errors import ConfigError
 from .flow import StepControl
 from .grid import MAX_POINTS, TorusGrid
-from .monitors import HolderConfig, MonitorSuite
+from .monitors import MonitorSuite
 from .presets import ForcingPreset, MetricPreset
 
 MODES = ("flow", "solve-elliptic", "verify", "decompose-demo", "normal-frame-demo")
@@ -66,8 +68,6 @@ class RunConfig:
     elliptic_tol: float = NEWTON_TOL
     verify_criteria: tuple = ()
     demo_count: int = 100
-    demo_eig_lo: float = 0.2
-    demo_eig_hi: float = 5.0
     dump_fields: bool = False
     raw: dict = field(default_factory=dict)
 
@@ -101,8 +101,6 @@ class RunConfig:
              f"verify.criteria must name criteria 1-11, got {self.verify_criteria}"),
             (1 <= self.demo_count <= MAX_DEMO_COUNT,
              f"demo.count must lie in [1, {MAX_DEMO_COUNT}], got {self.demo_count}"),
-            (0 < self.demo_eig_lo < self.demo_eig_hi < math.inf,
-             f"need 0 < demo.eig_lo < demo.eig_hi, got {self.demo_eig_lo}, {self.demo_eig_hi}"),
         ):
             if not ok:
                 raise ValueError(what)
@@ -143,16 +141,9 @@ _KEYS = {
     "step.dt_max": (StepControl, "dt_max", float),
     "monitors.emit_dt": (MonitorSuite, "emit_dt", float),
     "monitors.field_interval": (MonitorSuite, "field_interval", float),
-    "monitors.A": (MonitorSuite, "A", float),
-    "monitors.alpha_ly": (MonitorSuite, "alpha_ly", float),
-    "holder.alpha": (HolderConfig, "alpha", float),
-    "holder.epsilon": (HolderConfig, "epsilon", float),
-    "holder.sample_pairs": (HolderConfig, "sample_pairs", int),
     "elliptic.tol": (RunConfig, "elliptic_tol", float),
     "verify.criteria": (RunConfig, "verify_criteria", _criteria),
     "demo.count": (RunConfig, "demo_count", int),
-    "demo.eig_lo": (RunConfig, "demo_eig_lo", float),
-    "demo.eig_hi": (RunConfig, "demo_eig_hi", float),
     "dump.fields": (RunConfig, "dump_fields", _bool),
 }
 
@@ -187,15 +178,14 @@ def config_from_kv(kv: dict) -> RunConfig:
             raise ConfigError(f"bad value for {key}: {raw!r} ({e})") from e
     seed = args[RunConfig].get("rng_seed", RunConfig.rng_seed)
     args[ForcingPreset].setdefault("seed", seed)
-    args[HolderConfig].setdefault("rng_seed", seed)
+    args[MonitorSuite].setdefault("holder_seed", seed)
     try:
         return RunConfig(
             grid=TorusGrid(**args[TorusGrid]),
             metric=MetricPreset(**args[MetricPreset]),
             forcing=ForcingPreset(**args[ForcingPreset]),
             step=StepControl(**args[StepControl]),
-            monitors=MonitorSuite(holder=HolderConfig(**args[HolderConfig]),
-                                  **args[MonitorSuite]),
+            monitors=MonitorSuite(**args[MonitorSuite]),
             raw=dict(kv),
             **args[RunConfig],
         )

@@ -1,7 +1,9 @@
 """Runtime diagnostics mirroring the a priori estimates of the flow.
 
 Each monitor reports a measured witness (bounds, contraction factors, decay
-rates) rather than assuming any constant.  Scalars are recorded at every
+rates) rather than assuming any constant.  A witness is measured at one
+choice of its own parameter: Q_A, LIYAU_ALPHA and the HOLDER_* sampler
+settings are module constants, not config keys, read at call time.  Scalars are recorded at every
 snapshot from what the flow state already holds: u, phi_tilde and g'.  The
 pencil g^{-1} g' needs no pass of its own: its trace is the trace field
 tr_g g' that trace_max and Q read, and its determinant is exp(u + F), since
@@ -21,7 +23,7 @@ certified fit, which only verify's Harnack and envelope checks make.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +34,7 @@ from .errors import (
     NonPositiveU,
     SeriesTooShort,
 )
-from .grid import MAX_POINTS, TorusGrid, integrate_values
+from .grid import TorusGrid, integrate_values
 from .hermitian import det_field, inverse_stack, pencil_eig_range, trace_pair
 from .spectral import half_derivatives
 # unused here; perfbench/tracer.py patches them under this module
@@ -47,38 +49,21 @@ CSV_COLUMNS = (
 # The Li-Yau column runs on u + (1 + LIYAU_SHIFT_EPS) sup|F|: by the maximum
 # principle |u| <= sup|F|, so the shifted field is at least LIYAU_SHIFT_EPS sup|F| > 0.
 LIYAU_SHIFT_EPS = 0.5
-
-
-@dataclass(frozen=True)
-class HolderConfig:
-    """Sampling policy for the parabolic Hoelder seminorm estimator."""
-
-    alpha: float = 0.5
-    epsilon: float = 0.5
-    sample_pairs: int = 20000
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        if not (0 <= self.epsilon < math.inf):
-            raise ValueError(f"epsilon must be non-negative and finite, got {self.epsilon}")
-        if not (1 <= self.sample_pairs <= MAX_POINTS):
-            raise ValueError(f"sample_pairs must lie in [1, {MAX_POINTS}], "
-                             f"got {self.sample_pairs}")
-        if not (self.rng_seed >= 0):
-            raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
+Q_A = 2.0                # A of Q = log tr_g g' + exp(A (sup phitilde - phitilde))
+LIYAU_ALPHA = 1.5        # alpha in (1, 2) of t (|d f|^2 - alpha f_t)
+HOLDER_ALPHA = 0.5       # the Hoelder exponent, in (0, 1)
+HOLDER_EPSILON = 0.5     # the Hoelder sample takes the field snapshots at t >= this
+HOLDER_PAIRS = 20000     # sampled (snapshot, grid point) pairs
 
 
 @dataclass(frozen=True)
 class MonitorSuite:
-    """Monitor configuration attached to a flow run."""
+    """Monitor configuration attached to a flow run; ``holder_seed`` seeds
+    the Hoelder sample."""
 
     emit_dt: float = 0.1
     field_interval: float = 0.5
-    A: float = 2.0
-    alpha_ly: float = 1.5
-    holder: HolderConfig = dc_field(default_factory=HolderConfig)
+    holder_seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.emit_dt < math.inf and 0 < self.field_interval < math.inf):
@@ -90,10 +75,8 @@ class MonitorSuite:
                 "field_interval must be a positive integer multiple of emit_dt "
                 f"(got {self.field_interval} / {self.emit_dt})"
             )
-        if not (1.0 < self.alpha_ly < 2.0):
-            raise ValueError("alpha_ly must lie in (1, 2)")
-        if not (0 < self.A < math.inf):
-            raise ValueError(f"A must be positive and finite, got {self.A}")
+        if not self.holder_seed >= 0:
+            raise ValueError(f"holder_seed must be non-negative, got {self.holder_seed}")
 
     def emissions(self, horizon: float) -> int:
         """Emissions after t = 0 of a run to ``horizon``: its ratio to emit_dt.
@@ -198,17 +181,18 @@ def _torus_pair_distance(grid: TorusGrid, pts_a: np.ndarray, pts_b: np.ndarray) 
 class _HolderSample:
     """Seeded sample of parabolic Hoelder difference quotients of g'.
 
-    The cfg.sample_pairs pairs of (snapshot, grid point) are drawn up front
+    The HOLDER_PAIRS pairs of (snapshot, grid point) are drawn up front
     over the indices of the ``count`` snapshots to come; ``add`` takes each
     snapshot's time and packed g' in order and keeps only its sampled
     entries, two (pairs, n*n) buffers in all.  Each end's pair indices are
     sorted by snapshot once, so a snapshot's pairs are one slice.  A
-    quotient's numerator is max(|da|, |dd|, |db|).
+    quotient's numerator is max(|da|, |dd|, |db|); its denominator is the
+    parabolic distance to the power HOLDER_ALPHA.
     """
 
-    def __init__(self, count: int, grid: TorusGrid, cfg: HolderConfig):
-        m = cfg.sample_pairs
-        rng = np.random.default_rng(cfg.rng_seed)
+    def __init__(self, count: int, grid: TorusGrid, seed: int):
+        m = HOLDER_PAIRS
+        rng = np.random.default_rng(seed)
         self.sa, self.sb = [rng.integers(0, count, size=m) for _ in range(2)]
         pa, pb = [rng.integers(0, grid.num_points, size=m) for _ in range(2)]
         self.space_dist = _torus_pair_distance(grid, pa, pb)
@@ -219,7 +203,7 @@ class _HolderSample:
             self.ends.append((order, pts[order],
                               np.searchsorted(snap[order], np.arange(count + 1))))
         self.count, self.times = count, []
-        self.alpha, self.n = cfg.alpha, grid.complex_dim
+        self.n = grid.complex_dim
         self.ga, self.gb = np.zeros((2, m, self.n ** 2))
 
     def add(self, t: float, gprime: np.ndarray):
@@ -245,13 +229,13 @@ class _HolderSample:
             num = np.maximum(num, np.hypot(diff[:, 2], diff[:, 3]))
         mask = dist > 0
         quot = np.zeros(len(num))
-        quot[mask] = num[mask] / dist[mask] ** self.alpha
+        quot[mask] = num[mask] / dist[mask] ** HOLDER_ALPHA
         return np.maximum(ta, tb), quot
 
 
 class LiYauWindow:
     """Li-Yau quantity t (|d f|^2 - alpha f_t), maximized over the grid,
-    over a stream of snapshots.
+    over a stream of snapshots, at alpha = LIYAU_ALPHA.
 
     ``add(t, u, gprime)`` takes one snapshot: u > 0 at every point
     (NonPositiveU otherwise, a NaN included), f = log u, and gprime the
@@ -260,12 +244,11 @@ class LiYauWindow:
     g' directly.  f_t is a centered difference across adjacent snapshots,
     so a value is produced at each interior snapshot time, from that
     snapshot's g' alone.  Between adds the window holds the last two
-    snapshots' f and the newest g'.  alpha_ly lies in (1, 2), as
-    MonitorSuite checks.
+    snapshots' f and the newest g'.
     """
 
-    def __init__(self, grid: TorusGrid, alpha_ly: float = 1.5):
-        self.grid, self.alpha_ly = grid, alpha_ly
+    def __init__(self, grid: TorusGrid):
+        self.grid = grid
         self.window = []      # (t, f) of the last two snapshots between adds
         self.gprime = None    # the newest snapshot's g', used once it is the middle
         self.times, self.values = [], []
@@ -282,7 +265,7 @@ class LiYauWindow:
         grad_sq = _grad_sq(f1, gp1, self.grid)   # its buffers are gone before f_t is made
         f_t = (f2 - f0) / (t2 - t0)
         self.times.append(t1)
-        self.values.append(float(t1 * (grad_sq - self.alpha_ly * f_t).max()))
+        self.values.append(float(t1 * (grad_sq - LIYAU_ALPHA * f_t).max()))
 
     def result(self):
         """(interior_times, values); InsufficientSnapshots before three adds."""
@@ -463,7 +446,7 @@ class MonitorSeries:
     snapshot when j is a multiple of field_interval / emit_dt.  Its g' =
     g + Hess(phi) is state.gprime, the one the step that produced the state
     assembled (no transform or Hessian runs here).  It is fed to the
-    Hoelder sample when the planned time j * emit_dt is >= holder.epsilon
+    Hoelder sample when the planned time j * emit_dt is >= HOLDER_EPSILON
     and to the Li-Yau window on u + shift, shift = (1 + LIYAU_SHIFT_EPS) sup|F|
     (not at all when sup|F| = 0), then the state is handed to each
     ``observer(state)``.  The planned times fix the Hoelder snapshot count
@@ -489,27 +472,27 @@ class MonitorSeries:
                 f"with sup|F| = {sup_f:.6g}")
         self.field_every = round(suite.field_interval / suite.emit_dt)
         count = sum(1 for j in range(0, suite.emissions(horizon) + 1, self.field_every)
-                    if j * suite.emit_dt >= suite.holder.epsilon)
-        self.holder = _HolderSample(count, g.grid, suite.holder) if count >= 2 else None
-        self.liyau = LiYauWindow(g.grid, suite.alpha_ly)
+                    if j * suite.emit_dt >= HOLDER_EPSILON)
+        self.holder = _HolderSample(count, g.grid, suite.holder_seed) if count >= 2 else None
+        self.liyau = LiYauWindow(g.grid)
 
     def emit(self, state):
         self.sup_phitilde_run = max(self.sup_phitilde_run,
                                     float(state.phi_tilde.values.max()))
         trace_field = trace_pair(self.g_inv, state.gprime)
         basic = monitor_basic(state, trace_field)
-        q_max = monitor_Q(state, trace_field, self.suite.A, self.sup_phitilde_run)
+        q_max = monitor_Q(state, trace_field, Q_A, self.sup_phitilde_run)
         if not math.isfinite(q_max):
             raise MonitorOverflow(
                 f"Q_max = {q_max} at t = {state.t:.6g}: exp(A (sup phi_tilde - phi_tilde)) "
-                f"overflows with monitors.A = {self.suite.A:.6g}")
+                f"overflows with A = monitors.Q_A = {Q_A:.6g}")
         j = len(self.records)
         self.records.append(MonitorRecord(
             t=state.t, Q_max=q_max, holder_seminorm=0.0, liyau_max=0.0, **basic,
         ))
         if j % self.field_every:
             return
-        if self.holder is not None and j * self.suite.emit_dt >= self.suite.holder.epsilon:
+        if self.holder is not None and j * self.suite.emit_dt >= HOLDER_EPSILON:
             self.holder.add(state.t, state.gprime)
         if self.shift > 0:
             self.liyau.add(state.t, state.dphi_dt.values + self.shift, state.gprime)

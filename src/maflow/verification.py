@@ -25,6 +25,7 @@ from .errors import NonPositiveU
 from .grid import TorusGrid, integrate_values, volume_weights
 from .hermitian import inverse_stack, log_det_ratio
 from .io import json_text
+from . import monitors
 from .monitors import (
     LiYauWindow,
     contraction_and_decay,
@@ -33,6 +34,7 @@ from .monitors import (
 )
 from .presets import MetricPreset, build_metric, random_band_limited
 from .runner import (
+    DEMO_EIG_RANGE,
     NORMAL_FRAME_FD_STEP,
     NORMAL_FRAME_TOLS,
     RECONSTRUCTION_TOL,
@@ -111,8 +113,8 @@ class UnitWindows:
     Harnack check on (0.5, 1) runs, unless some xi was non-positive.
     """
 
-    def __init__(self, grid, alpha_ly: float, horizon: float):
-        self.grid, self.alpha_ly, self.last = grid, alpha_ly, int(horizon) - 1
+    def __init__(self, grid, horizon: float):
+        self.grid, self.last = grid, int(horizon) - 1
         self.windows = self.nonpositive = 0
         self.env_t, self.env_v, self.harnack_consts = [], [], []
         self.harnack_ok = True
@@ -139,7 +141,7 @@ class UnitWindows:
         if abs(t - k) <= 1e-9 and k < self.last and np.max(u) - np.min(u) >= 1e-10:
             self.windows += 1
             self.open = (k + 1, float(np.max(u)))
-            self.liyau, self.extrema = LiYauWindow(self.grid, self.alpha_ly), []
+            self.liyau, self.extrema = LiYauWindow(self.grid), []
 
     def _close(self):
         if self.liyau is None:
@@ -163,7 +165,7 @@ class VerificationContext:
     def run1(self):
         """Run 1, with criterion 10's UnitWindows attached as ``run1_windows``."""
         cfg = config_from_kv(dict(RUN1_KV))
-        self.run1_windows = UnitWindows(cfg.grid, cfg.monitors.alpha_ly, cfg.horizon)
+        self.run1_windows = UnitWindows(cfg.grid, cfg.horizon)
         return execute_flow(cfg, observers=(self.run1_windows,))
 
     @cached_property
@@ -360,17 +362,17 @@ def criterion_6(ctx) -> CriterionResult:
         "estimate_at_half_horizon": at_half,
         "estimate_at_horizon": at_end,
         "relative_growth": growth, "growth_tolerance": 0.05,
-        "alpha": art.config.monitors.holder.alpha,
-        "epsilon": art.config.monitors.holder.epsilon,
+        "alpha": monitors.HOLDER_ALPHA,
+        "epsilon": monitors.HOLDER_EPSILON,
     })
 
 
 def criterion_7(ctx) -> CriterionResult:
     """Rank-one frame decomposition on 1000 seeded random PD matrices."""
     t0 = time.perf_counter()
-    lo = 0.2
+    lo = DEMO_EIG_RANGE[0]
     worst_recon, min_beta, _, min_diag_beta, frames_ok = frame_decomposition_sweep(
-        1000, (lo, 5.0), 2027)
+        1000, DEMO_EIG_RANGE, 2027)
     elapsed = time.perf_counter() - t0
     # positivity floor: delta = reserve fraction of lambda (0.1 * 0.2), margin 5e-3
     floor = 0.1 * lo * 5e-3

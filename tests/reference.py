@@ -57,11 +57,10 @@ def kahler_defect(g: MetricField) -> float:
 
 
 def liyau_quantity(times: Iterable[float], u_list: Iterable[np.ndarray],
-                   gprime_list: Iterable[np.ndarray], grid: TorusGrid,
-                   alpha_ly: float = 1.5):
+                   gprime_list: Iterable[np.ndarray], grid: TorusGrid):
     """(interior_times, values) of a LiYauWindow fed the given snapshots
     (packed g', not its inverse), which may be iterators."""
-    window = LiYauWindow(grid, alpha_ly)
+    window = LiYauWindow(grid)
     for t, u, gprime in zip(times, u_list, gprime_list):
         window.add(t, u, gprime)
     return window.result()

@@ -12,7 +12,7 @@ from maflow.errors import (
 )
 from maflow.flow import StepControl, run
 from maflow.grid import ScalarField, TorusGrid, integrate_values, volume_weights
-from maflow.monitors import HolderConfig, MonitorSuite
+from maflow.monitors import MonitorSuite
 from maflow.presets import (
     ForcingPreset,
     MetricPreset,
@@ -79,7 +79,7 @@ def test_uniqueness_two_initial_guesses(grid1, nonkahler1):
                          ForcingPreset("modes", amplitude=0.08, max_mode=2, seed=3))
     sol_zero = solve(nonkahler1, F, tol=tol)
     # second guess: flow output at mid-run
-    suite = MonitorSuite(holder=HolderConfig(rng_seed=1, sample_pairs=2000))
+    suite = MonitorSuite(holder_seed=1)
     mid = run(nonkahler1, F, horizon=2.0, ctrl=StepControl(),
               monitors=suite)
     sol_flow = solve(nonkahler1, F, tol=tol, initial=mid.final.phi_tilde)
@@ -430,7 +430,7 @@ def test_flow_newton_agreement_small(grid1, nonkahler1):
                                                     eps=0.2, scale=0.4))
     F, _ = build_forcing(g.grid, g, ForcingPreset("modes", amplitude=0.05,
                                                   max_mode=2, seed=9))
-    suite = MonitorSuite(holder=HolderConfig(rng_seed=1, sample_pairs=2000))
+    suite = MonitorSuite(holder_seed=1)
     flow_res = run(g, F, horizon=16.0, ctrl=StepControl(), monitors=suite)
     newton = solve(g, F, tol=1e-11)
     gap = np.max(np.abs(flow_res.final.phi_tilde.values

@@ -13,15 +13,15 @@ from maflow.grid import (
     integrate_values,
     volume_weights,
 )
-from maflow.monitors import HolderConfig, MonitorSuite
+from maflow.monitors import MonitorSuite
 from maflow.presets import ForcingPreset, MetricPreset, build_forcing, build_metric
 from maflow.spectral import rfftn
 
 from conftest import field_from
 
 
-def small_suite(**kw):
-    kw.setdefault("holder", HolderConfig(rng_seed=5, sample_pairs=2000))
+def seeded_suite(**kw):
+    kw.setdefault("holder_seed", 5)
     return MonitorSuite(**kw)
 
 
@@ -95,7 +95,7 @@ def test_run_reports_stepper_stats(monkeypatch):
     g = MetricField(grid, np.full((1,) + grid.shape, 2e-3))
     F = field_from(grid, lambda x: 0.5 * np.cos(x[0]))
     monkeypatch.setattr(maflow.flow, "EPS_PD", 0.55)
-    res = run(g, F, horizon=1.0, ctrl=StepControl(), monitors=small_suite())
+    res = run(g, F, horizon=1.0, ctrl=StepControl(), monitors=seeded_suite())
     stats = res.stats
     assert stats["halvings"] >= 1
     assert stats["steps"] == res.final.step_count
@@ -112,7 +112,7 @@ def test_run_stats_keys_and_types(grid1, nonkahler1):
     fresh = make_state(nonkahler1, F).flow_run.stats
     assert [(k, type(v)) for k, v in fresh.items()] == keys
     assert fresh["dt_min"] == math.inf and fresh["dt_max"] == 0.0
-    res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(), monitors=small_suite())
+    res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(), monitors=seeded_suite())
     assert res.stats is res.final.flow_run.stats
     assert [(k, type(v)) for k, v in res.stats.items()] == keys
     assert 0 < res.stats["dt_min"] <= res.stats["dt_max"] <= 0.1 + 1e-12
@@ -234,7 +234,7 @@ def test_step_nan_stage_ends_in_step_failure(monkeypatch, grid1, nonkahler1):
 
 def test_run_zero_forcing_stationary(grid1, nonkahler1):
     F = ScalarField(grid1, np.zeros(grid1.shape))
-    res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(), monitors=small_suite())
+    res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(), monitors=seeded_suite())
     assert np.max(np.abs(res.final.phi.values)) == 0.0
     recs = res.series.records
     assert all(r.sup_dphidt == 0.0 for r in recs)
@@ -248,7 +248,7 @@ def test_run_emission_clock_and_cache_coherence(grid1, nonkahler1):
     F, _ = build_forcing(grid1, nonkahler1,
                          ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
     res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(),
-              monitors=small_suite())
+              monitors=seeded_suite())
     ts = [r.t for r in res.series.records]
     assert ts == pytest.approx(list(np.arange(0, 1.05, 0.1)), abs=1e-12)
     final = res.final
@@ -265,8 +265,8 @@ def test_run_comparison_principle(grid1, nonkahler1):
     F1 = field_from(grid1, lambda c: 0.05 * np.cos(c[0]))
     F2 = ScalarField(grid1, F1.values + 0.05 * (1.0 + np.cos(grid1.axis_coordinates()[1])))
     ctrl = StepControl(dt_max=2e-3)  # dt_max binds: equal step sequences
-    r1 = run(nonkahler1, F1, horizon=1.0, ctrl=ctrl, monitors=small_suite())
-    r2 = run(nonkahler1, F2, horizon=1.0, ctrl=ctrl, monitors=small_suite())
+    r1 = run(nonkahler1, F1, horizon=1.0, ctrl=ctrl, monitors=seeded_suite())
+    r2 = run(nonkahler1, F2, horizon=1.0, ctrl=ctrl, monitors=seeded_suite())
     assert np.min(r1.final.phi.values - r2.final.phi.values) >= -1e-8
 
 
@@ -274,7 +274,7 @@ def test_run_max_principle_and_oscillation_decay(grid1, nonkahler1):
     F, _ = build_forcing(grid1, nonkahler1,
                          ForcingPreset("modes", amplitude=0.08, max_mode=2, seed=12))
     res = run(nonkahler1, F, horizon=3.0, ctrl=StepControl(),
-              monitors=small_suite())
+              monitors=seeded_suite())
     recs = res.series.records
     sup_f = float(np.max(np.abs(F.values)))
     assert recs[0].sup_dphidt == pytest.approx(sup_f, abs=1e-14)
@@ -292,7 +292,7 @@ def test_run_manufactured_convergence_small():
                              ForcingPreset("manufactured", amplitude=0.04,
                                            psi_kind="peaked"))
     res = run(g, F, horizon=12.0, ctrl=StepControl(),
-              monitors=small_suite())
+              monitors=seeded_suite())
     err = np.max(np.abs(res.final.phi_tilde.values - exact.psi_tilde.values))
     assert err <= 1e-5
     osc = [r.osc_u for r in res.series.records]
@@ -307,12 +307,12 @@ def test_run_tail_alarm():
     F = ScalarField(grid, np.broadcast_to(
         0.5 * np.cos(4 * coords[0]), grid.shape).copy())  # Nyquist mode at N=8
     with pytest.raises(TailAlarm):
-        run(g, F, horizon=0.5, ctrl=StepControl(), monitors=small_suite())
+        run(g, F, horizon=0.5, ctrl=StepControl(), monitors=seeded_suite())
 
 
 def test_initial_condition_is_zero(grid1, nonkahler1):
     F, _ = build_forcing(grid1, nonkahler1, ForcingPreset("const", value=1.0))
-    res = run(nonkahler1, F, horizon=0.2, ctrl=StepControl(), monitors=small_suite())
+    res = run(nonkahler1, F, horizon=0.2, ctrl=StepControl(), monitors=seeded_suite())
     first = res.series.records[0]
     assert first.t == 0.0
     assert first.sup_dphidt == pytest.approx(1.0, abs=1e-14)
@@ -483,7 +483,7 @@ def _modes_problem(grid, g):
 def test_dt_max_within_emit_dt_lands_every_step_on_an_emission(grid1, nonkahler1):
     F = _modes_problem(grid1, nonkahler1)
     res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=0.05),
-              monitors=small_suite(emit_dt=0.05, field_interval=0.25))
+              monitors=seeded_suite(emit_dt=0.05, field_interval=0.25))
     assert res.stats["steps"] == res.final.step_count == 20
     assert res.stats["dense_emits"] == 0
     # two ETDRK4 start-up steps, then 18 exponential Adams steps of two each
@@ -496,7 +496,7 @@ def test_steps_past_emissions_agree_with_emission_landing(grid1, nonkahler1):
     # dt_max = 2 emit_dt: every other snapshot is dense output, on the same
     # clock; the gap is the step-size error of the stepper, not the interpolant's
     F = _modes_problem(grid1, nonkahler1)
-    suite = small_suite(emit_dt=0.05, field_interval=0.25)
+    suite = seeded_suite(emit_dt=0.05, field_interval=0.25)
     landed = run(nonkahler1, F, horizon=3.0, ctrl=StepControl(dt_max=0.05), monitors=suite)
     passed = run(nonkahler1, F, horizon=3.0, ctrl=StepControl(dt_max=0.1), monitors=suite)
     assert passed.stats["steps"] == 30 and passed.stats["dense_emits"] == 30
@@ -524,7 +524,7 @@ def test_run_transforms_each_rhs_once(monkeypatch, grid1, nonkahler1):
     calls = []
     monkeypatch.setattr(maflow.flow, "rfftn", lambda a: calls.append(1) or real(a))
     res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=0.1),
-              monitors=small_suite(emit_dt=0.05, field_interval=0.25))
+              monitors=seeded_suite(emit_dt=0.05, field_interval=0.25))
     assert res.stats["steps"] == 10 and res.stats["dense_emits"] == 10
     assert len(calls) == 1 + 4 * 2 + 2 * 8 + 1
 
@@ -549,7 +549,7 @@ def test_dense_state_outside_the_cone_retakes_the_step(monkeypatch, grid1, nonka
 
     monkeypatch.setattr(maflow.flow, "_dense_state", strict_once)
     res = run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=0.1),
-              monitors=small_suite(emit_dt=0.05, field_interval=0.25))
+              monitors=seeded_suite(emit_dt=0.05, field_interval=0.25))
     assert forced == [pytest.approx(0.05)]
     stats = res.stats
     assert stats["retakes"] == 1 and stats["halvings"] == 0
@@ -573,7 +573,7 @@ def test_run_tail_alarm_fires_on_nan_spectrum(monkeypatch, grid1, nonkahler1, dt
                         lambda fh, grid: real(np.full_like(fh, np.nan), grid))
     with pytest.raises(TailAlarm, match="nan exceeds .* at t=0.050"):
         run(nonkahler1, F, horizon=1.0, ctrl=StepControl(dt_max=dt_max),
-            monitors=small_suite(emit_dt=0.05, field_interval=0.25))
+            monitors=seeded_suite(emit_dt=0.05, field_interval=0.25))
 
 
 # ------------------------------------------------- exponential Adams steps

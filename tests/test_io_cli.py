@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maflow import monitors
 from maflow.cli import main
 from maflow.config import _KEYS, RunConfig, config_from_kv, parse_kv_text
 from maflow.errors import ConfigError, MaflowError
 from maflow.flow import StepControl
 from maflow.grid import TorusGrid
-from maflow.monitors import HolderConfig, MonitorSuite
+from maflow.monitors import MonitorSuite
 from maflow.presets import ForcingPreset, MetricPreset
 from maflow.io import dump_scalar_field, load_scalar_field
 from conftest import field_from
@@ -119,16 +120,16 @@ def test_defaults():
     cfg = config_from_kv({})
     assert cfg.mode == "flow"
     assert cfg.step.dt_max == 0.1
-    assert cfg.monitors.holder.alpha == 0.5
-    assert cfg.monitors.holder.epsilon == 0.5
-    assert cfg.monitors.holder.sample_pairs == 20000
-    assert cfg.monitors.alpha_ly == 1.5
+    # the witnesses' constants, as README states them
+    assert (monitors.Q_A, monitors.LIYAU_ALPHA) == (2.0, 1.5)
+    assert (monitors.HOLDER_ALPHA, monitors.HOLDER_EPSILON, monitors.HOLDER_PAIRS) \
+        == (0.5, 0.5, 20000)
 
 
 def test_absent_keys_take_the_constructor_defaults():
     cfg = config_from_kv({})
     assert cfg.step == StepControl()
-    assert cfg.monitors == MonitorSuite(holder=HolderConfig(rng_seed=0))
+    assert cfg.monitors == MonitorSuite()
     assert cfg.metric == MetricPreset("flat")
     assert cfg.forcing == ForcingPreset("zero", seed=0)
     assert cfg.grid == TorusGrid(1, 32)
@@ -138,9 +139,9 @@ def test_absent_keys_take_the_constructor_defaults():
 
 def test_seeds_default_to_rng_seed():
     cfg = config_from_kv({"rng_seed": "5"})
-    assert cfg.forcing.seed == 5 and cfg.monitors.holder.rng_seed == 5
+    assert cfg.forcing.seed == 5 and cfg.monitors.holder_seed == 5
     cfg = config_from_kv({"rng_seed": "5", "forcing.seed": "3"})
-    assert cfg.forcing.seed == 3 and cfg.monitors.holder.rng_seed == 5
+    assert cfg.forcing.seed == 3 and cfg.monitors.holder_seed == 5
 
 
 @pytest.mark.parametrize("kv", [
@@ -176,23 +177,14 @@ NON_DEFAULT = {
     "step.dt_max": ("0.05", 0.05),
     "monitors.emit_dt": ("0.05", 0.05),
     "monitors.field_interval": ("1.0", 1.0),
-    "monitors.A": ("3.0", 3.0),
-    "monitors.alpha_ly": ("1.25", 1.25),
-    "holder.alpha": ("0.25", 0.25),
-    "holder.epsilon": ("1.0", 1.0),
-    "holder.sample_pairs": ("500", 500),
     "elliptic.tol": ("1e-9", 1e-9),
     "verify.criteria": ("7,8", (7, 8)),
     "demo.count": ("3", 3),
-    "demo.eig_lo": ("0.5", 0.5),
-    "demo.eig_hi": ("6.0", 6.0),
     "dump.fields": ("yes", True),
 }
 
 
 def _owner(cfg, target):
-    if target is HolderConfig:
-        return cfg.monitors.holder
     return next(v for v in (cfg, *vars(cfg).values()) if isinstance(v, target))
 
 
@@ -206,12 +198,23 @@ def test_each_key_lands_on_its_argument(key):
     assert cfg.raw == {key: text}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_counts_the_keys():
     # README states the size of the key table; a key added or removed must
     # update it
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    counts = re.findall(r"`_KEYS`, (\d+) keys", readme)
+    counts = re.findall(r"`_KEYS`, (\d+) keys", README.read_text())
     assert counts == [str(len(_KEYS))]
+
+
+def test_readme_example_config_parses():
+    # the example config block must use live keys with valid values
+    blocks = re.findall(r"Example:\n\n```\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    kv = parse_kv_text(blocks[0])
+    assert len(kv) >= 10
+    assert config_from_kv(kv).raw == kv
 
 
 # ----------------------------------------------------------------- CLI
@@ -226,7 +229,6 @@ forcing.kind = modes
 forcing.amplitude = 0.05
 forcing.max_mode = 2
 flow.horizon = 2
-holder.sample_pairs = 2000
 rng_seed = 9
 """
 
@@ -415,8 +417,6 @@ def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
     "step.retry_limit = -1",
     "step.dt_max = inf",      # StepControl: dt_max must be finite
     "step.dt_max = 1e-320",   # and dt_max * 2^-20 must not underflow to 0
-    "holder.sample_pairs = -1",
-    "holder.epsilon = nan",
     "forcing.max_mode = -1",
     "forcing.amplitude = nan",
     "forcing.kind = const\nforcing.value = nan",
@@ -425,24 +425,27 @@ def test_every_maflow_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
     "rng_seed = -5",
     "metric.scale = -1",
     "metric.eps = nan",
-    "monitors.A = nan",
     "monitors.emit_dt = nan",
     "monitors.field_interval = inf",
     "monitors.field_interval = 1e-11",  # a ratio to emit_dt that rounds to 0
-    "demo.eig_lo = 5\ndemo.eig_hi = 1",
     "demo.count = -1",
     "verify.criteria = 12",
     "elliptic.tol = 1e-13",
     "elliptic.tol = nan",
     "dump.fields = maybe",
-    "holder.sample_pairs = 1000000000000",  # above grid.MAX_POINTS
     "grid.max_points = 5000000",  # the memory budget is a constant: an unknown key
-    # a metric need only be positive definite, and the Li-Yau shift and the
-    # Newton budget are constants: these are unknown keys too
+    # a metric need only be positive definite, and the Li-Yau shift, the
+    # Newton budget, Q's A, the Hoelder sampler and the demo's eigenvalue
+    # range are constants: these are unknown keys too
     "metric.lambda_floor = -1",
     "metric.lambda_floor = 5",
     "monitors.shift_eps = -2",
     "elliptic.max_iters = -1",
+    "holder.sample_pairs = -1",
+    "holder.sample_pairs = 1000000000000",
+    "holder.epsilon = nan",
+    "monitors.A = nan",
+    "demo.eig_lo = 5\ndemo.eig_hi = 1",
     # valid values whose metric or manufactured forcing fails during set-up
     "metric.preset = hermitian_nonkahler\nmetric.eps = 0.9",
     "forcing.kind = manufactured\nforcing.amplitude = 50",
@@ -487,27 +490,17 @@ ACCEPTED = {
     "monitors.field_interval": (("1e300", HUGE_INT),
                                 "a multiple of monitors.emit_dt: t = 0 is the only "
                                 "field snapshot"),
-    "monitors.A": (("1e-320", "1e-9", "1e300", HUGE_INT),
-                   "positive and finite; a Q_max that overflows to inf once "
-                   "A (sup phi_tilde - phi_tilde) passes 709 stops the flow (exit 1)"),
-    "holder.alpha": (("1e-320", "1e-9"), "inside (0, 1), the range of a Hoelder exponent"),
-    "holder.epsilon": (("0", "1e-320", "1e-9", "1e300", HUGE_INT),
-                       "non-negative and finite; the Hoelder sample starts there, or "
-                       "is empty"),
     "elliptic.tol": (("1e-9", "1e300", HUGE_INT), "an upper bound on the Newton residual, "
                      "at least 1e-12"),
     "verify.criteria": (("",), "an empty list selects every criterion"),
-    "demo.eig_lo": (("1e-320", "1e-9"), "positive and below demo.eig_hi; the demo draws "
-                    "eigenvalues from that range"),
-    "demo.eig_hi": (("1e300", HUGE_INT),
-                    "finite and above demo.eig_lo; the demo's 1e-12 reconstruction "
-                    "bound is absolute, so a wide range reports passed = false (exit 1)"),
     "dump.fields": (("0",), "reads as false"),
 }
 
 
 # keys that became constants: every value of theirs is an unknown key
-REMOVED_KEYS = ("metric.lambda_floor", "monitors.shift_eps", "elliptic.max_iters")
+REMOVED_KEYS = ("metric.lambda_floor", "monitors.shift_eps", "elliptic.max_iters",
+                "monitors.A", "monitors.alpha_ly", "holder.alpha", "holder.epsilon",
+                "holder.sample_pairs", "demo.eig_lo", "demo.eig_hi")
 
 
 @pytest.mark.parametrize("key", sorted(_KEYS) + list(REMOVED_KEYS))
@@ -541,17 +534,18 @@ def test_generated_values_are_rejected_or_listed(tmp_path, capsys, key):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_cli_q_max_overflow_exit_1(tmp_path, capsys):
-    # a huge A is a valid config value, but exp(A (sup phi_tilde - phi_tilde))
-    # overflows once phi_tilde varies: the flow stops at that emission, with
-    # no numpy warning before the error line
+def test_cli_q_max_overflow_exit_1(tmp_path, capsys, monkeypatch):
+    # with a huge A, exp(A (sup phi_tilde - phi_tilde)) overflows once
+    # phi_tilde varies: the flow stops at that emission, with no numpy
+    # warning before the error line
+    monkeypatch.setattr(monitors, "Q_A", 1e300)
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(FLOW_CFG + "monitors.A = 1e300\n")
+    cfg_path.write_text(FLOW_CFG)
     out = tmp_path / "o"
     code = main(["flow", "--config", str(cfg_path), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("verification failure: Q_max = inf at t = 0.1:")
-    assert "monitors.A = 1e+300" in err and "Traceback" not in err
+    assert "A = monitors.Q_A = 1e+300" in err and "Traceback" not in err
     assert not (out / "monitors.csv").exists()
 
 
@@ -725,7 +719,7 @@ def test_package_exports_resolve():
 
 def test_cli_decompose_demo(tmp_path):
     cfg_path = tmp_path / "demo.cfg"
-    cfg_path.write_text("demo.count = 50\ndemo.eig_lo = 0.2\ndemo.eig_hi = 5.0\nrng_seed = 1\n")
+    cfg_path.write_text("demo.count = 50\nrng_seed = 1\n")
     out = tmp_path / "out"
     code = main(["decompose-demo", "--config", str(cfg_path), "--out", str(out)])
     assert code == 0

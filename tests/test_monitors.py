@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from maflow import flow
+from maflow import flow, monitors
 from maflow.config import config_from_kv
 from maflow.errors import InsufficientSnapshots, NonPositiveU, SeriesTooShort
 from maflow.flow import StepControl, make_state, run
@@ -13,7 +13,7 @@ from maflow.grid import ScalarField, TorusGrid
 from maflow.hermitian import inverse_stack, trace_pair
 from maflow.monitors import (
     CSV_COLUMNS,
-    HolderConfig,
+    LIYAU_ALPHA,
     LiYauWindow,
     MonitorRecord,
     MonitorSeries,
@@ -34,8 +34,8 @@ from maflow.verification import RUN2_KV, UnitWindows
 from reference import liyau_quantity, unpack
 
 
-def small_suite(**kw):
-    kw.setdefault("holder", HolderConfig(rng_seed=5, sample_pairs=2000))
+def seeded_suite(**kw):
+    kw.setdefault("holder_seed", 5)
     return MonitorSuite(**kw)
 
 
@@ -58,9 +58,8 @@ def mfd():
     g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.2, scale=0.4))
     F, exact = build_forcing(grid, g, ForcingPreset("manufactured", amplitude=0.04,
                                                     psi_kind="peaked"))
-    suite = MonitorSuite(emit_dt=0.05, field_interval=0.25,
-                         holder=HolderConfig(rng_seed=7, sample_pairs=5000))
-    rec, windows = Recorder(), UnitWindows(grid, suite.alpha_ly, 10.0)
+    suite = MonitorSuite(emit_dt=0.05, field_interval=0.25, holder_seed=7)
+    rec, windows = Recorder(), UnitWindows(grid, 10.0)
     res = run(g, F, horizon=10.0, ctrl=StepControl(), monitors=suite,
               observers=(rec, windows))
     return SimpleNamespace(g=g, F=F, exact=exact, res=res, rec=rec, windows=windows)
@@ -113,10 +112,10 @@ def test_monitor_Q_dominates_log_trace(mfd_run):
 
 # ----------------------------------------------------------------- Hoelder
 
-def _sampled_holder_max(states, grid, cfg):
-    """Largest sampled quotient over the states with t >= cfg.epsilon."""
-    eligible = [s for s in states if s.t >= cfg.epsilon]
-    sample = _HolderSample(len(eligible), grid, cfg)
+def _sampled_holder_max(states, grid, seed):
+    """Largest sampled quotient over the states with t >= HOLDER_EPSILON."""
+    eligible = [s for s in states if s.t >= monitors.HOLDER_EPSILON]
+    sample = _HolderSample(len(eligible), grid, seed)
     for s in eligible:
         sample.add(s.t, s.gprime)
     return float(np.max(sample.quotients()[1]))
@@ -125,16 +124,17 @@ def _sampled_holder_max(states, grid, cfg):
 def test_holder_zero_for_constant_field(grid1, flat1):
     # F = 0 on the flat metric: phi stays 0 and g' = g at every snapshot
     F = ScalarField(grid1, np.zeros(grid1.shape))
-    suite = MonitorSuite(holder=HolderConfig(rng_seed=3, sample_pairs=4000, epsilon=0.5))
+    suite = MonitorSuite(holder_seed=3)
     res = run(flat1, F, horizon=2.0, ctrl=StepControl(), monitors=suite)
     assert res.series.holder is not None
     assert all(r.holder_seminorm == 0.0 and r.liyau_max == 0.0 for r in res.series.records)
 
 
-def test_holder_insufficient_snapshots(grid1, flat1):
+def test_holder_insufficient_snapshots(grid1, flat1, monkeypatch):
     # only the snapshot at t = 2 lies past epsilon = 1.9: no pair to sample
+    monkeypatch.setattr(monitors, "HOLDER_EPSILON", 1.9)
     F = ScalarField(grid1, np.zeros(grid1.shape))
-    suite = MonitorSuite(holder=HolderConfig(rng_seed=3, epsilon=1.9))
+    suite = MonitorSuite(holder_seed=3)
     res = run(flat1, F, horizon=2.0, ctrl=StepControl(), monitors=suite)
     assert res.series.holder is None
     assert all(r.holder_seminorm == 0.0 for r in res.series.records)
@@ -150,14 +150,14 @@ def test_wrong_snapshot_count_raises(grid1, flat1):
         series.emit(dataclasses.replace(state, t=j * 0.1))
     with pytest.raises(InsufficientSnapshots):
         series.finalize()
-    sample = _HolderSample(2, grid1, HolderConfig(rng_seed=3))
+    sample = _HolderSample(2, grid1, 3)
     for t in (0.5, 1.0, 1.5):
         sample.add(t, flat1.entries)
     with pytest.raises(InsufficientSnapshots):
         sample.quotients()
 
 
-def test_holder_single_mode_vs_exhaustive():
+def test_holder_single_mode_vs_exhaustive(monkeypatch):
     # frozen-in-time single spatial mode; exhaustive all-pairs oracle on the
     # same snapshots brackets the sampled estimate
     grid = TorusGrid(1, 16)
@@ -171,9 +171,9 @@ def test_holder_single_mode_vs_exhaustive():
     for t in (0.6, 1.0):
         st = make_state(g, F, phi_values=phi_vals, t=t)
         states.append(st)
-    alpha = 0.5
-    cfg = HolderConfig(alpha=alpha, epsilon=0.5, sample_pairs=200000, rng_seed=12)
-    est = _sampled_holder_max(states, grid, cfg)
+    alpha = monitors.HOLDER_ALPHA
+    monkeypatch.setattr(monitors, "HOLDER_PAIRS", 200000)
+    est = _sampled_holder_max(states, grid, 12)
 
     # exhaustive oracle over every space-time pair
     entry = states[0].gprime[0]
@@ -212,7 +212,7 @@ def test_holder_column_running_max(mfd_run):
 
 def test_liyau_constant_u(grid1, flat1):
     us = [np.full(grid1.shape, 2.0)] * 3
-    t, v = liyau_quantity([0.5, 1.0, 1.5], us, [flat1.entries] * 3, grid1, alpha_ly=1.5)
+    t, v = liyau_quantity([0.5, 1.0, 1.5], us, [flat1.entries] * 3, grid1)
     assert np.max(np.abs(v)) <= 1e-12
 
 
@@ -220,7 +220,7 @@ def test_liyau_exponential_closed_form(grid1, flat1):
     # u = e^{-t}: |df|^2 = 0, f_t = -1, so the quantity is alpha * t
     times = [0.5, 1.0, 1.5, 2.0]
     us = [np.full(grid1.shape, np.exp(-t)) for t in times]
-    t, v = liyau_quantity(times, us, [flat1.entries] * 4, grid1, alpha_ly=1.5)
+    t, v = liyau_quantity(times, us, [flat1.entries] * 4, grid1)
     assert np.allclose(v, 1.5 * t, atol=1e-10)
 
 
@@ -244,7 +244,7 @@ def test_liyau_envelope_on_run(mfd):
     shift = 1.5 * float(np.max(np.abs(mfd.F.values)))
     rec = mfd.rec
     us = [u + shift for u in rec.u]
-    t_int, vals = liyau_quantity(rec.t, us, rec.gprime, mfd.g.grid, alpha_ly=1.5)
+    t_int, vals = liyau_quantity(rec.t, us, rec.gprime, mfd.g.grid)
     mask = t_int > 0
     c1, c2 = envelope_fit_inverse_time(t_int[mask], vals[mask])
     assert np.isfinite(c1) and np.isfinite(c2)
@@ -281,7 +281,7 @@ def test_harnack_unverifiable_flag(grid1):
     assert not hr.verifiable
 
 
-def _reference_unit_windows(rec, grid, alpha_ly, horizon):
+def _reference_unit_windows(rec, grid, horizon):
     """Criterion 10's unit windows from every recorded snapshot at once."""
     out = SimpleNamespace(windows=0, nonpositive=0, env_t=[], env_v=[], consts=[])
     times = np.array(rec.t)
@@ -296,7 +296,7 @@ def _reference_unit_windows(rec, grid, alpha_ly, horizon):
         fields = [float(np.max(u0)) - rec.u[i] for i in inside]
         try:
             t_int, vals = liyau_quantity(rel_t, fields, [rec.gprime[i] for i in inside],
-                                         grid, alpha_ly=alpha_ly)
+                                         grid)
             out.env_t.extend(t_int.tolist())
             out.env_v.extend(vals.tolist())
             out.consts.append(harnack_check(rel_t, [np.max(f) for f in fields],
@@ -308,7 +308,7 @@ def _reference_unit_windows(rec, grid, alpha_ly, horizon):
 
 def test_unit_windows_match_recorded_surrogates(mfd):
     uw = mfd.windows
-    ref = _reference_unit_windows(mfd.rec, mfd.g.grid, 1.5, 10.0)
+    ref = _reference_unit_windows(mfd.rec, mfd.g.grid, 10.0)
     assert (uw.windows, uw.nonpositive) == (ref.windows, ref.nonpositive) == (9, 0)
     assert uw.env_t == ref.env_t and uw.env_v == ref.env_v
     assert uw.harnack_ok and uw.harnack_consts == ref.consts
@@ -320,7 +320,7 @@ def _unit_windows_peak(per_unit):
     grid = TorusGrid(1, 64)
     profile = 1.0 + 0.1 * np.cos(grid.axis_coordinates()[0]) * np.ones(grid.shape)
     gprime = np.ones((1,) + grid.shape)
-    uw = UnitWindows(grid, 1.5, 3.0)
+    uw = UnitWindows(grid, 3.0)
     tracemalloc.start()
     try:
         for k in range(2 * per_unit + 1):
@@ -427,13 +427,6 @@ def test_suite_validates_field_interval_multiple():
     MonitorSuite(emit_dt=0.05, field_interval=0.25)  # integer multiple: fine
 
 
-def test_suite_validates_alpha_ly_range():
-    with pytest.raises(ValueError):
-        MonitorSuite(alpha_ly=2.5)
-    with pytest.raises(ValueError):
-        HolderConfig(alpha=1.5)
-
-
 def test_sup_dphidt_nonincreasing_after_transient(mfd_run):
     _, _, _, res = mfd_run
     recs = [r for r in res.series.records if r.t >= 1.0]
@@ -450,14 +443,14 @@ def test_trace_and_Q_running_max_attained_early(mfd_run):
 
 # ----------------------------------------------------------------- streamed estimators
 
-def _reference_holder_pairs(times, gp_entries, grid, cfg):
+def _reference_holder_pairs(times, gp_entries, grid, seed):
     """Two-pass Hoelder sampler: stacks every eligible g' snapshot."""
-    S, P, n = len(times), grid.num_points, grid.complex_dim
-    rng = np.random.default_rng(cfg.rng_seed)
-    sa = rng.integers(0, S, size=cfg.sample_pairs)
-    sb = rng.integers(0, S, size=cfg.sample_pairs)
-    pa = rng.integers(0, P, size=cfg.sample_pairs)
-    pb = rng.integers(0, P, size=cfg.sample_pairs)
+    S, P, n, m = len(times), grid.num_points, grid.complex_dim, monitors.HOLDER_PAIRS
+    rng = np.random.default_rng(seed)
+    sa = rng.integers(0, S, size=m)
+    sb = rng.integers(0, S, size=m)
+    pa = rng.integers(0, P, size=m)
+    pb = rng.integers(0, P, size=m)
     stack = np.stack([np.asarray(gp).reshape(n * n, P) for gp in gp_entries])
     diff = stack[sa, :, pa] - stack[sb, :, pb]
     num = np.max(np.abs(diff[:, :n]), axis=1)
@@ -474,7 +467,7 @@ def _reference_holder_pairs(times, gp_entries, grid, cfg):
     dist = np.maximum(np.sqrt(d2), np.sqrt(dt))
     mask = dist > 0
     quot = np.zeros(len(sa))
-    quot[mask] = num[mask] / dist[mask] ** cfg.alpha
+    quot[mask] = num[mask] / dist[mask] ** monitors.HOLDER_ALPHA
     return np.maximum(times[sa], times[sb]), quot
 
 
@@ -515,7 +508,7 @@ def n2_run():
     grid = TorusGrid(2, 16)
     g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.3, scale=0.35))
     F, _ = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=1))
-    suite = MonitorSuite(field_interval=0.5, holder=HolderConfig(rng_seed=21, sample_pairs=3000))
+    suite = MonitorSuite(field_interval=0.5, holder_seed=21)
     rec = Recorder()
     return run(g, F, horizon=2.0, ctrl=StepControl(), monitors=suite, observers=(rec,)), F, rec
 
@@ -523,7 +516,7 @@ def n2_run():
 def test_finalize_matches_two_pass_reference(n2_run):
     res, F, rec = n2_run
     series = res.series
-    cfg, grid = series.suite.holder, series.flow_run.g.grid
+    seed, grid = series.suite.holder_seed, series.flow_run.g.grid
     assert rec.t == [0.0, 0.5, 1.0, 1.5, 2.0]
     # the series folds in the g' the state carries; it is g + Hess(phi) to
     # round-off (the step assembles it from its own spectrum of phi)
@@ -531,9 +524,9 @@ def test_finalize_matches_two_pass_reference(n2_run):
     for phi, gp in zip(rec.phi, gps):
         rebuilt = series.flow_run.g.entries + complex_hessian_values(rfftn(phi), grid)
         assert np.max(np.abs(rebuilt - gp)) <= 1e-13
-    eligible = [i for i, t in enumerate(rec.t) if t >= cfg.epsilon]
+    eligible = [i for i, t in enumerate(rec.t) if t >= monitors.HOLDER_EPSILON]
     times = np.array([rec.t[i] for i in eligible])
-    t_pair, quot = _reference_holder_pairs(times, [gps[i] for i in eligible], grid, cfg)
+    t_pair, quot = _reference_holder_pairs(times, [gps[i] for i in eligible], grid, seed)
     order = np.argsort(t_pair, kind="stable")
     holder_ref = _carried(series.records, t_pair[order], np.maximum.accumulate(quot[order]))
     assert [r.holder_seminorm for r in series.records] == holder_ref
@@ -541,7 +534,7 @@ def test_finalize_matches_two_pass_reference(n2_run):
 
     shift = 1.5 * float(np.max(np.abs(F.values)))
     t_int, vals = _reference_liyau(rec.t, [u + shift for u in rec.u],
-                                   [inverse_stack(gp) for gp in gps], grid, 1.5)
+                                   [inverse_stack(gp) for gp in gps], grid, LIYAU_ALPHA)
     liyau_ref = np.array(_carried(series.records, t_int, vals))
     # the window forms |d f|^2 in closed form from g', the reference from the
     # inverse of g' and a complex gradient: they agree to round-off, not bits
@@ -682,7 +675,7 @@ def _run_peak_bytes(horizon):
     grid = TorusGrid(1, 64)
     g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.2, scale=0.4))
     F, _ = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
-    suite = MonitorSuite(field_interval=0.5, holder=HolderConfig(rng_seed=2, sample_pairs=200))
+    suite = MonitorSuite(field_interval=0.5, holder_seed=2)
     snaps = []
     flow._etdrk4_coefficients.cache_clear()   # both runs build their coefficient sets
     tracemalloc.start()

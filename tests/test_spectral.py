@@ -399,7 +399,7 @@ def test_no_complex_to_complex_fft(monkeypatch):
     # every derivative, the flow (with its Li-Yau finalize), the tail monitor
     # and the torsion check run on real FFTs alone
     from maflow.flow import StepControl, run
-    from maflow.monitors import HolderConfig, MonitorSuite
+    from maflow.monitors import MonitorSuite
     from maflow.presets import MetricPreset, build_metric
     from reference import kahler_defect
 
@@ -412,7 +412,7 @@ def test_no_complex_to_complex_fft(monkeypatch):
     grid = TorusGrid(2, 8)
     g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.1))
     F = field_from(grid, lambda c: 0.05 * np.cos(c[0]) + 0.03 * np.sin(c[1] + c[3]))
-    suite = MonitorSuite(field_interval=0.5, holder=HolderConfig(rng_seed=5, sample_pairs=500))
+    suite = MonitorSuite(field_interval=0.5, holder_seed=5)
     res = run(g, F, horizon=1.5, ctrl=StepControl(), monitors=suite)
     assert any(r.liyau_max != 0.0 for r in res.series.records)
     assert spectral_tail(rfftn(res.final.phi.values), grid) <= 1e-6
