@@ -23,10 +23,9 @@ alpha = 1/c and A is trace-free against gbar, S is nonzero off k = 0, so
     Delta' y = p - alpha(x) mean(c p) + tr(A Hess y):
 
 the identity, plus a field (alpha(x) times a number), plus the anisotropy.
-A preconditioned apply costs one rfftn and, for n = 2, one 1-field irfftn
-of y, whose values give Hess y by spectral.matrix_hessian_values (none for
-n = 1, where A = 0); the general apply adds one irfftn of S vh for n = 1.
-The Newton iterate is kept as its rfft spectrum.
+A preconditioned apply costs one rfftn, plus the Hess y of the anisotropy
+where A is nonzero (never for n = 1, where A = 0).  The Newton iterate is
+kept as its rfft spectrum.
 
 Nested start: without an explicit initial field, and where the half grid is
 valid (N divisible by 4, N >= 16), solve first solves the same problem on
@@ -68,7 +67,6 @@ from .hermitian import log_det_ratio, min_eig_field  # noqa: F401
 from .spectral import (
     complex_hessian_values,
     irfftn,
-    matrix_hessian_values,
     mean_metric_symbol,
     prolong,
     rfftn,
@@ -141,12 +139,9 @@ class EllipticSolution:
 def _residual_field(phi_hat, g):
     """G(phi) = log det ratio and the assembled (packed) evolving metric.
 
-    Takes phi_hat = rfftn(phi), and Hess phi as flow.flow_rhs does.
+    Takes phi_hat = rfftn(phi).
     """
-    if g.grid.complex_dim == 1:
-        gprime = complex_hessian_values(phi_hat, g.grid)
-    else:
-        gprime = matrix_hessian_values(irfftn(phi_hat, g.grid.shape), g.grid)
+    gprime = complex_hessian_values(phi_hat, g.grid)
     gprime += g.entries
     ratio = cone_log_det(gprime, 0.0, "Newton iterate left the positive cone")
     ratio -= g.log_det
@@ -167,14 +162,13 @@ class _Linearization:
     so A is trace-free against gbar and vanishes for n = 1.  With H = Hess v,
     Delta' v = alpha tr(gbar^{-1} H) + sum_j a_j (H_j - r_j H_a): tr(gbar A) = 0
     fixes A_a, a = (A_d, 2 Re A_b, 2 Im A_b) are trace_pair's weights and
-    r = gbar[1:] / gbar_a.  tr(gbar^{-1} H) = irfftn(S vh), with S the symbol
-    of gbar^{i jbar} d_i d_jbar.  precondition maps a real field p to the rfft
-    spectrum y = S^-1 rfftn(c p), k = 0 entry zero, and since S is nonzero
-    off k = 0, irfftn(S y) = c p - mean(c p) exactly:
+    r = gbar[1:] / gbar_a.  With S the symbol of gbar^{i jbar} d_i d_jbar,
+    precondition maps a real field p to the rfft spectrum y = S^-1 rfftn(c p),
+    k = 0 entry zero, and since S is nonzero off k = 0,
+    tr(gbar^{-1} Hess y) = irfftn(S y) = c p - mean(c p) exactly:
     alpha irfftn(S y) = p - alpha(x) mean(c p), a field, not a constant.
-    apply(y, p) uses that identity; for n = 2 it and the general apply(vh)
-    take H from matrix_hessian_values after one 1-field irfftn of vh.  For
-    n = 1 apply(y, p) transforms nothing and apply(vh) transforms S vh.
+    apply(y, p) uses that identity and forms H only for the anisotropy; the
+    general apply(vh) forms H and takes alpha tr(gbar^{-1} H) from it.
     """
 
     def __init__(self, g: MetricField, gprime: np.ndarray):
@@ -205,15 +199,13 @@ class _Linearization:
         c = self._scale
         # form H before lap exists: the solve's memory peaks in this Hessian,
         # so lap is not held through it
-        h = (matrix_hessian_values(irfftn(vh, self.grid.shape), self.grid)
-             if len(self._aniso) else None)
-        if pre is not None:
-            lap = pre - (np.vdot(c, pre) / pre.size) / c
-        elif h is None:
-            lap = irfftn(self._sym * vh, self.grid.shape) / c
-        else:
+        h = (complex_hessian_values(vh, self.grid)
+             if pre is None or len(self._aniso) else None)
+        if pre is None:
             lap = trace_pair(self._gbar_inv, h) / c
-        if h is not None:
+        else:
+            lap = pre - (np.vdot(c, pre) / pre.size) / c
+        if len(self._aniso):
             for h_j, r_j in zip(h[1:], self._ratio):
                 h_j -= r_j * h[0]
             lap += np.einsum("j...,j...->...", self._aniso, h[1:])

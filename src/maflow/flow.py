@@ -46,7 +46,6 @@ from .hermitian import det_field, min_eig_field, trace_inverse  # noqa: F401
 from .spectral import (
     complex_hessian_values,
     irfftn,
-    matrix_hessian_values,
     mean_metric_symbol,
     rfftn,
     spectral_tail,
@@ -153,20 +152,13 @@ def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray, t: float
              phi: Optional[np.ndarray] = None):
     """Right-hand side of the flow and the packed evolving metric g'.
 
-    phi_hat is rfftn(phi) and phi, if given, phi's grid values.  For n = 1
-    Hess(phi) is one irfftn of phi_hat's multipliers; for n = 2 it is
-    matrix_hessian_values of phi, taken with one irfftn if not given, which
-    costs less than the 4-field irfftn.  Raises PositivityViolation (with the
+    phi_hat is rfftn(phi) and phi, if given, phi's grid values, both handed
+    to spectral.complex_hessian_values.  Raises PositivityViolation (with the
     offending flat grid index) if any sample of g' = g + Hess(phi) has
     smallest eigenvalue <= EPS_PD * g.min_eig or is NaN.  g' is built in the
     Hessian's buffer, and the cone check shares log det's passes.
     """
-    if g.grid.complex_dim == 1:
-        gprime = complex_hessian_values(phi_hat, g.grid)
-    else:
-        if phi is None:
-            phi = irfftn(phi_hat, g.grid.shape)
-        gprime = matrix_hessian_values(phi, g.grid)
+    gprime = complex_hessian_values(phi_hat, g.grid, phi)
     gprime += g.entries
     u = cone_log_det(gprime, EPS_PD * g.min_eig, "evolving metric", t)
     u -= g.log_det
@@ -350,8 +342,7 @@ def step(state: FlowState, ctrl: StepControl, t_land: Optional[float] = None) ->
     past_key, past = state.history or (None, ())
 
     def remainder(v_hat, lin, t):
-        """N = rhs - L v in Fourier space, at the field whose rfft is v_hat
-        (for n = 2, flow_rhs takes that field's values with one irfftn)."""
+        """N = rhs - L v in Fourier space, at the field whose rfft is v_hat."""
         stats["rhs_calls"] += 1
         rhs, _ = flow_rhs(v_hat, g, fv, t)
         return rfftn(rhs) - lin * v_hat

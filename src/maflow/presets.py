@@ -202,7 +202,7 @@ def build_forcing(grid: TorusGrid, g: MetricField, preset: ForcingPreset):
     if preset.kind == "modes":
         return random_band_limited(grid, preset.amplitude, preset.max_mode, preset.seed), None
     psi = manufactured_potential(grid, preset)
-    gprime = g.entries + complex_hessian_values(rfftn(psi.values), grid)
+    gprime = g.entries + complex_hessian_values(rfftn(psi.values), grid, psi.values)
     ratio = cone_log_det(gprime, 0.0, "manufactured metric g + Hess(psi)")
     ratio -= g.log_det
     w = volume_weights(g)

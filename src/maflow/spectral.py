@@ -14,20 +14,17 @@ by exactness tests:
   * derivatives are exact to round-off for trigonometric polynomials
     resolved below the Nyquist shell
 
-The complex Hessian d_i d_jbar f is computed from the rfft spectrum of f,
-which the flow's stages already hold, and returned in the packed layout of
-hermitian.py.  Every packed entry is a real, even Fourier multiplier:
+The packed complex Hessian d_i d_jbar f of hermitian.py has two kernels
+behind one entry point, complex_hessian_values.  symbol_hessian_values, the
+transform-based reference, multiplies the spectrum by real, even symbols:
 -(1/4)|kappa_i|^2 on the diagonal and, for n = 2, the real and imaginary
 parts of -(1/4) conj(kappa_1) kappa_2 (kappa_i = k_{2i-1} + sqrt(-1) k_{2i})
-for b, so one batched real irfftn yields all n*n entries; it serves n = 1
-and the verification cross-checks.  Every n = 2 Hessian of the flow and the
-oracle comes from f's grid values instead (matrix_hessian_values): the
-per-axis multipliers, with the same Nyquist rules, become real N x N
-matrices applied along the axes, again with no complex-to-complex transform.
-The 2n real half-derivatives of the Li-Yau monitor (half_derivatives) are
-split the same way: the matrices for n = 2, one batched irfftn for n = 1.
-holo_gradient, the complex stack of the d_i f, serves the tests as the
-transform-based reference.
+for b, so one batched real irfftn yields all n*n entries.
+matrix_hessian_values (n = 2) applies the same per-axis multipliers, with
+the same Nyquist rules, as real N x N matrices along the axes of the grid
+values.  half_derivatives, the Li-Yau monitor's 2n real half-derivatives,
+has the same two kernels.  holo_gradient, the complex stack of the d_i f,
+serves the tests as the transform-based reference.
 
 All operations are pure functions of their inputs.  rfftn and irfftn call
 the pocketfft extension that scipy.fft wraps, with the arguments scipy.fft's
@@ -41,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, reduce
+from typing import Optional
 
 import numpy as np
 from scipy.fft import fftn, ifftn, irfft, rfft  # noqa: F401  fftn, ifftn: see above
@@ -139,13 +137,26 @@ def holo_gradient(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out
 
 
-def complex_hessian_values(fh: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Packed complex Hessian d_i d_jbar f from fh = rfftn(f) of a real f.
+def symbol_hessian_values(fh: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Packed complex Hessian d_i d_jbar f from fh = rfftn(f) of a real f, by
+    its Fourier symbols: the transform-based reference.
 
     Returns the real array of shape (n*n,) + grid.shape of hermitian.py,
     from one batched irfftn of the n*n real symbols times fh.
     """
     return irfftn(_hessian_symbol(grid.complex_dim, grid.points_per_axis) * fh, grid.shape)
+
+
+def complex_hessian_values(fh: np.ndarray, grid: TorusGrid,
+                           values: Optional[np.ndarray] = None) -> np.ndarray:
+    """Packed complex Hessian of a real f from fh = rfftn(f): the symbols on
+    fh for n = 1, the matrices on f's grid values for n = 2 (values, or one
+    irfftn of fh when they are not given)."""
+    if grid.complex_dim == 1:
+        return symbol_hessian_values(fh, grid)
+    if values is None:
+        values = irfftn(fh, grid.shape)
+    return matrix_hessian_values(values, grid)
 
 
 @lru_cache(maxsize=32)
@@ -181,7 +192,7 @@ def _along(mat: np.ndarray, values: np.ndarray, axis: int, out=None) -> np.ndarr
 def matrix_hessian_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Packed complex Hessian d_i d_jbar f from the grid values of a real f, n = 2.
 
-    The operator of complex_hessian_values, applied as the real matrices of
+    The operator of symbol_hessian_values, applied as the real matrices of
     _derivative_matrices along the axes: a = (D2_1 + D2_2) f, d = (D2_3 + D2_4) f
     and, from p = D1_1 f and q = D1_2 f, Re b = D1_3 p + D1_4 q and
     Im b = D1_4 p - D1_3 q (X_a: X along real axis a).  For N up to a few
@@ -222,7 +233,7 @@ def half_derivatives(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 def laplacian_values(values: np.ndarray, grid: TorusGrid, ginv: np.ndarray) -> np.ndarray:
     """g^{i jbar} d_i d_jbar f for a packed inverse metric ginv."""
-    return trace_pair(ginv, complex_hessian_values(rfftn(values), grid))
+    return trace_pair(ginv, symbol_hessian_values(rfftn(values), grid))
 
 
 def prolong(values: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -44,7 +44,7 @@ from .runner import (
     normal_frame_passed,
     normal_frame_sweep,
 )
-from .spectral import complex_hessian_values, laplacian_values, rfftn, shell_amplitudes
+from .spectral import laplacian_values, rfftn, shell_amplitudes, symbol_hessian_values
 
 RUN1_KV = {
     "mode": "flow",
@@ -237,12 +237,12 @@ def recomputed_b(art) -> dict:
 
     r = log det(g + Hess phi) - log det g - F, with a fresh Hessian of the
     returned phi = phi_tilde_inf: the gap between the oracle's b and the
-    omega^n mean of r, and the sup of r minus that mean.  The Hessian is the
-    spectral one on purpose: the n = 2 oracle's comes from the per-axis
-    matrices, so this is a second, independent implementation.
+    omega^n mean of r, and the sup of r minus that mean.  The Hessian is
+    symbol_hessian_values on purpose: at n = 2 the oracle's comes from the
+    per-axis matrices, so this is a second, independent implementation.
     """
     g, phi = art.g, art.solution.phi_tilde_inf
-    gprime = g.entries + complex_hessian_values(rfftn(phi.values), g.grid)
+    gprime = g.entries + symbol_hessian_values(rfftn(phi.values), g.grid)
     r = log_det_ratio(gprime, g.entries) - art.forcing.values
     b = integrate_values(r, volume_weights(g))
     return {"b_recomputed_gap": abs(b - art.solution.b),

@@ -54,20 +54,20 @@ def test_solver_n2_self_certifies(grid2, nonkahler2):
     assert sol.residual_sup <= 1e-10
     assert sol.newton_iters <= 15
     # cone membership of the solution
-    from maflow.spectral import complex_hessian_values, rfftn
+    from maflow.spectral import rfftn, symbol_hessian_values
     from maflow.grid import min_eig_field
-    hess = complex_hessian_values(rfftn(sol.phi_tilde_inf.values), grid2)
+    hess = symbol_hessian_values(rfftn(sol.phi_tilde_inf.values), grid2)
     assert float(np.min(min_eig_field(nonkahler2.entries + hess))) > 0
 
 
 def test_b_identity_post_check(grid1, nonkahler1):
     from maflow.hermitian import log_det_ratio
-    from maflow.spectral import complex_hessian_values, rfftn
+    from maflow.spectral import rfftn, symbol_hessian_values
 
     F = random_band_limited(grid1, 0.1, 2, seed=5)
     sol = solve(nonkahler1, F, tol=1e-11)
     w = volume_weights(nonkahler1)
-    hess = complex_hessian_values(rfftn(sol.phi_tilde_inf.values), grid1)
+    hess = symbol_hessian_values(rfftn(sol.phi_tilde_inf.values), grid1)
     ratio = log_det_ratio(nonkahler1.entries + hess, nonkahler1.entries)
     b_identity = integrate_values(ratio - F.values, w)
     assert abs(b_identity - sol.b) <= 1e-12
@@ -111,7 +111,7 @@ def test_spectrum_in_preconditioned_apply_matches_round_trip(n, nonkahler1, nonk
     # g'^{-1} with the Hessian) is kept here as the reference for both the
     # identity path apply(y, r) and the general apply(y)
     from maflow.hermitian import inverse_stack, trace_pair
-    from maflow.spectral import complex_hessian_values, irfftn, rfftn
+    from maflow.spectral import irfftn, rfftn, symbol_hessian_values
 
     g = nonkahler1 if n == 1 else nonkahler2
     grid = g.grid
@@ -127,7 +127,7 @@ def test_spectrum_in_preconditioned_apply_matches_round_trip(n, nonkahler1, nonk
 
     def old_apply(v):
         v = v - v.mean()
-        lap = trace_pair(gp_inv, complex_hessian_values(rfftn(v), grid))
+        lap = trace_pair(gp_inv, symbol_hessian_values(rfftn(v), grid))
         return lap - lap.mean()
 
     yh = lin.precondition(r)
@@ -140,22 +140,22 @@ def test_spectrum_in_preconditioned_apply_matches_round_trip(n, nonkahler1, nonk
 @pytest.mark.parametrize("N", [8, 16])
 def test_n2_matrix_hessians_match_the_symbol_reference(N):
     # the residual's g' and both Krylov applies take Hess from the per-axis
-    # matrices; the 4-field spectral Hessian is the reference, on white noise,
+    # matrices; the 4-field symbol Hessian is the reference, on white noise,
     # which fills the Nyquist shell, and a non-Kaehler g'
     from maflow.hermitian import inverse_stack, trace_pair
-    from maflow.spectral import complex_hessian_values
+    from maflow.spectral import symbol_hessian_values
 
     grid = TorusGrid(2, N)
     g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.3))
     rng = np.random.default_rng(N)
     phi_hat = rfftn(0.002 * rng.normal(size=grid.shape))
     _, gprime = maflow.elliptic._residual_field(phi_hat, g)
-    want = g.entries + complex_hessian_values(phi_hat, grid)
+    want = g.entries + symbol_hessian_values(phi_hat, grid)
     assert np.max(np.abs(gprime - want)) <= 1e-13 * np.max(np.abs(want))
     lin = maflow.elliptic._Linearization(g, gprime)
     p = rng.normal(size=grid.shape)
     yh = lin.precondition(p)
-    ref = trace_pair(inverse_stack(gprime), complex_hessian_values(yh, grid))
+    ref = trace_pair(inverse_stack(gprime), symbol_hessian_values(yh, grid))
     ref -= ref.mean()
     for out in (lin.apply(yh, p), lin.apply(yh)):
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -201,9 +201,11 @@ def test_solve_transforms_each_field_once(monkeypatch, grid2, nonkahler2):
     # the Newton iterate is kept as a spectrum: one rfftn of the initial phi
     # and one per precondition.  For n = 2 each residual and each Krylov
     # apply, preconditioned or the fresh residual's general one, takes one
-    # 1-field irfftn for matrix_hessian_values (no irfftn of S vh), and one
-    # more irfftn gives the returned phi_tilde_inf; the spectral Hessian
+    # Hessian, which reads one 1-field irfftn (no irfftn of S vh), and one
+    # more irfftn gives the returned phi_tilde_inf; the symbol Hessian
     # does not run
+    import maflow.spectral
+
     calls = {}
 
     def counted(name, fn):
@@ -213,30 +215,34 @@ def test_solve_transforms_each_field_once(monkeypatch, grid2, nonkahler2):
         return wrapper
 
     E = maflow.elliptic
-    for name in ("rfftn", "_residual_field", "_bicgstab", "matrix_hessian_values"):
+    for name in ("rfftn", "_residual_field", "_bicgstab", "complex_hessian_values"):
         monkeypatch.setattr(E, name, counted(name, getattr(E, name)))
     monkeypatch.setattr(E._Linearization, "precondition",
                         counted("precondition", E._Linearization.precondition))
-    real_irfftn = E.irfftn
     fields = []
 
-    def irfftn(x, *args, **kwargs):
-        fields.append(x.shape[:-grid2.real_dim])
-        return real_irfftn(x, *args, **kwargs)
+    def spy_irfftn(module):
+        real_irfftn = module.irfftn
 
-    def no_spectral_hessian(*args, **kwargs):
-        raise AssertionError("spectral Hessian in the n = 2 oracle")
+        def irfftn(x, *args, **kwargs):
+            fields.append(x.shape[:-grid2.real_dim])
+            return real_irfftn(x, *args, **kwargs)
+        monkeypatch.setattr(module, "irfftn", irfftn)
 
-    monkeypatch.setattr(E, "irfftn", irfftn)
-    monkeypatch.setattr(E, "complex_hessian_values", no_spectral_hessian)
+    def no_symbol_hessian(*args, **kwargs):
+        raise AssertionError("symbol Hessian in the n = 2 oracle")
+
+    spy_irfftn(E)
+    spy_irfftn(maflow.spectral)
+    monkeypatch.setattr(maflow.spectral, "symbol_hessian_values", no_symbol_hessian)
     F = random_band_limited(grid2, 0.1, 1, seed=42)
     sol = solve(nonkahler2, F, tol=1e-10)
     assert sol.newton_iters >= 1
     assert calls["_bicgstab"] == sol.newton_iters
     assert calls["rfftn"] == calls["precondition"] + 1
     assert sol.krylov_applies == calls["precondition"] + calls["_bicgstab"]
-    assert calls["matrix_hessian_values"] == calls["_residual_field"] + sol.krylov_applies
-    assert fields == [()] * (calls["matrix_hessian_values"] + 1)
+    assert calls["complex_hessian_values"] == calls["_residual_field"] + sol.krylov_applies
+    assert fields == [()] * (calls["complex_hessian_values"] + 1)
 
 
 def _count_applies(monkeypatch):

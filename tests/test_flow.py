@@ -679,10 +679,11 @@ def test_adams_predictor_outside_the_cone_halves_into_etdrk4(monkeypatch, grid1,
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_each_flow_rhs_takes_one_transform(n, monkeypatch, nonkahler1, nonkahler2):
-    # n = 2: each flow_rhs after the first state reads phi from exactly one
-    # 1-field irfftn, its stage's own or the one _state_at takes before it,
-    # and no batched Hessian transform runs; n = 1 keeps one spectral
-    # Hessian per flow_rhs
+    # each flow_rhs takes one Hessian.  n = 2: after the first state, that
+    # Hessian reads phi from exactly one 1-field irfftn, its stage's own
+    # (inside the Hessian) or the one _state_at takes before it, and no
+    # batched Hessian transform runs; n = 1 keeps the symbol Hessian's
+    # one n*n-field transform per flow_rhs
     import maflow.flow
     import maflow.spectral
     from maflow.flow import _dense_state
@@ -731,9 +732,10 @@ def test_each_flow_rhs_takes_one_transform(n, monkeypatch, nonkahler1, nonkahler
     # and a dense state
     assert state.flow_run.stats["pc_steps"] == 2
     assert len(per_rhs) == state.flow_run.stats["rhs_calls"] - 1 == 13
+    assert all(within[0] == ("hessian",) for _, within in per_rhs)
     if n == 2:
         assert outside == []
-        assert all(before + within == [("irfftn", 1)] for before, within in per_rhs)
+        assert all(before + within[1:] == [("irfftn", 1)] for before, within in per_rhs)
     else:
         assert all(within == [("hessian",), ("irfftn", 1)] for _, within in per_rhs)
 

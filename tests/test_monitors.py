@@ -28,7 +28,7 @@ from maflow.monitors import (
 )
 from maflow.presets import ForcingPreset, MetricPreset, build_forcing, build_metric
 from maflow.runner import build_problem
-from maflow.spectral import complex_hessian_values, laplacian_values, rfftn
+from maflow.spectral import laplacian_values, rfftn, symbol_hessian_values
 from maflow.verification import RUN2_KV, UnitWindows
 
 from reference import liyau_quantity, unpack
@@ -519,10 +519,11 @@ def test_finalize_matches_two_pass_reference(n2_run):
     seed, grid = series.suite.holder_seed, series.flow_run.g.grid
     assert rec.t == [0.0, 0.5, 1.0, 1.5, 2.0]
     # the series folds in the g' the state carries; it is g + Hess(phi) to
-    # round-off (the step assembles it from its own spectrum of phi)
+    # round-off (the step assembles it with the matrix Hessian of phi, the
+    # reference is the symbol one)
     gps = rec.gprime
     for phi, gp in zip(rec.phi, gps):
-        rebuilt = series.flow_run.g.entries + complex_hessian_values(rfftn(phi), grid)
+        rebuilt = series.flow_run.g.entries + symbol_hessian_values(rfftn(phi), grid)
         assert np.max(np.abs(rebuilt - gp)) <= 1e-13
     eligible = [i for i, t in enumerate(rec.t) if t >= monitors.HOLDER_EPSILON]
     times = np.array([rec.t[i] for i in eligible])

@@ -14,6 +14,7 @@ from maflow.spectral import (
     rfftn,
     shell_amplitudes,
     spectral_tail,
+    symbol_hessian_values,
 )
 
 from conftest import field_from
@@ -283,14 +284,29 @@ ORACLE_GRIDS = [TorusGrid(1, 16), TorusGrid(2, 8), TorusGrid(2, 16)]
 @pytest.mark.parametrize("grid", ORACLE_GRIDS + [TorusGrid(2, 24)])
 def test_packed_hessian_matches_c2c_oracle(grid):
     # white noise exercises every mode, the Nyquist shell included; the n = 2
-    # flow's matrix Hessian is held to the same oracle
+    # matrix Hessian is held to the same oracle
     vals = np.random.default_rng(8).normal(size=grid.shape)
     want = _c2c_hessian(vals, grid)
-    got = unpack(complex_hessian_values(rfftn(vals), grid))
+    got = unpack(symbol_hessian_values(rfftn(vals), grid))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     if grid.complex_dim == 2:
         got = unpack(matrix_hessian_values(vals, grid))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 16), TorusGrid(2, 8)], ids=["n1", "n2"])
+def test_complex_hessian_picks_its_kernel_from_n(grid):
+    # n = 1: the symbols on the spectrum, given values or not; n = 2: the
+    # matrices on the given values, or on the values of the spectrum
+    vals = np.random.default_rng(9).normal(size=grid.shape)
+    fh = rfftn(vals)
+    if grid.complex_dim == 1:
+        bare = given = symbol_hessian_values(fh, grid)
+    else:
+        bare = matrix_hessian_values(irfftn(fh, grid.shape), grid)
+        given = matrix_hessian_values(vals, grid)
+    assert np.array_equal(complex_hessian_values(fh, grid), bare)
+    assert np.array_equal(complex_hessian_values(fh, grid, vals), given)
 
 
 @pytest.mark.parametrize("N", [8, 16])
@@ -425,7 +441,7 @@ def test_no_complex_to_complex_fft(monkeypatch):
 def test_transforms_are_scipy_fft_bit_for_bit():
     # rfftn and irfftn call pocketfft as scipy.fft does, on one worker and
     # with no setting: the same bits on every shape the program transforms,
-    # single fields and the batched stacks of complex_hessian_values (n*n),
+    # single fields and the batched stacks of symbol_hessian_values (n*n),
     # half_derivatives and holo_gradient (2n); and neither writes its input,
     # since step reuses a stage spectrum after transforming it back
     import scipy.fft
