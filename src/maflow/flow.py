@@ -124,7 +124,9 @@ class FlowState:
     size the next step tries first (None: dt_max).  step_count counts the
     steps taken up to t.  history is () or (dt key, spectra): the remainder
     spectra N at the starts of the last one or two steps, newest first, all
-    taken at that dt key (see step).
+    taken at that dt key (see step).  A state holds the grid fields phi,
+    phi_tilde, u and g' (n*n of them) and the spectra phi_hat and, once
+    read, rhs_hat; a step reads only its StepStart part.
     """
 
     t: float
@@ -146,6 +148,20 @@ class FlowState:
     def rhs_hat(self) -> np.ndarray:
         """rfftn(dphi_dt), taken once: a step's first stage and a dense-output slope."""
         return rfftn(self.dphi_dt.values)
+
+
+@dataclass(frozen=True)
+class StepStart:
+    """What step and _dense_state read of their start state, and no grid
+    field; a FlowState serves as one too."""
+
+    t: float
+    phi_hat: np.ndarray
+    rhs_hat: np.ndarray
+    flow_run: FlowRun
+    step_count: int
+    dt_try: Optional[float]
+    history: tuple
 
 
 def flow_rhs(phi_hat: np.ndarray, g: MetricField, f_values: np.ndarray, t: float = 0.0,
@@ -302,12 +318,12 @@ def _frozen_metric_key(g: MetricField) -> tuple:
     return tuple((s * g_mean).tolist())
 
 
-def _dt_try(state: FlowState, ctrl: StepControl) -> float:
+def _dt_try(state: StepStart, ctrl: StepControl) -> float:
     """The size a step from state tries first."""
     return ctrl.dt_max if state.dt_try is None else min(state.dt_try, ctrl.dt_max)
 
 
-def step(state: FlowState, ctrl: StepControl, t_land: Optional[float] = None) -> FlowState:
+def step(state: StepStart, ctrl: StepControl, t_land: Optional[float] = None) -> FlowState:
     """One step of size min(dt_try, t_land - t), dt_try <= dt_max.
 
     When the state's history holds the remainders N of two steps taken at
@@ -401,7 +417,7 @@ def step(state: FlowState, ctrl: StepControl, t_land: Optional[float] = None) ->
     return new
 
 
-def _dense_state(start: FlowState, end: FlowState, t: float) -> FlowState:
+def _dense_state(start: StepStart, end: FlowState, t: float) -> FlowState:
     """The state at start.t < t < end.t inside the step from start to end.
 
     phi_hat is the cubic Hermite in time on the step's end spectra phi_hat,
@@ -460,6 +476,8 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
     outside the cone re-takes the step from its start, landing on the first
     of them.  The spectral tail of phi is checked at each emission and
     raises TailAlarm above TAIL_THRESHOLD or at NaN (under-resolution guard).
+    Between steps it holds the last state's StepStart, and no field: once
+    emitted, a state is garbage unless an observer keeps it.
     """
     from .monitors import MonitorSeries, MonitorSuite  # local import, no cycle at import time
 
@@ -475,24 +493,28 @@ def run(g: MetricField, f: ScalarField, horizon: float, ctrl: StepControl,
     series.emit(state)
     j = 1  # the next emission is at j * emit_dt
     while j <= total_emits:
+        start = StepStart(state.t, state.phi_hat, state.rhs_hat, state.flow_run,
+                          state.step_count, state.dt_try, state.history)
+        del state   # its fields go before the step builds any
         # k: the furthest emission the step reaches, within step()'s clip tolerance
-        reach = state.t + _dt_try(state, ctrl) + 1e-15
+        reach = start.t + _dt_try(start, ctrl) + 1e-15
         k = j
         while k < total_emits and (k + 1) * emit_dt <= reach:
             k += 1
-        new = step(state, ctrl, t_land=k * emit_dt)
+        state = step(start, ctrl, t_land=k * emit_dt)
         try:
-            dense = [_dense_state(state, new, i * emit_dt)
-                     for i in range(j, k) if i * emit_dt < new.t - 1e-12]
+            dense = [_dense_state(start, state, i * emit_dt)
+                     for i in range(j, k) if i * emit_dt < state.t - 1e-12]
         except PositivityViolation:
             stats["retakes"] += 1
-            new = step(state, ctrl, t_land=j * emit_dt)
+            del state
+            state = step(start, ctrl, t_land=j * emit_dt)
             dense = []
-        for snap in dense:
-            _emit(series, snap)
+        del start   # its spectra go before any emission
         stats["dense_emits"] += len(dense)
         j += len(dense)
-        state = new
+        while dense:
+            _emit(series, dense.pop(0))
         if state.t >= j * emit_dt - 1e-12:
             _emit(series, state)
             j += 1

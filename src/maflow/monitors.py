@@ -137,6 +137,7 @@ def monitor_basic(state, trace_field: np.ndarray) -> dict:
     u = state.dphi_dt.values
     u_max, u_min = float(u.max()), float(u.min())
     mean_u = integrate_values(u, w)
+    trace_max = float(trace_field.max())
     if len(state.gprime) == 1:
         emin = emax = trace_field
     else:
@@ -145,9 +146,9 @@ def monitor_basic(state, trace_field: np.ndarray) -> dict:
         "sup_dphidt": max(abs(u_max), abs(u_min)),
         "sup_dphitilde": max(abs(u_max - mean_u), abs(u_min - mean_u)),
         "osc_u": u_max - u_min,
-        "trace_max": float(trace_field.max()),
+        "trace_max": trace_max,
         "eig_min": float(emin.min()),
-        "eig_max": float(emax.max()),
+        "eig_max": trace_max if emax is trace_field else float(emax.max()),
         "mean_phitilde": integrate_values(state.phi_tilde.values, w),
     }
 
@@ -182,26 +183,21 @@ class _HolderSample:
     """Seeded sample of parabolic Hoelder difference quotients of g'.
 
     The HOLDER_PAIRS pairs of (snapshot, grid point) are drawn up front
-    over the indices of the ``count`` snapshots to come; ``add`` takes each
-    snapshot's time and packed g' in order and keeps only its sampled
-    entries, two (pairs, n*n) buffers in all.  Each end's pair indices are
-    sorted by snapshot once, so a snapshot's pairs are one slice.  A
-    quotient's numerator is max(|da|, |dd|, |db|); its denominator is the
-    parabolic distance to the power HOLDER_ALPHA.
+    over the indices of the ``count`` snapshots to come and kept as int32
+    (sa, pa at one end, sb, pb at the other); ``add`` takes each snapshot's
+    time and packed g' in order and keeps only its sampled entries, two
+    (pairs, n*n) buffers in all.  A quotient's numerator is
+    max(|da|, |dd|, |db|); its denominator is the parabolic distance to
+    the power HOLDER_ALPHA.
     """
 
     def __init__(self, count: int, grid: TorusGrid, seed: int):
         m = HOLDER_PAIRS
         rng = np.random.default_rng(seed)
-        self.sa, self.sb = [rng.integers(0, count, size=m) for _ in range(2)]
+        sa, sb = [rng.integers(0, count, size=m) for _ in range(2)]
         pa, pb = [rng.integers(0, grid.num_points, size=m) for _ in range(2)]
         self.space_dist = _torus_pair_distance(grid, pa, pb)
-        # per end: pair indices by snapshot, their grid points, snapshot j's slice bounds
-        self.ends = []
-        for snap, pts in ((self.sa, pa), (self.sb, pb)):
-            order = np.argsort(snap)
-            self.ends.append((order, pts[order],
-                              np.searchsorted(snap[order], np.arange(count + 1))))
+        self.sa, self.sb, self.pa, self.pb = (v.astype(np.int32) for v in (sa, sb, pa, pb))
         self.count, self.times = count, []
         self.n = grid.complex_dim
         self.ga, self.gb = np.zeros((2, m, self.n ** 2))
@@ -210,13 +206,13 @@ class _HolderSample:
         j = len(self.times)
         if j < self.count:   # an extra snapshot only counts, and quotients raises
             flat = gprime.reshape(len(gprime), -1)
-            for (order, pts, bounds), buf in zip(self.ends, (self.ga, self.gb)):
-                lo, hi = bounds[j], bounds[j + 1]
-                buf[order[lo:hi]] = flat[:, pts[lo:hi]].T
+            for snap, pts, buf in ((self.sa, self.pa, self.ga), (self.sb, self.pb, self.gb)):
+                idx = np.flatnonzero(snap == j)
+                buf[idx] = flat[:, pts[idx]].T
         self.times.append(t)
 
     def quotients(self):
-        """(t_max_per_pair, quotient_per_pair), once all ``count`` snapshots are added."""
+        """(later snapshot index, quotient) per pair, once all ``count`` snapshots are added."""
         if len(self.times) != self.count:
             raise InsufficientSnapshots(
                 f"Hoelder sample drawn over {self.count} snapshots, {len(self.times)} added")
@@ -227,10 +223,8 @@ class _HolderSample:
         num = np.max(np.abs(diff[:, :self.n]), axis=1)
         if self.n == 2:
             num = np.maximum(num, np.hypot(diff[:, 2], diff[:, 3]))
-        mask = dist > 0
-        quot = np.zeros(len(num))
-        quot[mask] = num[mask] / dist[mask] ** HOLDER_ALPHA
-        return np.maximum(ta, tb), quot
+        quot = np.divide(num, dist ** HOLDER_ALPHA, out=np.zeros(len(num)), where=dist > 0)
+        return np.maximum(self.sa, self.sb), quot
 
 
 class LiYauWindow:
@@ -240,32 +234,34 @@ class LiYauWindow:
     ``add(t, u, gprime)`` takes one snapshot: u > 0 at every point
     (NonPositiveU otherwise, a NaN included), f = log u, and gprime the
     packed g', so |d f|^2 is the pairing tr(g'^{-1} v v^*) with
-    v = (d_1 f, .., d_n f), formed by _grad_sq from f's half-derivatives and
-    g' directly.  f_t is a centered difference across adjacent snapshots,
-    so a value is produced at each interior snapshot time, from that
-    snapshot's g' alone.  Between adds the window holds the last two
-    snapshots' f and the newest g'.
+    v = (d_1 f, .., d_n f), formed at the add by _grad_sq from f's
+    half-derivatives and g' directly (from the second snapshot on: the
+    first is never a middle one).  f_t is a centered difference across
+    adjacent snapshots, so a value is produced at each interior snapshot
+    time.  Between adds the window holds the last two snapshots' f and the
+    newest one's |d f|^2, and no g'.
     """
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
         self.window = []      # (t, f) of the last two snapshots between adds
-        self.gprime = None    # the newest snapshot's g', used once it is the middle
+        self.grad_sq = None   # |d f|^2 of the newest snapshot, used once it is the middle
         self.times, self.values = [], []
 
     def add(self, t: float, u: np.ndarray, gprime: np.ndarray):
         if not u.min() > 0:   # written so that a NaN fails too
             raise NonPositiveU(f"non-positive u (min {u.min():.3e}) in Li-Yau diagnostic")
         self.window.append((t, np.log(u)))
-        gp1, self.gprime = self.gprime, gprime
-        if len(self.window) < 3:
-            return
-        (t0, f0), (t1, f1), (t2, f2) = self.window
-        del self.window[0]
-        grad_sq = _grad_sq(f1, gp1, self.grid)   # its buffers are gone before f_t is made
-        f_t = (f2 - f0) / (t2 - t0)
-        self.times.append(t1)
-        self.values.append(float(t1 * (grad_sq - LIYAU_ALPHA * f_t).max()))
+        if len(self.window) == 3:
+            (t0, f0), (t1, _), (t2, f2) = self.window
+            f_t = (f2 - f0) / (t2 - t0)
+            self.times.append(t1)
+            self.values.append(float(t1 * (self.grad_sq - LIYAU_ALPHA * f_t).max()))
+            # f_0 and the middle |d f|^2 go before the new one's buffers are made
+            del self.window[0], f0, f_t
+            self.grad_sq = None
+        if len(self.window) == 2:
+            self.grad_sq = _grad_sq(self.window[1][1], gprime, self.grid)
 
     def result(self):
         """(interior_times, values); InsufficientSnapshots before three adds."""
@@ -296,7 +292,12 @@ def _grad_sq(f: np.ndarray, gprime: np.ndarray, grid: TorusGrid) -> np.ndarray:
         np.multiply(x[0], x[2], out=term)
         term += x[1] * x[3]
         term *= b_re
-        term += b_im * (x[0] * x[3] - x[2] * x[1])
+        # b_im (x_1 y_2 - x_2 y_1), formed in the rows x_1 and x_2, which are dead now
+        x[0] *= x[3]
+        x[2] *= x[1]
+        x[0] -= x[2]
+        x[0] *= b_im
+        term += x[0]
         term *= 2.0
         num -= term
         del term
@@ -433,8 +434,8 @@ def _carry_forward(records: Sequence[MonitorRecord], attr: str,
                    times: np.ndarray, values: np.ndarray):
     """Set each record's ``attr`` to the latest value at or before its time
     (0.0 before the first)."""
-    for rec in records:
-        j = np.searchsorted(times, rec.t + 1e-12) - 1
+    idx = np.searchsorted(times, [rec.t + 1e-12 for rec in records]) - 1
+    for rec, j in zip(records, idx):
         setattr(rec, attr, float(values[j]) if j >= 0 else 0.0)
 
 
@@ -451,7 +452,9 @@ class MonitorSeries:
     (not at all when sup|F| = 0), then the state is handed to each
     ``observer(state)``.  The planned times fix the Hoelder snapshot count
     before the run, hence ``horizon``.  A shift past float64's range raises
-    MonitorOverflow here, before the run takes a step.
+    MonitorOverflow here, before the run takes a step.  Between emissions it
+    holds its records, g^{-1} (n*n fields), the Hoelder sample and the Li-Yau
+    window's two f and one |d f|^2: no state and no g'.
     """
 
     def __init__(self, flow_run, suite: MonitorSuite, horizon: float,
@@ -482,6 +485,7 @@ class MonitorSeries:
         trace_field = trace_pair(self.g_inv, state.gprime)
         basic = monitor_basic(state, trace_field)
         q_max = monitor_Q(state, trace_field, Q_A, self.sup_phitilde_run)
+        del trace_field   # read by nothing below
         if not math.isfinite(q_max):
             raise MonitorOverflow(
                 f"Q_max = {q_max} at t = {state.t:.6g}: exp(A (sup phi_tilde - phi_tilde)) "
@@ -503,11 +507,12 @@ class MonitorSeries:
         """Carry the streamed Hoelder and Li-Yau values forward onto the records."""
         if self.liyau.times:
             _carry_forward(self.records, "liyau_max", *self.liyau.result())
-        if self.holder is not None:
-            t_pair, quot = self.holder.quotients()
-            order = np.argsort(t_pair, kind="stable")
-            _carry_forward(self.records, "holder_seminorm", t_pair[order],
-                           np.maximum.accumulate(quot[order]))
+        if self.holder is not None:   # each snapshot's largest quotient, accumulated
+            later, quot = self.holder.quotients()
+            top = np.zeros(self.holder.count)
+            np.maximum.at(top, later, quot)
+            _carry_forward(self.records, "holder_seminorm", np.array(self.holder.times),
+                           np.maximum.accumulate(top))
 
     # -- derived summaries -------------------------------------------------
 

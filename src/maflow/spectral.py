@@ -203,10 +203,12 @@ def matrix_hessian_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     for i in (0, 1):
         _along(D2, values, 2 * i, out[i])
         out[i] += _along(D2, values, 2 * i + 1)
-    p, q = _along(D1, values, 0), _along(D1, values, 1)
+    p = _along(D1, values, 0)
     _along(D1, p, 2, out[2])
-    out[2] += _along(D1, q, 3)
     _along(D1, p, 3, out[3])
+    del p
+    q = _along(D1, values, 1)
+    out[2] += _along(D1, q, 3)
     out[3] -= _along(D1, q, 2)
     return out
 
@@ -273,13 +275,14 @@ def spectral_tail(fh: np.ndarray, grid: TorusGrid) -> float:
     Mode amplitudes are |fh| / num_points (the half-spectrum holds every
     amplitude of a real field, since |f^(-k)| = |f^(k)|); the tail is the
     largest amplitude among modes with any axis at the Nyquist index,
-    relative to the largest amplitude overall (0 for the zero field).
+    relative to the largest amplitude overall (0 for the zero field).  The
+    maxima of |fh| are divided by num_points: monotone, so the same bits.
     """
-    fh = np.abs(fh) / grid.num_points
-    peak = float(fh.max())
+    fh = np.abs(fh)
+    peak = float(fh.max()) / grid.num_points
     if peak == 0.0:
         return 0.0
     # the shell is the union of one index plane per axis: views, no mask
     tail = max(float(fh[(slice(None),) * a + (grid.points_per_axis // 2,)].max())
                for a in range(grid.real_dim))
-    return tail / peak
+    return tail / grid.num_points / peak

@@ -109,8 +109,9 @@ class UnitWindows:
     Each snapshot at 0 < t <= 1 (xi vanishes at the argmax for t = 0) feeds
     the positive surrogate xi_m(x, t) = sup_y u(y, m-1) - u(x, m-1+t) and
     g' to the window's LiYauWindow and keeps (t, sup xi, inf xi) for the
-    Harnack fit.  At t = 1 the window's Li-Yau values are kept and the
-    Harnack check on (0.5, 1) runs, unless some xi was non-positive.
+    Harnack fit.  At t = 1 the window's Li-Yau values are kept, the window
+    and its fields are dropped and the Harnack check on (0.5, 1) runs,
+    unless some xi was non-positive.
     """
 
     def __init__(self, grid, horizon: float):
@@ -119,7 +120,7 @@ class UnitWindows:
         self.env_t, self.env_v, self.harnack_consts = [], [], []
         self.harnack_ok = True
         self.open = None      # (m, sup_y u(y, m-1)) of the open window
-        self.liyau = None     # its LiYauWindow, None once an xi was non-positive
+        self.liyau = None     # its LiYauWindow; None once closed or an xi was non-positive
         self.extrema = []     # its (t, sup xi, inf xi)
 
     def __call__(self, state):
@@ -148,6 +149,7 @@ class UnitWindows:
             self.nonpositive += 1
             return
         t_int, vals = self.liyau.result()
+        self.liyau = None   # its fields go before the Harnack fit's rows are built
         self.env_t.extend(t_int.tolist())
         self.env_v.extend(vals.tolist())
         # every inf xi is positive here, so the fit has pairs to take

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from maflow.grid import (
     integrate_values,
     volume_weights,
 )
-from maflow.monitors import MonitorSuite
+from maflow import flow
+from maflow.monitors import MonitorSeries, MonitorSuite
 from maflow.presets import ForcingPreset, MetricPreset, build_forcing, build_metric
 from maflow.spectral import rfftn
 
@@ -257,6 +259,36 @@ def test_run_emission_clock_and_cache_coherence(grid1, nonkahler1):
     assert np.max(np.abs(final.gprime - gprime)) <= 1e-12
     w = volume_weights(nonkahler1)
     assert abs(integrate_values(final.phi_tilde.values, w)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_emitted_state_is_dead_during_the_next_step(monkeypatch, n):
+    # between steps run keeps a StepStart, so once emit returns nothing holds
+    # the emitted state's grid fields: at every flow_rhs call after it (the
+    # next step's stages, its new state and dense states) they are gone
+    grid = TorusGrid(n, 16)
+    g = build_metric(grid, MetricPreset("hermitian_nonkahler", eps=0.3, scale=0.35))
+    F, _ = build_forcing(grid, g, ForcingPreset("modes", amplitude=0.05, max_mode=2, seed=4))
+    emitted, checked = [], []
+    real_emit, real_rhs = MonitorSeries.emit, flow.flow_rhs
+
+    def emit(series, state):
+        real_emit(series, state)
+        emitted.append([weakref.ref(a) for a in (state.phi.values, state.phi_tilde.values,
+                                                 state.dphi_dt.values, state.gprime)])
+
+    def rhs(*args, **kwargs):
+        if emitted:
+            checked.append([r() is None for r in emitted[-1]])
+        return real_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(MonitorSeries, "emit", emit)
+    monkeypatch.setattr(flow, "flow_rhs", rhs)
+    res = run(g, F, horizon=0.5, ctrl=StepControl(),
+              monitors=seeded_suite(emit_dt=0.05, field_interval=0.25))
+    assert len(emitted) == 11 and res.stats["dense_emits"] > 0
+    assert len(checked) == res.stats["rhs_calls"] - 1
+    assert all(all(dead) for dead in checked)
 
 
 def test_run_comparison_principle(grid1, nonkahler1):

@@ -1,11 +1,12 @@
 import dataclasses
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from maflow import flow, monitors
+from maflow import flow, monitors, verification
 from maflow.config import config_from_kv
 from maflow.errors import InsufficientSnapshots, NonPositiveU, SeriesTooShort
 from maflow.flow import StepControl, make_state, run
@@ -29,9 +30,16 @@ from maflow.monitors import (
 from maflow.presets import ForcingPreset, MetricPreset, build_forcing, build_metric
 from maflow.runner import build_problem
 from maflow.spectral import laplacian_values, rfftn, symbol_hessian_values
-from maflow.verification import RUN2_KV, UnitWindows
+from maflow.verification import RUN1_KV, RUN2_KV, UnitWindows
 
-from reference import liyau_quantity, unpack
+from reference import (
+    GprimeLiYauWindow,
+    SortedHolderSample,
+    finalize_reference,
+    grad_sq_reference,
+    liyau_quantity,
+    unpack,
+)
 
 
 def seeded_suite(**kw):
@@ -566,14 +574,72 @@ def test_emitted_eig_range_matches_the_pencil_of_g_and_gprime(request, which):
         assert abs(r.eig_max - float(np.max(hi))) <= 1e-12 * float(np.max(hi))
 
 
-def test_liyau_window_keeps_one_gprime_between_adds(n2_run):
+def test_liyau_window_keeps_two_fs_and_one_grad_sq_between_adds(n2_run):
+    # each snapshot's |d f|^2 is formed as it arrives (from the second on),
+    # so the window keeps no g': the one it was handed dies with the caller's
     res, F, rec = n2_run
-    window = LiYauWindow(res.series.flow_run.g.grid)
+    grid = res.series.flow_run.g.grid
+    window = LiYauWindow(grid)
     shift = 1.5 * float(np.max(np.abs(F.values)))
-    for t, u, gp in zip(rec.t, rec.u, rec.gprime):
-        window.add(t, u + shift, gp)
-        assert window.gprime is gp and all(len(entry) == 2 for entry in window.window)
+    for k, (t, u, gp) in enumerate(zip(rec.t, rec.u, rec.gprime)):
+        handed = gp.copy()
+        alive = weakref.ref(handed)
+        window.add(t, u + shift, handed)
+        del handed
+        assert alive() is None
+        assert [entry[0] for entry in window.window] == rec.t[max(0, k - 1):k + 1]
+        assert all(entry[1].shape == grid.shape for entry in window.window)
+        if k == 0:
+            assert window.grad_sq is None
+        else:
+            assert np.array_equal(window.grad_sq, _grad_sq(window.window[1][1], gp, grid))
+        assert set(vars(window)) == {"grid", "window", "grad_sq", "times", "values"}
     assert len(window.times) == len(rec.t) - 2
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 8), (2, 16)])
+def test_grad_sq_gives_the_reference_bits(n, N):
+    # the cross term formed in the dead half-derivative rows takes the same
+    # operations in the same order as the three-temporary expression
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(3 * N + n)
+    f = rng.standard_normal(grid.shape)
+    gprime = _noise_gprime(grid, rng)
+    assert np.array_equal(_grad_sq(f, gprime, grid), grad_sq_reference(f, gprime, grid))
+
+
+def _flow_with_unit_windows(kv, horizon, unit_windows):
+    cfg = config_from_kv(dict(kv, **{"flow.horizon": str(horizon)}))
+    _, g, F, _ = build_problem(cfg)
+    windows = UnitWindows(cfg.grid, cfg.horizon) if unit_windows else None
+    res = run(g, F, horizon=cfg.horizon, ctrl=cfg.step, monitors=cfg.monitors,
+              observers=(windows,) if unit_windows else ())
+    return res, windows
+
+
+@pytest.mark.parametrize("kv, horizon, unit_windows", [(RUN1_KV, 5, True), (RUN2_KV, 2, False)],
+                         ids=["run1", "run2"])
+def test_streamed_estimators_give_the_reference_bits(monkeypatch, kv, horizon, unit_windows):
+    # the Hoelder sample without sort tables, its per-snapshot maxima and the
+    # |d f|^2-holding Li-Yau window, against the sort-table sample with the
+    # argsort over pair times and the g'-holding window: the same CSV text
+    # (every value's repr) and, on run 1, the same unit-window envelopes
+    res, windows = _flow_with_unit_windows(kv, horizon, unit_windows)
+    with monkeypatch.context() as m:
+        m.setattr(monitors, "_HolderSample", SortedHolderSample)
+        m.setattr(monitors, "LiYauWindow", GprimeLiYauWindow)
+        m.setattr(verification, "LiYauWindow", GprimeLiYauWindow)
+        m.setattr(monitors.MonitorSeries, "finalize", finalize_reference)
+        ref, ref_windows = _flow_with_unit_windows(kv, horizon, unit_windows)
+    assert isinstance(ref.series.holder, SortedHolderSample)
+    assert isinstance(res.series.holder, monitors._HolderSample)
+    assert res.series.to_csv() == ref.series.to_csv()
+    for col in ("holder_seminorm", "liyau_max"):
+        assert len({getattr(r, col) for r in res.series.records}) > 2
+    if unit_windows:
+        assert windows.windows == ref_windows.windows == 4
+        assert windows.env_t == ref_windows.env_t and windows.env_v == ref_windows.env_v
+        assert windows.harnack_consts == ref_windows.harnack_consts
 
 
 def test_liyau_accepts_iterators(n2_run):
@@ -655,10 +721,14 @@ def test_liyau_add_allocates_few_fields(n2_run):
 
 
 def test_run2_traced_peak():
-    # run 2's problem to horizon 2 peaks at 24.0 MB traced, its ETDRK4
-    # coefficient set built inside (a one-step run fills the symbol tables
-    # first).  Holding the stage spectra through _state_at and the Li-Yau
-    # window's inverse g' and complex gradient, it peaked at 29.5 MB.
+    # in grid fields of 0.52 MB (n = 2, N = 16): run 2's problem to horizon 2
+    # peaks at 36 traced, in a field snapshot's Li-Yau |d f|^2, its ETDRK4
+    # coefficient set (7 fields) built inside (a one-step run fills the
+    # symbol tables first).  It peaked at 46 while the run held the emitted
+    # state through the next step, the Li-Yau window the last snapshot's g'
+    # and the Hoelder sample its sort tables, and at 56 with the stage spectra
+    # held through _state_at and the window's inverse g' and complex gradient.
+    field = 8 * 16 ** 4
     cfg = config_from_kv(dict(RUN2_KV, **{"flow.horizon": "2"}))
     _, g, F, _ = build_problem(cfg)
     run(g, F, horizon=0.1, ctrl=cfg.step, monitors=cfg.monitors)
@@ -669,7 +739,7 @@ def test_run2_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 26e6
+    assert peak <= 39 * field
 
 
 def _run_peak_bytes(horizon):

@@ -18,7 +18,7 @@ from maflow.spectral import (
 )
 
 from conftest import field_from
-from reference import unpack
+from reference import spectral_tail_reference, unpack
 
 
 def d_axis(vals, grid, a):
@@ -232,6 +232,27 @@ def test_spectral_tail_matches_nyquist_mask_reference(grid):
         mask[tuple(sl)] = True
     amp = np.abs(fh) / grid.num_points
     assert spectral_tail(fh, grid) == float(np.max(amp[mask]) / np.max(amp))
+
+
+@pytest.mark.parametrize("n, N", [(1, 12), (1, 64), (2, 8), (2, 16)])
+def test_spectral_tail_gives_the_reference_bits(n, N):
+    # the maxima of |fh| divided by num_points, against the maxima of the
+    # divided amplitudes: white-noise spectra over several decades, the zero
+    # spectrum, and a NaN in the body or the Nyquist shell
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(10 * n + N)
+    for _ in range(5):
+        fh = rfftn(rng.standard_normal(grid.shape))
+        fh *= np.exp(rng.uniform(-20.0, 20.0, fh.shape))
+        tail = spectral_tail(fh, grid)
+        assert np.float64(tail).tobytes() == np.float64(spectral_tail_reference(fh, grid)).tobytes()
+        assert 0.0 < tail <= 1.0
+    zero = np.zeros_like(fh)
+    assert spectral_tail(zero, grid) == spectral_tail_reference(zero, grid) == 0.0
+    for where in ((1,) * fh.ndim, (0,) * (fh.ndim - 1) + (N // 2,)):
+        bad = fh.copy()
+        bad[where] = np.nan
+        assert np.isnan(spectral_tail(bad, grid)) and np.isnan(spectral_tail_reference(bad, grid))
 
 
 def test_shell_amplitudes_sort_modes_by_linf_wavenumber(grid1):
