@@ -103,11 +103,13 @@ def pin_heap_thresholds(grid: TorusGrid):
     glibc maps each block above its mmap threshold afresh (page faults on
     first touch) and raises that threshold, with the heap's trim threshold,
     only after such a block is freed, so a solve's speed depended on what
-    had been freed before it.  Both are pinned here, at the size of a full
-    complex n x n field (glibc caps it at 32 MiB) and twice that; grids
-    whose fields fit under the starting 128 KiB are left alone.  A pinned
-    threshold is never lowered, so a smaller grid solved after (or inside)
-    a larger one, like the oracle's half-grid level, keeps the larger pin.
+    had been freed before it.  The mmap threshold is pinned here at the
+    size of a full complex n x n field (glibc caps it at 32 MiB), and the
+    heap is never trimmed, so a repeated solve reuses the pages the first
+    one faulted in; grids whose fields fit under the starting 128 KiB are
+    left alone.  A pinned threshold is never lowered, so a smaller grid
+    solved after (or inside) a larger one, like the oracle's half-grid
+    level, keeps the larger pin.
     """
     global _pinned_heap_size
     size = min(16 * grid.complex_dim ** 2 * grid.num_points, 32 << 20)
@@ -117,7 +119,7 @@ def pin_heap_thresholds(grid: TorusGrid):
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    mallopt(-1, 2 * size)  # M_TRIM_THRESHOLD
+    mallopt(-1, -1)  # M_TRIM_THRESHOLD: -1 turns trimming off
     mallopt(-3, size)  # M_MMAP_THRESHOLD
     _pinned_heap_size = size
 

@@ -6,14 +6,16 @@ choice of its own parameter: Q_A, LIYAU_ALPHA and the HOLDER_* sampler
 settings are module constants, not config keys, read at call time.  Scalars are recorded at every
 snapshot from what the flow state already holds: u, phi_tilde and g'.  The
 pencil g^{-1} g' needs no pass of its own: its trace is the trace field
-tr_g g' that trace_max and Q read, and its determinant is exp(u + F), since
+tr_g g' that trace_max and Q read, formed from g and det g one entry of
+g^{-1} at a time, and its determinant is exp(u + F), since
 u = log det g' - log det g - F.  The field-based diagnostics (Hoelder
 seminorm, Li-Yau quantity) stream: every field snapshot's g' is folded at
-emission into the Hoelder sample and a three-snapshot Li-Yau window, handed
-to any extra observers and dropped, so memory does not grow with the
-snapshot count.  The Li-Yau window reads |d f|^2 from g' itself, in closed
-form, and forms no inverse or complex gradient field.  finalize carries
-their values forward between evaluations, so every CSV row stays finite.
+emission into the Hoelder sample, which forms each pair's quotient when its
+later end arrives, and a three-snapshot Li-Yau window, handed to any extra
+observers and dropped, so memory does not grow with the snapshot count.
+The Li-Yau window reads |d f|^2 from g' itself, in closed form, and forms no
+inverse or complex gradient field.  finalize carries their values forward
+between evaluations, so every CSV row stays finite.
 
 A run loads numpy and scipy.fft only.  scipy.optimize (with scipy.linalg,
 sparse and spatial, about 22 MB of resident memory) loads at the first
@@ -35,10 +37,10 @@ from .errors import (
     SeriesTooShort,
 )
 from .grid import TorusGrid, integrate_values
-from .hermitian import det_field, inverse_stack, pencil_eig_range, trace_pair
-from .spectral import half_derivatives
+from .hermitian import det_field, pencil_eig_range
+from .spectral import half_derivative, half_derivatives
 # unused here; perfbench/tracer.py patches them under this module
-from .hermitian import generalized_eig_range  # noqa: F401
+from .hermitian import generalized_eig_range, inverse_stack, trace_pair  # noqa: F401
 from .spectral import complex_hessian_values, holo_gradient  # noqa: F401
 
 CSV_COLUMNS = (
@@ -153,6 +155,25 @@ def monitor_basic(state, trace_field: np.ndarray) -> dict:
     }
 
 
+def _trace_field(g: np.ndarray, det_g: np.ndarray, gprime: np.ndarray) -> np.ndarray:
+    """tr_g g' = trace_pair(inverse_stack(g), g'), to the bit, from the packed
+    g and det g = det_field(g), one entry of g^{-1} at a time.
+
+    inverse_stack's entries are (d, a, -Re b, -Im b) / det g; the sign flip is
+    exact, so the two negated products enter trace_pair's sum as the
+    subtraction of their positive twins.
+    """
+    if len(g) == 1:
+        return (1.0 / det_g) * gprime[0]
+    out = (g[1] / det_g) * gprime[0]
+    out += (g[0] / det_g) * gprime[1]
+    cross = (g[2] / det_g) * gprime[2]
+    cross += (g[3] / det_g) * gprime[3]
+    cross *= 2.0
+    out -= cross
+    return out
+
+
 def monitor_Q(state, trace_field: np.ndarray, A: float, sup_phitilde_run: float) -> float:
     """Max over the grid of Q = log tr_g g' + exp(A (sup phitilde - phitilde)).
 
@@ -180,15 +201,17 @@ def _torus_pair_distance(grid: TorusGrid, pts_a: np.ndarray, pts_b: np.ndarray) 
 
 
 class _HolderSample:
-    """Seeded sample of parabolic Hoelder difference quotients of g'.
+    """Seeded sample of parabolic Hoelder difference quotients of g', streamed.
 
-    The HOLDER_PAIRS pairs of (snapshot, grid point) are drawn up front
-    over the indices of the ``count`` snapshots to come and kept as int32
-    (sa, pa at one end, sb, pb at the other); ``add`` takes each snapshot's
-    time and packed g' in order and keeps only its sampled entries, two
-    (pairs, n*n) buffers in all.  A quotient's numerator is
-    max(|da|, |dd|, |db|); its denominator is the parabolic distance to
-    the power HOLDER_ALPHA.
+    The HOLDER_PAIRS pairs of (snapshot, grid point) are drawn up front over
+    the indices of the ``count`` snapshots to come and kept as int32, each
+    pair's earlier end first (``early``, ``p_early``; ``late``, ``p_late``).
+    ``add`` takes each snapshot's time and packed g' in order.  It keeps g'
+    at the pairs whose earlier end it is, one (pairs, n*n) buffer, and forms
+    the quotient of each pair whose later end it is, folding it into the
+    running maximum: a quotient's numerator is max(|da|, |dd|, |db|), which
+    does not see the sign of the difference, and its denominator is the
+    parabolic distance to the power HOLDER_ALPHA.
     """
 
     def __init__(self, count: int, grid: TorusGrid, seed: int):
@@ -197,34 +220,39 @@ class _HolderSample:
         sa, sb = [rng.integers(0, count, size=m) for _ in range(2)]
         pa, pb = [rng.integers(0, grid.num_points, size=m) for _ in range(2)]
         self.space_dist = _torus_pair_distance(grid, pa, pb)
-        self.sa, self.sb, self.pa, self.pb = (v.astype(np.int32) for v in (sa, sb, pa, pb))
-        self.count, self.times = count, []
+        swap = sb < sa
+        self.early, self.late, self.p_early, self.p_late = (
+            v.astype(np.int32) for v in (np.minimum(sa, sb), np.maximum(sa, sb),
+                                         np.where(swap, pb, pa), np.where(swap, pa, pb)))
+        self.count, self.times, self.maxima = count, [], []
         self.n = grid.complex_dim
-        self.ga, self.gb = np.zeros((2, m, self.n ** 2))
+        self.g_early = np.zeros((m, self.n ** 2))
 
     def add(self, t: float, gprime: np.ndarray):
         j = len(self.times)
-        if j < self.count:   # an extra snapshot only counts, and quotients raises
-            flat = gprime.reshape(len(gprime), -1)
-            for snap, pts, buf in ((self.sa, self.pa, self.ga), (self.sb, self.pb, self.gb)):
-                idx = np.flatnonzero(snap == j)
-                buf[idx] = flat[:, pts[idx]].T
         self.times.append(t)
-
-    def quotients(self):
-        """(later snapshot index, quotient) per pair, once all ``count`` snapshots are added."""
-        if len(self.times) != self.count:
-            raise InsufficientSnapshots(
-                f"Hoelder sample drawn over {self.count} snapshots, {len(self.times)} added")
-        times = np.array(self.times)
-        ta, tb = times[self.sa], times[self.sb]
-        dist = np.maximum(self.space_dist, np.sqrt(np.abs(ta - tb)))
-        diff = self.ga - self.gb
+        if j >= self.count:   # an extra snapshot only counts, and result raises
+            return
+        flat = gprime.reshape(len(gprime), -1)
+        idx = np.flatnonzero(self.early == j)
+        self.g_early[idx] = flat[:, self.p_early[idx]].T
+        idx = np.flatnonzero(self.late == j)
+        diff = self.g_early[idx] - flat[:, self.p_late[idx]].T
         num = np.max(np.abs(diff[:, :self.n]), axis=1)
         if self.n == 2:
             num = np.maximum(num, np.hypot(diff[:, 2], diff[:, 3]))
+        t_early = np.array(self.times)[self.early[idx]]
+        dist = np.maximum(self.space_dist[idx], np.sqrt(np.abs(t - t_early)))
         quot = np.divide(num, dist ** HOLDER_ALPHA, out=np.zeros(len(num)), where=dist > 0)
-        return np.maximum(self.sa, self.sb), quot
+        self.maxima.append(float(np.max(quot, initial=self.maxima[-1] if j else 0.0)))
+
+    def result(self):
+        """(times, the running maximum of the quotients at each), once all
+        ``count`` snapshots are added."""
+        if len(self.times) != self.count:
+            raise InsufficientSnapshots(
+                f"Hoelder sample drawn over {self.count} snapshots, {len(self.times)} added")
+        return np.array(self.times), np.array(self.maxima)
 
 
 class LiYauWindow:
@@ -236,10 +264,12 @@ class LiYauWindow:
     packed g', so |d f|^2 is the pairing tr(g'^{-1} v v^*) with
     v = (d_1 f, .., d_n f), formed at the add by _grad_sq from f's
     half-derivatives and g' directly (from the second snapshot on: the
-    first is never a middle one).  f_t is a centered difference across
-    adjacent snapshots, so a value is produced at each interior snapshot
-    time.  Between adds the window holds the last two snapshots' f and the
-    newest one's |d f|^2, and no g'.
+    first is never a middle one).  gprime None marks the last snapshot,
+    which is never a middle one either: its |d f|^2 is not formed, and an
+    add after it raises InsufficientSnapshots.  f_t is a centered difference
+    across adjacent snapshots, so a value is produced at each interior
+    snapshot time.  Between adds the window holds the last two snapshots'
+    f and the newest one's |d f|^2, and no g'.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -253,6 +283,8 @@ class LiYauWindow:
             raise NonPositiveU(f"non-positive u (min {u.min():.3e}) in Li-Yau diagnostic")
         self.window.append((t, np.log(u)))
         if len(self.window) == 3:
+            if self.grad_sq is None:
+                raise InsufficientSnapshots(f"Li-Yau snapshot at t = {t:.6g} after the last")
             (t0, f0), (t1, _), (t2, f2) = self.window
             f_t = (f2 - f0) / (t2 - t0)
             self.times.append(t1)
@@ -260,7 +292,7 @@ class LiYauWindow:
             # f_0 and the middle |d f|^2 go before the new one's buffers are made
             del self.window[0], f0, f_t
             self.grad_sq = None
-        if len(self.window) == 2:
+        if len(self.window) == 2 and gprime is not None:
             self.grad_sq = _grad_sq(self.window[1][1], gprime, self.grid)
 
     def result(self):
@@ -277,33 +309,52 @@ def _grad_sq(f: np.ndarray, gprime: np.ndarray, grid: TorusGrid) -> np.ndarray:
     g' = (a, d, b), it is (x^2 + y^2) / a for n = 1 and, for n = 2,
     (d |d_1 f|^2 + a |d_2 f|^2 - 2 Re(b conj(d_1 f conj(d_2 f)))) / (a d - |b|^2),
     where d_1 f conj(d_2 f) = x_1 x_2 + y_1 y_2 + sqrt(-1) (x_1 y_2 - x_2 y_1):
-    no inverse field and no complex array.
+    no inverse field and no complex array.  For n = 2 it holds at most three
+    grid fields beside its output: a row is formed again (half_derivative,
+    same bits) whenever it is needed again, and det g' is taken in
+    det_field's order in a buffer already held.
     """
-    x = half_derivatives(f, grid)
-    num = x[0] * x[0]
-    num += x[1] * x[1]
-    if grid.complex_dim == 2:
-        a, d, b_re, b_im = gprime
-        num *= d
-        term = x[2] * x[2]
-        term += x[3] * x[3]
-        term *= a
-        num += term
-        np.multiply(x[0], x[2], out=term)
-        term += x[1] * x[3]
-        term *= b_re
-        # b_im (x_1 y_2 - x_2 y_1), formed in the rows x_1 and x_2, which are dead now
-        x[0] *= x[3]
-        x[2] *= x[1]
-        x[0] -= x[2]
-        x[0] *= b_im
-        term += x[0]
-        term *= 2.0
-        num -= term
-        del term
-    del x   # the derivatives go before det_field's temporaries are made
-    num /= det_field(gprime)
-    return num
+    if grid.complex_dim == 1:
+        x = half_derivatives(f, grid)
+        num = x[0] * x[0]
+        num += x[1] * x[1]
+        del x
+        num /= det_field(gprime)
+        return num
+    a, d, b_re, b_im = gprime
+
+    def row(k, out=None):
+        return half_derivative(f, grid, k, out)
+
+    # 2 (b_re (x_1 x_2 + y_1 y_2) + b_im (x_1 y_2 - x_2 y_1)); rows x_1, y_1,
+    # x_2, y_2 are 0, 1, 2, 3
+    cross = row(0)
+    tmp = row(3)
+    cross *= tmp           # x_1 y_2
+    out = row(1)
+    tmp *= out             # y_1 y_2
+    x2 = row(2)
+    out *= x2              # x_2 y_1
+    cross -= out
+    cross *= b_im
+    tmp += np.multiply(row(0, out), x2, out=out)
+    tmp *= b_re
+    cross += tmp
+    cross *= 2.0
+    # a |d_2 f|^2 in x_2's row, then d |d_1 f|^2 + a |d_2 f|^2 - cross
+    x2 *= x2
+    x2 += np.square(row(3, tmp), out=tmp)
+    x2 *= a
+    np.square(row(0, out), out=out)
+    out += np.square(row(1, tmp), out=tmp)
+    out *= d
+    out += x2
+    out -= cross
+    det = np.multiply(a, d, out=x2)   # det g', in det_field's order
+    det -= np.square(b_re, out=tmp)
+    det -= np.square(b_im, out=tmp)
+    out /= det
+    return out
 
 
 def _certified_fit(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -451,10 +502,13 @@ class MonitorSeries:
     and to the Li-Yau window on u + shift, shift = (1 + LIYAU_SHIFT_EPS) sup|F|
     (not at all when sup|F| = 0), then the state is handed to each
     ``observer(state)``.  The planned times fix the Hoelder snapshot count
-    before the run, hence ``horizon``.  A shift past float64's range raises
-    MonitorOverflow here, before the run takes a step.  Between emissions it
-    holds its records, g^{-1} (n*n fields), the Hoelder sample and the Li-Yau
-    window's two f and one |d f|^2: no state and no g'.
+    and the last field snapshot, whose |d f|^2 the Li-Yau window does not
+    form, before the run, hence ``horizon``.  A shift past float64's range
+    raises MonitorOverflow here, before the run takes a step.  Between
+    emissions it holds its records, det g (one field; tr_g g' is formed
+    from it and g), the Hoelder sample (g' at each pair's earlier end and
+    the running maximum) and the Li-Yau window's two f and one |d f|^2: no
+    state and no g'.
     """
 
     def __init__(self, flow_run, suite: MonitorSuite, horizon: float,
@@ -463,7 +517,7 @@ class MonitorSeries:
         self.flow_run = flow_run
         self.suite = suite
         self.observers = tuple(observers)
-        self.g_inv = inverse_stack(g.entries)
+        self.det_g = det_field(g.entries)
         self.records: List[MonitorRecord] = []
         self.field_snaps: list = []   # always empty: fields are folded in at emission
         self.sup_phitilde_run = -np.inf
@@ -474,15 +528,16 @@ class MonitorSeries:
                 f"Li-Yau shift {1.0 + LIYAU_SHIFT_EPS:g} sup|F| = {self.shift} overflows "
                 f"with sup|F| = {sup_f:.6g}")
         self.field_every = round(suite.field_interval / suite.emit_dt)
-        count = sum(1 for j in range(0, suite.emissions(horizon) + 1, self.field_every)
-                    if j * suite.emit_dt >= HOLDER_EPSILON)
+        fields = range(0, suite.emissions(horizon) + 1, self.field_every)
+        self.last_field = fields[-1]
+        count = sum(1 for j in fields if j * suite.emit_dt >= HOLDER_EPSILON)
         self.holder = _HolderSample(count, g.grid, suite.holder_seed) if count >= 2 else None
         self.liyau = LiYauWindow(g.grid)
 
     def emit(self, state):
         self.sup_phitilde_run = max(self.sup_phitilde_run,
                                     float(state.phi_tilde.values.max()))
-        trace_field = trace_pair(self.g_inv, state.gprime)
+        trace_field = _trace_field(self.flow_run.g.entries, self.det_g, state.gprime)
         basic = monitor_basic(state, trace_field)
         q_max = monitor_Q(state, trace_field, Q_A, self.sup_phitilde_run)
         del trace_field   # read by nothing below
@@ -499,7 +554,8 @@ class MonitorSeries:
         if self.holder is not None and j * self.suite.emit_dt >= HOLDER_EPSILON:
             self.holder.add(state.t, state.gprime)
         if self.shift > 0:
-            self.liyau.add(state.t, state.dphi_dt.values + self.shift, state.gprime)
+            self.liyau.add(state.t, state.dphi_dt.values + self.shift,
+                           None if j == self.last_field else state.gprime)
         for observer in self.observers:
             observer(state)
 
@@ -507,12 +563,8 @@ class MonitorSeries:
         """Carry the streamed Hoelder and Li-Yau values forward onto the records."""
         if self.liyau.times:
             _carry_forward(self.records, "liyau_max", *self.liyau.result())
-        if self.holder is not None:   # each snapshot's largest quotient, accumulated
-            later, quot = self.holder.quotients()
-            top = np.zeros(self.holder.count)
-            np.maximum.at(top, later, quot)
-            _carry_forward(self.records, "holder_seminorm", np.array(self.holder.times),
-                           np.maximum.accumulate(top))
+        if self.holder is not None:
+            _carry_forward(self.records, "holder_seminorm", *self.holder.result())
 
     # -- derived summaries -------------------------------------------------
 

@@ -23,7 +23,8 @@ for b, so one batched real irfftn yields all n*n entries.
 matrix_hessian_values (n = 2) applies the same per-axis multipliers, with
 the same Nyquist rules, as real N x N matrices along the axes of the grid
 values.  half_derivatives, the Li-Yau monitor's 2n real half-derivatives,
-has the same two kernels.  holo_gradient, the complex stack of the d_i f,
+has the same two kernels; half_derivative forms one row of the n = 2 kernel.
+holo_gradient, the complex stack of the d_i f,
 serves the tests as the transform-based reference.
 
 All operations are pure functions of their inputs.  rfftn and irfftn call
@@ -213,6 +214,13 @@ def matrix_hessian_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out
 
 
+def half_derivative(values: np.ndarray, grid: TorusGrid, a: int, out=None) -> np.ndarray:
+    """Row a (0-based) of half_derivatives for n = 2: one matmul, so a row
+    formed again has the same bits."""
+    D1, _ = _derivative_matrices(grid.points_per_axis)
+    return _along(D1, values, a, out)
+
+
 def half_derivatives(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """The 2n real half-derivatives (d/dx_a) f / 2 of a real f, shape (2n,) + grid.shape.
 
@@ -223,10 +231,9 @@ def half_derivatives(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     holo_gradient's real and imaginary parts (up to the sign of the latter).
     """
     if grid.complex_dim == 2:
-        D1, _ = _derivative_matrices(grid.points_per_axis)
         out = np.empty((4,) + values.shape)
         for a in range(4):
-            _along(D1, values, a, out[a])
+            half_derivative(values, grid, a, out[a])
         return out
     fh = rfftn(values)
     k_odd, _ = _wavenumbers(1, grid.points_per_axis)

@@ -108,10 +108,11 @@ class UnitWindows:
     snapshot at t = m-1 when the oscillation of u there is at least 1e-10.
     Each snapshot at 0 < t <= 1 (xi vanishes at the argmax for t = 0) feeds
     the positive surrogate xi_m(x, t) = sup_y u(y, m-1) - u(x, m-1+t) and
-    g' to the window's LiYauWindow and keeps (t, sup xi, inf xi) for the
-    Harnack fit.  At t = 1 the window's Li-Yau values are kept, the window
-    and its fields are dropped and the Harnack check on (0.5, 1) runs,
-    unless some xi was non-positive.
+    g' (none at t = 1, the window's last snapshot) to the window's
+    LiYauWindow and keeps (t, sup xi, inf xi) for the Harnack fit.  At
+    t = 1 the window's Li-Yau values are kept, the window and its fields
+    are dropped and the Harnack check on (0.5, 1) runs, unless some xi was
+    non-positive.
     """
 
     def __init__(self, grid, horizon: float):
@@ -128,14 +129,15 @@ class UnitWindows:
         if self.open is not None:
             m, sup0 = self.open
             rel = t - (m - 1)
+            last = rel >= 1.0 - 1e-9
             if rel <= 1.0 + 1e-9 and self.liyau is not None:
                 xi = sup0 - u
                 self.extrema.append((rel, float(np.max(xi)), float(np.min(xi))))
                 try:
-                    self.liyau.add(rel, xi, state.gprime)
+                    self.liyau.add(rel, xi, None if last else state.gprime)
                 except NonPositiveU:
                     self.liyau = None
-            if rel >= 1.0 - 1e-9:
+            if last:
                 self.open = None
                 self._close()
         k = round(t)

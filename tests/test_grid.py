@@ -270,7 +270,7 @@ def test_random_band_limited_matches_mode_loop(grid, max_mode, seed):
 
 def test_heap_thresholds_pinned_at_full_field_size(monkeypatch):
     # the mmap threshold is a full complex n x n field (4 MiB at n = 2,
-    # N = 16) and the trim threshold twice that; grids whose fields fit
+    # N = 16) and the trim threshold -1 (no trim); grids whose fields fit
     # under glibc's starting 128 KiB threshold make no call
     import maflow.grid as G
 
@@ -286,7 +286,7 @@ def test_heap_thresholds_pinned_at_full_field_size(monkeypatch):
     G.pin_heap_thresholds(TorusGrid(1, 64))
     assert calls == []
     G.pin_heap_thresholds(TorusGrid(2, 16))
-    assert calls == [(-1, 8 << 20), (-3, 4 << 20)]
+    assert calls == [(-1, -1), (-3, 4 << 20)]
 
 
 def test_heap_thresholds_never_lowered(monkeypatch):
@@ -307,9 +307,9 @@ def test_heap_thresholds_never_lowered(monkeypatch):
     G.pin_heap_thresholds(TorusGrid(2, 16))
     G.pin_heap_thresholds(TorusGrid(2, 12))
     G.pin_heap_thresholds(TorusGrid(2, 16))
-    assert calls == [(-1, 8 << 20), (-3, 4 << 20)]
+    assert calls == [(-1, -1), (-3, 4 << 20)]
     G.pin_heap_thresholds(TorusGrid(2, 20))
-    assert calls[2:] == [(-1, 2 * 16 * 4 * 20 ** 4), (-3, 16 * 4 * 20 ** 4)]
+    assert calls[2:] == [(-1, -1), (-3, 16 * 4 * 20 ** 4)]
 
 
 def test_only_manufactured_forcing_builds_volume_weights(monkeypatch, nonkahler1):
